@@ -6,6 +6,10 @@ new datalets/controlets took 3 / 6 person-days.  Here the measurable
 analogue: each pre-built controlet is a small delta over the shared
 framework (base Controlet + actor machinery), and each datalet engine
 a small delta over the engine/actor template.
+
+The controlet sizes are a **ratchet**: every bound below is the size
+measured when it was last lowered, so growth fails here (in CI's
+``test`` job) instead of going unseen.  Bounds may only go down.
 """
 
 import inspect
@@ -26,6 +30,23 @@ from repro.datalet.log import LogEngine
 from repro.datalet.lsm import LSMEngine
 
 
+#: logical-LoC ceilings, each the size measured when it was last lowered
+#: (framework pieces, then per-controlet deltas).
+FRAMEWORK_BOUNDS = {
+    "controlet template": 719,
+    "MS accept base": 63,
+}
+CONTROLET_BOUNDS = {
+    "MS+SC (chain replication)": 207,
+    "MS+EC (async propagation)": 319,
+    "AA+SC (DLM locking)": 182,
+    "AA+EC (shared log)": 255,
+    "AA-MS hybrid (§IV-E)": 60,
+}
+#: template + shared bases + the five deltas.
+CONTROL_PLANE_BOUND = 1805
+
+
 def loc(obj) -> int:
     """Logical lines of code: non-blank, non-comment source lines."""
     lines = inspect.getsource(obj).splitlines()
@@ -37,6 +58,8 @@ def test_sec7_dev_effort(benchmark):
         return {
             "framework": {
                 "controlet template": loc(controlet_mod.Controlet),
+                # shared by MS+SC and MS+EC, so it counts as framework
+                "MS accept base": loc(controlet_mod.MasterSlaveControlet),
                 "datalet template": loc(datalet_base.Engine) + loc(datalet_base.DataletActor),
             },
             "controlets": {
@@ -66,12 +89,17 @@ def test_sec7_dev_effort(benchmark):
     save_result("sec7", counts)
 
     # every pre-built controlet is a compact delta over the framework —
-    # the same order as the paper's 150-LoC template story.  The bound
-    # has grown with the hot path: durability (PR 6) and the coalescing
-    # pumps (PR 8) each live in the variant deltas, not the template
-    for name, n in counts["controlets"].items():
-        assert n < 420, f"{name} is {n} LoC; reuse story broken"
-        assert n < counts["framework"]["controlet template"] + counts["framework"]["datalet template"]
+    # the paper's template story — and none of it may grow back
+    for name, bound in FRAMEWORK_BOUNDS.items():
+        n = counts["framework"][name]
+        assert n <= bound, f"{name} grew to {n} LoC (ratchet: {bound})"
+    for name, bound in CONTROLET_BOUNDS.items():
+        n = counts["controlets"][name]
+        assert n <= bound, f"{name} grew to {n} LoC (ratchet: {bound})"
+        assert n < counts["framework"]["controlet template"]
+    total = (sum(counts["framework"][k] for k in FRAMEWORK_BOUNDS)
+             + sum(counts["controlets"].values()))
+    assert total <= CONTROL_PLANE_BOUND, f"control plane grew to {total} LoC"
     # datalet engines are standalone and small
     for name, n in counts["datalets"].items():
         assert n < 300, f"{name} is {n} LoC"

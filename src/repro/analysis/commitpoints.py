@@ -32,7 +32,7 @@ and flags two rules:
 
 An awaited replication call counts as durability coverage
 *compositionally*: the target's handler for that message type is itself
-analyzed, so "I acked only after the peer confirmed ``chain_put``"
+analyzed, so "I acked only after the peer confirmed ``chain_put_batch``"
 inherits the peer's own ack-before-durable obligation.
 
 Suppression is declarative and auditable, two mechanisms:
@@ -70,7 +70,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.findings import Finding
 from repro.analysis.lint import DEFAULT_ALLOWLIST, _allowed_by_list, _parse_pragmas
-from repro.analysis.summaries import DATALET_READ_OPS
+from repro.analysis.summaries import DATALET_READ_OPS, _pump_bindings
 
 __all__ = [
     "REPL_TYPES",
@@ -86,14 +86,14 @@ __all__ = [
 
 #: message types that carry a client write through the system — the
 #: handler entry points this pass traces.
-WRITE_CHAIN_TYPES = {"put", "del", "chain_put", "chain_put_batch",
+WRITE_CHAIN_TYPES = {"put", "del", "chain_put_batch",
                      "peer_apply", "replicate", "apply_batch"}
 
 #: message types whose send/call constitutes replication fan-out.
 #: ``log_append``/``log_append_batch`` are also durable: the shared log
 #: actor is an ordered durable medium, not a crashable data host in the
 #: fault model.
-REPL_TYPES = {"chain_put", "chain_put_batch", "replicate", "peer_apply",
+REPL_TYPES = {"chain_put_batch", "replicate", "peer_apply",
               "log_append", "log_append_batch"}
 
 #: classes (by name-based ancestry) the pass analyzes; anything else —
@@ -377,6 +377,10 @@ class _Tracer:
         self.entry = entry
         self._eid = 0
         self._inline: Set[Tuple[str, str]] = set()  # (cls, method) guard
+        #: ``self.<attr> = Pump(self.<issue>)`` bindings: pushing onto a
+        #: pump runs its issue callable, which is where the write path
+        #: continues.
+        self._pumps = _pump_bindings(classes, cls)
 
     # -- helpers -------------------------------------------------------
 
@@ -530,6 +534,9 @@ class _Tracer:
                         "append", "sync", "install_snapshot"):
                     self._effect(ctx, frame, node, {"durable"},
                                  f"self.wal.{f.attr}()")
+                elif f.attr == "push" and base.attr in self._pumps:
+                    return self._do_self_call(
+                        node, self._pumps[base.attr], ctx, frame)
                 return [(ctx, "fell")]
             # request-completion convention on any other receiver
             return self._do_completion(node, f.attr, ctx, frame)
@@ -573,7 +580,7 @@ class _Tracer:
             if t is not None and t != "error":
                 self._ack(ctx, frame, node, f'self.respond(_, "{t}")')
             return [(ctx, "fell")]
-        if attr == "datalet_call":
+        if attr == "datalet_call" and not self._overridden(frame.cls, attr):
             op = _const_str(_arg_or_kw(node, 0, "type"))
             effect = None
             if op is None or op not in DATALET_READ_OPS:
@@ -675,6 +682,14 @@ class _Tracer:
             return results
         finally:
             self._inline.discard(key)
+
+    def _overridden(self, cls, attr) -> bool:
+        """A subclass replaced the framework primitive ``attr``: the
+        override is protocol code and is traced like any helper."""
+        fn, _file = _resolve(self.classes, cls, attr)
+        base = self.classes.get("Controlet")
+        return (fn is not None and base is not None
+                and fn is not base.methods.get(attr))
 
     def _after_emit(self, node, ctx, frame, effect):
         """Inline an emit's completion callback with awaited tokens."""

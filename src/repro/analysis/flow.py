@@ -495,8 +495,7 @@ def _mentions_epoch_compare(funcdef) -> bool:
 #: epoch-fenced paths below — a stale broadcast writing these directly
 #: can re-open a committed reshard window.
 _RING_STATE_ATTRS = ("_ring", "_old_ring", "_reshard")
-_RING_INSTALLERS = ("__init__", "_install_shard", "_install_ring",
-                    "_adopt_window")
+_RING_INSTALLERS = ("__init__", "_install_shard", "_install_ring")
 
 
 def _check_epoch(table: ClassTable, cls: str) -> List[_Raw]:

@@ -98,7 +98,7 @@ class EarlyAckMSStrongControlet(MSStrongControlet):
     after its *local* apply, before the tail has committed.
 
     The write then races the strong read: a ``get`` delivered to the
-    tail before the in-flight ``chain_put`` observes the pre-write value
+    tail before the in-flight chain frame observes the pre-write value
     of a key the client already saw acked — a linearizability violation
     the checker must find (and a head crash loses the acked write
     entirely).  Inject via ``CheckScenario(inject="early-ack")``.
@@ -116,9 +116,9 @@ class EarlyAckMSStrongControlet(MSStrongControlet):
         if succ is not None:
             self.send(
                 succ.controlet,
-                "chain_put",
-                {"op": req.op, "key": req.msg.payload["key"],
-                 "val": req.msg.payload.get("val")},
+                "chain_put_batch",
+                {"entries": [{"op": req.op, "key": req.msg.payload["key"],
+                              "val": req.msg.payload.get("val")}]},
             )
 
 
@@ -138,15 +138,6 @@ class UnsyncedAckMSStrongControlet(MSStrongControlet):
     no durable effect ahead of it — only a deferred one).  Inject via
     ``CheckScenario(inject="unsynced-ack")``.
     """
-
-    def _apply_and_forward(self, req) -> None:
-        payload = {"key": req.msg.payload["key"]}
-        if req.op == "put":
-            payload["val"] = req.msg.payload["val"]
-        # BUG: the durable apply rides a timer; the ack path below does
-        # not wait for it, so a crash in between loses an acked write.
-        self.set_timer(0.01, lambda: self.datalet_call(req.op, payload))
-        self._forward_down(req)
 
     def datalet_call(self, type, payload, callback=None, datalet=None):
         if type != "apply_batch":

@@ -8,9 +8,13 @@ and online resharding — is a named, versioned *view transition*
 rather than an ad-hoc epoch bump.  The
 :class:`~repro.cluster.migrate.MigrationPump` drives the per-key
 copy phase of a reshard on top of the shared one-in-flight
-:class:`~repro.core.controlet.Pump` primitive.
+:class:`~repro.core.controlet.Pump` primitive, and the
+:class:`~repro.cluster.gate.ReshardGate` is the window state the
+shard's ordering authority (DLM, shared-log sequencer) gates writes
+and migrated copies with.
 """
 
+from repro.cluster.gate import ReshardGate
 from repro.cluster.migrate import MigrationPump
 from repro.cluster.view import RESHARD_ADD, RESHARD_REMOVE, ClusterView, ViewTransition
 
@@ -18,6 +22,7 @@ __all__ = [
     "ClusterView",
     "ViewTransition",
     "MigrationPump",
+    "ReshardGate",
     "RESHARD_ADD",
     "RESHARD_REMOVE",
 ]

@@ -11,7 +11,7 @@ its own.  Reads are local.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.core.controlet import Controlet, Pump
 from repro.core.request import Request
@@ -44,13 +44,14 @@ class AAEventualControlet(Controlet):
         #: :meth:`_issue_apply` for why they must be serialized.
         self._applies = Pump(self._issue_apply)
         #: accepted writes waiting for the sequencer, in arrival order;
-        #: drained in group-commit batches by :meth:`_pump_orders` with
+        #: drained in group-commit batches by :meth:`_issue_order` with
         #: at most one sequenced batch in flight per controlet.
-        self._order_queue: List[Tuple[Request, str, str, Optional[str]]] = []
-        self._order_busy = False
+        self._orders = Pump(self._issue_order, cap=self.config.group_commit_max)
         self.group_commits = 0
         self.group_commit_ops = 0
-        self._draining: Optional[Dict[str, object]] = None
+        #: ``(target, then)`` waiters of :meth:`_replay_to_tail`, fired
+        #: by the fetch loop once the cursor reaches their target.
+        self._draining: List[Tuple[int, Callable[[], None]]] = []
         self._fetch_armed = False
         self.register("log_sync_pull", self._on_log_sync_pull)
 
@@ -82,17 +83,8 @@ class AAEventualControlet(Controlet):
         fired just before the snapshot request may still be in flight to
         our datalet, and replaying from an earlier position is always
         safe (log order is the authority) while skipping is not."""
-        cursor = max(0, self.cursor - self.config.log_fetch_max)
-
-        def with_snap(resp: Optional[Message], err: Optional[BespoError]) -> None:
-            if err is not None or resp is None or resp.type != "snapshot":
-                self.respond(msg, "error", {"error": f"snapshot failed: {err}"})
-                return
-            self.respond(msg, "sync_state", {
-                "data": resp.payload["data"], "cursor": cursor,
-            })
-
-        self.datalet_call("snapshot", {}, callback=with_snap)
+        self.serve_sync_pull(
+            msg, {"cursor": max(0, self.cursor - self.config.log_fetch_max)})
 
     def _fetch_initial_tail(self) -> None:
         self.call(
@@ -126,45 +118,34 @@ class AAEventualControlet(Controlet):
     # ------------------------------------------------------------------
     # write path
     # ------------------------------------------------------------------
-    def handle_put(self, msg: Message) -> None:
-        self._accept_write(msg, "put")
-
-    def handle_del(self, msg: Message) -> None:
-        self._accept_write(msg, "del")
-
     def _accept_write(self, msg: Message, op: str) -> None:
-        key = msg.payload["key"]
-        val = msg.payload.get("val")
         # Local gate catches a retry re-entering at this active; the
         # sequencer's own rid→pos dedup catches retries that were routed
         # to a *different* active (sharedlog/log.py).
         req = self.begin_write(msg, op)
-        if req is None:
-            return
-        # Group commit: writes arriving while a sequenced batch is in
-        # flight accumulate here and go out together, amortizing the
-        # sequencer round-trip (one ``log_append_batch`` instead of N
-        # ``log_append``s) without changing arrival order.
-        self._order_queue.append((req, op, key, val))
-        self._pump_orders()
+        if req is not None:
+            # Group commit: writes arriving while a sequenced batch is
+            # in flight accumulate here and go out together, amortizing
+            # the sequencer round-trip (one ``log_append_batch`` instead
+            # of N ``log_append``s) without changing arrival order.
+            self._orders.push(req)
 
-    def _pump_orders(self) -> None:
+    def _issue_order(self, batch: List[Request], done: Callable[[], None]) -> None:
         """At most one sequenced batch in flight per controlet.
 
         One-in-flight is what preserves per-key FIFO for writes accepted
         at the same active: batch N is fully sequenced before batch N+1
         leaves, so the log order of two same-key writes matches their
-        arrival order here (the PR 7 pump pattern, applied to ordering
-        round-trips instead of datalet applies)."""
-        if self._order_busy or not self._order_queue:
-            return
-        self._order_busy = True
-        take = max(1, self.config.group_commit_max)
-        batch = self._order_queue[:take]
-        del self._order_queue[:take]
+        arrival order here.  The pump is released once the sequencer
+        answered and the group's local ``apply_batch`` has been
+        *issued*: the contract is one *sequenced* batch in flight, and
+        holding the pump until the apply returned would idle queued
+        writes for a datalet round trip (log replay, not the
+        accept-time apply, is what orders the replica's final state)."""
         entries = []
-        for req, op, key, val in batch:
-            entry = {"op": op, "key": key, "val": val}
+        for req in batch:
+            entry = {"op": req.op, "key": req.msg.payload["key"],
+                     "val": req.msg.payload.get("val")}
             if req.rid is not None:
                 entry["rid"] = req.rid
             entries.append(entry)
@@ -174,17 +155,14 @@ class AAEventualControlet(Controlet):
             self._metrics.histogram("batch.group_commit_size").observe(len(batch))
 
         def on_appended(resp: Optional[Message], err: Optional[BespoError]) -> None:
-            self._order_busy = False
             if err is not None or resp is None or resp.type != "appended_batch":
                 self.stats["errors"] += len(batch)
-                for req, _op, _key, _val in batch:
+                for req in batch:
                     req.fail(f"shared log append failed: {err}")
-                self._pump_orders()
+                done()
                 return
-            results = resp.payload["results"]
-            fresh: List[Tuple[Request, str]] = []
-            ops = []
-            for (req, op, key, val), r in zip(batch, results):
+            fresh: List[Request] = []
+            for req, r in zip(batch, resp.payload["results"]):
                 if r.get("dup"):
                     # The sequencer has this rid already: the original
                     # attempt owns the log slot and replay delivers the
@@ -192,39 +170,38 @@ class AAEventualControlet(Controlet):
                     # here could overwrite newer replayed state on this
                     # replica only, diverging it from its peers.
                     req.ack()
-                    continue
-                if r.get("wrong_shard"):
+                elif r.get("wrong_shard"):
                     # Sequencer reshard backstop: our ring view is stale
                     # for this (moved) key — the entry was *not*
                     # sequenced.  Surface it so the client refreshes and
                     # re-routes; nothing to apply locally.
                     self.stats["errors"] += 1
                     req.fail("wrong_shard")
-                    continue
-                fresh.append((req, op))
-                ops.append({"op": op, "key": key, "val": val})
-            if not fresh:
-                self._pump_orders()
-                return
+                else:
+                    fresh.append(req)
 
             def after_local(dresp: Optional[Message], derr: Optional[BespoError]) -> None:
                 if derr is not None or dresp is None or dresp.type == "error":
                     self.stats["errors"] += len(fresh)
-                    for req, _op in fresh:
+                    for req in fresh:
                         req.fail(f"local apply failed: {derr}")
                 else:
                     # apply_batch tolerates deletes of absent keys (our
                     # replica may simply not have replayed the put yet;
                     # the log entry *is* the delete), so every member is
                     # applied-or-moot here: ack them all.
-                    for req, _op in fresh:
+                    for req in fresh:
                         req.ack()
-                self._pump_orders()
 
-            # One ordered apply_batch for the whole group: same
-            # serialization the replay path uses, so accept-time applies
-            # cannot interleave out of log order on a multi-slot CPU.
-            self.datalet_call("apply_batch", {"ops": ops}, callback=after_local)
+            if fresh:
+                # One ordered apply_batch for the whole group: same
+                # serialization the replay path uses, so accept-time
+                # applies cannot interleave out of log order on a
+                # multi-slot CPU.
+                ops = [{"op": r.op, "key": r.msg.payload["key"],
+                        "val": r.msg.payload.get("val")} for r in fresh]
+                self.datalet_call("apply_batch", {"ops": ops}, callback=after_local)
+            done()
 
         self.call(
             self.sharedlog,
@@ -239,6 +216,29 @@ class AAEventualControlet(Controlet):
     # ------------------------------------------------------------------
     # resharding: log-ordered migration
     # ------------------------------------------------------------------
+    def _replay_to_tail(self, then: Callable[[], None],
+                        unreachable: Callable[[], None]) -> None:
+        """Call ``then`` once we have replayed the log up to its tail as
+        of now (``unreachable`` if the log does not answer)."""
+
+        def on_tail(resp: Optional[Message], err: Optional[BespoError]) -> None:
+            if resp is None or resp.type != "entries":
+                unreachable()
+                return
+            target = int(resp.payload["tail"])
+            if self.cursor >= target:
+                then()
+            else:
+                self._draining.append((target, then))
+
+        self.call(
+            self.sharedlog,
+            "log_fetch",
+            {"pos": self.cursor, "max": 1},
+            callback=on_tail,
+            timeout=self.config.replication_timeout,
+        )
+
     def _migrate_barrier(self, then) -> None:
         """Reshard census barrier: drain our accepted-but-unsequenced
         writes, then replay our own log up to its current tail — after
@@ -247,35 +247,16 @@ class AAEventualControlet(Controlet):
         authoritative values.  Writes sequenced *during* the window are
         covered by the destination sequencer's dirty marks instead."""
 
-        def orders_drained() -> None:
-            def on_tail(resp: Optional[Message], err: Optional[BespoError]) -> None:
-                if resp is None or resp.type != "entries":
-                    # log briefly unreachable: the barrier must land
-                    self.set_timer(self.config.replication_timeout, orders_drained)
-                    return
-                target = int(resp.payload["tail"])
-
-                def wait_replay() -> None:
-                    if self.cursor >= target:
-                        then()
-                    else:
-                        self.set_timer(0.05, wait_replay)
-
-                wait_replay()
-
-            self.call(
-                self.sharedlog,
-                "log_fetch",
-                {"pos": self.cursor, "max": 1},
-                callback=on_tail,
-                timeout=self.config.replication_timeout,
-            )
+        def replay() -> None:
+            # log briefly unreachable: the barrier must land
+            self._replay_to_tail(then, lambda: self.set_timer(
+                self.config.replication_timeout, replay))
 
         def poll_orders() -> None:
-            if self._order_busy or self._order_queue:
+            if self._orders.busy or self._orders.queue:
                 self.set_timer(0.05, poll_orders)
                 return
-            orders_drained()
+            replay()
 
         poll_orders()
 
@@ -287,42 +268,12 @@ class AAEventualControlet(Controlet):
         key was sequenced during the window, and a clean copy enters the
         log as a plain put entry — replaying replicas (and the hybrid's
         slaves) need no special casing."""
-        desc = self._reshard
-        if desc is None or self._ring is None:
+        if self._reshard is None or self._ring is None:
             complete("skipped")
             return
         dest_log = f"sharedlog.{self._ring.lookup(key)}"
-
-        def have(r2: Optional[Message], e2: Optional[BespoError]) -> None:
-            if e2 is not None or r2 is None:
-                complete("retry")
-                return
-            if r2.type != "value":
-                complete("skipped")  # deleted at the source
-                return
-
-            def acked(r3: Optional[Message], e3: Optional[BespoError]) -> None:
-                if e3 is not None or r3 is None or r3.type != "appended":
-                    complete("retry")
-                    return
-                complete("skipped" if r3.payload.get("skipped") else "moved")
-
-            self.call(
-                dest_log,
-                "log_append",
-                {
-                    "op": "put",
-                    "key": key,
-                    "val": r2.payload["val"],
-                    "rid": f"mig.g{desc['gen']}.{key}",
-                    "mig": True,
-                    "gen": desc["gen"],
-                },
-                callback=acked,
-                timeout=self.config.replication_timeout,
-            )
-
-        self.datalet_call("get", {"key": key}, callback=have)
+        self._read_for_copy(key, complete, lambda val: self._ship_copy(
+            key, val, dest_log, "log_append", complete, op="put"))
 
     # ------------------------------------------------------------------
     # log replay
@@ -336,10 +287,13 @@ class AAEventualControlet(Controlet):
             if resp is not None and resp.type == "entries":
                 self._apply_entries(resp.payload["entries"])
                 tail = resp.payload["tail"]
-                drain = self._draining
-                if drain is not None and self.cursor >= drain["target"]:
-                    self._draining = None
-                    drain["done"]()  # type: ignore[operator]
+                if self._draining:
+                    waiters, self._draining = self._draining, []
+                    for target, then in waiters:
+                        if self.cursor >= target:
+                            then()
+                        else:
+                            self._draining.append((target, then))
                 # keep pulling immediately if we are behind
                 if self.cursor < tail:
                     self._fetch_tick()
@@ -394,25 +348,9 @@ class AAEventualControlet(Controlet):
     def prepare_retirement(self, done) -> None:
         """Drain: hand over only after we have replayed the log up to
         its tail as of the transition start (paper §V-B: the new master
-        takes the in-flight Puts from the Shared Log)."""
-
-        def on_tail(resp: Optional[Message], err: Optional[BespoError]) -> None:
-            if resp is None or resp.type != "entries":
-                done()  # log unreachable; nothing more we can replay
-                return
-            target = resp.payload["tail"]
-            if self.cursor >= target:
-                done()
-            else:
-                self._draining = {"target": target, "done": done}
-
-        self.call(
-            self.sharedlog,
-            "log_fetch",
-            {"pos": self.cursor, "max": 1},
-            callback=on_tail,
-            timeout=self.config.replication_timeout,
-        )
+        takes the in-flight Puts from the Shared Log).  If the log is
+        unreachable there is nothing more we can replay."""
+        self._replay_to_tail(done, unreachable=done)
 
     def _batch_metrics(self):
         ops = self.group_commit_ops
@@ -434,10 +372,10 @@ class AAEventualControlet(Controlet):
             "cursor": self.cursor,
             "start_at_tail": self._start_at_tail,
             "fetch_armed": self._fetch_armed,
-            "draining": self._draining is not None,
+            "draining": bool(self._draining),
             "apply_queue": len(self._applies.queue),
             "apply_busy": self._applies.busy,
-            "order_queue": len(self._order_queue),
-            "order_busy": self._order_busy,
+            "order_queue": len(self._orders),
+            "order_busy": self._orders.busy,
         })
         return s

@@ -49,14 +49,10 @@ class AAStrongControlet(Controlet):
         relayed writes covers everything committed here."""
         self._relay_to = msg.payload["controlet"]
 
-        def with_snap(resp: Optional[Message], err: Optional[BespoError]) -> None:
-            if err is not None or resp is None or resp.type != "snapshot":
-                self._relay_to = None
-                self.respond(msg, "error", {"error": f"snapshot failed: {err}"})
-                return
-            self.respond(msg, "sync_state", {"data": resp.payload["data"]})
+        def stop_relay() -> None:
+            self._relay_to = None
 
-        self.datalet_call("snapshot", {}, callback=with_snap)
+        self.serve_sync_pull(msg, undo=stop_relay)
 
     def _on_aa_sync_complete(self, msg: Message) -> None:
         if msg.payload.get("controlet") == self._relay_to:
@@ -159,12 +155,6 @@ class AAStrongControlet(Controlet):
     # ------------------------------------------------------------------
     # write path
     # ------------------------------------------------------------------
-    def handle_put(self, msg: Message) -> None:
-        self._accept_write(msg, "put")
-
-    def handle_del(self, msg: Message) -> None:
-        self._accept_write(msg, "del")
-
     def _accept_write(self, msg: Message, op: str) -> None:
         key = msg.payload["key"]
         # The dedup gate only catches a retry re-entering at *this*
@@ -176,42 +166,50 @@ class AAStrongControlet(Controlet):
 
         def unlock_then_finish(error: Optional[str]) -> None:
             self._unlock(key)
-            if error is not None:
-                self.stats["errors"] += 1
-                req.fail(error)
+            self._finish(req, error)
+
+        self._with_lock(key, "w", lambda: self._fan_out(req, unlock_then_finish),
+                        req.fail)
+
+    def _fan_out(self, req: Request,
+                 then: Callable[[Optional[str]], None]) -> None:
+        """Apply ``req``'s write at every replica, ``then(first_error)``.
+        The caller holds the key's cluster-wide w-lock.
+
+        Fans out through every replica's *controlet* (not its datalet;
+        paper Fig 15b steps 4-5): the controlet is the point where a
+        recovery relay or a catch-up buffer can intercept the write,
+        which a datalet-direct write would bypass."""
+        op = req.op
+        payload = {"op": op, "key": req.msg.payload["key"]}
+        if op == "put":
+            payload["val"] = req.msg.payload["val"]
+        targets = [r.controlet for r in self.shard.ordered()]
+        req.arm(len(targets), then=then)
+
+        def on_ack(resp: Optional[Message], err: Optional[BespoError]) -> None:
+            if err is not None:
+                req.settle(str(err))
+            elif resp is not None and resp.type == "error" and op == "put":
+                req.settle(str(resp.payload))
             else:
-                req.ack()
+                req.settle()
 
-        def body() -> None:
-            payload = {"op": op, "key": key}
-            if op == "put":
-                payload["val"] = msg.payload["val"]
-            # Fan out through every replica's *controlet* (not its
-            # datalet) while holding the lock (paper Fig 15b steps
-            # 4-5): the controlet is the point where a recovery relay
-            # or a catch-up buffer can intercept the write, which a
-            # datalet-direct write would bypass.
-            targets = [r.controlet for r in self.shard.ordered()]
-            req.arm(len(targets), then=unlock_then_finish)
+        for target in targets:
+            self.call(
+                target,
+                "peer_apply",
+                dict(payload),
+                callback=on_ack,
+                timeout=self.config.replication_timeout,
+            )
 
-            def on_ack(resp: Optional[Message], err: Optional[BespoError]) -> None:
-                if err is not None:
-                    req.settle(str(err))
-                elif resp is not None and resp.type == "error" and op == "put":
-                    req.settle(str(resp.payload))
-                else:
-                    req.settle()
-
-            for target in targets:
-                self.call(
-                    target,
-                    "peer_apply",
-                    dict(payload),
-                    callback=on_ack,
-                    timeout=self.config.replication_timeout,
-                )
-
-        self._with_lock(key, "w", body, req.fail)
+    def _finish(self, req: Request, error: Optional[str]) -> None:
+        if error is not None:
+            self.stats["errors"] += 1
+            req.fail(error)
+        else:
+            req.ack()
 
     # ------------------------------------------------------------------
     # resharding: lock-serialized migration
@@ -224,12 +222,7 @@ class AAStrongControlet(Controlet):
         writer, so a clean grant means the local engine's value *is*
         the key's latest committed state (AA+SC applies acked writes at
         all replicas)."""
-        desc = self._reshard
-        if desc is None or self._ring is None:
-            complete("skipped")
-            return
-        entries = desc.get("entries", {})
-        dest = entries.get(self._ring.lookup(key))
+        dest = self._copy_dest(key)
         if dest is None:
             complete("skipped")
             return
@@ -241,21 +234,11 @@ class AAStrongControlet(Controlet):
         def on_grant(resp: Optional[Message], err: Optional[BespoError]) -> None:
             if err is not None or resp is None or resp.type != "granted":
                 complete("retry")  # no lock held: retry from scratch
-                return
-            if resp.payload.get("dirty"):
+            elif resp.payload.get("dirty"):
                 done("skipped")
-                return
-
-            def have(r2: Optional[Message], e2: Optional[BespoError]) -> None:
-                if e2 is not None or r2 is None:
-                    done("retry")
-                    return
-                if r2.type != "value":
-                    done("skipped")  # deleted at the source
-                    return
-                self._ship_copy(key, r2.payload["val"], dest, done)
-
-            self.datalet_call("get", {"key": key}, callback=have)
+            else:
+                self._read_for_copy(key, done, lambda val: self._ship_copy(
+                    key, val, dest, "migrate_put", done))
 
         self.lock_waits += 1
         self.call(
@@ -272,37 +255,8 @@ class AAStrongControlet(Controlet):
         would queue behind its own driver forever); replicate to every
         active directly, exactly like the locked body of a write."""
         req = self.begin_write(msg, "put", rid=msg.payload.get("rid"))
-        if req is None:
-            return
-        payload = {"op": "put", "key": msg.payload["key"],
-                   "val": msg.payload["val"]}
-        targets = [r.controlet for r in self.shard.ordered()]
-
-        def then(error: Optional[str]) -> None:
-            if error is not None:
-                self.stats["errors"] += 1
-                req.fail(error)
-            else:
-                req.ack()
-
-        req.arm(len(targets), then=then)
-
-        def on_ack(resp: Optional[Message], err: Optional[BespoError]) -> None:
-            if err is not None:
-                req.settle(str(err))
-            elif resp is not None and resp.type == "error":
-                req.settle(str(resp.payload))
-            else:
-                req.settle()
-
-        for target in targets:
-            self.call(
-                target,
-                "peer_apply",
-                dict(payload),
-                callback=on_ack,
-                timeout=self.config.replication_timeout,
-            )
+        if req is not None:
+            self._fan_out(req, lambda error: self._finish(req, error))
 
     # ------------------------------------------------------------------
     # read path

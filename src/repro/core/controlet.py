@@ -7,12 +7,15 @@ cluster-map updates, performs recovery when launched as a replacement
 pair, and supports live retirement during topology/consistency
 transitions (§V).
 
-Subclasses implement four hooks — ``handle_put``/``handle_get``/
-``handle_del``/``handle_scan`` — plus whatever replication message
-handlers their protocol needs.  Everything else (heartbeats, config
-updates, transition forwarding, recovery, stats) lives here, which is
-exactly the reuse story the paper tells: the MS+SC template is ~150 LoC
-on top of this framework.
+Subclasses implement the write path (``_accept_write``), override the
+read hooks (``handle_get``/``handle_scan``) where their consistency
+model demands it, and add whatever replication message handlers their
+protocol needs.  Everything else (heartbeats, config updates,
+transition forwarding, recovery, resharding, stats) lives here — the
+reuse story the paper tells with its ~150-LoC template.  Ours is
+larger: ``benchmarks/test_sec7_dev_effort.py`` counts this template and
+each controlet's delta over it in logical lines, and ratchets every
+number so it can only go down.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from repro.hashing.ring import HashRing
 from repro.net.actor import Actor
 from repro.net.message import Message
 
-__all__ = ["Controlet", "Pump"]
+__all__ = ["Controlet", "MasterSlaveControlet", "Pump"]
 
 #: client-facing operation message types.
 CLIENT_OPS = ("put", "get", "del", "scan")
@@ -52,12 +55,19 @@ class Pump:
     success, error response, and RPC timeout alike.  A dropped ``done``
     freezes the pump permanently; the pump-liveness pass checks every
     issue callable wired into a ``Pump`` for exactly this obligation.
+
+    With ``cap=N`` the pump coalesces: ``issue`` receives the *list* of
+    up to N oldest items (FIFO) instead of a single item — the shape of
+    every batch/frame drain (one ``apply_batch``, one chain frame, one
+    sequencer group commit in flight).
     """
 
-    __slots__ = ("issue", "queue", "busy")
+    __slots__ = ("issue", "cap", "queue", "busy")
 
-    def __init__(self, issue: Callable[[Any, Callable[[], None]], None]):
+    def __init__(self, issue: Callable[[Any, Callable[[], None]], None],
+                 cap: Optional[int] = None):
         self.issue = issue
+        self.cap = cap
         self.queue: List[Any] = []
         self.busy = False
 
@@ -80,7 +90,11 @@ class Pump:
         if self.busy or not self.queue:
             return
         self.busy = True
-        item = self.queue.pop(0)
+        if self.cap is None:
+            item = self.queue.pop(0)
+        else:
+            item = self.queue[:self.cap]
+            del self.queue[:self.cap]
 
         def done() -> None:
             self.busy = False
@@ -252,18 +266,20 @@ class Controlet(Actor):
 
     def _confirm_membership(self, attempt: int = 0) -> None:
         coords = [self.coordinator] + list(self.backup_coordinators)
-        target = coords[attempt % len(coords)]
+
+        def again() -> None:
+            self.set_timer(
+                self.config.heartbeat_interval,
+                lambda: self._confirm_membership(attempt + 1),
+            )
 
         def on_info(resp: Optional[Message], err: Optional[BespoError]) -> None:
             if resp is None or resp.type != "shard_info":
-                self.set_timer(
-                    self.config.heartbeat_interval,
-                    lambda: self._confirm_membership(attempt + 1),
-                )
+                again()
                 return
             shard = ShardInfo.from_dict(resp.payload["shard"])
             if any(r.controlet == self.node_id for r in shard.replicas):
-                self._install_shard(shard, resp.payload.get("epoch"))
+                self._install_shard(shard, resp.payload)
                 self.retired = False
                 self.on_shard_changed()
             elif self.rejoining:
@@ -274,19 +290,17 @@ class Controlet(Actor):
             elif not self.recovered:
                 # mid-recovery replacement: not joined yet — keep
                 # polling until the coordinator adds us.
-                self.set_timer(
-                    self.config.heartbeat_interval,
-                    lambda: self._confirm_membership(attempt + 1),
-                )
+                again()
             # else: we were repaired out of the shard; stay fenced.
 
-        self.call(
-            target,
-            "get_shard_info",
-            {"shard": self.shard.shard_id},
-            callback=on_info,
-            timeout=self.config.replication_timeout,
-        )
+        self._ask_shard_info(coords[attempt % len(coords)], on_info)
+
+    def _tell_coordinators(self, type: str, payload: Dict[str, Any]) -> None:
+        """Standby coordinators hear what the leader hears, so a
+        follower promoted mid-failover owns fresh liveness data and can
+        complete an in-flight repair instead of stranding it (§VII)."""
+        for coord in [self.coordinator] + list(self.backup_coordinators):
+            self.send(coord, type, dict(payload))
 
     def _heartbeat(self, stagger: bool = False) -> None:
         """LogHeartbeat(c, d) loop (paper Table III).
@@ -295,11 +309,10 @@ class Controlet(Actor):
         clock starts at boot); ``stagger`` offsets the re-arm chain once
         so same-period loops on this node never share a timestamp.
         """
-        payload = {"controlet": self.node_id, "datalet": self.datalet,
-                   "shard": self.shard.shard_id}
-        self.send(self.coordinator, "heartbeat", dict(payload))
-        for backup in self.backup_coordinators:
-            self.send(backup, "heartbeat", dict(payload))
+        self._tell_coordinators("heartbeat", {
+            "controlet": self.node_id, "datalet": self.datalet,
+            "shard": self.shard.shard_id,
+        })
         delay = self.config.heartbeat_interval
         if stagger:
             delay += self.loop_phase("heartbeat", delay)
@@ -313,7 +326,16 @@ class Controlet(Actor):
 
     def _recover(self) -> None:
         """Copy a snapshot from a surviving datalet into our own, then
-        report readiness to the coordinator.
+        report readiness to the coordinator."""
+        self._pull_state(self.recovery_source, "snapshot", {}, "snapshot",
+                         lambda state: self._recovery_done())
+
+    def _pull_state(self, target: str, pull_type: str, payload: Dict[str, Any],
+                    reply_type: str, then: Callable[[Dict[str, Any]], None]) -> None:
+        """Pull ``reply_type`` state from ``target``, restore its
+        ``data`` into our datalet, ``then(state)``.  Any failure retries
+        recovery from the top after a beat — behind a view refresh: the
+        source may have died and been repaired away.
 
         The restore carries ``reset=True``: a rejoining node holds
         recovered-but-stale state, and adopting the source's snapshot
@@ -322,45 +344,40 @@ class Controlet(Actor):
         if self._recovery_abandoned:
             return
 
-        def on_snapshot(resp: Optional[Message], err: Optional[BespoError]) -> None:
+        def retry() -> None:
+            self.set_timer(self.config.replication_timeout,
+                           lambda: self.refresh_shard(then=self._recover))
+
+        def on_state(resp: Optional[Message], err: Optional[BespoError]) -> None:
             if self._recovery_abandoned:
                 return
-            if err is not None or resp is None or resp.type != "snapshot":
-                # source died mid-recovery: the coordinator will notice
-                # our missing recovery_done and may relaunch; retry once
-                # the map changes. Here we simply retry after a beat.
-                self.set_timer(self.config.replication_timeout, self._recover)
+            if err is not None or resp is None or resp.type != reply_type:
+                retry()
                 return
-            self.call(
-                self.datalet,
-                "restore",
-                {"data": resp.payload["data"], "reset": True},
-                callback=lambda r, e: self._recovery_done(e),
-                timeout=self.config.replication_timeout * 10,
+            state = dict(resp.payload)
+
+            def restored(r: Optional[Message], e: Optional[BespoError]) -> None:
+                if self._recovery_abandoned:
+                    return
+                if e is not None:
+                    retry()
+                else:
+                    then(state)
+
+            self.datalet_call(
+                "restore", {"data": state.get("data", {}), "reset": True},
+                callback=restored,
             )
 
-        self.call(
-            self.recovery_source,
-            "snapshot",
-            {},
-            callback=on_snapshot,
-            timeout=self.config.replication_timeout * 10,
-        )
+        self.call(target, pull_type, payload, callback=on_state,
+                  timeout=self.config.replication_timeout * 10)
 
-    def _recovery_done(self, err: Optional[BespoError]) -> None:
-        if self._recovery_abandoned:
-            return
-        if err is not None:
-            self.set_timer(self.config.replication_timeout, self._recover)
-            return
+    def _recovery_done(self) -> None:
         self.recovered = True
-        # Standby coordinators registered the same pending replica; tell
-        # them too, so a follower promoted mid-failover can complete the
-        # in-flight repair instead of stranding it.
-        payload = {"controlet": self.node_id, "shard": self.shard.shard_id}
-        self.send(self.coordinator, "recovery_done", dict(payload))
-        for backup in self.backup_coordinators:
-            self.send(backup, "recovery_done", dict(payload))
+        self._tell_coordinators(
+            "recovery_done",
+            {"controlet": self.node_id, "shard": self.shard.shard_id},
+        )
 
     # ------------------------------------------------------------------
     # hole-free recovery (controlet-to-controlet state transfer)
@@ -389,8 +406,6 @@ class Controlet(Actor):
         buffered via :meth:`buffer_catchup` and replayed after
         :meth:`on_sync_state` adopts the cursor.
         """
-        if self._recovery_abandoned:
-            return
         src = self.source_controlet()
         if src is None or src == self.node_id:
             # The source was repaired out of the shard (it died while we
@@ -409,46 +424,35 @@ class Controlet(Actor):
             Controlet._recover(self)
             return
 
-        def retry() -> None:
-            # refresh first: the source may have died and been repaired
-            # away, in which case the re-pull needs the fallback above
-            self.set_timer(
-                self.config.replication_timeout,
-                lambda: self.refresh_shard(
-                    then=lambda: self.sync_recover(pull_type)
-                ),
-            )
+        def restored(state: Dict[str, Any]) -> None:
+            self.on_sync_state(state)
+            self._recovery_done()
+            self.on_catchup_drain(self.drain_catchup())
 
-        def on_state(resp: Optional[Message], err: Optional[BespoError]) -> None:
-            if self._recovery_abandoned:
-                return
-            if err is not None or resp is None or resp.type != "sync_state":
-                retry()
-                return
-            state = dict(resp.payload)
-
-            def restored(r: Optional[Message], e: Optional[BespoError]) -> None:
-                if self._recovery_abandoned:
-                    return
-                if e is not None:
-                    retry()
-                    return
-                self.on_sync_state(state)
-                self._recovery_done(None)
-                self.on_catchup_drain(self.drain_catchup())
-
-            self.datalet_call(
-                "restore", {"data": state.get("data", {}), "reset": True},
-                callback=restored,
-            )
-
-        self.call(
-            src,
-            pull_type,
+        self._pull_state(
+            src, pull_type,
             {"controlet": self.node_id, "datalet": self.datalet},
-            callback=on_state,
-            timeout=self.config.replication_timeout * 10,
+            "sync_state", restored,
         )
+
+    def serve_sync_pull(self, msg: Message,
+                        cursor: Optional[Dict[str, Any]] = None,
+                        undo: Optional[Callable[[], None]] = None) -> None:
+        """Source side of :meth:`sync_recover`: answer ``sync_state``
+        with a datalet snapshot plus ``cursor`` — protocol state the
+        caller captured (and any relay it armed) *before* calling.
+        ``undo`` disarms that relay if the snapshot fails."""
+
+        def with_snap(resp: Optional[Message], err: Optional[BespoError]) -> None:
+            if err is not None or resp is None or resp.type != "snapshot":
+                if undo is not None:
+                    undo()
+                self.respond(msg, "error", {"error": f"snapshot failed: {err}"})
+                return
+            self.respond(msg, "sync_state",
+                         {"data": resp.payload["data"], **(cursor or {})})
+
+        self.datalet_call("snapshot", {}, callback=with_snap)
 
     def on_sync_state(self, state: Dict[str, Any]) -> None:
         """Hook: adopt protocol cursors carried by a ``sync_state``
@@ -534,29 +538,27 @@ class Controlet(Actor):
                  "shard": self.shard.shard_id},
             )
 
+    def _ask_shard_info(self, target: str, on_info: Callable) -> None:
+        self.call(
+            target,
+            "get_shard_info",
+            {"shard": self.shard.shard_id},
+            callback=on_info,
+            timeout=self.config.replication_timeout,
+        )
+
     def refresh_shard(self, then: Optional[Callable[[], None]] = None) -> None:
         """Re-fetch our shard's info from the coordinator (used when a
         chain peer stops responding mid-request)."""
 
         def on_info(resp: Optional[Message], err: Optional[BespoError]) -> None:
             if resp is not None and resp.type == "shard_info":
-                if self._install_shard(
-                    ShardInfo.from_dict(resp.payload["shard"]),
-                    resp.payload.get("epoch"),
-                ):
-                    self._install_ring(
-                        resp.payload.get("ring"), resp.payload.get("partitioner")
-                    )
+                self._install_shard(
+                    ShardInfo.from_dict(resp.payload["shard"]), resp.payload)
             if then is not None:
                 then()
 
-        self.call(
-            self.coordinator,
-            "get_shard_info",
-            {"shard": self.shard.shard_id},
-            callback=on_info,
-            timeout=self.config.replication_timeout,
-        )
+        self._ask_shard_info(self.coordinator, on_info)
 
     # ------------------------------------------------------------------
     # client-op entry: retirement / transition forwarding, then dispatch
@@ -729,6 +731,13 @@ class Controlet(Actor):
 
     # -- subclass protocol hooks -------------------------------------------
     def handle_put(self, msg: Message) -> None:
+        self._accept_write(msg, "put")
+
+    def handle_del(self, msg: Message) -> None:
+        self._accept_write(msg, "del")
+
+    def _accept_write(self, msg: Message, op: str) -> None:
+        """The protocol's write path: both mutations enter through it."""
         raise NotImplementedError
 
     def handle_get(self, msg: Message) -> None:
@@ -738,9 +747,6 @@ class Controlet(Actor):
             {"key": msg.payload["key"]},
             callback=lambda resp, err: self._relay(msg, resp, err),
         )
-
-    def handle_del(self, msg: Message) -> None:
-        raise NotImplementedError
 
     def handle_scan(self, msg: Message) -> None:
         """Default scan path: local datalet (ordered engines only)."""
@@ -770,23 +776,27 @@ class Controlet(Actor):
     # ------------------------------------------------------------------
     # reconfiguration & transitions
     # ------------------------------------------------------------------
-    def _install_shard(self, shard: ShardInfo, epoch: Optional[int]) -> bool:
-        """Adopt a shard view unless we already hold a newer one."""
+    def _install_shard(self, shard: ShardInfo, info: Dict[str, Any]) -> bool:
+        """Adopt a shard view — and the routing block of the same
+        ``shard_info``/``config_update`` payload, so the ownership fence
+        can never lag the membership it was published with — unless we
+        already hold a newer one."""
+        epoch = info.get("epoch")
         if epoch is not None:
             if epoch < self._config_epoch:
                 return False
             self._config_epoch = epoch
         self.shard = shard
+        self._install_ring(info.get("ring"), info.get("partitioner"))
         return True
 
     def _on_config_update(self, msg: Message) -> None:
         new_shard = ShardInfo.from_dict(msg.payload["shard"])
         if new_shard.shard_id != self.shard.shard_id:
             return  # not ours; stale broadcast
-        if not self._install_shard(new_shard, msg.payload.get("epoch")):
-            return  # reordered broadcast older than our current view
-        self._install_ring(msg.payload.get("ring"), msg.payload.get("partitioner"))
-        self.on_shard_changed()
+        # (a reordered broadcast older than our current view is dropped)
+        if self._install_shard(new_shard, msg.payload):
+            self.on_shard_changed()
 
     def on_shard_changed(self) -> None:
         """Hook: the shard view changed (failover, replica added)."""
@@ -854,15 +864,6 @@ class Controlet(Actor):
             self._old_ring = None
             self._dirty_keys.clear()
 
-    def _adopt_window(self, gen: int, ids: List[str], desc: Dict[str, Any]) -> None:
-        """Install a reshard window directly from its descriptor (the
-        ``reshard_migrate`` order can outrun the config broadcast)."""
-        self._ring_gen = gen
-        self._ring_ids = list(ids)
-        self._ring = HashRing(self._ring_ids)
-        self._reshard = desc
-        self._old_ring = HashRing(list(desc["old"]))
-
     # -- source side: drive the per-key copy pump ----------------------
     def _on_reshard_migrate(self, msg: Message) -> None:
         """Coordinator order: this shard's owned range shrinks under the
@@ -875,8 +876,10 @@ class Controlet(Actor):
         epoch = msg.payload.get("epoch")
         if epoch is not None and int(epoch) > self._config_epoch:
             self._config_epoch = int(epoch)
-        if self._reshard is None or self._reshard.get("gen") != gen:
-            self._adopt_window(gen, list(desc["new"]), desc)
+        # the order can outrun the config broadcast: adopt the window
+        # straight from its descriptor (a no-op when already installed)
+        self._install_ring(
+            {"gen": gen, "ids": list(desc["new"]), "reshard": desc}, None)
         self._migrated_gen = gen
         # local import: cluster.migrate builds on Pump from this module
         from repro.cluster.migrate import MigrationPump
@@ -933,52 +936,55 @@ class Controlet(Actor):
         shard's entry controlet.  Combos with an external ordering
         authority override this (AA+SC locks the key first; AA+EC
         appends to the destination's shared log instead)."""
-        desc = self._reshard
-        if desc is None or self._ring is None:
-            complete("skipped")
-            return
-        entries: Dict[str, str] = desc.get("entries", {})  # type: ignore[assignment]
-        dest = entries.get(self._ring.lookup(key))
+        dest = self._copy_dest(key)
         if dest is None:
             complete("skipped")
-            return
+        else:
+            self._read_for_copy(key, complete, lambda val: self._ship_copy(
+                key, val, dest, "migrate_put", complete))
+
+    def _copy_dest(self, key: str) -> Optional[str]:
+        """Entry controlet of ``key``'s new-ring owner, if any."""
+        if self._reshard is None or self._ring is None:
+            return None
+        return self._reshard.get("entries", {}).get(self._ring.lookup(key))
+
+    def _read_for_copy(self, key: str, complete: Callable[[str], None],
+                       ship: Callable[[str], None]) -> None:
+        """``ship`` the local engine's value of ``key``; an unreachable
+        datalet is a ``retry``, a key deleted at the source ``skipped``."""
 
         def have(resp: Optional[Message], err: Optional[BespoError]) -> None:
             if err is not None or resp is None:
                 complete("retry")
-                return
-            if resp.type != "value":
-                complete("skipped")  # vanished at the source (deleted)
-                return
-            self._ship_copy(key, resp.payload["val"], dest, complete)
+            elif resp.type != "value":
+                complete("skipped")
+            else:
+                ship(resp.payload["val"])
 
         self.datalet_call("get", {"key": key}, callback=have)
 
-    def _ship_copy(
-        self,
-        key: str,
-        val: str,
-        dest: str,
-        complete: Callable[[str], None],
-    ) -> None:
-        """Send one ``migrate_put`` copy; retries reuse the same rid so
-        the destination's dedup gate keeps them exactly-once."""
+    def _ship_copy(self, key: str, val: str, dest: str, type: str,
+                   complete: Callable[[str], None], **extra: Any) -> None:
+        """Send one rid-stamped ``type`` copy of ``key`` to ``dest``;
+        retries reuse the same rid so the destination's dedup gate
+        keeps them exactly-once."""
         desc = self._reshard
         if desc is None:
             complete("skipped")
             return
-        rid = f"mig.g{desc['gen']}.{key}"
 
         def acked(resp: Optional[Message], err: Optional[BespoError]) -> None:
             if err is not None or resp is None or resp.type == "error":
                 complete("retry")
-                return
-            complete("skipped" if resp.payload.get("skipped") else "moved")
+            else:
+                complete("skipped" if resp.payload.get("skipped") else "moved")
 
         self.call(
             dest,
-            "migrate_put",
-            {"key": key, "val": val, "gen": desc["gen"], "rid": rid, "mig": True},
+            type,
+            {"key": key, "val": val, "gen": desc["gen"],
+             "rid": f"mig.g{desc['gen']}.{key}", "mig": True, **extra},
             callback=acked,
             timeout=self.config.replication_timeout,
         )
@@ -1037,3 +1043,84 @@ class Controlet(Actor):
             "fenced_gen": self._fenced_gen,
         })
         return s
+
+
+class MasterSlaveControlet(Controlet):
+    """Master-side accept path shared by the two MS controlets.
+
+    Client writes enter at the shard head and are applied to its
+    datalet one coalesced ``apply_batch`` at a time.  Per-op datalet
+    calls are not enough: response arrival order is jittered, so the
+    order writes enter replication (response order) could invert the
+    order the head's datalet applied them — the head would then
+    permanently disagree with its own followers on racing same-key
+    writes.  One batch in flight pins acceptance order = head apply
+    order = replication order, and amortizes the head's WAL fsync (one
+    commit group per batch).  What happens to a member whose local apply
+    succeeded is the protocol: :meth:`_forward_down`.
+    """
+
+    #: name of the :class:`ControlConfig` cap on one accept batch.
+    accept_cap = ""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        #: head-accepted client writes awaiting their local apply, in
+        #: acceptance order (:meth:`_issue_accept`).
+        self._accepts = Pump(self._issue_accept,
+                             cap=getattr(self.config, self.accept_cap))
+
+    def _accept_write(self, msg: Message, op: str) -> None:
+        if not self.is_head:
+            self.redirect(msg, self.shard.head.controlet,
+                          "writes enter at the shard head")
+            return
+        req = self.begin_write(msg, op)
+        if req is not None:  # else: duplicate of a completed/in-flight rid
+            self._accepts.push(req)
+
+    def _issue_accept(self, batch: List[Request], done: Callable[[], None]) -> None:
+        ops = [{"op": r.op, "key": r.msg.payload["key"],
+                "val": r.msg.payload.get("val")} for r in batch]
+
+        def after_local(resp: Optional[Message], err: Optional[BespoError]) -> None:
+            if err is not None or resp is None or resp.type == "error":
+                self.stats["errors"] += len(batch)
+                for req in batch:
+                    req.fail(f"local datalet write failed: {err}")
+                done()
+                return
+            results = resp.payload.get("results") or ["ok"] * len(batch)
+            for req, status in zip(batch, results):
+                if status != "ok":
+                    # e.g. delete of a missing key: nothing applied, so
+                    # nothing replicates for this member.
+                    req.finish("error", {"error": status,
+                                         "key": req.msg.payload["key"]})
+                else:
+                    self._forward_down(req)
+            done()
+
+        self.datalet_call("apply_batch", {"ops": ops, "want_results": True},
+                          callback=after_local)
+
+    def _forward_down(self, req: Request) -> None:
+        """Protocol hook: ``req`` is applied at the head — replicate it
+        and complete it at the combo's commit point."""
+        raise NotImplementedError
+
+    def _migrate_barrier(self, then: Callable[[], None]) -> None:
+        """Reshard census barrier: writes admitted before the window
+        opened may still sit in the accept queue ahead of the head's
+        engine — wait for one observed drain so the census (which reads
+        the head's engine, the shard's write authority) sees them.
+        Writes admitted *during* the window are dual-routed, so the
+        destination's dirty marks cover them instead."""
+
+        def poll() -> None:
+            if self._accepts.busy or self._accepts.queue:
+                self.set_timer(0.05, poll)
+                return
+            then()
+
+        poll()

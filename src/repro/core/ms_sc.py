@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.controlet import Controlet
+from repro.core.controlet import MasterSlaveControlet, Pump
 from repro.core.request import Request
 from repro.errors import BespoError
 from repro.net.message import Message
@@ -35,8 +35,10 @@ MAX_CHAIN_RETRIES = 3
 _DownEntry = Tuple[Dict[str, object], Callable[[Optional[str]], None]]
 
 
-class MSStrongControlet(Controlet):
+class MSStrongControlet(MasterSlaveControlet):
     """Chain-replication controlet."""
+
+    accept_cap = "chain_batch_max"
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -47,23 +49,15 @@ class MSStrongControlet(Controlet):
         self._sync_successor: Optional[str] = None
         #: chain writes awaiting the downstream link, in apply order;
         #: drained in coalesced ``chain_put_batch`` frames with at most
-        #: one frame in flight per link (:meth:`_pump_down`).
-        self._down_queue: List[_DownEntry] = []
-        self._down_busy = False
+        #: one frame in flight per link (:meth:`_issue_down`).
+        self._down = Pump(self._issue_down, cap=self.config.chain_batch_max)
         self._down_retries = 0
-        #: inbound frames serialized FIFO (:meth:`_pump_frames`): a
+        #: inbound frames serialized FIFO (:meth:`_issue_frame`): a
         #: frame's members finish before the next frame is examined, so
         #: a duplicate frame only ever observes completed originals.
-        self._frame_queue: List[Message] = []
-        self._frame_busy = False
-        #: head-accepted client writes awaiting their local apply, in
-        #: acceptance order; coalesced into one ``apply_batch`` at a
-        #: time (:meth:`_pump_accepts`).
-        self._accept_queue: List[Request] = []
-        self._accept_busy = False
+        self._frames = Pump(self._issue_frame)
         self.chain_frames = 0
         self.chain_frame_ops = 0
-        self.register("chain_put", self._on_chain_put)
         self.register("chain_put_batch", self._on_chain_put_batch)
         self.register("tail_sync_pull", self._on_tail_sync_pull)
 
@@ -99,14 +93,10 @@ class MSStrongControlet(Controlet):
         if not upstream:
             self._sync_successor = puller
 
-        def with_snap(resp: Optional[Message], err: Optional[BespoError]) -> None:
-            if err is not None or resp is None or resp.type != "snapshot":
-                self._sync_successor = None
-                self.respond(msg, "error", {"error": f"snapshot failed: {err}"})
-                return
-            self.respond(msg, "sync_state", {"data": resp.payload["data"]})
+        def stop_relay() -> None:
+            self._sync_successor = None
 
-        self.datalet_call("snapshot", {}, callback=with_snap)
+        self.serve_sync_pull(msg, undo=stop_relay)
 
     def on_shard_changed(self) -> None:
         if self._sync_successor is None:
@@ -122,118 +112,21 @@ class MSStrongControlet(Controlet):
     # ------------------------------------------------------------------
     # write path
     # ------------------------------------------------------------------
-    def handle_put(self, msg: Message) -> None:
-        self._accept_write(msg, "put")
-
-    def handle_del(self, msg: Message) -> None:
-        self._accept_write(msg, "del")
-
-    def _accept_write(self, msg: Message, op: str) -> None:
-        if not self.is_head:
-            self.redirect(msg, self.shard.head.controlet, "writes enter at the chain head")
-            return
-        req = self.begin_write(msg, op)
-        if req is None:
-            return  # duplicate of a completed/in-flight rid
-        self._accept_queue.append(req)
-        self._pump_accepts()
-
-    def _pump_accepts(self) -> None:
-        """Serialize the head's own local applies, one coalesced
-        ``apply_batch`` in flight.
-
-        Per-op datalet calls are not enough: response arrival order is
-        jittered, so the order writes entered the chain (response order)
-        could invert the order the head's datalet applied them — the
-        head would then permanently disagree with its own chain suffix
-        on racing same-key writes, visible to any relaxed read it
-        serves.  One batch in flight pins acceptance order = head apply
-        order = chain order, and amortizes the head's WAL fsync as a
-        bonus (the frame shares one commit group)."""
-        if self._accept_busy or not self._accept_queue:
-            return
-        self._accept_busy = True
-        take = max(1, self.config.chain_batch_max)
-        batch = self._accept_queue[:take]
-        del self._accept_queue[:take]
-        ops = [{"op": r.op, "key": r.msg.payload["key"],
-                "val": r.msg.payload.get("val")} for r in batch]
-
-        def after_local(resp: Optional[Message], err: Optional[BespoError]) -> None:
-            self._accept_busy = False
-            if err is not None or resp is None or resp.type == "error":
-                self.stats["errors"] += len(batch)
-                for req in batch:
-                    req.fail(f"local datalet write failed: {err}")
-                self._pump_accepts()
-                return
-            results = resp.payload.get("results") or ["ok"] * len(batch)
-            for req, status in zip(batch, results):
-                if status != "ok":
-                    # e.g. delete of a missing key: surface without
-                    # touching the chain suffix for this member.
-                    req.finish("error", {"error": status,
-                                         "key": req.msg.payload["key"]})
-                else:
-                    self._forward_down(req)
-            self._pump_accepts()
-
-        self.datalet_call("apply_batch", {"ops": ops, "want_results": True},
-                          callback=after_local)
-
-    def _migrate_barrier(self, then) -> None:
-        """Reshard census barrier: writes admitted before the window
-        opened may still sit in the accept queue ahead of the head's
-        engine — wait for one observed drain so the census sees them.
-        (Writes admitted *during* the window are dual-routed, so the
-        destination's dirty marks cover them instead.)"""
-
-        def poll() -> None:
-            if self._accept_busy or self._accept_queue:
-                self.set_timer(0.05, poll)
-                return
-            then()
-
-        poll()
-
-    def _on_chain_put(self, msg: Message) -> None:
-        """A chain write arriving from our predecessor."""
-        if not self.recovered:
-            # Recovering replacement: buffer and ack.  Ack-on-buffer is
-            # safe because our predecessor applied before forwarding, so
-            # the write survives in the chain even if we die; we replay
-            # the buffer right after the snapshot restore.
-            self.buffer_catchup(msg)
-            # Not the client commit point: the predecessor already
-            # applied-and-logged before forwarding, so the write is
-            # durable upstream; the buffer replays after the snapshot
-            # restore (combo ms-sc).
-            # lint: allow[ack-before-durable]
-            self.respond(msg, "ok")
-            return
-        # Every chain member runs the same dedup gate: rid rides the
-        # chain_put payload, so a duplicate resumed by a *new* head
-        # stops re-executing at the first member that already holds it.
-        req = self.begin_write(msg, msg.payload["op"], rid=msg.payload.get("rid"))
-        if req is None:
-            return
-        self._apply_and_forward(req)
-
     def _on_chain_put_batch(self, msg: Message) -> None:
         """A coalesced frame of chain writes from our predecessor."""
         if not self.recovered:
-            # Recovering replacement: buffer and ack (same argument as
-            # the single-op path: the predecessor applied every member
-            # before the frame left, so the writes are durable upstream
-            # and the buffer replays after the snapshot restore).
+            # Recovering replacement: buffer and ack.  Ack-on-buffer is
+            # safe because the predecessor applied (and logged) every
+            # member before the frame left, so the writes are durable
+            # upstream even if we die, and the buffer replays right
+            # after the snapshot restore (combo ms-sc).
             self.buffer_catchup(msg)
             # lint: allow[ack-before-durable]
             self.respond(msg, "ok")
             return
-        self._frame_queue.append(msg)
-        self._pump_frames()
+        self._frames.push(msg)
 
-    def _pump_frames(self) -> None:
+    def _issue_frame(self, msg: Message, done: Callable[[], None]) -> None:
         """Process inbound frames strictly FIFO, one at a time.
 
         Serialization does double duty: it keeps the local datalet's
@@ -242,11 +135,9 @@ class MSStrongControlet(Controlet):
         guarantees a duplicate frame — the upstream one-in-flight rule
         means a dup can only be a retry of a frame that already finished
         — observes its members in ``_rid_done`` rather than racing the
-        originals."""
-        if self._frame_busy or not self._frame_queue:
-            return
-        self._frame_busy = True
-        msg = self._frame_queue.pop(0)
+        originals.  Every chain member runs this dedup gate: rids ride
+        the frame, so a duplicate resumed by a *new* head stops
+        re-executing at the first member that already holds it."""
         fresh: List[Dict[str, object]] = []
         for d in msg.payload["entries"]:
             rid = d.get("rid")
@@ -255,11 +146,6 @@ class MSStrongControlet(Controlet):
                 self.stats["dup_writes"] += 1
                 continue
             fresh.append(d)
-
-        def frame_done() -> None:
-            self._frame_busy = False
-            self._pump_frames()
-
         if not fresh:
             # Every member was a duplicate: rids enter _rid_done only
             # after the original committed through the whole suffix, so
@@ -267,7 +153,7 @@ class MSStrongControlet(Controlet):
             # below us (combo ms-sc) — nothing left to wait for.
             # lint: allow[ack-before-durable]
             self.respond(msg, "ok")
-            frame_done()
+            done()
             return
         ops = [{"op": d["op"], "key": d["key"], "val": d.get("val")} for d in fresh]
 
@@ -276,7 +162,7 @@ class MSStrongControlet(Controlet):
                 self.stats["errors"] += len(fresh)
                 self.respond(msg, "error",
                              {"error": f"local datalet write failed: {err}"})
-                frame_done()
+                done()
                 return
             # Members persisted locally in frame order; continue each
             # down the chain and answer upstream once the whole frame
@@ -297,39 +183,18 @@ class MSStrongControlet(Controlet):
                     self.respond(msg, "ok")
                 else:
                     self.respond(msg, "error", {"error": state["err"]})
-                frame_done()
+                done()
 
             for d in fresh:
                 self._enqueue_down(dict(d), member_done)
 
         self.datalet_call("apply_batch", {"ops": ops}, callback=after_local)
 
-    def _apply_and_forward(self, req: Request) -> None:
-        """Persist locally, then continue down the chain; ack upstream
-        (or to the client, at the head) once downstream has committed."""
-        payload = {"key": req.msg.payload["key"]}
-        if req.op == "put":
-            payload["val"] = req.msg.payload["val"]
-
-        def after_local(resp: Optional[Message], err: Optional[BespoError]) -> None:
-            if err is not None or resp is None:
-                self.stats["errors"] += 1
-                req.fail(f"local datalet write failed: {err}")
-                return
-            if resp.type == "error":
-                # e.g. delete of a missing key: surface without touching
-                # the rest of the chain beyond what already applied.
-                req.finish("error", dict(resp.payload))
-                return
-            self._forward_down(req)
-
-        self.datalet_call(req.op, payload, callback=after_local)
-
     def _forward_down(self, req: Request) -> None:
         """Continue ``req`` down the chain; ack upstream once the whole
         suffix has committed.  The actual transmission is coalesced: the
         entry joins the per-link frame queue and rides the next
-        ``chain_put_batch`` (:meth:`_pump_down`)."""
+        ``chain_put_batch`` (:meth:`_issue_down`)."""
         entry: Dict[str, object] = {"op": req.op, "key": req.msg.payload["key"],
                                     "val": req.msg.payload.get("val")}
         if req.rid is not None:
@@ -345,19 +210,16 @@ class MSStrongControlet(Controlet):
 
     def _enqueue_down(self, entry: Dict[str, object],
                       done: Callable[[Optional[str]], None]) -> None:
-        self._down_queue.append((entry, done))
-        self._pump_down()
+        self._down.push((entry, done))
 
-    def _pump_down(self) -> None:
-        """Drain the downstream queue, one coalesced frame in flight.
+    def _issue_down(self, batch: List[_DownEntry], done: Callable[[], None]) -> None:
+        """Send one coalesced frame down the link.
 
         One-in-flight per link is the ordering argument: frame N is
         fully committed by the chain suffix (or abandoned) before frame
         N+1 leaves, so two same-key writes can never overtake each other
         between adjacent chain members, and a duplicate frame is only
         ever a retry of one that already ran to completion downstream."""
-        if self._down_busy or not self._down_queue:
-            return
         try:
             succ = self.shard.successor(self.node_id)
         except Exception:  # noqa: BLE001 - not in our own view yet
@@ -366,60 +228,48 @@ class MSStrongControlet(Controlet):
             succ = None
         relaying = succ is None and self._sync_successor is not None
         succ_id = succ.controlet if succ is not None else self._sync_successor
+
+        def settle(err: Optional[str]) -> None:
+            if err is not None:
+                self.stats["errors"] += len(batch)
+            for _entry, member_done in batch:
+                member_done(err)
+            done()
+
         if succ_id is None:  # we are the tail: commit point reached
-            batch, self._down_queue = self._down_queue, []
-            for _entry, done in batch:
-                done(None)
+            settle(None)
             return
-        self._down_busy = True
-        take = max(1, self.config.chain_batch_max)
-        batch = self._down_queue[:take]
-        del self._down_queue[:take]
         self.chain_frames += 1
         self.chain_frame_ops += len(batch)
         if self._metrics is not None:
             self._metrics.histogram("batch.chain_frame_size").observe(len(batch))
 
         def on_ack(resp: Optional[Message], err: Optional[BespoError]) -> None:
-            if err is not None or resp is None:
-                # Successor unresponsive: likely mid-failover.
-                if self._down_retries >= MAX_CHAIN_RETRIES:
-                    self._down_retries = 0
-                    self._down_busy = False
-                    if relaying and self._sync_successor == succ_id:
-                        # the recovering replacement died: stop relaying
-                        # and resume committing as the tail
-                        self._sync_successor = None
-                        for _entry, done in batch:
-                            done(None)
-                    else:
-                        self.stats["errors"] += len(batch)
-                        for _entry, done in batch:
-                            done("chain replication failed")
-                    self._pump_down()
-                    return
-                # Refresh the chain view and resend the same frame to
-                # the (possibly new) successor; the link stays busy so
-                # no younger frame can overtake the retry.
+            if err is None and resp is not None:
+                self._down_retries = 0
+                if resp.type == "error":
+                    settle(str(resp.payload.get(
+                        "error", "chain replication failed")))
+                else:
+                    settle(None)
+            elif self._down_retries < MAX_CHAIN_RETRIES:
+                # Successor unresponsive: likely mid-failover.  Refresh
+                # the chain view and resend the same frame to the
+                # (possibly new) successor; the link stays busy until
+                # the refresh lands, so no younger frame can overtake
+                # the retry.
                 self._down_retries += 1
-                self._down_queue[:0] = batch
-
-                def resume() -> None:
-                    self._down_busy = False
-                    self._pump_down()
-
-                self.refresh_shard(then=resume)
-                return
-            self._down_retries = 0
-            self._down_busy = False
-            if resp.type == "error":
-                self.stats["errors"] += len(batch)
-                for _entry, done in batch:
-                    done(str(resp.payload.get("error", "chain replication failed")))
+                self._down.requeue_front(batch)
+                self.refresh_shard(then=done)
             else:
-                for _entry, done in batch:
-                    done(None)
-            self._pump_down()
+                self._down_retries = 0
+                if relaying and self._sync_successor == succ_id:
+                    # the recovering replacement died: stop relaying
+                    # and resume committing as the tail
+                    self._sync_successor = None
+                    settle(None)
+                else:
+                    settle("chain replication failed")
 
         self.call(
             succ_id,
@@ -452,7 +302,7 @@ class MSStrongControlet(Controlet):
         return {
             "chain_frames": float(self.chain_frames),
             "chain_frame_ops": float(ops),
-            # >1.0 means adjacent chain_puts are coalescing per link
+            # >1.0 means adjacent chain writes are coalescing per link
             "coalesce_ratio": (
                 ops / self.chain_frames if self.chain_frames else 0.0
             ),
@@ -464,10 +314,10 @@ class MSStrongControlet(Controlet):
     def snapshot_state(self):
         s = super().snapshot_state()
         s["sync_successor"] = self._sync_successor
-        s["accept_queue"] = len(self._accept_queue)
-        s["accept_busy"] = self._accept_busy
-        s["down_queue"] = len(self._down_queue)
-        s["down_busy"] = self._down_busy
-        s["frame_queue"] = len(self._frame_queue)
-        s["frame_busy"] = self._frame_busy
+        s["accept_queue"] = len(self._accepts)
+        s["accept_busy"] = self._accepts.busy
+        s["down_queue"] = len(self._down)
+        s["down_busy"] = self._down.busy
+        s["frame_queue"] = len(self._frames)
+        s["frame_busy"] = self._frames.busy
         return s

@@ -6,7 +6,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
-from repro.hashing.ring import HashRing
+from repro.cluster.gate import ReshardGate
 from repro.net.actor import Actor
 from repro.net.message import Message
 
@@ -136,16 +136,12 @@ class LockManagerActor(Actor):
         self.lease = lease
         self._lease_timers: Dict[Tuple[str, str], object] = {}
         self.expired = 0
-        #: open reshard window (the DLM is the ordering authority for
-        #: AA+SC shards, so it is *armed before* any controlet or client
-        #: learns the window): ``{"gen", "old", "new", "dirty"}`` with
-        #: old/new the two :class:`HashRing`\ s and ``dirty`` the keys
-        #: written under a w-lock while the window is open.
-        self._reshard: Optional[Dict[str, object]] = None
+        #: the DLM is the ordering authority for AA+SC shards: moved
+        #: keys written under a w-lock while a reshard window is open
+        #: are marked dirty here.
+        self._gate = ReshardGate(self)
         self.register("lock", self._on_lock)
         self.register("unlock", self._on_unlock)
-        self.register("reshard_begin", self._on_reshard_begin)
-        self.register("reshard_end", self._on_reshard_end)
 
     def service_demand(self, msg: Message, costs) -> float:
         return costs.scaled("dlm_overhead")
@@ -157,25 +153,13 @@ class LockManagerActor(Actor):
             "expired": self.expired,
         }
 
-    def _moved(self, key: str) -> bool:
-        """True when the open window re-assigns ``key`` to a new owner."""
-        win = self._reshard
-        if win is None:
-            return False
-        return win["old"].lookup(key) != win["new"].lookup(key)  # type: ignore[union-attr]
-
     def _on_lock(self, msg: Message) -> None:
         key = msg.payload["key"]
         mode = msg.payload.get("mode", "w")
         owner = msg.src
-        win = self._reshard
-        if (
-            win is not None
-            and mode == "w"
-            and not msg.payload.get("mig")
-            and self._moved(key)
-            and msg.payload.get("gen") != win["gen"]
-        ):
+        mig = bool(msg.payload.get("mig"))
+        gate = self._gate
+        if mode == "w" and not mig and gate.stale(key, msg.payload.get("gen")):
             # Backstop against stale routing: a write for a moved key
             # from a controlet that has not adopted the window's ring
             # generation would land only on the old owner and be lost
@@ -188,37 +172,17 @@ class LockManagerActor(Actor):
             timer = self.set_timer(self.lease, lambda: self._expire(key, owner))
             self._lease_timers[(key, owner)] = timer
             payload: Dict[str, object] = {"key": key, "lease": self.lease}
-            w = self._reshard
-            if w is not None and mode == "w":
-                dirty: Set[str] = w["dirty"]  # type: ignore[assignment]
-                if msg.payload.get("mig"):
+            if mode == "w" and gate.gen:
+                if mig:
                     # migration driver: tell it whether a client write
                     # beat it to the key (evaluated at *grant* time —
                     # writes that queued ahead of us have marked by now)
-                    payload["dirty"] = key in dirty
-                elif self._moved(key):
-                    dirty.add(key)
+                    payload["dirty"] = not gate.clean(key)
+                else:
+                    gate.mark(key)
             self.respond(msg, "granted", payload)
 
         self.table.acquire(key, owner, mode, grant)
-
-    def _on_reshard_begin(self, msg: Message) -> None:
-        gen = int(msg.payload["gen"])
-        if self._reshard is None or self._reshard["gen"] != gen:
-            self._reshard = {
-                "gen": gen,
-                "old": HashRing(list(msg.payload["old"])),
-                "new": HashRing(list(msg.payload["new"])),
-                "dirty": set(),
-            }
-        self.respond(msg, "ok", {"gen": gen})
-
-    def _on_reshard_end(self, msg: Message) -> None:
-        if (
-            self._reshard is not None
-            and self._reshard["gen"] == int(msg.payload.get("gen", -1))
-        ):
-            self._reshard = None
 
     def _on_unlock(self, msg: Message) -> None:
         key = msg.payload["key"]
@@ -239,7 +203,7 @@ class LockManagerActor(Actor):
     # -- model-checker introspection -----------------------------------
     def snapshot_state(self):
         s = super().snapshot_state()
-        s["reshard_gen"] = self._reshard["gen"] if self._reshard else 0
+        s["reshard_gen"] = self._gate.gen
         s["locks"] = {
             key: {
                 "writer": st.writer,

@@ -13,8 +13,8 @@ span name            stage
 ``backoff``          client retry backoff sleep
 ===================  ======================================================
 
-Replication wait shows up as ``rpc:chain_put`` / ``rpc:replicate`` /
-``rpc:peer_apply`` / ``rpc:log_append`` spans opened by the controlet,
+Replication wait shows up as ``rpc:chain_put_batch`` / ``rpc:replicate`` /
+``rpc:peer_apply`` / ``rpc:log_append_batch`` spans opened by the controlet,
 datalet service as ``rpc:put``/``rpc:get``/... spans whose receiver is a
 datalet, and controlet dispatch as the receiver-side ``cpu:*`` spans.
 

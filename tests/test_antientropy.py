@@ -155,3 +155,36 @@ def test_new_master_stream_adopted_after_failover():
     for r in dep.shard(0).ordered():
         engine = dep.cluster.actor(r.datalet).engine
         assert engine.get("n9") == "9", r.controlet
+
+
+def test_sync_snapshot_queues_behind_older_replicated_batches():
+    """Regression: the snapshot fallback used to ``send`` its restore
+    straight to the datalet, around the apply pump — replicated batches
+    still queued there were then applied *over* the newer snapshot with
+    the cursor already fast-forwarded past them, so the slave diverged
+    for good."""
+    from repro.net.message import Message
+
+    dep, client = build()
+    dep.sim.run_future(client.put("seed", "s"))  # establish the stream
+    dep.sim.run_until(dep.sim.now + 1.0)
+    slave_ctl = controlet(dep, 1)
+    master, seq = slave_ctl._stream
+
+    def frame(type, **payload):
+        return Message(type, {"master": master, **payload},
+                       src=master, dst=slave_ctl.node_id)
+
+    # two batches writing x: the first is issued, the second queues
+    for i, val in enumerate(("old1", "old2")):
+        slave_ctl._on_replicate(frame(
+            "replicate", start_seq=seq + i,
+            ops=[{"op": "put", "key": "x", "val": val}]))
+    assert len(slave_ctl._applies) == 1
+    # ...then the master's snapshot, which already holds a newer x
+    slave_ctl._on_sync_snapshot(frame(
+        "sync_snapshot", seq=seq + 3, data={"seed": "s", "x": "new"}))
+    dep.sim.run_until(dep.sim.now + 1.0)
+    engine = dep.cluster.actor(dep.shard(0).ordered()[1].datalet).engine
+    assert slave_ctl._stream == (master, seq + 3)
+    assert engine.get("x") == "new"

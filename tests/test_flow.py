@@ -13,6 +13,7 @@ machinery, not toy snippets.
 from pathlib import Path
 
 from repro.analysis import package_root
+from repro.analysis.cfg import ClassTable, walk_method
 from repro.analysis.commitpoints import Waiver
 from repro.analysis.flow import (
     FLOW_INJECTION_SOURCES,
@@ -88,6 +89,106 @@ def test_pump_double_kick_is_harmless():
     pump.kick()
     pump.kick()
     assert issued == ["a"]  # busy flag rejects reentry, no double issue
+
+
+def test_capped_pump_hands_out_fifo_batches():
+    issued = []
+    dones = []
+
+    def issue(batch, done):
+        issued.append(batch)
+        dones.append(done)
+
+    pump = Pump(issue, cap=3)
+    for i in range(8):
+        pump.push(i)
+    # the first push found the pump idle; the rest coalesce behind it
+    assert issued == [[0]]
+    dones[0]()
+    assert issued == [[0], [1, 2, 3]]  # at most cap items, oldest first
+    dones[1]()
+    dones[2]()
+    assert issued == [[0], [1, 2, 3], [4, 5, 6], [7]]
+    dones[3]()
+    assert not pump.busy and len(pump) == 0
+
+
+def test_capped_pump_requeue_front_keeps_the_batch_in_place():
+    issued = []
+    dones = []
+
+    def issue(batch, done):
+        issued.append(batch)
+        dones.append(done)
+
+    pump = Pump(issue, cap=2)
+    for item in "abcde":
+        pump.push(item)
+    dones[0]()
+    assert issued[-1] == ["b", "c"]
+    # the frame failed: it goes back ahead of the younger d, e
+    pump.requeue_front(issued[-1])
+    dones[1]()
+    assert issued[-1] == ["b", "c"]
+    dones[2]()
+    assert issued[-1] == ["d", "e"]
+
+
+def test_pump_with_synchronous_issue_drains_and_goes_idle():
+    """The chain-tail case: ``issue`` completes its batch on the spot
+    and calls ``done()`` before returning."""
+    issued = []
+
+    def issue(batch, done):
+        issued.append(batch)
+        done()
+
+    pump = Pump(issue, cap=2)
+    pump.queue.extend(range(5))
+    pump.kick()
+    assert issued == [[0, 1], [2, 3], [4]]
+    assert not pump.busy and len(pump) == 0
+    pump.push(5)  # and it is still usable afterwards
+    assert issued[-1] == [5] and not pump.busy
+
+
+def test_cap_one_is_the_uncapped_pump_item_for_item():
+    def run(cap):
+        issued, dones = [], []
+
+        def issue(item, done):
+            issued.append(item)
+            dones.append(done)
+
+        pump = Pump(issue, cap=cap)
+        for item in "xyz":
+            pump.push(item)
+        pump.requeue_front(["x"])
+        while dones:
+            dones.pop(0)()
+        return issued
+
+    assert run(None) == ["x", "x", "y", "z"]
+    assert run(1) == [[item] for item in run(None)]
+
+
+def test_no_hand_rolled_busy_token_in_core():
+    """Every production drain loop is a ``Pump``: the flow walker finds
+    no busy-token acquisition in ``src/repro/core`` outside it, so a
+    hand-rolled pump cannot come back unnoticed.  (The seeded
+    ``LeakyPump...`` defect keeps the busy-token pass itself exercised.)
+    """
+    sources = [(p.relative_to(package_root()).as_posix(), p.read_text())
+               for p in sorted((package_root() / "core").glob("*.py"))]
+    table = ClassTable(sources)
+    acquirers = set()
+    for cls, node in table.classes.items():
+        for funcdef in node.methods.values():
+            paths, _pumps = walk_method(table, cls, funcdef)
+            if any(s.kind == "flag-set" and "busy" in s.detail
+                   for p in paths for s in p.steps):
+                acquirers.add(cls)
+    assert acquirers == {"Pump"}
 
 
 # ---------------------------------------------------------------------------

@@ -192,7 +192,7 @@ def test_mutated_trace_does_not_reproduce(summaries):
         kind=trace.kind,
         violation=trace.violation,
     )
-    # same schedule against the real build: chain_put is awaited before
+    # same schedule against the real build: the chain frame is awaited before
     # the ack, so the decision indices diverge into a healthy run
     replay = replay_trace(healthy)
     assert not replay.reproduced

@@ -201,3 +201,48 @@ def test_client_ring_is_patched_incrementally():
         assert client._reshard is None and client._old_ring is None
 
     _run(dep, proc())
+
+
+# ---------------------------------------------------------------------------
+# a replica that rejoins after a committed reshard fences like its peers
+# ---------------------------------------------------------------------------
+def test_rejoined_replica_adopts_the_ring_with_its_membership():
+    """Regression: a crash-restarted controlet confirmed its membership
+    from the coordinator's ``shard_info`` but dropped the routing block
+    of the same reply, so after a committed reshard the rejoined tail
+    sat at ring generation 0 — no ownership fence — and served strong
+    reads of moved keys from the stale copies left behind."""
+    spec = DeploymentSpec(shards=2, replicas=3, topology=Topology.MS,
+                          consistency=Consistency.STRONG, seed=7, standbys=1,
+                          durable=True)
+    dep = Deployment(spec)
+    dep.start()
+    client = dep.client("c1")
+
+    def proc():
+        yield client.connect()
+        for k in KEYS:
+            yield client.put(k, f"{k}.v0")
+        yield dep.request_reshard("add")
+        yield client.connect()
+
+    _run(dep, proc(), until=300.0)
+    tail = dep.shard(0).ordered()[-1]
+    host = dep.kill_replica(0, chain_pos=tail.chain_pos)
+    dep.sim.run_until(dep.sim.now + 0.5)
+    dep.recover_host(host)
+    dep.sim.run_until(dep.sim.now + 30.0)
+
+    assert dep.shard(0).tail.controlet == tail.controlet  # it rejoined
+    rejoined = dep.cluster.actor(tail.controlet)
+    peer = dep.cluster.actor(dep.shard(0).head.controlet)
+    assert not rejoined.retired and rejoined.recovered
+    assert rejoined._ring_gen == peer._ring_gen == 1
+    assert rejoined._ring is not None
+    leftovers = dep.cluster.actor(tail.datalet).engine
+    moved = next(k for k in KEYS if leftovers.contains(k)
+                 and client.shard_for(k).shard_id != dep.shard(0).shard_id)
+    port = dep.cluster.add_port("raw")
+    resp = dep.sim.run_future(
+        port.request(tail.controlet, "get", {"key": moved}, timeout=5.0))
+    assert (resp.type, resp.payload["error"]) == ("error", "wrong_shard")

@@ -158,7 +158,7 @@ def test_package_summaries_capture_the_protocol_core():
     put = ms.footprint("put")
     assert put is not None and DATALET_ATTR in put.writes
     assert not ms.commutes("put", "put")
-    assert not ms.commutes("get", "chain_put")  # engine read vs write
+    assert not ms.commutes("get", "chain_put_batch")  # engine read vs write
     ec = table.classes["MSEventualControlet"]
     assert not ec.commutes("replicate", "replicate")  # both advance _stream
     assert not ec.commutes("put", "get")

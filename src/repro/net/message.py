@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict
+from typing import Any, Dict, Optional, Tuple
 
 __all__ = ["Message", "HEADER_BYTES"]
 
@@ -21,7 +21,7 @@ HEADER_BYTES = 64
 _msg_ids = itertools.count(1)
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """Typed envelope routed by a transport.
 
@@ -33,15 +33,22 @@ class Message:
     the payload so it never affects modeled wire size, payload
     sanitization, or protocol semantics.  ``None`` for messages that
     are not part of a client request (heartbeats, timers, gossip).
+
+    The class is slotted, so every attribute is declared here: the last
+    two are stamped by verifiers outside the protocol (the payload
+    sanitizer's send-time digest, the model checker's content
+    signature) and take no part in equality.
     """
 
     type: str
     payload: Dict[str, Any] = field(default_factory=dict)
     src: str = ""
     dst: str = ""
-    msg_id: int = field(default_factory=lambda: next(_msg_ids))
+    msg_id: int = field(default_factory=_msg_ids.__next__)
     reply_to: int = 0
     ctx: Any = None
+    sent_digest: Optional[str] = field(default=None, compare=False, repr=False)
+    _chk_sig: Optional[Tuple[Any, ...]] = field(default=None, compare=False, repr=False)
 
     def size_bytes(self) -> int:
         """Estimated wire size for network modeling."""

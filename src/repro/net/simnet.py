@@ -308,68 +308,48 @@ class SimCluster:
             # Unknown destination behaves like a dead peer: silently
             # dropped; the sender's timeout fires.
             return
-        src_host = self._actor_host.get(msg.src, msg.src)
         dst_host = self._actor_host[msg.dst]
-        nbytes = msg.size_bytes()
         if self.sanitizer is not None:
             self.sanitizer.on_send(msg)
-        if self.obs is not None and msg.ctx is not None and msg.ctx.trace_id is not None:
-            net_span = self.obs.begin(msg.ctx, f"net:{msg.type}", msg.src)
+        obs = self.obs
+        if obs is not None and msg.ctx is not None and msg.ctx.trace_id is not None:
+            net_span = obs.begin(msg.ctx, f"net:{msg.type}", msg.src)
         else:
             net_span = None
+        self.network.send(self._actor_host.get(msg.src, msg.src), dst_host, msg.size_bytes(),
+                          self._arrive, self._hosts[dst_host], dst_actor, msg, net_span)
 
-        if (net_span is None and self.sanitizer is None
-                and self.race_tracer is None):
-            # Fast path for saturated benchmark runs: no observability
-            # plane attached, so skip the per-arrival branch ladder and
-            # build the smallest possible closure.
-            hosts = self._hosts
-            costs = self.costs
-
-            def on_arrival_fast() -> None:
-                host = hosts[dst_host]
-                if host.free:
-                    dst_actor.deliver(msg)
-                    return
-                demand = costs.msg_cost(dpdk=host.dpdk) + dst_actor.service_demand(msg, costs)
-                host.cpu.submit(demand).add_done_callback(
-                    lambda _f: dst_actor.deliver(msg))
-
-            self.network.send(src_host, dst_host, nbytes, on_arrival_fast)
+    def _arrive(self, host: _Host, dst_actor: Actor, msg: Message, net_span: Any) -> None:
+        """A message lands on its destination host: charge the host's CPU
+        (unless it is free), then hand the message to the actor."""
+        if self.sanitizer is not None:
+            self.sanitizer.on_deliver(msg)
+        if self.race_tracer is not None:
+            # Attribute the touch at *arrival*: the destination's CPU
+            # queue order — and therefore handler order — is fixed the
+            # moment the message lands, so two same-timestamp arrivals
+            # at one actor are exactly the schedule-sensitive pair the
+            # detector is after.
+            self.race_tracer.record_access(msg.dst, f"deliver:{msg.type}")
+        if net_span is not None:
+            self.obs.end(net_span, "ok")
+        if host.free:
+            dst_actor.deliver(msg)
             return
+        costs = self.costs
+        demand = costs.msg_cost(dpdk=host.dpdk) + dst_actor.service_demand(msg, costs)
+        if net_span is not None:
+            # receiver-side dispatch: CPU queueing + service time before
+            # the handler runs (the "controlet dispatch" / "datalet
+            # service" stages of the breakdown)
+            cpu_span = self.obs.begin(msg.ctx, f"cpu:{msg.type}", msg.dst)
+            host.cpu.submit(demand, self._dispatched, cpu_span, dst_actor, msg)
+        else:
+            host.cpu.submit(demand, dst_actor.deliver, msg)
 
-        def on_arrival() -> None:
-            if self.sanitizer is not None:
-                self.sanitizer.on_deliver(msg)
-            if self.race_tracer is not None:
-                # Attribute the touch at *arrival*: the destination's CPU
-                # queue order — and therefore handler order — is fixed the
-                # moment the message lands, so two same-timestamp arrivals
-                # at one actor are exactly the schedule-sensitive pair the
-                # detector is after.
-                self.race_tracer.record_access(msg.dst, f"deliver:{msg.type}")
-            if net_span is not None:
-                self.obs.end(net_span, "ok")
-            host = self._hosts[dst_host]
-            if host.free:
-                dst_actor.deliver(msg)
-                return
-            demand = self.costs.msg_cost(dpdk=host.dpdk) + dst_actor.service_demand(msg, self.costs)
-            if net_span is not None:
-                # receiver-side dispatch: CPU queueing + service time
-                # before the handler runs (the "controlet dispatch" /
-                # "datalet service" stages of the breakdown)
-                cpu_span = self.obs.begin(msg.ctx, f"cpu:{msg.type}", msg.dst)
-
-                def dispatched(_f: Any) -> None:
-                    self.obs.end(cpu_span, "ok")
-                    dst_actor.deliver(msg)
-
-                host.cpu.submit(demand).add_done_callback(dispatched)
-            else:
-                host.cpu.submit(demand).add_done_callback(lambda _f: dst_actor.deliver(msg))
-
-        self.network.send(src_host, dst_host, nbytes, on_arrival)
+    def _dispatched(self, cpu_span: Any, dst_actor: Actor, msg: Message) -> None:
+        self.obs.end(cpu_span, "ok")
+        dst_actor.deliver(msg)
 
     # ------------------------------------------------------------------
     # failure injection

@@ -28,8 +28,8 @@ one process without cross-talk.
 
 from __future__ import annotations
 
-import heapq
 import itertools
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.errors import SimulationError
@@ -55,44 +55,31 @@ class _TracerChain:
             t.end_event()
 
 
-class _Event:
-    """Payload of one heap entry.
+class TimerHandle:
+    """One scheduled event, and the handle :meth:`Simulator.call_later`
+    returns for it: the kernel runs ``fn(*args)`` at :attr:`when` unless
+    :meth:`cancel` was called first.
 
-    The heap itself stores ``(time, seq, event)`` tuples so ordering is
-    decided by C-level tuple comparison — ``seq`` is unique, so the
-    comparison never falls through to the event object.  (An earlier
-    design gave ``_Event`` a Python ``__lt__`` and heaped the objects
-    directly; at saturation that one method dominated kernel profiles.)
+    The heap stores ``(time, seq, handle)`` tuples so ordering is decided
+    by C-level tuple comparison — ``seq`` is unique, so the comparison
+    never falls through to the handle.  (An earlier design gave the
+    event a Python ``__lt__`` and heaped the objects directly; at
+    saturation that one method dominated kernel profiles.)  Carrying
+    ``args`` on the event means scheduling a call allocates no closure.
     """
 
-    __slots__ = ("time", "seq", "fn", "cancelled")
+    __slots__ = ("when", "seq", "fn", "args", "cancelled")
 
-    def __init__(self, time: float, seq: int, fn: Callable[[], None]):
-        self.time = time
+    def __init__(self, when: float, seq: int, fn: Callable[..., None], args: tuple):
+        self.when = when
         self.seq = seq
         self.fn = fn
+        self.args = args
         self.cancelled = False
-
-
-class TimerHandle:
-    """Cancellable handle returned by :meth:`Simulator.call_later`."""
-
-    __slots__ = ("_event",)
-
-    def __init__(self, event: _Event):
-        self._event = event
 
     def cancel(self) -> None:
         """Prevent the timer from firing.  Idempotent."""
-        self._event.cancelled = True
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.cancelled
-
-    @property
-    def when(self) -> float:
-        return self._event.time
+        self.cancelled = True
 
 
 class SimFuture:
@@ -174,13 +161,12 @@ class Simulator:
         if tie_break not in ("fifo", "lifo"):
             raise SimulationError(f"tie_break must be 'fifo' or 'lifo', got {tie_break!r}")
         self._now = 0.0
-        self._heap: list[tuple[float, int, _Event]] = []
-        self._seq = itertools.count(1)
-        # "lifo" negates the insertion sequence so simultaneous events
-        # pop in reverse order — a legal-but-different schedule used by
-        # the race detector's perturbation re-runs.  Event *times* are
-        # untouched; only ties flip.
-        self._tie_sign = 1 if tie_break == "fifo" else -1
+        self._heap: list[tuple[float, int, TimerHandle]] = []
+        # "lifo" counts the insertion sequence down (-1, -2, ...) so
+        # simultaneous events pop in reverse order — a legal-but-different
+        # schedule used by the race detector's perturbation re-runs.
+        # Event *times* are untouched; only ties flip.
+        self._seq = itertools.count(1) if tie_break == "fifo" else itertools.count(-1, -1)
         self._stopped = False
         #: number of events executed — useful for kernel regression tests
         self.events_processed = 0
@@ -216,15 +202,11 @@ class Simulator:
         """Schedule ``fn(*args)`` after ``delay`` virtual seconds."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        if args:
-            inner = fn
-            fn = lambda: inner(*args)  # noqa: E731 - hot path, no functools
-            label = getattr(inner, "timer_label", None)
-            if label is not None:
-                fn.timer_label = label  # type: ignore[attr-defined]
-        ev = _Event(self._now + delay, self._tie_sign * next(self._seq), fn)
-        heapq.heappush(self._heap, (ev.time, ev.seq, ev))
-        return TimerHandle(ev)
+        when = self._now + delay
+        seq = next(self._seq)
+        ev = TimerHandle(when, seq, fn, args)
+        heappush(self._heap, (when, seq, ev))
+        return ev
 
     def call_at(self, when: float, fn: Callable[..., None], *args: Any) -> TimerHandle:
         """Schedule ``fn(*args)`` at absolute virtual time ``when``."""
@@ -331,14 +313,14 @@ class Simulator:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def _execute(self, ev: _Event) -> None:
+    def _execute(self, ev: TimerHandle) -> None:
         tracer = self.tracer
         if tracer is None:
-            ev.fn()
+            ev.fn(*ev.args)
         else:
-            tracer.begin_event(ev.time, ev.seq)
+            tracer.begin_event(ev.when, ev.seq)
             try:
-                ev.fn()
+                ev.fn(*ev.args)
             finally:
                 tracer.end_event()
         self.events_processed += 1
@@ -355,19 +337,20 @@ class Simulator:
         the explorer controls how far the clock moves between message
         deliveries."""
         while self._heap:
-            ev = heapq.heappop(self._heap)[2]
+            ev = heappop(self._heap)[2]
             if ev.cancelled:
                 continue
-            self._now = ev.time
+            self._now = ev.when
             self._execute(ev)
-            return ev.time
+            return ev.when
         return None
 
     def armed_events(self) -> list[tuple[float, str]]:
         """Live heap entries as ``(time, label)`` in firing order —
-        introspection for model-checker state fingerprints.  Labels come
-        from ``timer_label``/``__qualname__`` of the callbacks, which is
-        what makes two runs' timer sets comparable."""
+        introspection for model-checker state fingerprints.  Each event
+        is labelled by its own callable's ``timer_label`` or
+        ``__qualname__`` (never by its arguments), which is what makes
+        two runs' timer sets comparable."""
         out = []
         for _t, _s, ev in sorted(self._heap):
             if ev.cancelled:
@@ -375,7 +358,7 @@ class Simulator:
             label = getattr(ev.fn, "timer_label", None) or getattr(
                 ev.fn, "__qualname__", type(ev.fn).__name__
             )
-            out.append((ev.time, str(label)))
+            out.append((ev.when, str(label)))
         return out
 
     def run_until(self, deadline: float) -> None:
@@ -386,7 +369,7 @@ class Simulator:
         """
         self._stopped = False
         heap = self._heap
-        pop = heapq.heappop
+        pop = heappop
         execute = self._execute
         while heap and not self._stopped:
             if heap[0][0] > deadline:
@@ -394,7 +377,7 @@ class Simulator:
             ev = pop(heap)[2]
             if ev.cancelled:
                 continue
-            self._now = ev.time
+            self._now = ev.when
             execute(ev)
         if not self._stopped:
             self._now = max(self._now, deadline)
@@ -406,13 +389,13 @@ class Simulator:
             return
         self._stopped = False
         heap = self._heap
-        pop = heapq.heappop
+        pop = heappop
         execute = self._execute
         while heap and not self._stopped:
             ev = pop(heap)[2]
             if ev.cancelled:
                 continue
-            self._now = ev.time
+            self._now = ev.when
             execute(ev)
 
     def run_future(self, fut: SimFuture, timeout: Optional[float] = None) -> Any:
@@ -422,7 +405,7 @@ class Simulator:
         """
         deadline = None if timeout is None else self._now + timeout
         heap = self._heap
-        pop = heapq.heappop
+        pop = heappop
         execute = self._execute
         while not fut.done:
             if not heap:
@@ -431,9 +414,9 @@ class Simulator:
             ev = entry[2]
             if ev.cancelled:
                 continue
-            if deadline is not None and ev.time > deadline:
-                heapq.heappush(heap, entry)
+            if deadline is not None and ev.when > deadline:
+                heappush(heap, entry)
                 raise SimulationError(f"future unresolved after {timeout}s of sim time")
-            self._now = ev.time
+            self._now = ev.when
             execute(ev)
         return fut.result()

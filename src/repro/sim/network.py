@@ -13,7 +13,7 @@ failover experiments (Fig 16) and tests use.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
@@ -167,10 +167,11 @@ class Network:
             base = p.loopback_latency
         else:
             base = p.one_way_latency + nbytes / p.bandwidth
-            factor = self._link_factor.get((src, dst), 1.0)
-            factor = max(factor, self._node_factor.get(src, 1.0))
-            factor = max(factor, self._node_factor.get(dst, 1.0))
-            base *= factor
+            if self._link_factor or self._node_factor:
+                factor = self._link_factor.get((src, dst), 1.0)
+                factor = max(factor, self._node_factor.get(src, 1.0))
+                factor = max(factor, self._node_factor.get(dst, 1.0))
+                base *= factor
         jitter = base * p.jitter_frac * self._rng.random()
         return base + jitter
 
@@ -179,9 +180,10 @@ class Network:
         src: str,
         dst: str,
         nbytes: int,
-        deliver: Callable[[], None],
+        deliver: Callable[..., None],
+        *args: Any,
     ) -> bool:
-        """Schedule ``deliver()`` after the modeled delay.
+        """Schedule ``deliver(*args)`` after the modeled delay.
 
         Returns False (and drops the message) if either endpoint is dead
         or the link is partitioned — the caller is *not* told, matching
@@ -189,19 +191,17 @@ class Network:
         responsibility of the sender.
         """
         self.messages_sent += 1
-        if src in self._dead or dst in self._dead or (src, dst) in self._cut:
+        dead = self._dead
+        if (dead and (src in dead or dst in dead)) or (self._cut and (src, dst) in self._cut):
             self.messages_dropped += 1
             return False
-        if (
-            self.params.loss_rate > 0.0
-            and src != dst
-            and self._rng.random() < self.params.loss_rate
-        ):
+        p = self.params
+        # RNG draws, in this order: loss, jitter, reorder, duplicate
+        if p.loss_rate > 0.0 and src != dst and self._rng.random() < p.loss_rate:
             self.messages_dropped += 1
             return False
         self.bytes_sent += nbytes
         delay = self.delay(src, dst, nbytes)
-        p = self.params
         if src != dst:
             if p.reorder_rate > 0.0 and self._rng.random() < p.reorder_rate:
                 # hold the message back so later traffic overtakes it
@@ -210,7 +210,7 @@ class Network:
             if p.duplicate_rate > 0.0 and self._rng.random() < p.duplicate_rate:
                 self.messages_duplicated += 1
                 self.sim.call_later(
-                    delay + p.reorder_delay * self._rng.random(), deliver
+                    delay + p.reorder_delay * self._rng.random(), deliver, *args
                 )
-        self.sim.call_later(delay, deliver)
+        self.sim.call_later(delay, deliver, *args)
         return True

@@ -10,12 +10,15 @@ Fig 12-style experiments — it is emergent, not scripted.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Tuple
+from typing import Any, Callable, Deque, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.sim.kernel import SimFuture, Simulator
+from repro.sim.kernel import Simulator
 
-__all__ = ["Server", "Pipe"]
+__all__ = ["Server"]
+
+#: a queued job: (demand, completion callback or None, its arguments)
+_Job = Tuple[float, Optional[Callable[..., None]], Tuple[Any, ...]]
 
 
 class Server:
@@ -36,7 +39,7 @@ class Server:
         #: Chaos ``slow_node`` faults set it; 1.0 restores full speed.
         self.slowdown = 1.0
         self._in_service = 0
-        self._queue: Deque[Tuple[float, SimFuture]] = deque()
+        self._queue: Deque[_Job] = deque()
         # stats
         self.busy_time = 0.0
         self.completions = 0
@@ -61,35 +64,35 @@ class Server:
             return 0.0
         return self.busy_time / (elapsed * self.capacity)
 
-    def submit(self, demand: float) -> SimFuture:
-        """Enqueue a job needing ``demand`` seconds of service.
+    def submit(self, demand: float, fn: Optional[Callable[..., None]] = None,
+               *args: Any) -> None:
+        """Enqueue a job needing ``demand`` seconds of service; when its
+        service completes, run ``fn(*args)`` (``fn=None``: nothing runs).
 
-        Returns a future resolved when service completes.  Zero-demand
-        jobs still traverse the queue, preserving FIFO order.
+        Zero-demand jobs still traverse the queue, preserving FIFO order.
         """
         if demand < 0:
             raise SimulationError(f"negative service demand: {demand}")
         demand *= self.slowdown
-        fut = self.sim.create_future()
         if self._in_service < self.capacity:
-            self._start(demand, fut)
+            self._start(demand, fn, args)
         else:
-            self._queue.append((demand, fut))
+            self._queue.append((demand, fn, args))
             self.max_queue = max(self.max_queue, len(self._queue))
-        return fut
 
-    def _start(self, demand: float, fut: SimFuture) -> None:
+    def _start(self, demand: float, fn: Optional[Callable[..., None]], args: tuple) -> None:
         self._in_service += 1
         self.busy_time += demand
-        self.sim.call_later(demand, self._finish, fut)
+        self.sim.call_later(demand, self._finish, fn, args)
 
-    def _finish(self, fut: SimFuture) -> None:
+    def _finish(self, fn: Optional[Callable[..., None]], args: tuple) -> None:
         self._in_service -= 1
         self.completions += 1
+        # the next queued job is scheduled before this one's callback runs
         if self._queue and self._in_service < self.capacity:
-            demand, nxt = self._queue.popleft()
-            self._start(demand, nxt)
-        fut.set_result(None)
+            self._start(*self._queue.popleft())
+        if fn is not None:
+            fn(*args)
 
     def drain_stats(self) -> dict:
         """Snapshot and reset counters (used between measurement windows)."""
@@ -102,28 +105,3 @@ class Server:
         self.completions = 0
         self.max_queue = 0
         return stats
-
-
-class Pipe:
-    """A serial link with fixed bandwidth (bytes/sec).
-
-    Models NIC serialization delay: transfers queue behind each other.
-    Used by the network model for bulk recovery traffic where bandwidth,
-    not latency, dominates (Fig 16 recovery windows).
-    """
-
-    def __init__(self, sim: Simulator, bandwidth: float, name: str = "pipe"):
-        if bandwidth <= 0:
-            raise SimulationError(f"bandwidth must be positive, got {bandwidth}")
-        self.sim = sim
-        self.bandwidth = bandwidth
-        self.name = name
-        self._server = Server(sim, capacity=1, name=name)
-        self.bytes_sent = 0
-
-    def transfer(self, nbytes: int) -> SimFuture:
-        """Occupy the link for ``nbytes / bandwidth`` seconds."""
-        if nbytes < 0:
-            raise SimulationError(f"negative transfer size: {nbytes}")
-        self.bytes_sent += nbytes
-        return self._server.submit(nbytes / self.bandwidth)

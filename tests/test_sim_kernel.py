@@ -63,6 +63,50 @@ def test_timer_cancellation():
     assert handle.cancelled
 
 
+def test_call_later_passes_its_arguments():
+    sim = Simulator()
+    seen = []
+    sim.call_later(1.0, lambda a, b: seen.append((a, b, sim.now)), "a", 2)
+    sim.run()
+    assert seen == [("a", 2, 1.0)]
+
+
+def test_timer_handle_reports_when_and_cancels():
+    sim = Simulator()
+    fired = []
+    sim.call_later(1.0, lambda: None)
+    sim.run()
+    handle = sim.call_later(2.5, fired.append, "x")
+    other = sim.call_at(4.0, fired.append, "y")
+    assert handle.when == 3.5 and other.when == 4.0
+    assert not handle.cancelled
+    handle.cancel()
+    handle.cancel()  # idempotent
+    assert handle.cancelled and not other.cancelled
+    sim.run()
+    assert fired == ["y"]
+
+
+def test_armed_events_name_the_callable():
+    class Node:
+        def beat(self, n):
+            pass
+
+    def tick():
+        pass
+
+    tick.timer_label = "heartbeat"
+    sim = Simulator()
+    node = Node()
+    sim.call_later(2.0, node.beat, 7)
+    sim.call_later(1.0, tick)
+    sim.call_later(3.0, print, "unused").cancel()
+    assert sim.armed_events() == [
+        (1.0, "heartbeat"),
+        (2.0, "test_armed_events_name_the_callable.<locals>.Node.beat"),
+    ]
+
+
 def test_run_until_leaves_clock_at_deadline():
     sim = Simulator()
     sim.call_later(1.0, lambda: None)

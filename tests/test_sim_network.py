@@ -56,6 +56,63 @@ def test_kill_drops_messages_both_directions():
     assert net.messages_dropped == 2
 
 
+def test_send_passes_arguments_to_deliver():
+    sim = Simulator()
+    net = make_net(sim, one_way_latency=1e-3, jitter_frac=0.0)
+    arrived = []
+    net.send("a", "b", 0, lambda x, y: arrived.append((x, y)), "m", 1)
+    sim.run()
+    assert arrived == [("m", 1)]
+
+
+def test_kill_after_fault_free_sends_drops():
+    """Faults armed after traffic has flowed must still be honoured."""
+    sim = Simulator()
+    net = make_net(sim)
+    arrived = []
+    for i in range(5):
+        assert net.send("a", "b", 0, arrived.append, i)
+    net.kill("b")
+    assert not net.send("a", "b", 0, arrived.append, "to-dead")
+    assert not net.send("b", "a", 0, arrived.append, "from-dead")
+    assert net.send("a", "c", 0, arrived.append, "bystander")
+    sim.run()
+    assert sorted(arrived, key=str) == [0, 1, 2, 3, 4, "bystander"]
+    assert net.messages_dropped == 2
+
+
+def test_partition_after_fault_free_sends_drops():
+    sim = Simulator()
+    net = make_net(sim)
+    for _ in range(5):
+        assert net.send("a", "b", 0, lambda: None)
+    net.cut_oneway("a", "b")
+    assert not net.send("a", "b", 0, lambda: pytest.fail("crossed a cut link"))
+    assert net.send("b", "a", 0, lambda: None)
+    net.heal_oneway("a", "b")
+    assert net.send("a", "b", 0, lambda: None)
+    sim.run()
+    assert net.messages_dropped == 1
+
+
+def test_latency_factor_after_fault_free_sends_applies():
+    sim = Simulator()
+    net = make_net(sim, one_way_latency=1e-3, jitter_frac=0.0)
+    arrived = []
+    net.send("a", "b", 0, lambda: arrived.append(sim.now))
+    sim.run()
+    net.set_link_factor("a", "b", 4.0)
+    start = sim.now
+    net.send("a", "b", 0, lambda: arrived.append(sim.now - start))
+    sim.run()
+    net.clear_degradations()
+    net.set_node_factor("b", 2.0)
+    start = sim.now
+    net.send("a", "b", 0, lambda: arrived.append(sim.now - start))
+    sim.run()
+    assert arrived == [pytest.approx(1e-3), pytest.approx(4e-3), pytest.approx(2e-3)]
+
+
 def test_revive_restores_delivery():
     sim = Simulator()
     net = make_net(sim)

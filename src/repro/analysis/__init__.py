@@ -1,7 +1,7 @@
 """Static + runtime correctness tooling for the reproduction.
 
-Three cooperating passes guard the properties the rest of the repo
-relies on but nothing else enforces:
+Five static passes guard the properties the rest of the repo relies on
+but nothing else enforces, plus one runtime detector:
 
 * :mod:`repro.analysis.lint` — AST determinism linter (wall clock,
   global/ad-hoc RNG, unordered set iteration, ``hash()``/``id()``
@@ -9,9 +9,6 @@ relies on but nothing else enforces:
 * :mod:`repro.analysis.conformance` — static exhaustiveness check of
   the string-typed actor protocol (sent-but-never-handled,
   registered-but-never-sent, expected-response-missing);
-* :mod:`repro.analysis.races` — opt-in runtime detector for
-  same-timestamp events whose order over one actor is fixed only by
-  heap insertion sequence, plus a tie-order perturbation helper;
 * :mod:`repro.analysis.commitpoints` — static commit-point analysis of
   the write paths (ack-before-durable / ack-before-replication), whose
   waiver table doubles as the per-combo durability contract consumed by
@@ -21,13 +18,25 @@ relies on but nothing else enforces:
   retry-idempotency, config-epoch fencing), built on the
   :mod:`repro.analysis.cfg` walker that inlines RPC callbacks and
   timer continuations; seeded must-fail defects live in
-  :mod:`repro.analysis.flowdefects`.
-
-On top of those sit the model-checking modules (imported directly, not
-re-exported here, so ``import repro.analysis`` stays light):
-
+  :mod:`repro.analysis.flowdefects`;
 * :mod:`repro.analysis.summaries` — static per-handler read/write
-  footprints, the commutativity evidence for partial-order reduction;
+  footprints, the commutativity evidence for the model checker's
+  partial-order reduction;
+* :mod:`repro.analysis.races` — opt-in runtime detector for
+  same-timestamp events whose order over one actor is fixed only by
+  heap insertion sequence, plus a tie-order perturbation helper.
+
+The static passes share one :class:`~repro.analysis.source.SourceIndex`:
+each module is parsed once, and the index owns the trees and pragmas,
+the one class table (bases, methods, defining file, ancestry, method
+resolution, ``register`` and ``Pump`` bindings), flat per-function
+facts, and the one pragma/allowlist/waiver/dedup finding filter.  The
+passes are queries over it; :func:`run_lint` builds one index and hands
+each pass its slice of the tree.
+
+The model checker sits on top (imported directly, not re-exported
+here, so ``import repro.analysis`` stays light):
+
 * :mod:`repro.analysis.statespace` — the controlled-scheduler cluster,
   scenario scope bounds and checker clients;
 * :mod:`repro.analysis.explore` — exhaustive DFS with sleep sets +
@@ -41,9 +50,10 @@ run in CI before the test and soak jobs.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Union
 
 from repro.analysis.commitpoints import (
+    COMMIT_TREE,
     CONTRACTS,
     CommitContract,
     Waiver,
@@ -56,6 +66,7 @@ from repro.analysis.conformance import ProtocolModel, check_sources, check_tree
 from repro.analysis.flow import (
     FLOW_INJECTION_SOURCES,
     FLOW_RULES,
+    FLOW_TREE,
     FLOW_WAIVERS,
     analyze_flow_sources,
     analyze_flow_tree,
@@ -80,6 +91,7 @@ from repro.analysis.races import (
     RaceReport,
     perturb_ties,
 )
+from repro.analysis.source import SourceIndex, package_root
 
 __all__ = [
     "FINDINGS_SCHEMA",
@@ -113,26 +125,22 @@ __all__ = [
     "perturb_ties",
     "run_lint",
     "package_root",
+    "SourceIndex",
 ]
 
 
-def package_root() -> Path:
-    """Directory of the installed ``repro`` package (the lint target)."""
-    import repro
-
-    return Path(repro.__file__).resolve().parent
-
-
-def run_lint(root: Optional[Path] = None, conformance: bool = True,
-             flow: bool = True) -> List[Finding]:
+def run_lint(root: Union[Path, SourceIndex, None] = None,
+             conformance: bool = True, flow: bool = True) -> List[Finding]:
     """Run the determinism linter, the commit-point pass, the flow
-    passes, and (optionally) the protocol checker over one package
-    tree; returns every finding, suppressed included."""
-    root = package_root() if root is None else Path(root)
-    findings = lint_tree(root)
-    findings.extend(analyze_tree(root))
+    passes, and (optionally) the protocol checker over one package tree
+    (a directory, default the installed package, or an index of it);
+    returns every finding, suppressed included.  Each module is parsed
+    once, whatever the number of passes."""
+    index = SourceIndex.of(root)
+    findings = lint_tree(index)
+    findings.extend(analyze_sources(index.under(*COMMIT_TREE)))
     if flow:
-        findings.extend(analyze_flow_tree(root))
+        findings.extend(analyze_flow_sources(index.under(*FLOW_TREE)))
     if conformance:
-        findings.extend(check_tree(root).findings())
+        findings.extend(check_sources(index).findings())
     return findings

@@ -34,36 +34,34 @@ exempt, because local-data joins re-fire until the fall-through arm
 runs.  This keeps fan-in completion counters from producing false
 leaks while still catching ``if err is None: release()``.
 
-Class collection, ancestry and method resolution are shared with the
-handler-summary pass (:mod:`repro.analysis.summaries`) so every static
-analyzer sees the same class universe.
+Class collection, ancestry and method resolution come from the shared
+:class:`~repro.analysis.source.SourceIndex`, so every static analyzer
+sees the same class universe.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.analysis.summaries import (
-    _ancestry,
-    _collect_classes,
+from repro.analysis.source import (
+    PATH_CAP,
+    Closure,
+    SourceIndex,
+    arg_or_kw,
+    const_str,
+    kwarg,
+    self_attr,
 )
 
 __all__ = [
     "Step",
     "Path",
-    "Closure",
     "PumpBinding",
-    "ClassTable",
     "FlowWalker",
     "walk_method",
 ]
-
-#: fork explosion guard, same order of magnitude as the commit-point
-#: analyzer's cap: beyond this many concurrent paths the walker keeps
-#: the first ``_PATH_CAP`` (real handlers stay well under it).
-_PATH_CAP = 192
 
 #: emitting methods of the actor fabric (``callback=`` = continuation).
 _EMITS = {"send", "call", "respond", "forward", "redirect", "datalet_call"}
@@ -77,17 +75,16 @@ _DRAIN_METHODS = {"pop", "popleft", "clear"}
 class Step:
     """One observable event on an execution path.
 
-    Kinds: ``flag-set``/``flag-clear`` (busy-token transitions;
-    per-key dict flags get an ``[]`` suffix), ``append``/``drain``/
-    ``requeue``/``bound`` (queue discipline), ``pump-new``/
-    ``pump-push``/``pump-requeue`` (:class:`repro.core.controlet.Pump`
-    usage), ``emit``/``respond`` (message out; detail =
-    ``primitive:type``), ``defer`` (timer arm; ``closure`` = the
-    continuation), ``rid-strip`` (dedup identity dropped from a
-    payload), ``done-call`` (a pump issue callable invoking its
-    completion continuation), ``attr-assign`` (other self-attribute
-    store), ``reenter`` (cycle-guarded re-entry of a frame already on
-    the inline stack).
+    Kinds: ``flag-set``/``flag-clear`` (busy-token transitions),
+    ``append``/``drain``/``requeue``/``bound`` (queue discipline),
+    ``pump-new``/``pump-push``/``pump-requeue``
+    (:class:`repro.core.controlet.Pump` usage), ``emit``/``respond``
+    (message out; detail = ``primitive:type``), ``defer`` (timer arm;
+    ``closure`` = the continuation), ``rid-strip`` (dedup identity
+    dropped from a payload), ``done-call`` (a pump issue callable
+    invoking its completion continuation), ``attr-assign`` (other
+    self-attribute store), ``reenter`` (cycle-guarded re-entry of a
+    frame already on the inline stack).
     """
 
     kind: str
@@ -105,26 +102,6 @@ class Path:
     #: from liveness obligations — the join re-fires until the
     #: fall-through arm runs.
     abandoned: bool = False
-
-
-class Closure:
-    """A statically known callable: a local ``def``/``lambda`` or a
-    bound self-method reference, with its defining environment."""
-
-    __slots__ = ("node", "env", "name", "file")
-
-    def __init__(self, node: ast.AST, env: Dict[str, Any],
-                 name: str = "", file: str = ""):
-        self.node = node
-        self.env = env
-        self.name = name or getattr(node, "name", "<lambda>")
-        self.file = file
-
-    def params(self) -> List[str]:
-        args = getattr(self.node, "args", None)
-        if args is None:
-            return []
-        return [a.arg for a in args.args if a.arg != "self"]
 
 
 class _Alias:
@@ -165,35 +142,6 @@ class PumpBinding:
     file: str
 
 
-class ClassTable:
-    """Shared class universe: collection + file attribution."""
-
-    def __init__(self, sources: Iterable[Tuple[str, str]]):
-        sources = list(sources)
-        self.classes = _collect_classes(sources)
-        self.files: Dict[str, str] = {}
-        for rel, source in sources:
-            tree = ast.parse(source)
-            for node in ast.walk(tree):
-                if isinstance(node, ast.ClassDef):
-                    self.files[node.name] = rel
-
-    def ancestry(self, cls: str) -> List[str]:
-        return _ancestry(self.classes, cls)
-
-    def resolve(self, cls: str, method: str):
-        """``(funcdef, defining_class)`` along the ancestry, or
-        ``(None, None)``."""
-        for ancestor in self.ancestry(cls):
-            c = self.classes.get(ancestor)
-            if c is not None and method in c.methods:
-                return c.methods[method], ancestor
-        return None, None
-
-    def file_of(self, cls: str) -> str:
-        return self.files.get(cls, "<unknown>")
-
-
 class _Ctx:
     """One in-flight path during the walk."""
 
@@ -217,29 +165,6 @@ class _Ctx:
         return c
 
 
-def _const_str(node: Optional[ast.expr]) -> Optional[str]:
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    return None
-
-
-def _arg_or_kw(call: ast.Call, pos: int, kw: str) -> Optional[ast.expr]:
-    if len(call.args) > pos:
-        return call.args[pos]
-    for k in call.keywords:
-        if k.arg == kw:
-            return k.value
-    return None
-
-
-def _self_attr(node: ast.expr) -> Optional[str]:
-    """``self.X`` -> ``X``."""
-    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
-            and node.value.id == "self":
-        return node.attr
-    return None
-
-
 def _is_empty_container(node: ast.expr) -> bool:
     if isinstance(node, ast.Dict):
         return not node.keys
@@ -257,7 +182,7 @@ def looks_like_flag(attr: str) -> bool:
 class FlowWalker:
     """Path extraction for one method, with interprocedural inlining."""
 
-    def __init__(self, table: ClassTable, cls: str):
+    def __init__(self, table: SourceIndex, cls: str):
         self.table = table
         self.cls = cls
         #: (class, method) frames currently inlined (cycle guard).
@@ -270,19 +195,7 @@ class FlowWalker:
     # -- entry points ---------------------------------------------------
     def walk(self, funcdef, seed_env: Optional[Dict[str, Any]] = None) -> List[Path]:
         """Linearize a method body into paths."""
-        ctx = _Ctx()
-        for a in funcdef.args.args:
-            if a.arg != "self":
-                ctx.env[a.arg] = CBPARAM
-        if seed_env:
-            ctx.env.update(seed_env)
-        frame = (self.cls, getattr(funcdef, "name", "<lambda>"))
-        self.active.add(frame)
-        try:
-            done = self._walk_block(list(funcdef.body), [ctx])
-        finally:
-            self.active.discard(frame)
-        return [Path(steps=c.steps, abandoned=c.abandoned) for c in done]
+        return self.walk_closure(Closure(funcdef, {}), seed_env)
 
     def walk_closure(self, closure: Closure,
                      seed_env: Optional[Dict[str, Any]] = None) -> List[Path]:
@@ -297,19 +210,10 @@ class FlowWalker:
         saved_file = self._file
         if closure.file:
             self._file = closure.file
-        node = closure.node
-        if isinstance(node, ast.Lambda):
-            body: List[ast.stmt] = []
-            if isinstance(node.body, ast.Call):
-                expr = ast.Expr(value=node.body)
-                ast.copy_location(expr, node.body)
-                body = [expr]
-        else:
-            body = list(node.body)
         key = (self.cls, closure.name)
         self.active.add(key)
         try:
-            done = self._walk_block(body, [ctx])
+            done = self._walk_block(closure.body(), [ctx])
         finally:
             self.active.discard(key)
             self._file = saved_file
@@ -329,8 +233,8 @@ class FlowWalker:
                     nxt.append(ctx)
                     continue
                 nxt.extend(self._walk_stmt(stmt, ctx))
-                if len(nxt) >= _PATH_CAP:
-                    nxt = nxt[:_PATH_CAP]
+                if len(nxt) >= PATH_CAP:
+                    nxt = nxt[:PATH_CAP]
                     break
             ctxs = nxt
         return ctxs
@@ -398,7 +302,7 @@ class FlowWalker:
     def _assign_one(self, target: ast.expr, value: ast.expr,
                     stmt: ast.stmt, ctx: _Ctx) -> None:
         line = stmt.lineno
-        attr = _self_attr(target)
+        attr = self_attr(target)
         if attr is not None:
             self._assign_self_attr(attr, value, line, ctx)
             return
@@ -412,17 +316,9 @@ class FlowWalker:
                                      and lower.value == 0):
                     # queue[:0] = batch — retry-requeue at the front
                     ctx.steps.append(self._step("requeue", base_attr, line))
-                return
-            if isinstance(value, ast.Constant) and value.value is True \
-                    and looks_like_flag(base_attr):
-                # per-key flag dict (e.g. _peer_busy[peer_id] = True)
-                ctx.steps.append(self._step("flag-set", base_attr + "[]", line))
-            elif isinstance(value, ast.Constant) and value.value is False \
-                    and looks_like_flag(base_attr):
-                ctx.steps.append(self._step("flag-clear", base_attr + "[]", line))
             return
         if isinstance(target, ast.Name):
-            src_attr = _self_attr(value)
+            src_attr = self_attr(value)
             if src_attr is not None:
                 ctx.env[target.id] = _Alias(src_attr)
                 return
@@ -478,7 +374,7 @@ class FlowWalker:
 
     def _record_pump(self, attr: str, call: ast.Call, line: int,
                      ctx: _Ctx) -> None:
-        issue = self._resolve_callable(_arg_or_kw(call, 0, "issue"), ctx)
+        issue = self._resolve_callable(arg_or_kw(call, 0, "issue"), ctx)
         self.pumps.append(PumpBinding(
             cls=self.cls, attr=attr, issue=issue, line=line, file=self._file))
         ctx.steps.append(self._step("pump-new", attr, line))
@@ -491,7 +387,7 @@ class FlowWalker:
             base_attr = self._container_attr(target.value, ctx)
             if base_attr is not None:
                 ctx.steps.append(self._step("drain", base_attr, stmt.lineno))
-            elif _const_str(target.slice) == "rid":
+            elif const_str(target.slice) == "rid":
                 ctx.steps.append(self._step("rid-strip", "", stmt.lineno))
         return [ctx]
 
@@ -501,7 +397,7 @@ class FlowWalker:
         chasing local aliases and subscript chains."""
         while isinstance(node, ast.Subscript):
             node = node.value
-        attr = _self_attr(node)
+        attr = self_attr(node)
         if attr is not None:
             return attr
         if isinstance(node, ast.Name):
@@ -515,7 +411,7 @@ class FlowWalker:
         container (or an element sharing its lifetime) under a local."""
         func = call.func
         if isinstance(func, ast.Attribute) and func.attr in ("setdefault", "get"):
-            base_attr = _self_attr(func.value)
+            base_attr = self_attr(func.value)
             if base_attr is not None:
                 return _Alias(base_attr)
         return None
@@ -531,7 +427,7 @@ class FlowWalker:
             if isinstance(bound, Closure):
                 return bound
             return None
-        attr = _self_attr(node)
+        attr = self_attr(node)
         if attr is not None:
             funcdef, owner = self.table.resolve(self.cls, attr)
             if funcdef is not None:
@@ -542,12 +438,12 @@ class FlowWalker:
                  assigned: bool = False) -> List[_Ctx]:
         func = call.func
         # self.<method>(...) -----------------------------------------------
-        attr = _self_attr(func) if isinstance(func, ast.Attribute) else None
+        attr = self_attr(func) if isinstance(func, ast.Attribute) else None
         if attr is not None:
             if attr in _EMITS:
                 return self._do_emit(attr, call, ctx)
             if attr == "set_timer":
-                cb = self._resolve_callable(_arg_or_kw(call, 1, "callback"), ctx)
+                cb = self._resolve_callable(arg_or_kw(call, 1, "callback"), ctx)
                 ctx.steps.append(self._step("defer", attr, call.lineno, cb))
                 return [ctx]
             return self._do_self_call(attr, call, ctx)
@@ -558,7 +454,7 @@ class FlowWalker:
                 return self._do_container_call(base_attr, func.attr, call, ctx)
             # local.pop("rid") — dedup identity stripped off a payload
             if func.attr == "pop" and call.args \
-                    and _const_str(call.args[0]) == "rid":
+                    and const_str(call.args[0]) == "rid":
                 ctx.steps.append(self._step("rid-strip", "", call.lineno))
                 return [ctx]
             return self._inline_closure_args(call, ctx)
@@ -574,12 +470,11 @@ class FlowWalker:
 
     def _do_emit(self, kind: str, call: ast.Call, ctx: _Ctx) -> List[_Ctx]:
         if kind == "datalet_call":
-            msg_type = _const_str(_arg_or_kw(call, 0, "type"))
+            msg_type = const_str(arg_or_kw(call, 0, "type"))
         else:
-            msg_type = _const_str(_arg_or_kw(call, 1, "type"))
+            msg_type = const_str(arg_or_kw(call, 1, "type"))
         step_kind = "respond" if kind == "respond" else "emit"
-        cb_expr = next((k.value for k in call.keywords if k.arg == "callback"),
-                       None)
+        cb_expr = kwarg(call, "callback")
         detail = f"{kind}:{msg_type or '?'}" + ("+cb" if cb_expr else "")
         ctx.steps.append(self._step(step_kind, detail, call.lineno))
         cb = self._resolve_callable(cb_expr, ctx)
@@ -632,7 +527,7 @@ class FlowWalker:
             if resolved is not None:
                 env[name] = resolved
                 continue
-            src_attr = _self_attr(expr)
+            src_attr = self_attr(expr)
             if src_attr is not None:
                 env[name] = _Alias(src_attr)
             elif isinstance(expr, ast.Name) and expr.id in ctx.env:
@@ -692,16 +587,7 @@ class FlowWalker:
             self.in_callback = True
         if closure.file:
             self._file = closure.file
-        node = closure.node
-        if isinstance(node, ast.Lambda):
-            body: List[ast.stmt] = []
-            if isinstance(node.body, ast.Call):
-                expr = ast.Expr(value=node.body)
-                ast.copy_location(expr, node.body)
-                body = [expr]
-        else:
-            body = list(node.body)
-        done = self._walk_block(body, [ctx])
+        done = self._walk_block(closure.body(), [ctx])
         out = []
         for c in done:
             c.env = dict(saved_env)
@@ -782,7 +668,7 @@ class FlowWalker:
 
     def _is_strict_test(self, test: ast.expr, ctx: _Ctx) -> bool:
         for node in ast.walk(test):
-            if _self_attr(node) is not None:
+            if self_attr(node) is not None:
                 return True
             if isinstance(node, ast.Name) \
                     and isinstance(ctx.env.get(node.id), _CbParam):
@@ -790,7 +676,7 @@ class FlowWalker:
         return False
 
 
-def walk_method(table: ClassTable, cls: str, funcdef,
+def walk_method(table: SourceIndex, cls: str, funcdef,
                 seed_env: Optional[Dict[str, Any]] = None,
                 ) -> Tuple[List[Path], List[PumpBinding]]:
     """Walk one method in the dispatch context of ``cls``; returns the

@@ -66,11 +66,21 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.findings import Finding
-from repro.analysis.lint import DEFAULT_ALLOWLIST, _allowed_by_list, _parse_pragmas
-from repro.analysis.summaries import DATALET_READ_OPS, _pump_bindings
+from repro.analysis.source import (
+    PATH_CAP,
+    Closure,
+    Raw,
+    SourceIndex,
+    arg_or_kw,
+    const_str,
+    is_self,
+    kwarg,
+    self_attr,
+)
+from repro.analysis.summaries import DATALET_READ_OPS
 
 __all__ = [
     "REPL_TYPES",
@@ -100,8 +110,8 @@ REPL_TYPES = {"chain_put_batch", "replicate", "peer_apply",
 #: e.g. the baseline ``P2PNode`` — is out of the durability contract.
 _ANALYZED_BASES = ("Controlet", "DataletActor")
 
-_PATH_CAP = 192
-
+#: the protocol portion of the package :func:`analyze_tree` covers.
+COMMIT_TREE = ("core/", "datalet/")
 
 # ----------------------------------------------------------------------
 # The per-combo durability contract
@@ -221,62 +231,6 @@ def ack_durable_for(combo: str, wal_sync_every: int = 1) -> bool:
 
 
 # ----------------------------------------------------------------------
-# class table (with file attribution, unlike summaries._collect_classes)
-# ----------------------------------------------------------------------
-
-@dataclass
-class _Cls:
-    name: str
-    bases: List[str]
-    methods: Dict[str, ast.AST]
-    file: str
-
-
-def _collect(sources: Iterable[Tuple[str, str]]) -> Dict[str, _Cls]:
-    out: Dict[str, _Cls] = {}
-    for rel, source in sources:
-        tree = ast.parse(source)
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            bases = [
-                b.id if isinstance(b, ast.Name) else getattr(b, "attr", "")
-                for b in node.bases
-            ]
-            methods = {
-                item.name: item
-                for item in node.body
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-            }
-            out[node.name] = _Cls(node.name, bases, methods, rel)
-    return out
-
-
-def _ancestry(classes: Dict[str, _Cls], cls: str) -> List[str]:
-    order: List[str] = []
-    seen: Set[str] = set()
-    stack = [cls]
-    while stack:
-        cur = stack.pop(0)
-        if cur in seen:
-            continue
-        seen.add(cur)
-        order.append(cur)
-        if cur in classes:
-            stack.extend(classes[cur].bases)
-    return order
-
-
-def _resolve(classes: Dict[str, _Cls], cls: str, name: str):
-    """(funcdef, defining file) along the name-based base chain."""
-    for anc in _ancestry(classes, cls):
-        c = classes.get(anc)
-        if c is not None and name in c.methods:
-            return c.methods[name], c.file
-    return None, None
-
-
-# ----------------------------------------------------------------------
 # effect-trace tracer
 # ----------------------------------------------------------------------
 
@@ -292,20 +246,13 @@ class _Effect:
     awaited_durable: bool = False                     # acks: durable cover
 
 
-@dataclass
-class _Callable:
-    node: ast.AST              # FunctionDef | Lambda
-    env: Dict[str, object]
-    file: str
-
-
 class _PathCtx:
     __slots__ = ("effects", "env", "deferred", "armed")
 
     def __init__(self):
         self.effects: List[_Effect] = []
         self.env: Dict[str, object] = {}
-        # queue of ("call", _Callable) | ("arm-then", _Callable, line, file)
+        # queue of ("call", Closure) | ("arm-then", Closure, line, file)
         #          | ("arm-default", line, file)
         self.deferred: List[tuple] = []
         self.armed: Set[int] = set()
@@ -328,39 +275,13 @@ class _Frame:
     deferred: bool = False      # inside a timer/arm deferred execution
 
 
-def _contains_settle(node: ast.AST) -> bool:
-    for sub in ast.walk(node):
-        if (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
-                and sub.func.attr == "settle"):
-            return True
-    return False
-
-
-def _const_str(node: Optional[ast.expr]):
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    return None
-
-
-def _arg_or_kw(call: ast.Call, pos: int, kw: str) -> Optional[ast.expr]:
-    if len(call.args) > pos:
-        return call.args[pos]
-    for k in call.keywords:
-        if k.arg == kw:
-            return k.value
-    return None
-
-
 def _is_wal_test(test: ast.expr):
     """``self.wal is not None`` -> "present"; ``self.wal is None`` ->
     "absent"; anything else -> None (fork both arms)."""
     if (isinstance(test, ast.Compare) and len(test.ops) == 1
             and isinstance(test.comparators[0], ast.Constant)
             and test.comparators[0].value is None
-            and isinstance(test.left, ast.Attribute)
-            and test.left.attr == "wal"
-            and isinstance(test.left.value, ast.Name)
-            and test.left.value.id == "self"):
+            and self_attr(test.left) == "wal"):
         if isinstance(test.ops[0], ast.IsNot):
             return "present"
         if isinstance(test.ops[0], ast.Is):
@@ -371,8 +292,8 @@ def _is_wal_test(test: ast.expr):
 class _Tracer:
     """Path-forking walk of one entry handler on one concrete class."""
 
-    def __init__(self, classes: Dict[str, _Cls], cls: str, entry: str):
-        self.classes = classes
+    def __init__(self, index: SourceIndex, cls: str, entry: str):
+        self.index = index
         self.cls = cls
         self.entry = entry
         self._eid = 0
@@ -380,9 +301,14 @@ class _Tracer:
         #: ``self.<attr> = Pump(self.<issue>)`` bindings: pushing onto a
         #: pump runs its issue callable, which is where the write path
         #: continues.
-        self._pumps = _pump_bindings(classes, cls)
+        self._pumps = index.pumps(cls)
 
     # -- helpers -------------------------------------------------------
+
+    def _resolve(self, cls: str, name: str):
+        """(funcdef, defining file) along ``cls``'s ancestry."""
+        fn, owner = self.index.resolve(cls, name)
+        return fn, (self.index.file_of(owner) if fn is not None else None)
 
     def _next(self) -> int:
         self._eid += 1
@@ -396,26 +322,26 @@ class _Tracer:
         return e
 
     def _ack(self, ctx, frame, node, desc) -> None:
-        ctx.effects.append(_Effect(
-            kinds={"ack"}, eid=self._next(), file=frame.file,
-            line=getattr(node, "lineno", 0), desc=desc,
-            deferred=frame.deferred, covered=set(frame.covered),
-            awaited_durable=frame.awaited_durable))
+        e = self._effect(ctx, frame, node, {"ack"}, desc)
+        e.covered, e.awaited_durable = set(frame.covered), frame.awaited_durable
 
-    def _resolve_callable(self, node, ctx, frame) -> Optional[_Callable]:
+    def _repl(self, ctx, frame, node, msg_type, verb) -> _Effect:
+        kinds = ({"repl", "durable"}
+                 if msg_type in ("log_append", "log_append_batch") else {"repl"})
+        return self._effect(ctx, frame, node, kinds, f"{verb}({msg_type})")
+
+    def _resolve_callable(self, node, ctx, frame) -> Optional[Closure]:
         if isinstance(node, ast.Lambda):
-            return _Callable(node, dict(ctx.env), frame.file)
+            return Closure(node, dict(ctx.env), file=frame.file)
         if isinstance(node, ast.Name):
             val = ctx.env.get(node.id)
-            if isinstance(val, _Callable):
+            if isinstance(val, Closure):
                 return val
             return None
-        if (isinstance(node, ast.Attribute)
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "self"):
-            fn, file = _resolve(self.classes, frame.cls, node.attr)
+        if self_attr(node) is not None:
+            fn, file = self._resolve(frame.cls, node.attr)
             if fn is not None:
-                return _Callable(fn, {}, file)
+                return Closure(fn, {}, file=file)
         return None
 
     # -- statement walk ------------------------------------------------
@@ -429,12 +355,12 @@ class _Tracer:
                     nxt.append((c, status))
                     continue
                 nxt.extend(self._walk_stmt(stmt, c, frame))
-            outs = nxt[:_PATH_CAP]
+            outs = nxt[:PATH_CAP]
         return outs
 
     def _walk_stmt(self, stmt, ctx, frame):
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            ctx.env[stmt.name] = _Callable(stmt, dict(ctx.env), frame.file)
+            ctx.env[stmt.name] = Closure(stmt, dict(ctx.env), file=frame.file)
             return [(ctx, "fell")]
         if isinstance(stmt, ast.Expr):
             if isinstance(stmt.value, ast.Call):
@@ -477,7 +403,7 @@ class _Tracer:
         names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
         if isinstance(value, ast.Lambda):
             for n in names:
-                ctx.env[n] = _Callable(value, dict(ctx.env), frame.file)
+                ctx.env[n] = Closure(value, dict(ctx.env), file=frame.file)
             return [(ctx, "fell")]
         if isinstance(value, ast.Name) and value.id in ctx.env:
             for n in names:
@@ -500,7 +426,7 @@ class _Tracer:
         results = []
         for b in branches:
             results.extend(self._walk_block(b, ctx.clone(), frame))
-        return results[:_PATH_CAP]
+        return results[:PATH_CAP]
 
     def _do_try(self, stmt, ctx, frame):
         # fork 1: body runs to completion; fork N: body ran fully, then
@@ -517,32 +443,30 @@ class _Tracer:
                         self._walk_block(list(stmt.finalbody), c, frame))
                 else:
                     results.append((c, st))
-        return results[:_PATH_CAP]
+        return results[:PATH_CAP]
 
     # -- calls ---------------------------------------------------------
 
     def _do_call(self, node, ctx, frame):
         f = node.func
         if isinstance(f, ast.Attribute):
-            base = f.value
-            if isinstance(base, ast.Name) and base.id == "self":
+            if is_self(f.value):
                 return self._do_self_call(node, f.attr, ctx, frame)
-            if (isinstance(base, ast.Attribute)
-                    and isinstance(base.value, ast.Name)
-                    and base.value.id == "self"):
-                if base.attr == "wal" and f.attr in (
+            owner = self_attr(f.value)
+            if owner is not None:
+                if owner == "wal" and f.attr in (
                         "append", "sync", "install_snapshot"):
                     self._effect(ctx, frame, node, {"durable"},
                                  f"self.wal.{f.attr}()")
-                elif f.attr == "push" and base.attr in self._pumps:
+                elif f.attr == "push" and owner in self._pumps:
                     return self._do_self_call(
-                        node, self._pumps[base.attr], ctx, frame)
+                        node, self._pumps[owner], ctx, frame)
                 return [(ctx, "fell")]
             # request-completion convention on any other receiver
             return self._do_completion(node, f.attr, ctx, frame)
         if isinstance(f, ast.Name):
             target = ctx.env.get(f.id)
-            if isinstance(target, _Callable):
+            if isinstance(target, Closure):
                 return self._inline_callable(target, node, ctx, frame)
             return [(ctx, "fell")]
         return [(ctx, "fell")]
@@ -551,20 +475,17 @@ class _Tracer:
         if attr == "ack":
             self._ack(ctx, frame, node, ".ack()")
         elif attr == "finish":
-            t = _const_str(_arg_or_kw(node, 0, "type"))
+            t = const_str(arg_or_kw(node, 0, "type"))
             # a dynamic type forwards a (usually successful) upstream
             # response — the completion convention makes it an ack
             if t != "error":
                 self._ack(ctx, frame, node,
                           f".finish({t!r})" if t else ".finish(<dynamic>)")
         elif attr == "arm":
-            then = None
-            for k in node.keywords:
-                if k.arg == "then":
-                    then = k.value
+            then = kwarg(node, "then")
             if then is None and len(node.args) > 1:
                 then = node.args[1]
-            cb = self._resolve_callable(then, ctx, frame) if then is not None else None
+            cb = self._resolve_callable(then, ctx, frame)
             if cb is not None:
                 ctx.deferred.append(("arm-then", cb,
                                      getattr(node, "lineno", 0), frame.file))
@@ -576,12 +497,12 @@ class _Tracer:
 
     def _do_self_call(self, node, attr, ctx, frame):
         if attr in ("respond",):
-            t = _const_str(_arg_or_kw(node, 1, "type"))
+            t = const_str(arg_or_kw(node, 1, "type"))
             if t is not None and t != "error":
                 self._ack(ctx, frame, node, f'self.respond(_, "{t}")')
             return [(ctx, "fell")]
         if attr == "datalet_call" and not self._overridden(frame.cls, attr):
-            op = _const_str(_arg_or_kw(node, 0, "type"))
+            op = const_str(arg_or_kw(node, 0, "type"))
             effect = None
             if op is None or op not in DATALET_READ_OPS:
                 effect = self._effect(
@@ -589,32 +510,22 @@ class _Tracer:
                     f"datalet_call({op or '<dynamic>'})")
             return self._after_emit(node, ctx, frame, effect)
         if attr == "call":
-            t = _const_str(_arg_or_kw(node, 1, "type"))
-            effect = None
-            if t in REPL_TYPES:
-                kinds = ({"repl", "durable"}
-                         if t in ("log_append", "log_append_batch")
-                         else {"repl"})
-                effect = self._effect(ctx, frame, node, kinds, f"call({t})")
+            t = const_str(arg_or_kw(node, 1, "type"))
+            effect = (self._repl(ctx, frame, node, t, "call")
+                      if t in REPL_TYPES else None)
             return self._after_emit(node, ctx, frame, effect)
         if attr == "send":
-            t = _const_str(_arg_or_kw(node, 1, "type"))
-            tgt = _arg_or_kw(node, 0, "target")
+            t = const_str(arg_or_kw(node, 1, "type"))
+            tgt = arg_or_kw(node, 0, "target")
             if t in REPL_TYPES:
-                kinds = ({"repl", "durable"}
-                         if t in ("log_append", "log_append_batch")
-                         else {"repl"})
-                self._effect(ctx, frame, node, kinds, f"send({t})")
-            elif (isinstance(tgt, ast.Attribute) and tgt.attr == "datalet"
-                    and isinstance(tgt.value, ast.Name)
-                    and tgt.value.id == "self"
+                self._repl(ctx, frame, node, t, "send")
+            elif (self_attr(tgt) == "datalet"
                     and (t is None or t not in DATALET_READ_OPS)):
                 self._effect(ctx, frame, node, {"durable"},
                              f"send(self.datalet, {t or '<dynamic>'})")
             return [(ctx, "fell")]
         if attr == "set_timer":
-            cb_node = _arg_or_kw(node, 1, "callback")
-            cb = self._resolve_callable(cb_node, ctx, frame) if cb_node is not None else None
+            cb = self._resolve_callable(arg_or_kw(node, 1, "callback"), ctx, frame)
             if cb is not None:
                 ctx.deferred.append(("call", cb))
             return [(ctx, "fell")]
@@ -636,26 +547,20 @@ class _Tracer:
             #   effects (the local apply).  Skipping this fork would
             #   hide injections that defer the apply and ack at the
             #   tail.
-            cb_node = _arg_or_kw(node, 1, "done")
-            cb = (self._resolve_callable(cb_node, ctx, frame)
-                  if cb_node is not None else None)
+            cb = self._resolve_callable(arg_or_kw(node, 1, "done"), ctx, frame)
             tail_ctx = ctx.clone()
             effect = self._effect(ctx, frame, node, {"repl"},
                                   "enqueue_down(chain_put_batch)")
             if cb is None:
                 return [(ctx, "fell")]
-            results = []
             sub = replace(frame, file=cb.file,
                           covered=frame.covered | {effect.eid},
                           awaited_durable=True)
-            for c, st in self._walk_callable(cb, ctx, sub):
-                results.append((c, "fell" if st == "return" else st))
-            tail_sub = replace(frame, file=cb.file)
-            for c, st in self._walk_callable(cb, tail_ctx, tail_sub):
-                results.append((c, "fell" if st == "return" else st))
-            return results
+            return (self._walk_callable(cb, ctx, sub)
+                    + self._walk_callable(cb, tail_ctx,
+                                          replace(frame, file=cb.file)))
         # generic same-class helper: inline with parameter binding
-        fn, file = _resolve(self.classes, frame.cls, attr)
+        fn, file = self._resolve(frame.cls, attr)
         if fn is None:
             return [(ctx, "fell")]
         key = (frame.cls, attr)
@@ -675,32 +580,24 @@ class _Tracer:
                     v = self._resolve_callable(k.value, ctx, frame)
                     if v is not None:
                         env[k.arg] = v
-            sub = replace(frame, file=file)
-            results = []
-            for c, st in self._walk_sub(fn.body, ctx, env, sub):
-                results.append((c, "fell" if st == "return" else st))
-            return results
+            return self._walk_sub(fn.body, ctx, env, replace(frame, file=file))
         finally:
             self._inline.discard(key)
 
     def _overridden(self, cls, attr) -> bool:
         """A subclass replaced the framework primitive ``attr``: the
         override is protocol code and is traced like any helper."""
-        fn, _file = _resolve(self.classes, cls, attr)
-        base = self.classes.get("Controlet")
+        fn, _owner = self.index.resolve(cls, attr)
+        base = self.index.classes.get("Controlet")
         return (fn is not None and base is not None
                 and fn is not base.methods.get(attr))
 
     def _after_emit(self, node, ctx, frame, effect):
         """Inline an emit's completion callback with awaited tokens."""
-        cb_node = None
-        for k in node.keywords:
-            if k.arg == "callback":
-                cb_node = k.value
-        cb = self._resolve_callable(cb_node, ctx, frame) if cb_node is not None else None
+        cb = self._resolve_callable(kwarg(node, "callback"), ctx, frame)
         if cb is None:
             return [(ctx, "fell")]
-        if effect is not None and _contains_settle(cb.node):
+        if effect is not None and "settle" in self.index.facts(cb.node).calls:
             ctx.armed.add(effect.eid)
         covered = frame.covered
         awaited = frame.awaited_durable
@@ -711,43 +608,30 @@ class _Tracer:
             awaited = True
         sub = replace(frame, file=cb.file, covered=covered,
                       awaited_durable=awaited)
-        results = []
-        for c, st in self._walk_callable(cb, ctx, sub):
-            results.append((c, "fell" if st == "return" else st))
-        return results
+        return self._walk_callable(cb, ctx, sub)
 
     def _inline_callable(self, target, node, ctx, frame):
         """A bound closure called by name (e.g. ``body()`` inside the
         DLM lock grant)."""
-        sub = replace(frame, file=target.file)
-        results = []
-        for c, st in self._walk_callable(target, ctx, sub):
-            results.append((c, "fell" if st == "return" else st))
-        return results
+        return self._walk_callable(target, ctx,
+                                   replace(frame, file=target.file))
 
-    def _walk_callable(self, cb: _Callable, ctx, frame):
+    def _walk_callable(self, cb: Closure, ctx, frame):
         env = dict(cb.env)
-        node = cb.node
-        if isinstance(node, ast.Lambda):
-            for a in node.args.args:
-                env.pop(a.arg, None)
-            body = [ast.Expr(value=node.body)]
-        else:
-            for a in node.args.args:
-                env.pop(a.arg, None)
-            body = list(node.body)
-        return self._walk_sub(body, ctx, env, frame)
+        for p in cb.params():
+            env.pop(p, None)
+        return self._walk_sub(cb.body(), ctx, env, frame)
 
     def _walk_sub(self, body, ctx, env, frame):
         """Walk a nested frame: swap ``env`` in, restore the caller's
-        bindings on every resulting path."""
+        bindings on every resulting path; the frame's ``return``
+        resumes the caller."""
         saved = ctx.env
         ctx.env = env
-        results = self._walk_block(body, ctx, frame)
         out = []
-        for c, st in results:
+        for c, st in self._walk_block(body, ctx, frame):
             c.env = saved if c is ctx else dict(saved)
-            out.append((c, st))
+            out.append((c, "fell" if st == "return" else st))
         ctx.env = saved
         return out
 
@@ -756,7 +640,7 @@ class _Tracer:
     def _drain(self, ctx) -> List[_PathCtx]:
         out: List[_PathCtx] = []
         stack = [ctx]
-        while stack and len(out) < _PATH_CAP:
+        while stack and len(out) < PATH_CAP:
             c = stack.pop()
             if not c.deferred:
                 out.append(c)
@@ -786,7 +670,7 @@ class _Tracer:
     # -- top level -----------------------------------------------------
 
     def trace(self, method: str) -> List[_PathCtx]:
-        fn, file = _resolve(self.classes, self.cls, method)
+        fn, file = self._resolve(self.cls, method)
         if fn is None:
             return []
         self._inline.add((self.cls, method))
@@ -796,43 +680,18 @@ class _Tracer:
         paths: List[_PathCtx] = []
         for c, _st in self._walk_block(list(fn.body), ctx, frame):
             paths.extend(self._drain(c))
-        return paths[:_PATH_CAP]
+        return paths[:PATH_CAP]
 
 
 # ----------------------------------------------------------------------
 # entry discovery + rule evaluation
 # ----------------------------------------------------------------------
 
-def _registrations(classes: Dict[str, _Cls], cls: str) -> Dict[str, str]:
-    """msg type -> handler method, most-derived registration winning."""
-    bindings: Dict[str, str] = {}
-    for anc in _ancestry(classes, cls):
-        c = classes.get(anc)
-        if c is None:
-            continue
-        for m in c.methods.values():
-            for node in ast.walk(m):
-                if not (isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Attribute)
-                        and node.func.attr == "register"
-                        and isinstance(node.func.value, ast.Name)
-                        and node.func.value.id == "self"
-                        and len(node.args) >= 2):
-                    continue
-                t = _const_str(node.args[0])
-                h = node.args[1]
-                if (t is not None and isinstance(h, ast.Attribute)
-                        and isinstance(h.value, ast.Name)
-                        and h.value.id == "self"):
-                    bindings.setdefault(t, h.attr)
-    return bindings
-
-
-def _entries(classes: Dict[str, _Cls], cls: str) -> Dict[str, str]:
+def _entries(index: SourceIndex, cls: str) -> Dict[str, str]:
     """Write-path entry methods for a concrete class."""
     out: Dict[str, str] = {}
-    for t, method in _registrations(classes, cls).items():
-        if t not in WRITE_CHAIN_TYPES:
+    for t, method in index.handlers(cls).items():
+        if t not in WRITE_CHAIN_TYPES or method in ("<lambda>", "<dynamic>"):
             continue
         if method == "_client_op":
             # the generic dispatcher resolves put/del onto handle_* hooks
@@ -843,24 +702,10 @@ def _entries(classes: Dict[str, _Cls], cls: str) -> Dict[str, str]:
     return out
 
 
-@dataclass
-class _Raw:
-    file: str
-    line: int
-    rule: str
-    message: str
-    waived_by: Optional[Waiver] = None
-
-
-def _evaluate(classes: Dict[str, _Cls], cls: str,
-              waivers: Sequence[Waiver]) -> List[_Raw]:
-    raws: List[_Raw] = []
-    ancestry = set(_ancestry(classes, cls))
-    applicable = {
-        (w.rule): w for w in waivers if w.cls in ancestry
-    }
-    for msg_type, method in sorted(_entries(classes, cls).items()):
-        tracer = _Tracer(classes, cls, msg_type)
+def _evaluate(index: SourceIndex, cls: str) -> List[Raw]:
+    raws: List[Raw] = []
+    for msg_type, method in sorted(_entries(index, cls).items()):
+        tracer = _Tracer(index, cls, msg_type)
         for path in tracer.trace(method):
             for i, e in enumerate(path.effects):
                 if "ack" not in e.kinds:
@@ -870,83 +715,47 @@ def _evaluate(classes: Dict[str, _Cls], cls: str,
                     for p in path.effects[:i]
                 )
                 if not (durable_prefix or e.awaited_durable):
-                    raws.append(_Raw(
+                    raws.append(Raw(
                         e.file, e.line, "ack-before-durable",
                         f"{cls} [{msg_type}]: client ack ({e.desc}) can "
                         "precede every durable effect on this path — a "
                         "crash right after the ack loses an acknowledged "
-                        "write",
-                        waived_by=applicable.get("ack-before-durable"),
-                    ))
+                        "write", cls))
                 uncovered = sorted({
                     p.desc for p in path.effects
                     if "repl" in p.kinds and p.eid not in e.covered
                 })
                 if uncovered:
-                    raws.append(_Raw(
+                    raws.append(Raw(
                         e.file, e.line, "ack-before-replication",
                         f"{cls} [{msg_type}]: ack ({e.desc}) does not "
                         f"await replication effect(s) "
-                        f"{', '.join(uncovered)} issued on this path",
-                        waived_by=applicable.get("ack-before-replication"),
-                    ))
+                        f"{', '.join(uncovered)} issued on this path", cls))
     return raws
 
 
 def analyze_sources(
-    sources: List[Tuple[str, str]],
+    sources,
     allowlist: Optional[Dict[str, Set[str]]] = None,
     waivers: Sequence[Waiver] = ALL_WAIVERS,
 ) -> List[Finding]:
-    """Run the commit-point pass over ``(rel_path, source)`` pairs."""
-    allowlist = DEFAULT_ALLOWLIST if allowlist is None else allowlist
-    classes = _collect(sources)
-    src_by_file = dict(sources)
-    pragmas = {rel: _parse_pragmas(src) for rel, src in sources}
-
-    raws: List[_Raw] = []
-    for cls in sorted(classes):
-        anc = _ancestry(classes, cls)
-        if not any(any(b in a for b in _ANALYZED_BASES) for a in anc):
-            continue
-        raws.extend(_evaluate(classes, cls, waivers))
-
-    # dedup (forked paths and sibling classes rediscover the same ack);
-    # an unsuppressed occurrence outranks a waived one
-    best: Dict[Tuple[str, int, str], Finding] = {}
-    for raw in raws:
-        if raw.file not in src_by_file:
-            continue  # ack inherited from a file outside this run
-        line_rules = (pragmas[raw.file].get(raw.line, set())
-                      | pragmas[raw.file].get(raw.line - 1, set()))
-        file_allowed = _allowed_by_list(raw.file, allowlist)
-        suppressed = (raw.rule in file_allowed or raw.rule in line_rules
-                      or "*" in line_rules)
-        message = raw.message
-        if raw.waived_by is not None:
-            suppressed = True
-            message += (f" [contract waiver: {raw.waived_by.condition} — "
-                        f"{raw.waived_by.reason}]")
-        finding = Finding(path=raw.file, line=raw.line, rule=raw.rule,
-                          message=message, suppressed=suppressed)
-        key = (raw.file, raw.line, raw.rule)
-        prev = best.get(key)
-        if prev is None or (prev.suppressed and not suppressed):
-            best[key] = finding
-    return sorted(best.values(), key=lambda f: (f.path, f.line, f.rule))
+    """Run the commit-point pass over ``(rel_path, source)`` pairs or a
+    :class:`SourceIndex`."""
+    index = SourceIndex.of(sources)
+    raws: List[Raw] = []
+    for cls in sorted(index.classes):
+        anc = index.ancestry(cls)
+        if any(any(b in a for b in _ANALYZED_BASES) for a in anc):
+            raws.extend(_evaluate(index, cls))
+    # forked paths and sibling classes rediscover the same ack
+    return index.findings(raws, allowlist, waivers, tag="contract waiver")
 
 
 def analyze_tree(root: Path,
                  allowlist: Optional[Dict[str, Set[str]]] = None) -> List[Finding]:
     """Commit-point findings for the protocol portion of the package
-    (``core/`` + ``datalet/`` — injection subclasses under ``analysis/``
+    (:data:`COMMIT_TREE` — injection subclasses under ``analysis/``
     are analyzed only when passed to :func:`analyze_sources` directly,
     e.g. by the seeded must-fail regression test)."""
-    root = Path(root)
-    files: List[Path] = []
-    for sub in ("core", "datalet"):
-        d = root / sub
-        if d.is_dir():
-            files.extend(sorted(d.glob("*.py")))
-    sources = [(p.relative_to(root).as_posix(), p.read_text()) for p in files]
-    return analyze_sources(sources, allowlist=allowlist)
+    return analyze_sources(SourceIndex.from_root(root, *COMMIT_TREE),
+                           allowlist=allowlist)

@@ -40,16 +40,21 @@ checks rather than guessed at.
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.findings import Finding
+from repro.analysis.source import (
+    Site,
+    SourceIndex,
+    call_name,
+    const_str,
+    is_self,
+    kwarg,
+)
 
 __all__ = ["ProtocolModel", "check_tree", "check_sources"]
-
-_EXTERNAL_PRAGMA = re.compile(r"#\s*protocol:\s*external\b")
 
 #: methods that put their message-type argument on the wire, with the
 #: positional index of that argument (``self`` excluded).  These are the
@@ -79,25 +84,6 @@ class _Forwarder:
 
 
 @dataclass
-class _CallSite:
-    method: str
-    args: List[Tuple[str, Optional[str]]]  # ("const"|"param"|"other", value)
-    keywords: Dict[str, Tuple[str, Optional[str]]]
-    cls: str
-    func: str  # enclosing function name ("" at module level)
-    func_params: List[str]  # enclosing function's params (self stripped)
-    path: str
-    line: int
-
-    def resolve(self, index: int, name: str) -> Tuple[str, Optional[str]]:
-        if name in self.keywords:
-            return self.keywords[name]
-        if 0 <= index < len(self.args):
-            return self.args[index]
-        return ("other", None)
-
-
-@dataclass
 class ProtocolModel:
     """Everything the checker learned about the message protocol."""
 
@@ -110,11 +96,6 @@ class ProtocolModel:
     external: Set[str] = field(default_factory=set)
     #: send/register sites whose type expression could not be resolved
     unresolved: List[Use] = field(default_factory=list)
-    #: class -> message type -> handler method name ("<lambda>"/"<dynamic>"
-    #: when the registration is not a plain bound method).  Consumed by
-    #: :mod:`repro.analysis.summaries` to pair each message type with the
-    #: method whose state footprint decides commutativity.
-    handler_methods: Dict[str, Dict[str, str]] = field(default_factory=dict)
 
     def _add(self, table: Dict[str, List[Use]], use: Use) -> bool:
         uses = table.setdefault(use.type, [])
@@ -173,230 +154,127 @@ class ProtocolModel:
         return out
 
 
-class _Collector(ast.NodeVisitor):
-    def __init__(self, rel_path: str, model: ProtocolModel,
-                 forwarders: Dict[str, List[_Forwarder]],
-                 sites: List[_CallSite], external_lines: Set[int]):
-        self.rel = rel_path
-        self.model = model
-        self.forwarders = forwarders
-        self.sites = sites
-        self.external_lines = external_lines
-        self._cls: List[str] = []
-        self._func: List[Tuple[str, List[str]]] = []
-        self._loop_consts: List[Dict[str, List[str]]] = [{}]
+def _classify(node: Optional[ast.expr], site: Site) -> Tuple[str, Optional[str]]:
+    """``("const"|"param"|"other", value)`` of a type expression."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return ("const", node.value)
+    if isinstance(node, ast.Name) and node.id in site.params:
+        return ("param", node.id)
+    return ("other", None)
 
-    # -- context tracking ----------------------------------------------
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self._cls.append(node.name)
-        self.generic_visit(node)
-        self._cls.pop()
 
-    def _visit_func(self, node) -> None:
-        params = [a.arg for a in node.args.args if a.arg != "self"]
-        self._func.append((node.name, params))
-        self.generic_visit(node)
-        self._func.pop()
+def _argument(site: Site, index: int, name: str) -> Tuple[str, Optional[str]]:
+    """Keyword ``name`` or positional ``index`` of a call, classified."""
+    call = site.node
+    expr = kwarg(call, name)
+    if expr is None and 0 <= index < len(call.args):
+        expr = call.args[index]
+    return _classify(expr, site)
 
-    visit_FunctionDef = _visit_func
-    visit_AsyncFunctionDef = _visit_func
 
-    def visit_For(self, node: ast.For) -> None:
-        consts: Optional[List[str]] = None
-        if isinstance(node.iter, (ast.Tuple, ast.List, ast.Set)) and node.iter.elts:
-            if all(
-                isinstance(e, ast.Constant) and isinstance(e.value, str)
-                for e in node.iter.elts
-            ):
-                consts = [e.value for e in node.iter.elts]
-        if consts is not None and isinstance(node.target, ast.Name):
-            self._loop_consts.append(
-                dict(self._loop_consts[-1], **{node.target.id: consts})
-            )
-            self.generic_visit(node)
-            self._loop_consts.pop()
-        else:
-            self.generic_visit(node)
+def _use(site: Site, type: str) -> Use:
+    return Use(type=type, cls=site.cls, path=site.path, line=site.node.lineno)
 
-    # -- helpers --------------------------------------------------------
-    @property
-    def _cur_cls(self) -> str:
-        return self._cls[-1] if self._cls else f"<module {self.rel}>"
 
-    @property
-    def _cur_func(self) -> Tuple[str, List[str]]:
-        return self._func[-1] if self._func else ("", [])
+def _forward(forwarders: Dict[str, List[_Forwarder]], site: Site,
+             param: str, kind: str) -> bool:
+    """The function enclosing ``site`` puts its parameter ``param`` on
+    the wire; True when that is news."""
+    fwd = _Forwarder(method=site.func, param=param,
+                     index=site.params.index(param), kind=kind)
+    bucket = forwarders.setdefault(site.func, [])
+    if fwd in bucket:
+        return False
+    bucket.append(fwd)
+    return True
 
-    def _classify(self, node: ast.expr) -> Tuple[str, Optional[str]]:
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            return ("const", node.value)
-        if isinstance(node, ast.Name) and node.id in self._cur_func[1]:
-            return ("param", node.id)
-        return ("other", None)
 
-    def _use(self, type: str, line: int) -> Use:
-        return Use(type=type, cls=self._cur_cls, path=self.rel, line=line)
+def _wire(model: ProtocolModel, forwarders: Dict[str, List[_Forwarder]],
+          site: Site, index: int, table: str) -> None:
+    """A seed send/respond: record a constant type, or make the
+    enclosing function a forwarder of the parameter it puts on the wire."""
+    call = site.node
+    positional = index < len(call.args)
+    expr = call.args[index] if positional else kwarg(call, "type")
+    if expr is None:
+        return
+    kind, value = _classify(expr, site)
+    if kind == "const":
+        model._add(getattr(model, table), _use(site, value))
+    elif kind == "param":
+        _forward(forwarders, site, value, table)
+    else:
+        dump = ast.dump(expr if positional else call)[:40]
+        model.unresolved.append(_use(site, f"{table}:{dump}"))
 
-    # -- the interesting nodes -----------------------------------------
-    def visit_Call(self, node: ast.Call) -> None:
-        if isinstance(node.func, ast.Attribute):
-            mname = node.func.attr
-            on_self = isinstance(node.func.value, ast.Name) and node.func.value.id == "self"
-        elif isinstance(node.func, ast.Name):
-            mname = node.func.id
-            on_self = False
-        else:
-            self.generic_visit(node)
-            return
 
-        if mname == "register" and node.args:
-            self._handle_register(node)
-        elif on_self and mname in _SEND_SEEDS:
-            self._handle_wire(node, _SEND_SEEDS[mname], "sent")
-        elif on_self and mname in _RESPOND_SEEDS:
-            self._handle_wire(node, _RESPOND_SEEDS[mname], "responded")
-
-        # every call is a potential forwarder call site
-        self.sites.append(_CallSite(
-            method=mname,
-            args=[self._classify(a) for a in node.args],
-            keywords={
-                kw.arg: self._classify(kw.value)
-                for kw in node.keywords if kw.arg is not None
-            },
-            cls=self._cur_cls,
-            func=self._cur_func[0],
-            func_params=list(self._cur_func[1]),
-            path=self.rel,
-            line=node.lineno,
-        ))
-        self.generic_visit(node)
-
-    def _handle_register(self, node: ast.Call) -> None:
-        arg = node.args[0]
-        kind, value = self._classify(arg)
-        if kind == "const":
-            types = [value]
-        elif isinstance(arg, ast.Name) and arg.id in self._loop_consts[-1]:
-            types = self._loop_consts[-1][arg.id]
-        else:
-            self.model.unresolved.append(self._use(f"register:{ast.dump(arg)[:40]}", node.lineno))
-            return
-        handler = "<dynamic>"
-        if len(node.args) > 1:
-            h = node.args[1]
-            if (
-                isinstance(h, ast.Attribute)
-                and isinstance(h.value, ast.Name)
-                and h.value.id == "self"
-            ):
-                handler = h.attr
-            elif isinstance(h, ast.Lambda):
-                handler = "<lambda>"
-        per_cls = self.model.handler_methods.setdefault(self._cur_cls, {})
-        for t in types:
-            self.model._add(self.model.registered, self._use(t, node.lineno))
-            per_cls.setdefault(t, handler)
-            if node.lineno in self.external_lines:
-                self.model.external.add(t)
-
-    def _handle_wire(self, node: ast.Call, index: int, table: str) -> None:
-        if index < len(node.args):
-            kind, value = self._classify(node.args[index])
-        elif "type" in {kw.arg for kw in node.keywords}:
-            kind, value = self._classify(
-                next(kw.value for kw in node.keywords if kw.arg == "type")
-            )
-        else:
-            return
-        if kind == "const":
-            self.model._add(getattr(self.model, table), self._use(value, node.lineno))
-        elif kind == "param":
-            fname = self._cur_func[0]
-            fwd = _Forwarder(
-                method=fname, param=value,
-                index=self._cur_func[1].index(value),
-                kind=table,
-            )
-            bucket = self.forwarders.setdefault(fname, [])
-            if fwd not in bucket:
-                bucket.append(fwd)
-        else:
-            self.model.unresolved.append(
-                self._use(f"{table}:{ast.dump(node.args[index] if index < len(node.args) else node)[:40]}",
-                          node.lineno))
-
-    def visit_Compare(self, node: ast.Compare) -> None:
-        """Collect ``resp.type == "x"`` / ``in ("x", "y")`` patterns."""
-        if (
-            isinstance(node.left, ast.Attribute)
-            and node.left.attr == "type"
-            and len(node.comparators) == 1
-        ):
-            comp = node.comparators[0]
-            values: List[str] = []
-            if isinstance(comp, ast.Constant) and isinstance(comp.value, str):
-                values = [comp.value]
-            elif isinstance(comp, (ast.Tuple, ast.List, ast.Set)):
-                values = [
-                    e.value for e in comp.elts
-                    if isinstance(e, ast.Constant) and isinstance(e.value, str)
-                ]
-            for v in values:
-                self.model._add(self.model.expected, self._use(v, node.lineno))
-        self.generic_visit(node)
+def _expect(model: ProtocolModel, site: Site) -> None:
+    """Collect ``resp.type == "x"`` / ``in ("x", "y")`` patterns."""
+    node = site.node
+    if not (isinstance(node.left, ast.Attribute) and node.left.attr == "type"
+            and len(node.comparators) == 1):
+        return
+    comp = node.comparators[0]
+    values: List[str] = []
+    if const_str(comp) is not None:
+        values = [comp.value]
+    elif isinstance(comp, (ast.Tuple, ast.List, ast.Set)):
+        values = [e.value for e in comp.elts if const_str(e) is not None]
+    for v in values:
+        model._add(model.expected, _use(site, v))
 
 
 def _propagate(model: ProtocolModel, forwarders: Dict[str, List[_Forwarder]],
-               sites: List[_CallSite]) -> None:
+               calls: List[Site]) -> None:
     """Run constant propagation through forwarder call chains to a
     fixpoint (chains are short; the bound is just a safety net)."""
     for _ in range(12):
         changed = False
-        for site in sites:
-            for fwd in forwarders.get(site.method, []):
-                kind, value = site.resolve(fwd.index, fwd.param)
+        for site in calls:
+            for fwd in forwarders.get(call_name(site.node), []):
+                kind, value = _argument(site, fwd.index, fwd.param)
                 if kind == "const":
-                    table = getattr(model, fwd.kind)
-                    use = Use(type=value, cls=site.cls, path=site.path, line=site.line)
-                    changed |= model._add(table, use)
-                elif kind == "param" and value in site.func_params:
-                    new = _Forwarder(
-                        method=site.func, param=value,
-                        index=site.func_params.index(value),
-                        kind=fwd.kind,
-                    )
-                    bucket = forwarders.setdefault(site.func, [])
-                    if new not in bucket:
-                        bucket.append(new)
-                        changed = True
+                    changed |= model._add(getattr(model, fwd.kind),
+                                          _use(site, value))
+                elif kind == "param":
+                    changed |= _forward(forwarders, site, value, fwd.kind)
         if not changed:
             return
 
 
-def check_sources(
-    sources: Iterable[Tuple[str, str]],
-) -> ProtocolModel:
-    """Analyze ``(rel_path, source)`` pairs as one protocol universe."""
+def check_sources(sources) -> ProtocolModel:
+    """Analyze ``(rel_path, source)`` pairs (or a :class:`SourceIndex`)
+    as one protocol universe."""
+    index = SourceIndex.of(sources)
     model = ProtocolModel()
+    for reg in index.registrations:
+        if reg.types is None:
+            model.unresolved.append(Use(
+                f"register:{ast.dump(reg.expr)[:40]}", reg.cls, reg.path, reg.line))
+        for t in reg.types or ():
+            model._add(model.registered, Use(t, reg.cls, reg.path, reg.line))
+            if reg.external:
+                model.external.add(t)
     forwarders: Dict[str, List[_Forwarder]] = {}
-    sites: List[_CallSite] = []
-    for rel, source in sources:
-        external_lines = {
-            lineno
-            for lineno, text in enumerate(source.splitlines(), start=1)
-            if _EXTERNAL_PRAGMA.search(text)
-        }
-        tree = ast.parse(source)
-        _Collector(rel, model, forwarders, sites, external_lines).visit(tree)
-    _propagate(model, forwarders, sites)
+    calls: List[Site] = []  # every call is a potential forwarder call site
+    for site in index.sites:
+        node = site.node
+        if isinstance(node, ast.Compare):
+            _expect(model, site)
+            continue
+        if call_name(node) is None:
+            continue
+        calls.append(site)
+        if isinstance(node.func, ast.Attribute) and is_self(node.func.value):
+            if node.func.attr in _SEND_SEEDS:
+                _wire(model, forwarders, site, _SEND_SEEDS[node.func.attr], "sent")
+            elif node.func.attr in _RESPOND_SEEDS:
+                _wire(model, forwarders, site,
+                      _RESPOND_SEEDS[node.func.attr], "responded")
+    _propagate(model, forwarders, calls)
     return model
 
 
-def check_tree(root: Path, files: Optional[Iterable[Path]] = None) -> ProtocolModel:
+def check_tree(root: Path) -> ProtocolModel:
     """Conformance-check every ``*.py`` under the package root."""
-    root = Path(root)
-    targets = sorted(files) if files is not None else sorted(root.rglob("*.py"))
-    return check_sources(
-        (p.relative_to(root).as_posix(), p.read_text()) for p in targets
-    )
+    return check_sources(SourceIndex.from_root(root))

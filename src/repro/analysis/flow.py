@@ -44,9 +44,10 @@ These passes check the idioms statically, on every path:
     ``_install_shard``.  A stale config install resurrects a retired
     replica set.
 
-Suppression follows the house rules: ``# lint: allow[<rule>]`` pragmas
-on the finding line or the line above, plus declared
-:class:`~repro.analysis.commitpoints.Waiver` entries in
+Suppression is the shared index filter
+(:meth:`~repro.analysis.source.SourceIndex.findings`): ``# lint:
+allow[<rule>]`` pragmas on the finding line or the line above, plus
+declared :class:`~repro.analysis.commitpoints.Waiver` entries in
 :data:`FLOW_WAIVERS` (rendered into the message so the justification
 is auditable in ``--show-suppressed`` output).
 """
@@ -58,19 +59,10 @@ from dataclasses import dataclass
 from pathlib import Path as _FsPath
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.cfg import (
-    DONE,
-    ClassTable,
-    Closure,
-    FlowWalker,
-    Path,
-    PumpBinding,
-    Step,
-    looks_like_flag,
-)
+from repro.analysis.cfg import DONE, FlowWalker, Path, PumpBinding, Step
 from repro.analysis.commitpoints import REPL_TYPES, Waiver
 from repro.analysis.findings import Finding
-from repro.analysis.lint import _parse_pragmas
+from repro.analysis.source import PUSH_METHODS, Closure, Raw, SourceIndex
 
 __all__ = [
     "FLOW_RULES",
@@ -127,31 +119,21 @@ FLOW_INJECTION_SOURCES = [
     "analysis/flowdefects.py",
 ]
 
-
-@dataclass
-class _Raw:
-    file: str
-    line: int
-    rule: str
-    message: str
-    cls: str
-    waived_by: Optional[Waiver] = None
+#: the protocol portion of the package :func:`analyze_flow_tree` covers:
+#: the controlet cores, the shared log, membership/migration, and the
+#: pipelined client.
+FLOW_TREE = ("core/", "sharedlog/", "cluster/", "client/pipeline.py")
 
 
 # ----------------------------------------------------------------------
 # shared helpers
 # ----------------------------------------------------------------------
 
-def _is_analyzed(table: ClassTable, cls: str) -> bool:
+def _is_analyzed(index: SourceIndex, cls: str) -> bool:
     if cls in _EXTRA_ANALYZED:
         return True
-    ancestry = table.ancestry(cls)
+    ancestry = index.ancestry(cls)
     return any(base in a for a in ancestry for base in _FLOW_BASES)
-
-
-def _own_methods(table: ClassTable, cls: str):
-    c = table.classes.get(cls)
-    return c.methods if c is not None else {}
 
 
 def _open_flags(steps: Sequence[Step]) -> Dict[str, Step]:
@@ -189,14 +171,10 @@ def _defer_discharges(walker: FlowWalker, closure: Optional[Closure],
     return True
 
 
-def _paths_call_done(walker: FlowWalker, closure: Closure,
-                     depth: int = 0, seen: Optional[Set[int]] = None) -> bool:
+def _paths_call_done(walker: FlowWalker, closure: Closure) -> bool:
     """True when every non-abandoned path of a pump issue callable
-    invokes (or hands off) its ``done`` continuation."""
-    seen = set() if seen is None else seen
-    key = id(closure.node)
-    if depth > _DISCHARGE_DEPTH or key in seen:
-        return True
+    invokes (or hands off) its ``done`` continuation, directly or in a
+    timer continuation it arms."""
     params = closure.params()
     if len(params) < 2:
         return True  # not the (item, done) shape; nothing to check
@@ -217,17 +195,30 @@ def _paths_call_done(walker: FlowWalker, closure: Closure,
     return True
 
 
+#: one walked method: (name, funcdef, paths, Pump constructions seen)
+_Walked = Tuple[str, ast.AST, List[Path], List[PumpBinding]]
+
+
+def _walk_methods(index: SourceIndex, cls: str) -> List[_Walked]:
+    """Every method ``cls`` defines, walked once for all passes."""
+    out: List[_Walked] = []
+    for name, funcdef in sorted(index.methods(cls).items()):
+        walker = FlowWalker(index, cls)
+        out.append((name, funcdef, walker.walk(funcdef), walker.pumps))
+    return out
+
+
 # ----------------------------------------------------------------------
 # pass (a): pump-liveness
 # ----------------------------------------------------------------------
 
-def _check_liveness(table: ClassTable, cls: str) -> List[_Raw]:
-    raws: List[_Raw] = []
+def _check_liveness(index: SourceIndex, cls: str,
+                    walked: List[_Walked]) -> List[Raw]:
+    raws: List[Raw] = []
     pumps: List[PumpBinding] = []
-    for name, funcdef in sorted(_own_methods(table, cls).items()):
-        walker = FlowWalker(table, cls)
-        paths = walker.walk(funcdef)
-        pumps.extend(walker.pumps)
+    walker = FlowWalker(index, cls)  # re-walks timer continuations
+    for name, _funcdef, paths, bindings in walked:
+        pumps.extend(bindings)
         if name == "__init__":
             continue  # construction only declares flags
         for path in paths:
@@ -242,7 +233,7 @@ def _check_liveness(table: ClassTable, cls: str) -> List[_Raw]:
                        for d in defers):
                     continue
                 where = "an RPC callback" if step.in_callback else "a fall-through"
-                raws.append(_Raw(
+                raws.append(Raw(
                     step.file, step.line, "pump-leak",
                     f"{cls}.{name}: busy token self.{attr} acquired here is "
                     f"left latched on {where} path that neither clears it "
@@ -253,10 +244,9 @@ def _check_liveness(table: ClassTable, cls: str) -> List[_Raw]:
     for binding in pumps:
         if binding.issue is None:
             continue
-        walker = FlowWalker(table, cls)
         if not _paths_call_done(walker, binding.issue):
             node = binding.issue.node
-            raws.append(_Raw(
+            raws.append(Raw(
                 binding.issue.file or binding.file,
                 getattr(node, "lineno", binding.line), "pump-leak",
                 f"{cls}: Pump issue callable {binding.issue.name!r} (bound "
@@ -282,13 +272,11 @@ class _QueueEvidence:
     rid_strip_appends: List[Step]
 
 
-def _gather_queue_evidence(table: ClassTable, cls: str) -> _QueueEvidence:
+def _gather_queue_evidence(index: SourceIndex,
+                           walked: List[_Walked]) -> _QueueEvidence:
     ev = _QueueEvidence({}, set(), set(), set(), set(), [], [])
-    for name, funcdef in sorted(_own_methods(table, cls).items()):
-        walker = FlowWalker(table, cls)
-        paths = walker.walk(funcdef)
-        for b in walker.pumps:
-            ev.pump_attrs.add(b.attr)
+    for name, funcdef, paths, bindings in walked:
+        ev.pump_attrs |= {b.attr for b in bindings}
         in_init = name == "__init__"
         for path in paths:
             stripped_since = False
@@ -303,31 +291,20 @@ def _gather_queue_evidence(table: ClassTable, cls: str) -> _QueueEvidence:
                     ev.bounds.add(s.detail)
                 elif s.kind in ("pump-push", "pump-new"):
                     ev.pump_attrs.add(s.detail)
-                elif s.kind == "requeue":
-                    ev.requeues.append(s)
-                elif s.kind == "pump-requeue":
+                elif s.kind in ("requeue", "pump-requeue"):
                     ev.requeues.append(s)
                 elif s.kind == "rid-strip":
                     stripped_since = True
-        # cap checks are branch tests, not steps: flat scan
-        for node in ast.walk(funcdef):
-            if isinstance(node, ast.Compare) \
-                    and isinstance(node.left, ast.Call) \
-                    and isinstance(node.left.func, ast.Name) \
-                    and node.left.func.id == "len" and node.left.args:
-                target = node.left.args[0]
-                if isinstance(target, ast.Attribute) \
-                        and isinstance(target.value, ast.Name) \
-                        and target.value.id == "self":
-                    ev.caps.add(target.attr)
+        # cap checks are branch tests, not steps: a flat fact
+        ev.caps |= index.facts(funcdef).len_caps
     return ev
 
 
-def _merged_evidence(table: ClassTable,
+def _merged_evidence(index: SourceIndex,
                      evidence: Dict[str, _QueueEvidence],
                      cls: str) -> _QueueEvidence:
     merged = _QueueEvidence({}, set(), set(), set(), set(), [], [])
-    for ancestor in table.ancestry(cls):
+    for ancestor in index.ancestry(cls):
         ev = evidence.get(ancestor)
         if ev is None:
             continue
@@ -340,18 +317,16 @@ def _merged_evidence(table: ClassTable,
     return merged
 
 
-def _check_backpressure(table: ClassTable, cls: str,
-                        evidence: Dict[str, _QueueEvidence]) -> List[_Raw]:
-    raws: List[_Raw] = []
+def _check_backpressure(index: SourceIndex, cls: str,
+                        evidence: Dict[str, _QueueEvidence]) -> List[Raw]:
+    raws: List[Raw] = []
     own = evidence[cls]
-    merged = _merged_evidence(table, evidence, cls)
+    merged = _merged_evidence(index, evidence, cls)
     for attr, step in sorted(own.appends.items()):
-        if looks_like_flag(attr):
-            continue  # per-key flag dicts are handled by pump-liveness
         if attr in merged.drains or attr in merged.bounds \
                 or attr in merged.caps or attr in merged.pump_attrs:
             continue
-        raws.append(_Raw(
+        raws.append(Raw(
             step.file, step.line, "unbounded-buffer",
             f"{cls}: self.{attr} is appended here but nothing along the "
             "class ancestry drains, caps (ControlConfig batch knob / "
@@ -359,21 +334,14 @@ def _check_backpressure(table: ClassTable, cls: str,
             "it without bound",
             cls))
     # fire-and-forget replication fan-out
-    for name, funcdef in sorted(_own_methods(table, cls).items()):
-        for node in ast.walk(funcdef):
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "send"
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id == "self"
-                    and len(node.args) >= 2
-                    and isinstance(node.args[1], ast.Constant)
-                    and node.args[1].value in REPL_TYPES):
+    for name, funcdef in sorted(index.methods(cls).items()):
+        for line, msg_type in index.facts(funcdef).sends:
+            if msg_type not in REPL_TYPES:
                 continue
-            raws.append(_Raw(
-                table.file_of(cls), node.lineno, "unthrottled-replication",
+            raws.append(Raw(
+                index.file_of(cls), line, "unthrottled-replication",
                 f"{cls}.{name}: replication fan-out "
-                f"({node.args[1].value!r}) via fire-and-forget send() has "
+                f"({msg_type!r}) via fire-and-forget send() has "
                 "no in-flight bound and no failure signal — route it "
                 "through call(callback=) under a Pump or batch window",
                 cls))
@@ -384,74 +352,38 @@ def _check_backpressure(table: ClassTable, cls: str,
 # pass (c): retry-idempotency
 # ----------------------------------------------------------------------
 
-def _class_has_dedup_gate(table: ClassTable, cls: str) -> bool:
-    for ancestor in table.ancestry(cls):
-        for funcdef in _own_methods(table, ancestor).values():
-            for node in ast.walk(funcdef):
-                if isinstance(node, ast.Attribute) \
-                        and node.attr in (_DEDUP_GATE_ATTRS | _DEDUP_GATE_CALLS):
-                    return True
-    return False
+def _class_has_dedup_gate(index: SourceIndex, cls: str) -> bool:
+    return any(index.facts(fn).attrs & (_DEDUP_GATE_ATTRS | _DEDUP_GATE_CALLS)
+               for ancestor in index.ancestry(cls)
+               for fn in index.methods(ancestor).values())
 
 
-def _enqueue_sites_mention_rid(table: ClassTable, cls: str, attr: str) -> bool:
+def _enqueue_sites_mention_rid(index: SourceIndex, cls: str, attr: str) -> bool:
     """Do the methods that feed ``self.<attr>`` thread a rid into the
-    queued entries?  Flat check over the ancestry: an enqueuing method
-    satisfies it either directly or through one level of caller
-    indirection (``_forward_down`` attaches the rid, ``_enqueue_down``
-    does the append) — the walker already proved the queue/requeue
-    relationship, this only locates the identity."""
-    feeders: Set[str] = set()
-    rid_methods: Set[str] = set()
-    callers: Dict[str, Set[str]] = {}
-    for ancestor in table.ancestry(cls):
-        for name, funcdef in _own_methods(table, ancestor).items():
-            for node in ast.walk(funcdef):
-                if isinstance(node, ast.Call) \
-                        and isinstance(node.func, ast.Attribute) \
-                        and isinstance(node.func.value, ast.Name):
-                    base_name = node.func.value.id
-                    if node.func.attr in ("append", "extend", "insert",
-                                          "appendleft", "push"):
-                        base = node.func.value
-                    else:
-                        base = None
-                    if base_name == "self" and base is None:
-                        # self.helper(...): caller edge
-                        callers.setdefault(node.func.attr, set()).add(name)
-                if isinstance(node, ast.Call) \
-                        and isinstance(node.func, ast.Attribute) \
-                        and node.func.attr in ("append", "extend", "insert",
-                                               "appendleft", "push"):
-                    target = node.func.value
-                    while isinstance(target, ast.Subscript):
-                        target = target.value
-                    if isinstance(target, ast.Attribute) \
-                            and isinstance(target.value, ast.Name) \
-                            and target.value.id == "self" \
-                            and target.attr == attr:
-                        feeders.add(name)
-                if (isinstance(node, ast.Constant) and node.value == "rid") \
-                        or (isinstance(node, ast.Attribute)
-                            and node.attr == "rid"):
-                    rid_methods.add(name)
-    for feeder in feeders:
-        if feeder in rid_methods:
-            return True
-        if any(c in rid_methods for c in callers.get(feeder, ())):
-            return True
-    return False
+    queued entries?  Flat check over the ancestry (methods keyed by
+    name): an enqueuing method satisfies it either directly or through
+    one level of caller indirection (``_forward_down`` attaches the
+    rid, ``_enqueue_down`` does the append) — the walker already proved
+    the queue/requeue relationship, this only locates the identity."""
+    methods = [(name, index.facts(fn))
+               for ancestor in index.ancestry(cls)
+               for name, fn in index.methods(ancestor).items()]
+    feeders = {name for name, f in methods if attr in f.fed}
+    callers = {name for name, f in methods
+               if (f.self_calls - PUSH_METHODS) & feeders}
+    rid = {name for name, f in methods if "rid" in f.attrs or "rid" in f.strings}
+    return bool((feeders | callers) & rid)
 
 
-def _check_retry(table: ClassTable, cls: str,
-                 evidence: Dict[str, _QueueEvidence]) -> List[_Raw]:
-    raws: List[_Raw] = []
+def _check_retry(index: SourceIndex, cls: str,
+                 evidence: Dict[str, _QueueEvidence]) -> List[Raw]:
+    raws: List[Raw] = []
     own = evidence[cls]
-    gated = _class_has_dedup_gate(table, cls)
+    gated = _class_has_dedup_gate(index, cls)
     for step in own.requeues:
         attr = step.detail
         if not gated:
-            raws.append(_Raw(
+            raws.append(Raw(
                 step.file, step.line, "retry-no-dedup",
                 f"{cls}: retry requeue of self.{attr} but no dedup gate "
                 "(begin_write rid cache / _rid_done / sequencer _rid_pos) "
@@ -459,15 +391,15 @@ def _check_retry(table: ClassTable, cls: str,
                 "can apply twice",
                 cls))
             continue
-        if not _enqueue_sites_mention_rid(table, cls, attr):
-            raws.append(_Raw(
+        if not _enqueue_sites_mention_rid(index, cls, attr):
+            raws.append(Raw(
                 step.file, step.line, "retry-no-dedup",
                 f"{cls}: self.{attr} is requeued for retry but its "
                 "enqueue sites never attach a rid — downstream dedup "
                 "gates cannot recognize the re-driven entries",
                 cls))
     for step in own.rid_strip_appends:
-        raws.append(_Raw(
+        raws.append(Raw(
             step.file, step.line, "retry-no-dedup",
             f"{cls}: payload queued into self.{step.detail} after its "
             "rid was stripped on this path — if this entry is re-driven "
@@ -480,17 +412,6 @@ def _check_retry(table: ClassTable, cls: str,
 # pass (d): epoch-guard
 # ----------------------------------------------------------------------
 
-def _mentions_epoch_compare(funcdef) -> bool:
-    for node in ast.walk(funcdef):
-        if isinstance(node, ast.Compare):
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Attribute) and "epoch" in sub.attr:
-                    return True
-                if isinstance(sub, ast.Name) and "epoch" in sub.id:
-                    return True
-    return False
-
-
 #: double-ring routing state a controlet may only install through the
 #: epoch-fenced paths below — a stale broadcast writing these directly
 #: can re-open a committed reshard window.
@@ -498,17 +419,17 @@ _RING_STATE_ATTRS = ("_ring", "_old_ring", "_reshard")
 _RING_INSTALLERS = ("__init__", "_install_shard", "_install_ring")
 
 
-def _check_epoch(table: ClassTable, cls: str) -> List[_Raw]:
-    ancestry = table.ancestry(cls)
-    file = table.file_of(cls)
-    methods = _own_methods(table, cls)
+def _check_epoch(index: SourceIndex, cls: str) -> List[Raw]:
+    ancestry = index.ancestry(cls)
+    file = index.file_of(cls)
+    methods = index.methods(cls)
     if cls == "ClusterView" or any("ClusterView" in a for a in ancestry):
         # the membership view's install() IS the fence every follower
         # relies on: it must compare incoming vs held epoch.
-        raws: List[_Raw] = []
+        raws: List[Raw] = []
         if "install" in methods \
-                and not _mentions_epoch_compare(methods["install"]):
-            raws.append(_Raw(
+                and not index.facts(methods["install"]).epoch_compare:
+            raws.append(Raw(
                 file, methods["install"].lineno, "ring-epoch",
                 f"{cls}.install: override drops the epoch comparison — "
                 "a lagging standby's snapshot can roll the membership "
@@ -521,48 +442,37 @@ def _check_epoch(table: ClassTable, cls: str) -> List[_Raw]:
     for name, funcdef in sorted(methods.items()):
         if name in ("__init__", "_install_shard"):
             continue
-        for node in ast.walk(funcdef):
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if not (isinstance(target, ast.Attribute)
-                            and isinstance(target.value, ast.Name)
-                            and target.value.id == "self"):
-                        continue
-                    if target.attr == "shard":
-                        raws.append(_Raw(
-                            file, node.lineno, "ring-epoch",
-                            f"{cls}.{name}: ring state installed directly "
-                            "(self.shard = ...) instead of through the "
-                            "epoch-fenced _install_shard — a stale config "
-                            "delivery can resurrect a retired replica set",
-                            cls))
-                    elif target.attr in _RING_STATE_ATTRS \
-                            and name not in _RING_INSTALLERS:
-                        raws.append(_Raw(
-                            file, node.lineno, "ring-epoch",
-                            f"{cls}.{name}: double-ring routing state "
-                            f"(self.{target.attr} = ...) installed outside "
-                            "the fenced installers "
-                            f"({', '.join(_RING_INSTALLERS)}) — a delayed "
-                            "broadcast from a previous window can re-open "
-                            "dual-routing after the cutover committed",
-                            cls))
+        for line, target in index.facts(funcdef).stores:
+            if target == "shard":
+                raws.append(Raw(
+                    file, line, "ring-epoch",
+                    f"{cls}.{name}: ring state installed directly "
+                    "(self.shard = ...) instead of through the "
+                    "epoch-fenced _install_shard — a stale config "
+                    "delivery can resurrect a retired replica set",
+                    cls))
+            elif target in _RING_STATE_ATTRS and name not in _RING_INSTALLERS:
+                raws.append(Raw(
+                    file, line, "ring-epoch",
+                    f"{cls}.{name}: double-ring routing state "
+                    f"(self.{target} = ...) installed outside "
+                    "the fenced installers "
+                    f"({', '.join(_RING_INSTALLERS)}) — a delayed "
+                    "broadcast from a previous window can re-open "
+                    "dual-routing after the cutover committed",
+                    cls))
     if "_install_shard" in methods \
-            and not _mentions_epoch_compare(methods["_install_shard"]):
-        raws.append(_Raw(
+            and not index.facts(methods["_install_shard"]).epoch_compare:
+        raws.append(Raw(
             file, methods["_install_shard"].lineno, "ring-epoch",
             f"{cls}._install_shard: override drops the config-epoch "
             "comparison — out-of-order config updates are no longer "
             "rejected",
             cls))
     if "_on_config_update" in methods:
-        routed = any(
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("_install_shard", "_on_config_update")
-            for node in ast.walk(methods["_on_config_update"]))
-        if not routed:
-            raws.append(_Raw(
+        calls = index.facts(methods["_on_config_update"]).calls
+        if not calls & {"_install_shard", "_on_config_update"}:
+            raws.append(Raw(
                 file, methods["_on_config_update"].lineno, "ring-epoch",
                 f"{cls}._on_config_update: override does not route the "
                 "new ring through _install_shard (or super()), bypassing "
@@ -576,69 +486,30 @@ def _check_epoch(table: ClassTable, cls: str) -> List[_Raw]:
 # ----------------------------------------------------------------------
 
 def analyze_flow_sources(
-    sources: List[Tuple[str, str]],
+    sources,
     waivers: Sequence[Waiver] = FLOW_WAIVERS,
 ) -> List[Finding]:
-    """Run all four flow passes over ``(rel_path, source)`` pairs."""
-    table = ClassTable(sources)
-    src_files = {rel for rel, _src in sources}
-    pragmas = {rel: _parse_pragmas(src) for rel, src in sources}
+    """Run all four flow passes over ``(rel_path, source)`` pairs or a
+    :class:`SourceIndex`."""
+    index = SourceIndex.of(sources)
+    analyzed = [cls for cls in sorted(index.classes)
+                if _is_analyzed(index, cls)]
+    walked = {cls: _walk_methods(index, cls) for cls in analyzed}
+    evidence = {cls: _gather_queue_evidence(index, walked[cls])
+                for cls in analyzed}
 
-    evidence: Dict[str, _QueueEvidence] = {}
-    analyzed = [cls for cls in sorted(table.classes)
-                if _is_analyzed(table, cls)]
+    raws: List[Raw] = []
     for cls in analyzed:
-        evidence[cls] = _gather_queue_evidence(table, cls)
-
-    raws: List[_Raw] = []
-    for cls in analyzed:
-        raws.extend(_check_liveness(table, cls))
+        raws.extend(_check_liveness(index, cls, walked[cls]))
         if cls in _GENERIC_CLASSES:
             continue  # Pump's queue/requeue ARE the primitives
-        raws.extend(_check_backpressure(table, cls, evidence))
-        raws.extend(_check_retry(table, cls, evidence))
-        raws.extend(_check_epoch(table, cls))
-
-    by_cls_rule = {(w.cls, w.rule): w for w in waivers}
-    best: Dict[Tuple[str, int, str], Finding] = {}
-    for raw in raws:
-        if raw.file not in src_files:
-            continue  # step inlined from a file outside this run
-        line_rules = (pragmas[raw.file].get(raw.line, set())
-                      | pragmas[raw.file].get(raw.line - 1, set()))
-        suppressed = raw.rule in line_rules or "*" in line_rules
-        message = raw.message
-        waiver = raw.waived_by or by_cls_rule.get((raw.cls, raw.rule))
-        if waiver is not None:
-            suppressed = True
-            message += (f" [flow waiver: {waiver.condition} — "
-                        f"{waiver.reason}]")
-        finding = Finding(path=raw.file, line=raw.line, rule=raw.rule,
-                          message=message, suppressed=suppressed)
-        key = (raw.file, raw.line, raw.rule)
-        prev = best.get(key)
-        # forked paths and sibling classes rediscover the same site; an
-        # unsuppressed occurrence outranks a waived one
-        if prev is None or (prev.suppressed and not suppressed):
-            best[key] = finding
-    return sorted(best.values(), key=lambda f: (f.path, f.line, f.rule))
+        raws.extend(_check_backpressure(index, cls, evidence))
+        raws.extend(_check_retry(index, cls, evidence))
+        raws.extend(_check_epoch(index, cls))
+    # forked paths and sibling classes rediscover the same site
+    return index.findings(raws, waivers=waivers, tag="flow waiver")
 
 
 def analyze_flow_tree(root: Optional[_FsPath] = None) -> List[Finding]:
-    """Flow findings for the protocol portion of the package: the
-    controlet cores, the shared log, and the pipelined client."""
-    if root is None:
-        import repro
-
-        root = _FsPath(repro.__file__).resolve().parent
-    root = _FsPath(root)
-    files: List[_FsPath] = []
-    for sub in ("core", "sharedlog", "cluster"):
-        d = root / sub
-        if d.is_dir():
-            files.extend(sorted(d.glob("*.py")))
-    pipeline = root / "client" / "pipeline.py"
-    if pipeline.is_file():
-        files.append(pipeline)
-    sources = [(p.relative_to(root).as_posix(), p.read_text()) for p in files]
-    return analyze_flow_sources(sources)
+    """Flow findings for :data:`FLOW_TREE` of the package."""
+    return analyze_flow_sources(SourceIndex.from_root(root, *FLOW_TREE))

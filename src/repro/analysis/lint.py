@@ -64,11 +64,11 @@ Escapes, both auditable via ``repro lint --show-suppressed``:
 from __future__ import annotations
 
 import ast
-import re
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.analysis.findings import Finding
+from repro.analysis.source import DEFAULT_ALLOWLIST, Module, Raw, SourceIndex
 
 __all__ = [
     "DEFAULT_ALLOWLIST",
@@ -94,23 +94,6 @@ PROTOCOL_PREFIXES: Tuple[str, ...] = (
     "datalet/",
     "sim/",
 )
-
-#: path prefix (or exact file) -> rules waived for it, with the reason
-#: documented here rather than scattered through the code:
-#:
-#: * ``harness/`` measures *wall* time on purpose (simulated-seconds-
-#:   per-wall-second is a reported metric);
-#: * ``net/tcp.py`` is the real-TCP front-end — its sockets live on the
-#:   host clock, not the simulated one;
-#: * ``sim/rng.py`` is the RngRegistry: the one sanctioned constructor
-#:   of ``random.Random`` instances.
-DEFAULT_ALLOWLIST: Dict[str, Set[str]] = {
-    "harness/": {"wallclock"},
-    "net/tcp.py": {"wallclock"},
-    "sim/rng.py": {"adhoc-rng"},
-}
-
-_PRAGMA = re.compile(r"#\s*lint:\s*allow\[([^\]]*)\]")
 
 _WALLCLOCK_TIME = {
     "time", "time_ns", "monotonic", "monotonic_ns", "perf_counter",
@@ -159,61 +142,6 @@ def _harvest_payload_names(node: ast.expr, out: Set[str]) -> None:
             _harvest_payload_names(v, out)
 
 
-def _parse_pragmas(source: str) -> Dict[int, Set[str]]:
-    """Map line number -> rules allowed by a ``# lint: allow[...]``."""
-    out: Dict[int, Set[str]] = {}
-    for lineno, text in enumerate(source.splitlines(), start=1):
-        m = _PRAGMA.search(text)
-        if m:
-            rules = {r.strip() for r in m.group(1).split(",") if r.strip()}
-            out[lineno] = rules
-    return out
-
-
-class _Imports:
-    """Resolve names back to the stdlib modules the rules care about."""
-
-    MODULES = {"time", "datetime", "random", "os", "uuid", "secrets", "glob"}
-
-    def __init__(self, tree: ast.Module):
-        #: local alias -> module name ("t" -> "time")
-        self.modules: Dict[str, str] = {}
-        #: local alias -> (module, attr)  ("now" -> ("datetime.datetime", "now"))
-        self.members: Dict[str, Tuple[str, str]] = {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for a in node.names:
-                    root = a.name.split(".")[0]
-                    if root in self.MODULES:
-                        self.modules[a.asname or root] = root
-            elif isinstance(node, ast.ImportFrom):
-                if node.module and node.module.split(".")[0] in self.MODULES:
-                    for a in node.names:
-                        self.members[a.asname or a.name] = (node.module, a.name)
-
-    def resolve_call(self, func: ast.expr) -> Optional[Tuple[str, str]]:
-        """Return ``(module, attr)`` for a call target, if it bottoms out
-        in one of the tracked stdlib modules."""
-        if isinstance(func, ast.Attribute):
-            base = func.value
-            if isinstance(base, ast.Name) and base.id in self.modules:
-                return self.modules[base.id], func.attr
-            if isinstance(base, ast.Name) and base.id in self.members:
-                mod, attr = self.members[base.id]
-                # e.g. ``from datetime import datetime`` then datetime.now()
-                return f"{mod}.{attr}", func.attr
-            if (
-                isinstance(base, ast.Attribute)
-                and isinstance(base.value, ast.Name)
-                and base.value.id in self.modules
-            ):
-                # e.g. ``import datetime`` then datetime.datetime.now()
-                return f"{self.modules[base.value.id]}.{base.attr}", func.attr
-        elif isinstance(func, ast.Name) and func.id in self.members:
-            return self.members[func.id]
-        return None
-
-
 def _is_setish_value(node: ast.expr) -> bool:
     """Syntactically set-valued expressions (no name inference)."""
     if isinstance(node, (ast.Set, ast.SetComp)):
@@ -244,58 +172,91 @@ def _annotation_is_set(node: ast.expr) -> bool:
     return False
 
 
-class _SetInference(ast.NodeVisitor):
-    """Module-wide, name-granular inference of set-typed bindings.
+class _ModuleNames:
+    """Module-wide name facts the rules consult, from one walk: local
+    aliases of the stdlib modules the rules care about, and names and
+    attributes bound to sets.
 
-    Deliberately coarse (one namespace per module): a false positive is
-    one ``sorted()`` or pragma away, while a per-scope type system would
-    be overkill for a linter.
+    The set inference is deliberately coarse (one namespace per module):
+    a false positive is one ``sorted()`` or pragma away, while a
+    per-scope type system would be overkill for a linter.
     """
 
-    def __init__(self) -> None:
-        self.names: Set[str] = set()
-        self.attrs: Set[str] = set()
+    MODULES = {"time", "datetime", "random", "os", "uuid", "secrets", "glob"}
 
-    def _mark(self, target: ast.expr) -> None:
+    def __init__(self, tree: ast.Module):
+        #: local alias -> module name ("t" -> "time")
+        self.modules: Dict[str, str] = {}
+        #: local alias -> (module, attr)  ("now" -> ("datetime.datetime", "now"))
+        self.members: Dict[str, Tuple[str, str]] = {}
+        self.set_names: Set[str] = set()
+        self.set_attrs: Set[str] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    root = a.name.split(".")[0]
+                    if root in self.MODULES:
+                        self.modules[a.asname or root] = root
+            elif isinstance(node, ast.ImportFrom):
+                if node.module and node.module.split(".")[0] in self.MODULES:
+                    for a in node.names:
+                        self.members[a.asname or a.name] = (node.module, a.name)
+            elif isinstance(node, ast.Assign):
+                if _is_setish_value(node.value):
+                    for t in node.targets:
+                        self._mark_set(t)
+            elif isinstance(node, ast.AnnAssign):
+                if _annotation_is_set(node.annotation) or (
+                    node.value is not None and _is_setish_value(node.value)
+                ):
+                    self._mark_set(node.target)
+            elif isinstance(node, ast.arg):
+                if node.annotation is not None and _annotation_is_set(node.annotation):
+                    self.set_names.add(node.arg)
+
+    def _mark_set(self, target: ast.expr) -> None:
         if isinstance(target, ast.Name):
-            self.names.add(target.id)
+            self.set_names.add(target.id)
         elif isinstance(target, ast.Attribute):
-            self.attrs.add(target.attr)
+            self.set_attrs.add(target.attr)
 
-    def visit_Assign(self, node: ast.Assign) -> None:
-        if _is_setish_value(node.value):
-            for t in node.targets:
-                self._mark(t)
-        self.generic_visit(node)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        if _annotation_is_set(node.annotation) or (
-            node.value is not None and _is_setish_value(node.value)
-        ):
-            self._mark(node.target)
-        self.generic_visit(node)
-
-    def visit_arg(self, node: ast.arg) -> None:
-        if node.annotation is not None and _annotation_is_set(node.annotation):
-            self.names.add(node.arg)
-        self.generic_visit(node)
+    def resolve_call(self, func: ast.expr) -> Optional[Tuple[str, str]]:
+        """Return ``(module, attr)`` for a call target, if it bottoms out
+        in one of the tracked stdlib modules."""
+        if isinstance(func, ast.Attribute):
+            base = func.value
+            if isinstance(base, ast.Name) and base.id in self.modules:
+                return self.modules[base.id], func.attr
+            if isinstance(base, ast.Name) and base.id in self.members:
+                mod, attr = self.members[base.id]
+                # e.g. ``from datetime import datetime`` then datetime.now()
+                return f"{mod}.{attr}", func.attr
+            if (
+                isinstance(base, ast.Attribute)
+                and isinstance(base.value, ast.Name)
+                and base.value.id in self.modules
+            ):
+                # e.g. ``import datetime`` then datetime.datetime.now()
+                return f"{self.modules[base.value.id]}.{base.attr}", func.attr
+        elif isinstance(func, ast.Name) and func.id in self.members:
+            return self.members[func.id]
+        return None
 
 
 class _Linter(ast.NodeVisitor):
-    def __init__(self, rel_path: str, imports: _Imports, protocol: bool,
-                 sets: _SetInference):
+    def __init__(self, rel_path: str, names: _ModuleNames, protocol: bool):
         self.rel_path = rel_path
-        self.imports = imports
+        self.names = names
         self.protocol = protocol
-        self.sets = sets
-        self.findings: List[Tuple[int, str, str]] = []  # (line, rule, message)
+        self.findings: List[Raw] = []
         #: comprehension nodes whose iteration order provably cannot
         #: escape (direct argument of an order-insensitive call)
         self._blessed: Set[int] = set()
         self._func_depth = 0
 
     def _flag(self, node: ast.AST, rule: str, message: str) -> None:
-        self.findings.append((getattr(node, "lineno", 0), rule, message))
+        self.findings.append(
+            Raw(self.rel_path, getattr(node, "lineno", 0), rule, message))
 
     # -- mutable-payload (function-scope aliasing heuristic) -----------
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
@@ -351,8 +312,8 @@ class _Linter(ast.NodeVisitor):
                 for s in sends.get(name, ())
             )
             if live:
-                self.findings.append((
-                    lineno, "mutable-payload",
+                self.findings.append(Raw(
+                    self.rel_path, lineno, "mutable-payload",
                     f"{how} mutates {name!r} after it was aliased into a "
                     "sent payload; the fabric passes payloads by reference "
                     "so the receiver shares this object — send a copy or "
@@ -361,7 +322,7 @@ class _Linter(ast.NodeVisitor):
 
     # -- wallclock / global-rng / adhoc-rng ----------------------------
     def visit_Call(self, node: ast.Call) -> None:
-        resolved = self.imports.resolve_call(node.func)
+        resolved = self.names.resolve_call(node.func)
         if resolved is not None:
             self._check_stdlib_call(node, *resolved)
         if self.protocol:
@@ -476,9 +437,9 @@ class _Linter(ast.NodeVisitor):
     def _is_set_valued(self, node: ast.expr) -> bool:
         if _is_setish_value(node):
             return True
-        if isinstance(node, ast.Name) and node.id in self.sets.names:
+        if isinstance(node, ast.Name) and node.id in self.names.set_names:
             return True
-        if isinstance(node, ast.Attribute) and node.attr in self.sets.attrs:
+        if isinstance(node, ast.Attribute) and node.attr in self.names.set_attrs:
             return True
         return False
 
@@ -513,12 +474,11 @@ class _Linter(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _allowed_by_list(rel_path: str, allowlist: Dict[str, Set[str]]) -> Set[str]:
-    allowed: Set[str] = set()
-    for prefix, rules in allowlist.items():
-        if rel_path == prefix or rel_path.startswith(prefix):
-            allowed |= rules
-    return allowed
+def _lint_module(module: Module) -> List[Raw]:
+    protocol = module.rel.startswith(PROTOCOL_PREFIXES)
+    linter = _Linter(module.rel, _ModuleNames(module.tree), protocol)
+    linter.visit(module.tree)
+    return linter.findings
 
 
 def lint_source(
@@ -527,38 +487,16 @@ def lint_source(
     allowlist: Optional[Dict[str, Set[str]]] = None,
 ) -> List[Finding]:
     """Lint one module's source; ``rel_path`` decides rule scope."""
-    allowlist = DEFAULT_ALLOWLIST if allowlist is None else allowlist
-    tree = ast.parse(source)
-    imports = _Imports(tree)
-    sets = _SetInference()
-    sets.visit(tree)
-    protocol = rel_path.startswith(PROTOCOL_PREFIXES)
-    linter = _Linter(rel_path, imports, protocol, sets)
-    linter.visit(tree)
-
-    pragmas = _parse_pragmas(source)
-    file_allowed = _allowed_by_list(rel_path, allowlist)
-    out: List[Finding] = []
-    for line, rule, message in linter.findings:
-        line_rules = pragmas.get(line, set()) | pragmas.get(line - 1, set())
-        suppressed = (
-            rule in file_allowed or rule in line_rules or "*" in line_rules
-        )
-        out.append(Finding(path=rel_path, line=line, rule=rule,
-                           message=message, suppressed=suppressed))
-    return out
+    return lint_tree(SourceIndex([(rel_path, source)]), allowlist)
 
 
 def lint_tree(
-    root: Path,
+    root: Union[Path, SourceIndex],
     allowlist: Optional[Dict[str, Set[str]]] = None,
-    files: Optional[Iterable[Path]] = None,
 ) -> List[Finding]:
-    """Lint every ``*.py`` under ``root`` (the ``repro`` package dir)."""
-    root = Path(root)
-    targets = sorted(files) if files is not None else sorted(root.rglob("*.py"))
-    findings: List[Finding] = []
-    for path in targets:
-        rel = path.relative_to(root).as_posix()
-        findings.extend(lint_source(path.read_text(), rel, allowlist))
-    return findings
+    """Lint every module of ``root``: a package directory (the ``repro``
+    package dir) or a :class:`SourceIndex`."""
+    index = SourceIndex.of(root)
+    raws = [raw for module in index.modules.values()
+            for raw in _lint_module(module)]
+    return index.findings(raws, allowlist, dedup=False)

@@ -582,6 +582,8 @@ class CheckerRun:
         self.cluster = CheckerCluster(
             seed=scenario.seed, coalesce=scenario.coalesce_inflight
         )
+        # every explored delivery is copy-on-send checked and frozen
+        self.cluster.attach_sanitizer()
         self.dep = Deployment(spec, cluster=self.cluster)
         self.sim = self.cluster.sim
         self.recorder = HistoryRecorder(self.sim)

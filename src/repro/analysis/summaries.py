@@ -24,19 +24,19 @@ Commutativity rule for types ``a``, ``b`` on one class::
     W(a) ∩ (R(b) ∪ W(b)) = ∅  and  W(b) ∩ (R(a) ∪ W(a)) = ∅
 
 with ``stats`` (pure accounting, excluded from state fingerprints too)
-ignored on both sides.  The message-type→method pairing comes from the
-conformance checker's ``handler_methods`` table, so the two static
-passes stay in sync.
+ignored on both sides.  The message-type→method pairing and the
+per-method facts come from the shared :class:`~repro.analysis.source.
+SourceIndex`, whose registration table the conformance checker reads
+too, so the static passes stay in sync.
 """
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple
 
-from repro.analysis.conformance import check_sources, check_tree
+from repro.analysis.source import SourceIndex
 
 __all__ = [
     "DATALET_ATTR",
@@ -81,7 +81,9 @@ DATALET_ATTR = "<datalet>"
 DATALET_READ_OPS = {"get", "scan", "snapshot", "stats"}
 
 #: constructors a bare ``self`` may escape into without making the
-#: handler opaque (see ``_MethodScanner.visit_Call``).
+#: handler opaque: a Request only reaches back through
+#: ``respond``/``_complete_request`` (an emit plus the ignored ``_rid_*``
+#: tables), so its footprint adds nothing.
 _SELF_SAFE_CALLEES = {"Request"}
 
 
@@ -163,191 +165,53 @@ class SummaryTable:
 _PUMP_DRIVERS = {"push", "kick", "requeue_front"}
 
 
-class _MethodScanner(ast.NodeVisitor):
-    """Direct (non-transitive) footprint of one method body."""
-
-    def __init__(self, pumps: Optional[Dict[str, str]] = None) -> None:
-        self.reads: Set[str] = set()
-        self.writes: Set[str] = set()
-        self.calls: Set[str] = set()  # self.<method>() invocations
-        #: ``self.<attr> = Pump(self.<issue>)`` bindings for this class:
-        #: driving the pump runs the issue callable (synchronously when
-        #: the pump is idle), so its footprint belongs to the driver.
-        self.pumps = pumps or {}
-        self.opaque = False
-
-    def _is_self(self, node: ast.expr) -> bool:
-        return isinstance(node, ast.Name) and node.id == "self"
-
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        if self._is_self(node.value):
-            if isinstance(node.ctx, (ast.Store, ast.Del)):
-                self.writes.add(node.attr)
-            else:
-                self.reads.add(node.attr)
-        self.generic_visit(node)
-
-    def _scan_datalet_call(self, node: ast.Call) -> None:
-        """Charge a ``self.datalet_call(op, ...)`` to the ``<datalet>``
-        pseudo-attribute: colocated engine calls execute synchronously
-        under the checker, so the engine op belongs to the handler's
-        footprint (a remote target makes this an over-approximation —
-        conservative in the safe direction)."""
-        op = None
-        if node.args and isinstance(node.args[0], ast.Constant) \
-                and isinstance(node.args[0].value, str):
-            op = node.args[0].value
-        else:
-            for kw in node.keywords:
-                if kw.arg == "type" and isinstance(kw.value, ast.Constant) \
-                        and isinstance(kw.value.value, str):
-                    op = kw.value.value
-        if op in DATALET_READ_OPS:
-            self.reads.add(DATALET_ATTR)
-        elif op is not None:
-            self.writes.add(DATALET_ATTR)
-        else:  # dynamic op name: could be anything
-            self.reads.add(DATALET_ATTR)
-            self.writes.add(DATALET_ATTR)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if isinstance(func, ast.Attribute) and self._is_self(func.value):
-            # self.method(...) — resolved transitively by the builder
-            if func.attr == "datalet_call":
-                self._scan_datalet_call(node)
-            if func.attr not in _EMIT_METHODS:
-                self.calls.add(func.attr)
-            self.reads.discard(func.attr)
-        elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Attribute) \
-                and self._is_self(func.value.value):
-            # self.attr.method(...): a mutating container call writes the
-            # attribute; we cannot tell mutators from pure reads reliably,
-            # so count it as BOTH read and write (conservative).
-            self.reads.add(func.value.attr)
-            self.writes.add(func.value.attr)
-            if func.value.attr in self.pumps and func.attr in _PUMP_DRIVERS:
-                self.calls.add(self.pumps[func.value.attr])
-        # bare self passed as an argument escapes the analysis entirely —
-        # except into known-safe constructors: a Request only reaches
-        # back through ``respond``/``_complete_request`` (an emit plus
-        # the ignored ``_rid_*`` tables), so its footprint adds nothing.
-        for arg in list(node.args) + [kw.value for kw in node.keywords]:
-            if self._is_self(arg):
-                if isinstance(func, ast.Name) and func.id in _SELF_SAFE_CALLEES:
-                    continue
-                self.opaque = True
-        self.generic_visit(node)
-
-
-@dataclass
-class _ClassAst:
-    name: str
-    bases: List[str]
-    methods: Dict[str, ast.AST]
-
-
-def _collect_classes(sources: Iterable[Tuple[str, str]]) -> Dict[str, _ClassAst]:
-    out: Dict[str, _ClassAst] = {}
-    for _rel, source in sources:
-        tree = ast.parse(source)
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            bases = [
-                b.id if isinstance(b, ast.Name) else getattr(b, "attr", "")
-                for b in node.bases
-            ]
-            methods = {
-                item.name: item
-                for item in node.body
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-            }
-            out[node.name] = _ClassAst(node.name, bases, methods)
-    return out
-
-
-def _resolve_method(classes: Dict[str, _ClassAst], cls: str, name: str):
-    """Walk the (name-based) base-class chain for a method definition."""
-    seen: Set[str] = set()
-    stack = [cls]
-    while stack:
-        cur = stack.pop(0)
-        if cur in seen or cur not in classes:
-            continue
-        seen.add(cur)
-        if name in classes[cur].methods:
-            return classes[cur].methods[name]
-        stack.extend(classes[cur].bases)
-    return None
-
-
-def _pump_bindings(classes: Dict[str, _ClassAst], cls: str) -> Dict[str, str]:
-    """``attr -> issue method`` for every ``self.<attr> = Pump(self.<m>)``
-    along the ancestry (the canonical one-in-flight drain helper from
-    core/controlet.py).  Issue callables that are not plain self-method
-    references (e.g. local closures) resolve to nothing here — their
-    effects are already folded in because the scanner visits nested
-    defs — so only the cross-method indirection needs the table."""
-    out: Dict[str, str] = {}
-    for ancestor in _ancestry(classes, cls):
-        if ancestor not in classes:
-            continue
-        for node in classes[ancestor].methods.values():
-            for n in ast.walk(node):
-                if not (isinstance(n, ast.Assign) and isinstance(n.value, ast.Call)
-                        and isinstance(n.value.func, ast.Name)
-                        and n.value.func.id == "Pump"):
-                    continue
-                issue = n.value.args[0] if n.value.args else next(
-                    (kw.value for kw in n.value.keywords if kw.arg == "issue"),
-                    None,
-                )
-                if not (isinstance(issue, ast.Attribute)
-                        and isinstance(issue.value, ast.Name)
-                        and issue.value.id == "self"):
-                    continue
-                for tgt in n.targets:
-                    if isinstance(tgt, ast.Attribute) \
-                            and isinstance(tgt.value, ast.Name) \
-                            and tgt.value.id == "self":
-                        out.setdefault(tgt.attr, issue.attr)
-    return out
-
-
 def _footprint(
-    classes: Dict[str, _ClassAst],
+    index: SourceIndex,
     cls: str,
     method: str,
     cache: Dict[Tuple[str, str], HandlerFootprint],
     stack: Set[Tuple[str, str]],
-    pumps: Optional[Dict[str, str]] = None,
+    pumps: Dict[str, str],
 ) -> HandlerFootprint:
+    """Transitive footprint of ``method`` resolved against ``cls``.
+    ``pumps`` are the class's ``Pump(self.<issue>)`` bindings: driving
+    a pump runs its issue callable (synchronously when idle), so the
+    issue's footprint belongs to the driver."""
     key = (cls, method)
     if key in cache:
         return cache[key]
     if key in stack:  # recursion (retry loops): already accounted
         return HandlerFootprint(method=method)
-    node = _resolve_method(classes, cls, method)
+    node, _owner = index.resolve(cls, method)
     fp = HandlerFootprint(method=method)
     if node is None:
         fp.opaque = True
         cache[key] = fp
         return fp
-    if pumps is None:
-        pumps = _pump_bindings(classes, cls)
-    scanner = _MethodScanner(pumps)
-    # scan the whole body *including* nested callback closures: their
+    # the whole body *including* nested callback closures: their
     # accesses happen at later events, and folding them in only widens
-    # the footprint (conservative in the right direction)
-    for item in ast.iter_child_nodes(node):
-        scanner.visit(item)
-    fp.reads |= scanner.reads
-    fp.writes |= scanner.writes
-    fp.opaque |= scanner.opaque
+    # the footprint (conservative in the right direction).  A mutating
+    # container call ``self.attr.m(...)`` cannot be told from a pure
+    # read, so it counts as both.
+    facts = index.facts(node)
+    fp.reads |= facts.reads
+    fp.writes |= facts.writes | {attr for attr, _m in facts.drives}
+    # a colocated engine call executes synchronously under the checker,
+    # so its op belongs to the handler's footprint (a remote target
+    # makes this an over-approximation)
+    for op in facts.datalet_ops:
+        if op is None or op not in DATALET_READ_OPS:
+            fp.writes.add(DATALET_ATTR)
+        if op is None or op in DATALET_READ_OPS:
+            fp.reads.add(DATALET_ATTR)
+    # bare self passed as an argument escapes the analysis entirely
+    fp.opaque = bool(facts.self_passed_to - _SELF_SAFE_CALLEES)
+    calls = (facts.self_calls - _EMIT_METHODS) | {
+        pumps[attr] for attr, m in facts.drives
+        if attr in pumps and m in _PUMP_DRIVERS}
     stack.add(key)
-    for callee in sorted(scanner.calls):
-        sub = _footprint(classes, cls, callee, cache, stack, pumps)
+    for callee in sorted(calls):
+        sub = _footprint(index, cls, callee, cache, stack, pumps)
         fp.reads |= sub.reads
         fp.writes |= sub.writes
         fp.opaque |= sub.opaque
@@ -356,39 +220,21 @@ def _footprint(
     return fp
 
 
-def _ancestry(classes: Dict[str, _ClassAst], cls: str) -> List[str]:
-    """Name-based base chain, most-derived first (approximate MRO)."""
-    order: List[str] = []
-    seen: Set[str] = set()
-    stack = [cls]
-    while stack:
-        cur = stack.pop(0)
-        if cur in seen:
-            continue
-        seen.add(cur)
-        order.append(cur)
-        if cur in classes:
-            stack.extend(classes[cur].bases)
-    return order
-
-
-def build_from_sources(sources: List[Tuple[str, str]]) -> SummaryTable:
-    model = check_sources(sources)
-    classes = _collect_classes(sources)
+def build_from_sources(sources) -> SummaryTable:
+    """Summaries over ``(rel_path, source)`` pairs or a :class:`SourceIndex`."""
+    index = SourceIndex.of(sources)
     cache: Dict[Tuple[str, str], HandlerFootprint] = {}
     table: Dict[str, ClassSummary] = {}
-    for cls in sorted(classes):
+    for cls in sorted(index.classes):
         # a handler registered by a base class but *overridden* in a
         # subclass (or dispatching to overridden hooks, e.g. Controlet's
         # _client_op -> handle_put) must be summarized in the context of
         # the concrete class, so inherit every ancestor's bindings and
         # resolve methods against ``cls`` itself
-        bindings: Dict[str, str] = {}
-        for ancestor in _ancestry(classes, cls):
-            for msg_type, method in model.handler_methods.get(ancestor, {}).items():
-                bindings.setdefault(msg_type, method)
+        bindings = index.handlers(cls)
         if not bindings:
             continue
+        pumps = index.pumps(cls)
         summary = ClassSummary(cls=cls)
         for msg_type, method in sorted(bindings.items()):
             if method in ("<lambda>", "<dynamic>"):
@@ -397,7 +243,7 @@ def build_from_sources(sources: List[Tuple[str, str]]) -> SummaryTable:
                 )
                 continue
             summary.handlers[msg_type] = _footprint(
-                classes, cls, method, cache, set()
+                index, cls, method, cache, set(), pumps
             )
         table[cls] = summary
     return SummaryTable(table)
@@ -419,15 +265,4 @@ def datalet_footprint(msg_type: str) -> HandlerFootprint:
 def build_summaries(root: Optional[Path] = None) -> SummaryTable:
     """Summaries for the whole installed ``repro`` package (default) or
     an explicit source root."""
-    if root is None:
-        from repro.analysis import package_root
-
-        root = package_root()
-    root = Path(root)
-    # reuse the conformance file walk so both passes see the same universe
-    _ = check_tree  # (kept importable for callers that want the model too)
-    sources = [
-        (p.relative_to(root).as_posix(), p.read_text())
-        for p in sorted(root.rglob("*.py"))
-    ]
-    return build_from_sources(sources)
+    return build_from_sources(SourceIndex.from_root(root))

@@ -604,23 +604,21 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
     from repro.analysis import (
         FLOW_INJECTION_SOURCES,
+        SourceIndex,
         analyze_flow_sources,
         findings_to_json,
         format_findings,
         format_github,
-        package_root,
         run_lint,
         summarize,
     )
 
-    root = Path(args.root) if args.root else package_root()
-    findings = run_lint(root, conformance=not args.no_conformance,
+    index = SourceIndex.from_root(Path(args.root) if args.root else None)
+    findings = run_lint(index, conformance=not args.no_conformance,
                         flow=not args.no_flow)
     if args.inject_flow_defects:
-        sources = [(rel, (root / rel).read_text())
-                   for rel in FLOW_INJECTION_SOURCES
-                   if (root / rel).is_file()]
-        findings.extend(analyze_flow_sources(sources))
+        findings.extend(analyze_flow_sources(
+            index.under(*FLOW_INJECTION_SOURCES)))
     counts = summarize(findings)
     if args.format == "json":
         print(findings_to_json(findings))

@@ -15,7 +15,8 @@ from repro.analysis import Finding, findings_to_json, format_findings
 from repro.analysis import format_github, summarize
 from repro.analysis.commitpoints import Waiver
 from repro.analysis.flow import analyze_flow_sources
-from repro.analysis.lint import _parse_pragmas, lint_source
+from repro.analysis.lint import lint_source
+from repro.analysis.source import parse_pragmas
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +125,7 @@ def test_stacked_pragma_lines_union_per_line():
         "# lint: allow[rule-a]\n"
         "x = 1  # lint: allow[rule-b, rule-c]\n"
     )
-    pragmas = _parse_pragmas(src)
+    pragmas = parse_pragmas(src)
     assert pragmas[1] == {"rule-a"}
     assert pragmas[2] == {"rule-b", "rule-c"}
 

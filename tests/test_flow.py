@@ -13,7 +13,7 @@ machinery, not toy snippets.
 from pathlib import Path
 
 from repro.analysis import package_root
-from repro.analysis.cfg import ClassTable, walk_method
+from repro.analysis.cfg import walk_method
 from repro.analysis.commitpoints import Waiver
 from repro.analysis.flow import (
     FLOW_INJECTION_SOURCES,
@@ -21,6 +21,7 @@ from repro.analysis.flow import (
     analyze_flow_sources,
     analyze_flow_tree,
 )
+from repro.analysis.source import SourceIndex
 from repro.core.controlet import Pump
 
 
@@ -178,9 +179,7 @@ def test_no_hand_rolled_busy_token_in_core():
     hand-rolled pump cannot come back unnoticed.  (The seeded
     ``LeakyPump...`` defect keeps the busy-token pass itself exercised.)
     """
-    sources = [(p.relative_to(package_root()).as_posix(), p.read_text())
-               for p in sorted((package_root() / "core").glob("*.py"))]
-    table = ClassTable(sources)
+    table = SourceIndex.from_root(None, "core/")
     acquirers = set()
     for cls, node in table.classes.items():
         for funcdef in node.methods.values():
@@ -358,6 +357,102 @@ def test_pump_issue_dropping_done_is_flagged():
     hits = [f for f in _by_rule(findings, "pump-leak") if not f.suppressed]
     assert hits, "\n".join(f.format() for f in findings)
     assert "done()" in hits[0].message
+
+
+_FIRE_AND_FORGET = '''\
+class FanoutControlet:
+    def __init__(self):
+        self.peers = []
+
+    def _flush(self, batch):
+        for peer in self.peers:
+            self.send(peer, "replicate", {"ops": batch})
+'''
+
+
+def test_fire_and_forget_replication_is_flagged():
+    findings = analyze_flow_sources([("fanout.py", _FIRE_AND_FORGET)])
+    hits = [f for f in _by_rule(findings, "unthrottled-replication")
+            if not f.suppressed]
+    assert [(f.path, f.line) for f in hits] == [("fanout.py", 7)], (
+        "\n".join(f.format() for f in findings))
+    assert "FanoutControlet._flush" in hits[0].message
+    assert "'replicate'" in hits[0].message
+
+
+_RETRY = '''\
+class RetryControlet:
+    def __init__(self):
+        self._q = []
+{gate}
+    def _enqueue(self, entry):
+        self._q.append(entry)
+
+    def _forward(self, req):
+        entry = {{"key": req.key}}
+{attach}        self._enqueue(entry)
+
+    def _drain(self):
+        batch, self._q = self._q, []
+        return batch
+
+    def _retry(self, batch):
+        self._q[:0] = batch
+'''
+
+
+def _retry_src(gate: bool, attach: bool) -> str:
+    return _RETRY.format(
+        gate="        self._rid_done = {}\n" if gate else "",
+        attach='        entry["rid"] = req.rid\n' if attach else "")
+
+
+def _retry_hits(src):
+    findings = analyze_flow_sources([("retry.py", src)])
+    return [f for f in _by_rule(findings, "retry-no-dedup") if not f.suppressed]
+
+
+def test_retry_requeue_without_dedup_gate_is_flagged():
+    hits = _retry_hits(_retry_src(gate=False, attach=True))
+    assert len(hits) == 1, hits
+    assert "no dedup gate" in hits[0].message
+    assert "self._q" in hits[0].message
+
+
+def test_retry_requeue_of_rid_less_entries_is_flagged():
+    hits = _retry_hits(_retry_src(gate=True, attach=False))
+    assert len(hits) == 1, hits
+    assert "never attach a rid" in hits[0].message
+
+
+def test_retry_requeue_with_gate_and_caller_attached_rid_is_clean():
+    # the rid is attached one call up (_forward), not in the appending
+    # method itself: the one level of caller indirection counts
+    assert _retry_hits(_retry_src(gate=True, attach=True)) == []
+
+
+_INSTALL_NO_EPOCH = '''\
+class RingControlet:
+    def __init__(self):
+        self.shard = None
+        self.config_epoch = 0
+
+    def _install_shard(self, shard, epoch):
+        self.config_epoch = epoch
+        self.shard = shard
+
+    def _on_config_update(self, msg):
+        self._install_shard(msg.payload["shard"], msg.payload["epoch"])
+'''
+
+
+def test_install_shard_override_without_epoch_compare_is_flagged():
+    findings = analyze_flow_sources([("ring.py", _INSTALL_NO_EPOCH)])
+    hits = [f for f in _by_rule(findings, "ring-epoch") if not f.suppressed]
+    assert [(f.line, f.message.split(":")[0]) for f in hits] == [
+        (6, "RingControlet._install_shard")], (
+        "\n".join(f.format() for f in findings))
+    assert "config-epoch comparison" in hits[0].message
 
 
 # ---------------------------------------------------------------------------

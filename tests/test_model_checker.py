@@ -57,6 +57,17 @@ def test_boot_is_deterministic():
     assert [e.key for e in a.enabled()] == [e.key for e in b.enabled()]
 
 
+def test_checker_run_sanitizes_every_message():
+    """The model checker runs with the copy-on-send payload sanitizer
+    attached: boot traffic is digested at send and frozen at delivery."""
+    run = CheckerRun(CheckScenario())
+    run.boot()
+    sanitizer = run.cluster.sanitizer
+    assert sanitizer is not None
+    assert sanitizer.sends > 0 and sanitizer.deliveries > 0
+    assert sanitizer.violations == []
+
+
 def test_apply_choice_replays_identically():
     def drive(choices):
         run = CheckerRun(CheckScenario())

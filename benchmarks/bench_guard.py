@@ -1,159 +1,125 @@
-"""Cross-PR bench regression guard.
-
-Compares the consolidated summary of this PR's benchmark run
-(``BENCH_PR10.json``) against the frozen ``BENCH_PR5.json`` baseline:
-
-* every tier-1 *throughput* figure's peak may not regress more than
-  10% (latency/feature figures are excluded — their leaves mix units
-  where "lower" can be better);
-* the observability off-switch must stay effectively free: the
-  ``obs_overhead`` off-mode overhead gate is 2%;
-* the PR 8 headline must hold: the batched AA+EC write path at least
-  1.5x its coalescing-disabled self;
-* the PR 10 headline must hold: an online reshard is *online* — in
-  every combo the worst one-second interval inside the migration
-  window retains at least 20% of the pre-reshard throughput
-  (``pause_ratio`` below 0.8), keys actually moved, and post-commit
-  throughput recovers to at least 70% of the pre-reshard level.
-
-Exit status 0 = all gates pass; 1 = regression (details on stdout).
+"""Benchmark gate: a fresh perfbench run against the committed one.
 
 Usage::
 
-    python benchmarks/bench_guard.py [CURRENT [BASELINE]]
+    python benchmarks/bench_guard.py FRESH COMMITTED
 
-defaulting to ``BENCH_PR10.json`` / ``BENCH_PR5.json`` at the repo root.
+Both files are ``perfbench.result/1`` output of ``python3 -m perfbench
+run --quick --seed 1 --traced``; COMMITTED is the newest
+``BENCH_PR<N>.json`` at the repo root.  The guard checks only the rows
+that repeat bit for bit per seed: on each of the five simulated
+workloads every sim-clock end-to-end row (``spec.SIM_CLOCK``), every
+exact count (``spec.EXACT_COUNTS``) and ``attempted`` must be equal,
+with ``correct`` true and ``failed`` 0.  Wall-clock rows never gate, and
+the socket workload, which has no simulated clock, gates only on
+``correct``.  A change that moves a deterministic row on purpose commits
+its own ``BENCH_PR<N>.json``, points CI at it and says so in CHANGES.md.
+
+Exit status: 0 = every gated row is equal; 1 = a row differs, an output
+check failed, or a file is missing or not a perfbench result; 2 = the
+runs are not comparable, because seed, ``seconds``, the Python minor
+version or numpy differ (Python 3.12's ``sum()`` compensates float
+error, and the key streams are numpy permutations, so the same code can
+move sim rows across them).
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from pathlib import Path
+from typing import List, Optional
 
-#: figures whose numeric peak is a throughput claim (QPS-dominated
-#: payloads); a >10% drop in any of these fails the guard.
-THROUGHPUT_FIGURES = (
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig11",
-    "fig12",
-    "ablation_sharedlog",
-    "ablation_mapping",
-)
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from perfbench import spec  # noqa: E402
 
-MAX_REGRESSION = 0.10
-OBS_OFF_GATE = 0.02
-HEADLINE_SPEEDUP = 1.5
-#: worst in-window 1s interval may lose at most this fraction of the
-#: pre-reshard throughput (1.0 would mean a full cutover pause).
-RESHARD_PAUSE_GATE = 0.8
-#: post-commit throughput must recover to this fraction of pre-reshard.
-RESHARD_RECOVERY_GATE = 0.7
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULTS_DIR = Path(__file__).resolve().parent / "results"
+SCHEMA = "perfbench.result/1"
 
 
-def _load(path: Path) -> dict:
-    return json.loads(path.read_text())
+class Unreadable(Exception):
+    """A file that is missing or is not a perfbench result."""
 
 
-def check(current_path: Path, baseline_path: Path) -> int:
-    # a lost summary file is a guard failure, not a stack trace: CI
-    # runs this right after the producing benchmarks, and "the run that
-    # was supposed to produce the figures didn't" is exactly the kind
-    # of regression the guard exists to catch
-    missing = [p for p in (current_path, baseline_path) if not p.is_file()]
-    if missing:
-        print("\nbench guard: FAIL")
-        for p in missing:
-            print(f"  - missing summary {p} "
-                  "(benchmark run did not produce it?)")
+def load(path: Path) -> dict:
+    try:
+        doc = json.loads(path.read_text())
+    except (OSError, ValueError) as e:
+        raise Unreadable(f"cannot read {path}: {e}")
+    if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
+        raise Unreadable(f"{path} is not a {SCHEMA} file")
+    return doc
+
+
+def _comparable_on(doc: dict) -> dict:
+    prov = doc["provenance"]
+    return {"seed": prov["seed"], "seconds": prov["seconds"],
+            "python": ".".join(prov["python"].split(".")[:2]),
+            "numpy": prov["numpy"]}
+
+
+def mismatch(fresh: dict, committed: dict) -> Optional[str]:
+    """The first provenance field that makes the two runs incomparable."""
+    a, b = _comparable_on(fresh), _comparable_on(committed)
+    for key in a:
+        if a[key] != b[key]:
+            return f"{key} {a[key]} (fresh) != {b[key]} (committed)"
+    return None
+
+
+def _value(entry: dict, kind: str, metric: str):
+    return entry.get(kind, {}).get(metric, {}).get("value")
+
+
+def differences(fresh: dict, committed: dict) -> List[str]:
+    """Every gated row that differs, and every failed output check."""
+    out = []
+    for name in spec.WORKLOADS:
+        f, c = fresh["workloads"].get(name), committed["workloads"].get(name)
+        if f is None or c is None:
+            out.append(f"{name}: missing from the {'fresh' if f is None else 'committed'} run")
+            continue
+        socket = name == spec.TCP_WORKLOAD.name
+        for side, entry in (("fresh", f), ("committed", c)):
+            if not entry["correct"]:
+                out.append(f"{name}: outputs incorrect in the {side} run")
+            if not socket and entry["failed"]:
+                out.append(f"{name}: {entry['failed']} failed ops in the {side} run")
+        if socket:
+            continue
+        rows = [("attempted", f["attempted"], c["attempted"])]
+        rows += [(m, _value(f, "end_to_end", m), _value(c, "end_to_end", m))
+                 for m in spec.SIM_CLOCK]
+        rows += [(m, _value(f, "per_layer", m), _value(c, "per_layer", m))
+                 for m in spec.EXACT_COUNTS]
+        out += [f"{name} {m}: committed {b!r}, fresh {a!r}" for m, a, b in rows if a != b]
+    return out
+
+
+def main(argv: List[str]) -> int:
+    parser = argparse.ArgumentParser(prog="bench_guard.py")
+    parser.add_argument("fresh", type=Path)
+    parser.add_argument("committed", type=Path)
+    args = parser.parse_args(argv[1:])
+    print(f"bench guard: {args.fresh.name} vs {args.committed.name}")
+    try:
+        fresh, committed = load(args.fresh), load(args.committed)
+    except Unreadable as e:
+        print(f"bench guard: FAIL: {e}")
         return 1
-    current = _load(current_path)["figures"]
-    baseline = _load(baseline_path)["figures"]
-    failures = []
-
-    for fig in THROUGHPUT_FIGURES:
-        if fig not in current or fig not in baseline:
-            failures.append(f"{fig}: missing from "
-                            f"{'current' if fig not in current else 'baseline'}"
-                            " summary")
-            continue
-        cur, base = current[fig].get("max"), baseline[fig].get("max")
-        if not base:
-            continue
-        ratio = cur / base
-        verdict = "OK"
-        if ratio < 1.0 - MAX_REGRESSION:
-            verdict = f"FAIL (>{MAX_REGRESSION:.0%} regression)"
-            failures.append(f"{fig}: peak {base:.1f} -> {cur:.1f} "
-                            f"({ratio:.2f}x)")
-        print(f"  {fig:<22} peak {base:>10.1f} -> {cur:>10.1f}  "
-              f"{ratio:5.2f}x  {verdict}")
-
-    obs_path = RESULTS_DIR / "obs_overhead.json"
-    if obs_path.exists():
-        off = float(_load(obs_path)["off_overhead"])
-        verdict = "OK" if off <= OBS_OFF_GATE else "FAIL"
-        print(f"  obs-off overhead       {off:+.2%} (gate {OBS_OFF_GATE:.0%})"
-              f"  {verdict}")
-        if off > OBS_OFF_GATE:
-            failures.append(f"obs-off overhead {off:.2%} exceeds "
-                            f"{OBS_OFF_GATE:.0%} gate")
-    else:
-        failures.append(f"missing {obs_path} (run benchmarks/test_obs_overhead.py)")
-
-    pr8_path = RESULTS_DIR / "pr8_batching.json"
-    if pr8_path.exists():
-        speedup = float(_load(pr8_path)["aa_ec_speedup"])
-        verdict = "OK" if speedup >= HEADLINE_SPEEDUP else "FAIL"
-        print(f"  aa-ec batching speedup {speedup:.2f}x "
-              f"(gate {HEADLINE_SPEEDUP:.1f}x)  {verdict}")
-        if speedup < HEADLINE_SPEEDUP:
-            failures.append(f"aa-ec batching speedup {speedup:.2f}x below "
-                            f"{HEADLINE_SPEEDUP:.1f}x")
-    else:
-        failures.append(f"missing {pr8_path} (run benchmarks/test_pr8_batching.py)")
-
-    pr10_path = RESULTS_DIR / "pr10_resharding.json"
-    if pr10_path.exists():
-        for combo, ph in sorted(_load(pr10_path).items()):
-            pause = float(ph["pause_ratio"])
-            recovery = (float(ph["after_qps"]) / float(ph["before_qps"])
-                        if ph["before_qps"] else 0.0)
-            ok = (pause <= RESHARD_PAUSE_GATE
-                  and recovery >= RESHARD_RECOVERY_GATE
-                  and ph["keys_moved"] > 0)
-            print(f"  reshard {combo:<14} pause {pause:5.2f} "
-                  f"(gate {RESHARD_PAUSE_GATE:.2f})  recovery {recovery:4.2f} "
-                  f"(gate {RESHARD_RECOVERY_GATE:.2f})  "
-                  f"moved {ph['keys_moved']:>4}  {'OK' if ok else 'FAIL'}")
-            if not ok:
-                failures.append(
-                    f"reshard {combo}: pause {pause:.2f} / recovery "
-                    f"{recovery:.2f} / moved {ph['keys_moved']} outside gates")
-    else:
-        failures.append(
-            f"missing {pr10_path} (run benchmarks/test_pr10_resharding.py)")
-
+    why = mismatch(fresh, committed)
+    if why:
+        print(f"bench guard: refused, runs not comparable: {why}")
+        return 2
+    failures = differences(fresh, committed)
     if failures:
-        print("\nbench guard: FAIL")
-        for f in failures:
-            print(f"  - {f}")
+        print("bench guard: FAIL")
+        for line in failures:
+            print(f"  - {line}")
         return 1
-    print("\nbench guard: PASS")
+    rows = len(spec.SIM_WORKLOADS) * (len(spec.SIM_CLOCK) + len(spec.EXACT_COUNTS))
+    print(f"bench guard: PASS, {rows} deterministic rows and attempted equal")
     return 0
-
-
-def main(argv: list) -> int:
-    current = Path(argv[1]) if len(argv) > 1 else REPO_ROOT / "BENCH_PR10.json"
-    baseline = Path(argv[2]) if len(argv) > 2 else REPO_ROOT / "BENCH_PR5.json"
-    print(f"bench guard: {current.name} vs {baseline.name}")
-    return check(current, baseline)
 
 
 if __name__ == "__main__":

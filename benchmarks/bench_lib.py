@@ -9,8 +9,6 @@ corresponding paper table/figure reports, then assert the shape.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.baselines import BaselineDeployment
@@ -29,7 +27,6 @@ __all__ = [
     "run_load",
     "bespokv_run",
     "baseline_run",
-    "emit_summary",
     "print_series",
     "print_table",
     "KQPS",
@@ -225,61 +222,6 @@ def sparkline(values: List[float], peak: Optional[float] = None) -> str:
     return "".join(out)
 
 
-# ---------------------------------------------------------------------------
-# consolidated summary (BENCH_PR5.json)
-# ---------------------------------------------------------------------------
-def _numeric_leaves(obj):
-    """Every numeric leaf in a nested dict/list payload (bools excluded:
-    feature matrices like table1 are flags, not measurements)."""
-    if isinstance(obj, bool):
-        return
-    if isinstance(obj, (int, float)):
-        yield float(obj)
-    elif isinstance(obj, dict):
-        for key in sorted(obj):
-            yield from _numeric_leaves(obj[key])
-    elif isinstance(obj, (list, tuple)):
-        for item in obj:
-            yield from _numeric_leaves(item)
-
-
-def emit_summary(results_dir: Optional[Path] = None,
-                 out_path: Optional[Path] = None) -> Path:
-    """Consolidate ``benchmarks/results/*.json`` into one summary file.
-
-    Each benchmark appends its figure/table payload (QPS series,
-    latency curves, feature flags) to ``benchmarks/results/`` via
-    ``conftest.save_result``; this rolls all of them into a single
-    ``BENCH_PR5.json`` at the repo root — per-figure series names plus
-    numeric aggregates (count/min/max/mean of every measured value) —
-    so one file answers "what did the benchmark suite measure".
-    """
-    results_dir = Path(results_dir or Path(__file__).parent / "results")
-    out_path = Path(out_path or Path(__file__).parent.parent / "BENCH_PR5.json")
-    figures: Dict[str, Dict] = {}
-    for path in sorted(results_dir.glob("*.json")):
-        payload = json.loads(path.read_text())
-        leaves = list(_numeric_leaves(payload))
-        entry: Dict[str, object] = {
-            "series": sorted(payload) if isinstance(payload, dict) else [],
-            "values": len(leaves),
-        }
-        if leaves:
-            entry.update(
-                min=min(leaves),
-                max=max(leaves),
-                mean=round(sum(leaves) / len(leaves), 6),
-            )
-        figures[path.stem] = entry
-    summary = {
-        "format": "repro.bench.summary/1",
-        "figures": figures,
-        "figure_count": len(figures),
-    }
-    out_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return out_path
-
-
 def print_timelines(title: str, timelines: Dict[str, List], mark: Optional[float] = None) -> None:
     """ASCII rendition of the paper's timeline figures: one sparkline
     per series, all scaled to the global peak; ``mark`` prints a column
@@ -295,7 +237,3 @@ def print_timelines(title: str, timelines: Dict[str, List], mark: Optional[float
     for name, series in timelines.items():
         print(f"{name.ljust(width)}  {sparkline([q for _t, q in series], peak)}")
     print(f"(peak = {peak / 1e3:.1f} kQPS; one column per interval)")
-
-
-if __name__ == "__main__":  # regenerate the consolidated summary
-    print(f"summary -> {emit_summary()}")

@@ -14,22 +14,17 @@ reports directly:
   amortized fsync charge in the cost model makes the tax monotone in
   sync frequency.
 
-Results land in ``benchmarks/results/pr6_durability.json`` and the
-consolidated ``BENCH_PR6.json`` at the repo root (the PR 5 summary is
-left in place as the comparison baseline).
+The asserts below are the gate; the numbers land in
+``benchmarks/results/pr6_durability.json``.
 """
-
-import pathlib
 
 from conftest import save_result
 
-from bench_lib import bench_control, bench_costs, emit_summary, print_table, run_load
+from bench_lib import bench_control, bench_costs, print_table, run_load
 from repro.core.config import ControlConfig
 from repro.core.types import Consistency, Topology
 from repro.harness import Deployment, DeploymentSpec
 from repro.workloads import OpMix
-
-ROOT = pathlib.Path(__file__).parent.parent
 
 PRELOAD_WRITES = 240
 RECOVER_AFTER = 0.5  # inside the 3 s detection window
@@ -177,5 +172,3 @@ def test_pr6_durability(benchmark):
             "tax_fsync_pct": round(tax_fsync, 1),
         },
     })
-    out = emit_summary(out_path=ROOT / "BENCH_PR6.json")
-    print(f"\nconsolidated summary -> {out}")

@@ -18,21 +18,15 @@ Each cell drives a fixed number of serial puts through a durable MS+SC
 shard (fixed op count, so WAL counters are comparable across cells),
 reads the per-datalet WAL counters, then power-cycles one replica
 through the real ``Deployment.recover_host`` and reports the replay
-length.  Results land in ``benchmarks/results/pr7_disk_sweep.json``
-and the consolidated ``BENCH_PR7.json`` at the repo root
-(``BENCH_PR6.json`` stays in place as the comparison baseline).
+length.  The asserts below are the gate; the numbers land in
+``benchmarks/results/pr7_disk_sweep.json``.
 """
-
-import json
-import pathlib
 
 from conftest import save_result
 
-from bench_lib import bench_control, bench_costs, emit_summary, print_table
+from bench_lib import bench_control, bench_costs, print_table
 from repro.core.types import Consistency, Topology
 from repro.harness import Deployment, DeploymentSpec
-
-ROOT = pathlib.Path(__file__).parent.parent
 
 PUTS = 400
 RECOVER_AFTER = 0.5  # inside the detection window: WAL rejoin, not failover
@@ -143,13 +137,3 @@ def test_pr7_disk_sweep(benchmark):
             for (se, sn), c in sorted(cells.items())
         },
     })
-    out = emit_summary(out_path=ROOT / "BENCH_PR7.json")
-    print(f"\nconsolidated summary -> {out}")
-
-    # the consolidated summary strictly extends the PR 6 baseline
-    pr6 = ROOT / "BENCH_PR6.json"
-    if pr6.exists():
-        baseline = json.loads(pr6.read_text())
-        grown = json.loads(out.read_text())
-        assert grown["figure_count"] >= baseline["figure_count"]
-        assert "pr7_disk_sweep" in grown["figures"]

@@ -1,4 +1,4 @@
-"""PR 8 headline: hot-path batching throughput (BENCH_PR8.json).
+"""PR 8 headline: hot-path batching throughput.
 
 Three measurements, one per batching layer:
 
@@ -13,19 +13,16 @@ Three measurements, one per batching layer:
    fixed op count through ``PipelinedClient`` vs the same ops awaited
    one at a time.
 
-The module ends by consolidating ``benchmarks/results/*.json`` into
-``BENCH_PR8.json`` at the repo root, the summary CI diffs against
-``BENCH_PR5.json`` (see ``benchmarks/bench_guard.py``).
+The asserts below are the gate (CI's ``check-smoke`` job runs this
+module); the numbers land in ``benchmarks/results/pr8_batching.json``
+and ``pr8_pipelining.json``.
 """
-
-from pathlib import Path
 
 from conftest import save_result
 
 from bench_lib import (
     bench_control,
     bench_costs,
-    emit_summary,
     print_table,
     run_load,
 )
@@ -117,11 +114,3 @@ def test_pr8_client_pipelining(benchmark):
     save_result("pr8_pipelining", out)
     assert out["window4_qps"] > out["window1_qps"] * 2.0
     assert out["window16_qps"] >= out["window4_qps"] * 0.9
-
-
-def test_pr8_emit_summary():
-    """Consolidate results into BENCH_PR8.json (repo root)."""
-    out = emit_summary(
-        out_path=Path(__file__).parent.parent / "BENCH_PR8.json")
-    print(f"\nsummary -> {out}")
-    assert out.exists()

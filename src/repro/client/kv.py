@@ -103,10 +103,8 @@ class KVClient:
         self.refreshes = 0
         #: request-id stream: one id per *operation* (not per attempt),
         #: so every retry of a mutation carries the same identity and
-        #: controlets can deduplicate.  Disabled only by the overhead
-        #: micro-benchmark's baseline mode.
+        #: controlets can deduplicate.
         self._req_seq = itertools.count(1)
-        self._stamp_rids = True
         self._latency: Dict[str, Any] = {}
         cluster.metrics.register_group(
             f"client.{name}",
@@ -248,9 +246,7 @@ class KVClient:
         the disabled path costs one attribute check plus (for reads)
         nothing at all.
         """
-        rid = None
-        if mutation and self._stamp_rids:
-            rid = f"{self.name}.{next(self._req_seq)}"
+        rid = f"{self.name}.{next(self._req_seq)}" if mutation else None
         obs = self.cluster.obs
         if obs is not None:
             return obs.new_trace(f"op:{op}", origin=self.name, req_id=rid)

@@ -1,193 +1,161 @@
-"""Unit tests for the cross-PR bench regression guard.
+"""Unit tests for the benchmark gate, ``benchmarks/bench_guard.py``.
 
-The guard is a CI gate, so its edge behavior matters as much as its
-happy path: a missing summary file must read as a guard failure (not a
-traceback), a renamed figure key must read as a regression (the figure
-the baseline promised is gone), and the thresholds must cut exactly
-where the docstring says they do.
+Each case writes one minimal perfbench-shaped pair of result files,
+edits the fresh one, and checks one behaviour: which rows gate (the
+sim-clock and exact-count rows of the simulated workloads), which never
+do (wall clock, the socket workload), which inputs are refused as
+incomparable, and that a missing file is a clean failure.  The last
+test checks the committed ``BENCH_PR28.json`` that CI compares against.
 """
 
+import copy
 import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
-_GUARD_PATH = (Path(__file__).resolve().parents[1]
-               / "benchmarks" / "bench_guard.py")
+ROOT = Path(__file__).resolve().parents[1]
+COMMITTED = ROOT / "BENCH_PR28.json"
 
-spec = importlib.util.spec_from_file_location("bench_guard", _GUARD_PATH)
-bench_guard = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(bench_guard)
+_spec = importlib.util.spec_from_file_location("bench_guard",
+                                               ROOT / "benchmarks" / "bench_guard.py")
+bench_guard = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_guard)
+spec = bench_guard.spec
 
-
-def _summary(peaks):
-    return {"figures": {fig: {"max": peak} for fig, peak in peaks.items()}}
-
-
-def _write_pair(tmp_path, current_peaks, baseline_peaks):
-    cur = tmp_path / "current.json"
-    base = tmp_path / "baseline.json"
-    cur.write_text(json.dumps(_summary(current_peaks)))
-    base.write_text(json.dumps(_summary(baseline_peaks)))
-    return cur, base
+SIM = spec.SIM_WORKLOADS[0].name
+TCP = spec.TCP_WORKLOAD.name
+END_TO_END = [m for m, *_ in spec.END_TO_END]
+PER_LAYER = [m for m, *_ in spec.PER_LAYER]
 
 
-@pytest.fixture
-def results_dir(tmp_path, monkeypatch):
-    """Point the guard's side-channel gate files at a tmp dir with
-    passing values; individual tests overwrite to probe the gates."""
-    rd = tmp_path / "results"
-    rd.mkdir()
-    (rd / "obs_overhead.json").write_text(json.dumps({"off_overhead": 0.0}))
-    (rd / "pr8_batching.json").write_text(json.dumps({"aa_ec_speedup": 2.0}))
-    (rd / "pr10_resharding.json").write_text(json.dumps({
-        "ms_sc": {"before_qps": 100.0, "after_qps": 100.0,
-                  "pause_ratio": 0.1, "keys_moved": 50},
-    }))
-    monkeypatch.setattr(bench_guard, "RESULTS_DIR", rd)
-    return rd
+def _result() -> dict:
+    entry = {"correct": True, "attempted": 1000, "failed": 0,
+             "end_to_end": {m: {"value": 1.5} for m in END_TO_END},
+             "per_layer": {m: {"value": 0.25} for m in PER_LAYER}}
+    return {"schema": "perfbench.result/1",
+            "provenance": {"seed": 1, "seconds": 1.0, "python": "3.11.7", "numpy": "2.4.6"},
+            "workloads": {name: copy.deepcopy(entry) for name in spec.WORKLOADS}}
 
 
-ALL_FIGS = {fig: 100.0 for fig in bench_guard.THROUGHPUT_FIGURES}
+def _guard(tmp_path, edit=lambda doc: None, committed=None):
+    """Run the CLI on an edited fresh file against an unedited one."""
+    fresh = _result()
+    edit(fresh)
+    fresh_path, committed_path = tmp_path / "fresh.json", tmp_path / "committed.json"
+    fresh_path.write_text(json.dumps(fresh))
+    committed_path.write_text(json.dumps(_result() if committed is None else committed))
+    return bench_guard.main(["bench_guard.py", str(fresh_path), str(committed_path)])
 
 
-# ---------------------------------------------------------------------------
-# missing inputs fail cleanly
-# ---------------------------------------------------------------------------
-def test_missing_baseline_fails_without_traceback(tmp_path, results_dir,
-                                                  capsys):
-    cur = tmp_path / "current.json"
-    cur.write_text(json.dumps(_summary(ALL_FIGS)))
-    rc = bench_guard.check(cur, tmp_path / "nope.json")
-    assert rc == 1
+def _rows(workload, kind, metrics, value=9.0):
+    def edit(doc):
+        for m in metrics:
+            doc["workloads"][workload][kind][m]["value"] = value
+    return edit
+
+
+def _outcome(workload, **fields):
+    return lambda doc: doc["workloads"][workload].update(fields)
+
+
+def _prov(**fields):
+    return lambda doc: doc["provenance"].update(fields)
+
+
+def test_main_uses_positional_paths(tmp_path, capsys):
+    assert _guard(tmp_path) == 0
     out = capsys.readouterr().out
-    assert "missing summary" in out and "nope.json" in out
-    assert "bench guard: FAIL" in out
+    assert "fresh.json vs committed.json" in out and "PASS, 110 deterministic rows" in out
+    with pytest.raises(SystemExit) as exit_:
+        bench_guard.main(["bench_guard.py", str(tmp_path / "fresh.json")])
+    assert exit_.value.code == 2  # neither path has a default
 
 
-def test_missing_current_fails_without_traceback(tmp_path, results_dir,
-                                                 capsys):
-    base = tmp_path / "baseline.json"
-    base.write_text(json.dumps(_summary(ALL_FIGS)))
-    rc = bench_guard.check(tmp_path / "gone.json", base)
-    assert rc == 1
+def test_edited_service_qps_fails_naming_workload_and_metric(tmp_path, capsys):
+    assert _guard(tmp_path, _rows(SIM, "end_to_end", ["service_qps"], 1.25)) == 1
+    assert f"{SIM} service_qps: committed 1.5, fresh 1.25" in capsys.readouterr().out
+
+
+def test_edited_exact_count_fails(tmp_path, capsys):
+    assert _guard(tmp_path, _rows("mt_scan", "per_layer", ["kernel.events_per_op"])) == 1
+    assert "mt_scan kernel.events_per_op" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("edit", [
+    _outcome(SIM, attempted=999),
+    _outcome(SIM, failed=1),
+    _outcome(SIM, correct=False),
+    _outcome(TCP, correct=False),
+], ids=["attempted", "failed", "incorrect", "tcp-incorrect"])
+def test_run_outcome_gates(tmp_path, edit):
+    assert _guard(tmp_path, edit) == 1
+
+
+NEVER_GATED = {
+    "wall-rows": _rows(SIM, "end_to_end", ["wall_ops_per_s", "setup_s", "peak_rss_mb"]),
+    "ladder-ns-rows": _rows(SIM, "per_layer", [m for m in PER_LAYER if m.endswith("_ns")]),
+    "tcp-end-to-end": _rows(TCP, "end_to_end", END_TO_END),
+    "tcp-per-layer": _rows(TCP, "per_layer", PER_LAYER),
+    "tcp-outcome": _outcome(TCP, attempted=5, failed=3),
+    "python-patch-level": _prov(python="3.11.9"),
+}
+
+
+@pytest.mark.parametrize("edit", list(NEVER_GATED.values()), ids=list(NEVER_GATED))
+def test_rows_that_never_gate(tmp_path, edit):
+    assert _guard(tmp_path, edit) == 0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", 2), ("seconds", 7.0), ("python", "3.12.1"), ("numpy", "2.3.0"),
+])
+def test_incomparable_provenance_is_refused(tmp_path, capsys, field, value):
+    assert _guard(tmp_path, _prov(**{field: value})) == 2
+    refusal = [line for line in capsys.readouterr().out.splitlines() if "refused" in line]
+    assert len(refusal) == 1 and field in refusal[0]
+
+
+def test_renamed_workload_key_reads_as_missing(tmp_path, capsys):
+    def rename(doc):
+        doc["workloads"][SIM + "_v2"] = doc["workloads"].pop(SIM)
+    assert _guard(tmp_path, rename) == 1
+    assert f"{SIM}: missing from the fresh run" in capsys.readouterr().out
+
+
+def test_workload_dropped_from_committed_also_flagged(tmp_path, capsys):
+    shrunk = _result()
+    del shrunk["workloads"]["aa_sc_lock"]
+    assert _guard(tmp_path, committed=shrunk) == 1
+    assert "aa_sc_lock: missing from the committed run" in capsys.readouterr().out
+
+
+def test_missing_baseline_fails_without_traceback(tmp_path, capsys):
+    fresh = tmp_path / "fresh.json"
+    fresh.write_text(json.dumps(_result()))
+    assert bench_guard.main(["bench_guard.py", str(fresh), str(tmp_path / "nope.json")]) == 1
+    out = capsys.readouterr().out
+    assert "bench guard: FAIL" in out and "nope.json" in out
+
+
+def test_missing_current_fails_without_traceback(tmp_path, capsys):
+    committed = tmp_path / "committed.json"
+    committed.write_text(json.dumps(_result()))
+    assert bench_guard.main(["bench_guard.py", str(tmp_path / "gone.json"), str(committed)]) == 1
     assert "gone.json" in capsys.readouterr().out
 
 
-def test_missing_gate_file_is_a_failure(tmp_path, results_dir, capsys):
-    (results_dir / "obs_overhead.json").unlink()
-    cur, base = _write_pair(tmp_path, ALL_FIGS, ALL_FIGS)
-    rc = bench_guard.check(cur, base)
-    assert rc == 1
-    assert "obs_overhead.json" in capsys.readouterr().out
+def test_non_perfbench_file_fails_without_traceback(tmp_path, capsys):
+    assert _guard(tmp_path, committed={"figures": {}}) == 1
+    assert "is not a perfbench.result/1 file" in capsys.readouterr().out
 
 
-# ---------------------------------------------------------------------------
-# renamed / dropped figure keys
-# ---------------------------------------------------------------------------
-def test_renamed_figure_key_reads_as_missing(tmp_path, results_dir, capsys):
-    renamed = dict(ALL_FIGS)
-    renamed["fig6_batched"] = renamed.pop("fig6")
-    cur, base = _write_pair(tmp_path, renamed, ALL_FIGS)
-    rc = bench_guard.check(cur, base)
-    assert rc == 1
-    out = capsys.readouterr().out
-    assert "fig6: missing from current" in out
-
-
-def test_figure_dropped_from_baseline_also_flagged(tmp_path, results_dir,
-                                                   capsys):
-    shrunk = dict(ALL_FIGS)
-    del shrunk["ablation_mapping"]
-    cur, base = _write_pair(tmp_path, ALL_FIGS, shrunk)
-    rc = bench_guard.check(cur, base)
-    assert rc == 1
-    assert "ablation_mapping: missing from baseline" in (
-        capsys.readouterr().out)
-
-
-# ---------------------------------------------------------------------------
-# threshold boundaries cut exactly where documented
-# ---------------------------------------------------------------------------
-def test_exact_ten_percent_regression_passes(tmp_path, results_dir):
-    # "more than 10%" fails, so exactly 0.90x is still legal
-    degraded = {fig: 90.0 for fig in bench_guard.THROUGHPUT_FIGURES}
-    cur, base = _write_pair(tmp_path, degraded, ALL_FIGS)
-    assert bench_guard.check(cur, base) == 0
-
-
-def test_just_past_ten_percent_fails(tmp_path, results_dir, capsys):
-    degraded = dict(ALL_FIGS)
-    degraded["fig7"] = 89.9
-    cur, base = _write_pair(tmp_path, degraded, ALL_FIGS)
-    rc = bench_guard.check(cur, base)
-    assert rc == 1
-    assert "fig7" in capsys.readouterr().out
-
-
-def test_obs_off_gate_boundary(tmp_path, results_dir):
-    cur, base = _write_pair(tmp_path, ALL_FIGS, ALL_FIGS)
-    (results_dir / "obs_overhead.json").write_text(
-        json.dumps({"off_overhead": 0.02}))
-    assert bench_guard.check(cur, base) == 0  # gate is <=
-    (results_dir / "obs_overhead.json").write_text(
-        json.dumps({"off_overhead": 0.021}))
-    assert bench_guard.check(cur, base) == 1
-
-
-def test_headline_speedup_boundary(tmp_path, results_dir):
-    cur, base = _write_pair(tmp_path, ALL_FIGS, ALL_FIGS)
-    (results_dir / "pr8_batching.json").write_text(
-        json.dumps({"aa_ec_speedup": 1.5}))
-    assert bench_guard.check(cur, base) == 0  # gate is >=
-    (results_dir / "pr8_batching.json").write_text(
-        json.dumps({"aa_ec_speedup": 1.49}))
-    assert bench_guard.check(cur, base) == 1
-
-
-def test_reshard_pause_gate_boundary(tmp_path, results_dir):
-    cur, base = _write_pair(tmp_path, ALL_FIGS, ALL_FIGS)
-
-    def write(pause, after=100.0, moved=50):
-        (results_dir / "pr10_resharding.json").write_text(json.dumps({
-            "ms_sc": {"before_qps": 100.0, "after_qps": after,
-                      "pause_ratio": pause, "keys_moved": moved},
-        }))
-
-    write(bench_guard.RESHARD_PAUSE_GATE)
-    assert bench_guard.check(cur, base) == 0  # gate is <=
-    write(bench_guard.RESHARD_PAUSE_GATE + 0.01)
-    assert bench_guard.check(cur, base) == 1
-    write(0.1, after=bench_guard.RESHARD_RECOVERY_GATE * 100.0)
-    assert bench_guard.check(cur, base) == 0  # recovery gate is >=
-    write(0.1, after=bench_guard.RESHARD_RECOVERY_GATE * 100.0 - 1.0)
-    assert bench_guard.check(cur, base) == 1
-    write(0.1, moved=0)  # a no-op "reshard" is a failure too
-    assert bench_guard.check(cur, base) == 1
-
-
-def test_missing_reshard_results_is_a_failure(tmp_path, results_dir, capsys):
-    (results_dir / "pr10_resharding.json").unlink()
-    cur, base = _write_pair(tmp_path, ALL_FIGS, ALL_FIGS)
-    rc = bench_guard.check(cur, base)
-    assert rc == 1
-    assert "pr10_resharding.json" in capsys.readouterr().out
-
-
-def test_improvements_pass(tmp_path, results_dir):
-    improved = {fig: 150.0 for fig in bench_guard.THROUGHPUT_FIGURES}
-    cur, base = _write_pair(tmp_path, improved, ALL_FIGS)
-    assert bench_guard.check(cur, base) == 0
-
-
-# ---------------------------------------------------------------------------
-# CLI entry
-# ---------------------------------------------------------------------------
-def test_main_uses_positional_paths(tmp_path, results_dir, capsys):
-    cur, base = _write_pair(tmp_path, ALL_FIGS, ALL_FIGS)
-    rc = bench_guard.main(["bench_guard.py", str(cur), str(base)])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "current.json vs baseline.json" in out
-    assert "bench guard: PASS" in out
+def test_committed_result_is_a_clean_traced_quick_run():
+    doc = json.loads(COMMITTED.read_text())
+    prov = doc["provenance"]
+    assert (prov["seed"], prov["seconds"], prov["git_dirty"]) == (1, 1.0, False)
+    for wl in spec.SIM_WORKLOADS:
+        entry = doc["workloads"][wl.name]
+        assert entry["correct"] and entry["failed"] == 0, wl.name
+        assert set(entry["per_layer"]) == set(PER_LAYER), wl.name

@@ -38,8 +38,8 @@ inherits the peer's own ack-before-durable obligation.
 Suppression is declarative and auditable, two mechanisms:
 
 * the linter's line pragma ``# lint: allow[ack-before-durable]`` on (or
-  one line above) the ack — used for the two buffer-catchup acks that
-  are safe for protocol reasons the AST cannot see;
+  one line above) the ack — ``Controlet._ack_receipt`` and the all-dup
+  chain frame, safe for protocol reasons the AST cannot see;
 * the :data:`CONTRACTS` waiver table — the machine-readable durability
   contract per combo.  Each :class:`Waiver` names the controlet class,
   the rule, and the configuration that makes the pattern legal (e.g.

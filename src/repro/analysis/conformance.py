@@ -21,8 +21,8 @@ both sides from the AST and reports the asymmetries:
   ``respond``s with (warning).
 
 Message types are mostly literal at the call site, but the framework
-funnels many sends through parameterized helpers (``sync_recover(
-"tail_sync_pull")`` → ``self.call(src, pull_type, ...)``).  The checker
+funnels many sends through parameterized helpers (``_pull_state(src,
+"sync_pull", ...)`` → ``self.call(target, pull_type, ...)``).  The checker
 therefore propagates string constants through call chains to a
 fixpoint: any function that forwards a parameter into a send/respond
 position becomes a *forwarder*, and constants at its call sites count

@@ -40,9 +40,6 @@ class AAEventualControlet(Controlet):
         #: (via snapshot) or belongs to the previous service generation.
         self._start_at_tail = start_cursor_at_tail
         self.applied_from_log = 0
-        #: replayed batches waiting for the datalet, in log order; see
-        #: :meth:`_issue_apply` for why they must be serialized.
-        self._applies = Pump(self._issue_apply)
         #: accepted writes waiting for the sequencer, in arrival order;
         #: drained in group-commit batches by :meth:`_issue_order` with
         #: at most one sequenced batch in flight per controlet.
@@ -53,12 +50,11 @@ class AAEventualControlet(Controlet):
         #: by the fetch loop once the cursor reaches their target.
         self._draining: List[Tuple[int, Callable[[], None]]] = []
         self._fetch_armed = False
-        self.register("log_sync_pull", self._on_log_sync_pull)
 
     def on_start(self) -> None:
         super().on_start()
         if self.recovery_source is not None and not self.recovered:
-            return  # log_sync_pull installs the cursor, then replay starts
+            return  # sync_pull installs the cursor, then replay starts
         if self._start_at_tail:
             self._fetch_initial_tail()
         else:
@@ -67,9 +63,6 @@ class AAEventualControlet(Controlet):
     # ------------------------------------------------------------------
     # hole-free recovery (replacement active)
     # ------------------------------------------------------------------
-    def _recover(self) -> None:
-        self.sync_recover("log_sync_pull")
-
     def on_sync_state(self, state) -> None:
         # Resume replay from the *source's* cursor (not the log tail):
         # anything its snapshot misses sits at or after that position.
@@ -77,14 +70,13 @@ class AAEventualControlet(Controlet):
         self._start_at_tail = False
         self._arm_fetch()
 
-    def _on_log_sync_pull(self, msg: Message) -> None:
+    def sync_source(self, puller: str):
         """We are the recovery source.  Hand out our replay cursor with
         the snapshot, rewound by one fetch window: an apply_batch we
         fired just before the snapshot request may still be in flight to
         our datalet, and replaying from an earlier position is always
         safe (log order is the authority) while skipping is not."""
-        self.serve_sync_pull(
-            msg, {"cursor": max(0, self.cursor - self.config.log_fetch_max)})
+        return {"cursor": max(0, self.cursor - self.config.log_fetch_max)}, None
 
     def _fetch_initial_tail(self) -> None:
         self.call(
@@ -252,13 +244,7 @@ class AAEventualControlet(Controlet):
             self._replay_to_tail(then, lambda: self.set_timer(
                 self.config.replication_timeout, replay))
 
-        def poll_orders() -> None:
-            if self._orders.busy or self._orders.queue:
-                self.set_timer(0.05, poll_orders)
-                return
-            replay()
-
-        poll_orders()
+        self._after_drain(self._orders, replay)
 
     def _migrate_copy(self, key, complete) -> None:
         """Copy one moved key by appending it to the *destination*
@@ -314,7 +300,8 @@ class AAEventualControlet(Controlet):
         # order is the authority: skipping own entries would let a
         # peer's older write overwrite our newer one during replay and
         # the replicas would never converge.  One ordered apply_batch
-        # per fetch so network jitter cannot reorder entries.
+        # per fetch so network jitter cannot reorder entries, and at
+        # most one in flight (Controlet._issue_apply).
         ops = []
         for d in entries:
             pos = int(d["pos"])
@@ -324,23 +311,7 @@ class AAEventualControlet(Controlet):
             ops.append({"op": d["op"], "key": d["key"], "val": d["value"]})
         if ops:
             self.applied_from_log += len(ops)
-            self._applies.push(ops)
-
-    def _issue_apply(self, ops: list, done: Callable[[], None]) -> None:
-        """At most one replay apply_batch in flight to the datalet.
-
-        Fire-and-forget sends are not enough: the host CPU is a
-        multi-slot server, so a small batch chasing a large one (exactly
-        the shape a recovering node's catch-up produces — one big
-        backlog batch, then the fresh tail) can finish service first and
-        apply log entries out of order, permanently diverging this
-        replica.  Found by the rolling-restart chaos schedule; the
-        one-in-flight discipline lives in :class:`Pump`."""
-
-        def applied(resp: Optional[Message], err: Optional[BespoError]) -> None:
-            done()
-
-        self.datalet_call("apply_batch", {"ops": ops}, callback=applied)
+            self._applies.push(("apply_batch", {"ops": ops}))
 
     # ------------------------------------------------------------------
     # transition support

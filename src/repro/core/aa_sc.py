@@ -34,25 +34,21 @@ class AAStrongControlet(Controlet):
         #: writers whose shard view predates the join.
         self._relay_to: Optional[str] = None
         self.register("peer_apply", self._on_peer_apply)
-        self.register("aa_sync_pull", self._on_aa_sync_pull)
         self.register("aa_sync_complete", self._on_aa_sync_complete)
 
     # ------------------------------------------------------------------
     # hole-free recovery (replacement active)
     # ------------------------------------------------------------------
-    def _recover(self) -> None:
-        self.sync_recover("aa_sync_pull")
-
-    def _on_aa_sync_pull(self, msg: Message) -> None:
+    def sync_source(self, puller: str):
         """We are the recovery source: start relaying every write we
         apply to the replacement *before* snapshotting, so snapshot ∪
         relayed writes covers everything committed here."""
-        self._relay_to = msg.payload["controlet"]
+        self._relay_to = puller
 
         def stop_relay() -> None:
             self._relay_to = None
 
-        self.serve_sync_pull(msg, undo=stop_relay)
+        return {}, stop_relay
 
     def _on_aa_sync_complete(self, msg: Message) -> None:
         if msg.payload.get("controlet") == self._relay_to:
@@ -69,17 +65,8 @@ class AAStrongControlet(Controlet):
     # ------------------------------------------------------------------
     def _on_peer_apply(self, msg: Message) -> None:
         if not self.recovered:
-            # Recovering replacement (visible in the shard view under
-            # join-first): buffer and ack.  Safe because the writer's
-            # DLM lock is released only after *all* replicas acked, so
-            # a later same-key write cannot overtake this one.
-            self.buffer_catchup(msg)
-            # Not the client commit point: the writer settles only
-            # after *all* replicas ack under the DLM lock, so the write
-            # is durable on the live fan-out; the buffer replays after
-            # restore (combo aa-sc).
-            # lint: allow[ack-before-durable]
-            self.respond(msg, "ok")
+            # recovering replacement, visible under join-first
+            self._catch_up_later(msg)
             return
         op = msg.payload["op"]
         payload = {"key": msg.payload["key"]}

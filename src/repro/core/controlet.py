@@ -16,6 +16,15 @@ reuse story the paper tells with its ~150-LoC template.  Ours is
 larger: ``benchmarks/test_sec7_dev_effort.py`` counts this template and
 each controlet's delta over it in logical lines, and ratchets every
 number so it can only go down.
+
+Recovery is one handshake for every combo: a replacement sends
+``sync_pull`` to its source controlet, which arms its relay and names
+its protocol cursor (the :meth:`Controlet.sync_source` hook) before it
+snapshots; replication messages that reach the replacement meanwhile
+are parked (:meth:`Controlet._catch_up_later`) and replayed once
+:meth:`Controlet.on_sync_state` adopted the cursor.  The one-in-flight
+replicated-apply pump (``_applies``) that both EC combos feed lives
+here too.
 """
 
 from __future__ import annotations
@@ -146,8 +155,11 @@ class Controlet(Actor):
         self._recovery_abandoned = False
         #: replication messages that arrived while we were still copying
         #: state from the recovery source; drained (in arrival order)
-        #: once the snapshot is restored.  See :meth:`sync_recover`.
+        #: once the snapshot is restored.  See :meth:`_recover`.
         self._catchup: List[Message] = []
+        #: replicated datalet mutations, as ``(type, payload)``, waiting
+        #: for the datalet in stream/log order (:meth:`_issue_apply`).
+        self._applies = Pump(self._issue_apply)
         #: set once a transition replaced this controlet; all client ops
         #: are rejected with a ``retired`` error that carries the new
         #: epoch hint so clients refresh their map.
@@ -212,6 +224,7 @@ class Controlet(Actor):
         self.register("reshard_migrate", self._on_reshard_migrate)
         self.register("reshard_fence", self._on_reshard_fence)
         self.register("migrate_put", self._on_migrate_put)
+        self.register("sync_pull", self._on_sync_pull)
 
     # ------------------------------------------------------------------
     # metrics
@@ -285,8 +298,10 @@ class Controlet(Actor):
             elif self.rejoining:
                 # we came back from disk but the coordinator already
                 # swept us — a replacement pair owns the slot.  Stop
-                # recovering; this process stays a fenced zombie.
-                self.abandon_recovery()
+                # recovering (armed retry timers re-check the flag and
+                # fizzle); this process stays a fenced zombie.
+                self._recovery_abandoned = True
+                self.retired = True
             elif not self.recovered:
                 # mid-recovery replacement: not joined yet — keep
                 # polling until the coordinator adds us.
@@ -318,29 +333,47 @@ class Controlet(Actor):
             delay += self.loop_phase("heartbeat", delay)
         self.set_timer(delay, self._heartbeat)
 
-    def abandon_recovery(self) -> None:
-        """Give up on (re)joining: stay fenced forever.  Retry timers
-        already armed re-check the flag and fizzle."""
-        self._recovery_abandoned = True
-        self.retired = True
-
     def _recover(self) -> None:
-        """Copy a snapshot from a surviving datalet into our own, then
-        report readiness to the coordinator."""
-        self._pull_state(self.recovery_source, "snapshot", {}, "snapshot",
-                         lambda state: self._recovery_done())
+        """Hole-free state transfer, then report readiness.  A plain
+        datalet snapshot would lose every write committed between it and
+        our join, so we ``sync_pull`` the *source controlet*, which arms
+        its relay to us before it snapshots (:meth:`_on_sync_pull`);
+        what reaches us meanwhile is parked (:meth:`_catch_up_later`)
+        and replayed once :meth:`on_sync_state` adopted the cursor."""
+        src = self.source_controlet()
+        if src is None or src == self.node_id:
+            # The source was repaired out of the shard (it died while we
+            # were copying): fall back to the current head, which under
+            # every topology here holds a superset of committed state.
+            try:
+                head = self.shard.head
+            except Exception:  # noqa: BLE001 - empty shard view
+                head = None
+            if head is None or head.controlet == self.node_id:
+                # no controlet to pull from: a plain datalet snapshot
+                self._pull_state(self.recovery_source, "snapshot", {},
+                                 "snapshot", lambda state: self._recovery_done())
+                return
+            self.recovery_source, src = head.datalet, head.controlet
+
+        def restored(state: Dict[str, Any]) -> None:
+            self.on_sync_state(state)
+            self._recovery_done()
+            parked, self._catchup = self._catchup, []
+            self.on_catchup_drain(parked)
+
+        self._pull_state(
+            src, "sync_pull",
+            {"controlet": self.node_id, "datalet": self.datalet},
+            "sync_state", restored,
+        )
 
     def _pull_state(self, target: str, pull_type: str, payload: Dict[str, Any],
                     reply_type: str, then: Callable[[Dict[str, Any]], None]) -> None:
         """Pull ``reply_type`` state from ``target``, restore its
-        ``data`` into our datalet, ``then(state)``.  Any failure retries
-        recovery from the top after a beat — behind a view refresh: the
-        source may have died and been repaired away.
-
-        The restore carries ``reset=True``: a rejoining node holds
-        recovered-but-stale state, and adopting the source's snapshot
-        on top of it would resurrect keys deleted while we were down.
-        """
+        ``data`` into our datalet, ``then(state)``; any failure retries
+        :meth:`_recover` after a beat, behind a view refresh.  Restores
+        reset, so a rejoining node's stale keys cannot resurrect deletes."""
         if self._recovery_abandoned:
             return
 
@@ -392,56 +425,11 @@ class Controlet(Actor):
                 return r.controlet
         return None
 
-    def sync_recover(self, pull_type: str) -> None:
-        """State transfer that closes the snapshot/join window.
-
-        A plain datalet snapshot (:meth:`_recover`) loses every write
-        committed between the snapshot and the moment the replacement
-        joins the shard.  Protocols that cannot tolerate that hole send
-        ``pull_type`` to the *source controlet* instead: the source
-        captures its protocol cursor and starts relaying subsequent
-        writes to us in the same handler invocation — before it asks its
-        datalet for the snapshot — so snapshot ∪ relay covers every
-        write.  Replication messages arriving while we restore are
-        buffered via :meth:`buffer_catchup` and replayed after
-        :meth:`on_sync_state` adopts the cursor.
-        """
-        src = self.source_controlet()
-        if src is None or src == self.node_id:
-            # The source was repaired out of the shard (it died while we
-            # were copying): fall back to the current head, which under
-            # every topology here holds a superset of committed state.
-            try:
-                head = self.shard.head
-            except Exception:  # noqa: BLE001 - empty shard view
-                head = None
-            if head is not None and head.controlet != self.node_id:
-                self.recovery_source = head.datalet
-                src = head.controlet
-        if src is None or src == self.node_id:
-            # No better option than a plain snapshot (subclasses
-            # override _recover, so call the base version explicitly).
-            Controlet._recover(self)
-            return
-
-        def restored(state: Dict[str, Any]) -> None:
-            self.on_sync_state(state)
-            self._recovery_done()
-            self.on_catchup_drain(self.drain_catchup())
-
-        self._pull_state(
-            src, pull_type,
-            {"controlet": self.node_id, "datalet": self.datalet},
-            "sync_state", restored,
-        )
-
-    def serve_sync_pull(self, msg: Message,
-                        cursor: Optional[Dict[str, Any]] = None,
-                        undo: Optional[Callable[[], None]] = None) -> None:
-        """Source side of :meth:`sync_recover`: answer ``sync_state``
-        with a datalet snapshot plus ``cursor`` — protocol state the
-        caller captured (and any relay it armed) *before* calling.
-        ``undo`` disarms that relay if the snapshot fails."""
+    def _on_sync_pull(self, msg: Message) -> None:
+        """Source side of :meth:`_recover`: the relay is armed and the
+        cursor taken (:meth:`sync_source`) *before* the snapshot, so
+        snapshot ∪ relay covers every write; a failed snapshot disarms."""
+        cursor, undo = self.sync_source(msg.payload["controlet"])
 
         def with_snap(resp: Optional[Message], err: Optional[BespoError]) -> None:
             if err is not None or resp is None or resp.type != "snapshot":
@@ -449,25 +437,41 @@ class Controlet(Actor):
                     undo()
                 self.respond(msg, "error", {"error": f"snapshot failed: {err}"})
                 return
-            self.respond(msg, "sync_state",
-                         {"data": resp.payload["data"], **(cursor or {})})
+            self.respond(msg, "sync_state", {"data": resp.payload["data"], **cursor})
 
         self.datalet_call("snapshot", {}, callback=with_snap)
 
+    def sync_source(self, puller: str) -> Tuple[dict, Optional[Callable[[], None]]]:
+        """Hook: arm any relay of later writes to ``puller``; return
+        ``(cursor, undo)`` — the position the snapshot covers, and what
+        disarms the relay."""
+        return {}, None
+
     def on_sync_state(self, state: Dict[str, Any]) -> None:
-        """Hook: adopt protocol cursors carried by a ``sync_state``
-        response (sequence numbers, stream identity, log cursor)."""
+        """Hook: adopt the protocol cursor a ``sync_state`` carries."""
 
-    def buffer_catchup(self, msg: Message) -> None:
+    def _catch_up_later(self, msg: Message) -> None:
+        """Mid-recovery: park ``msg`` for replay after the restore (overlap
+        re-applies are idempotent), acking it if it is a request."""
         self._catchup.append(msg)
+        self._ack_receipt(msg)
 
-    def drain_catchup(self) -> List[Message]:
-        buf, self._catchup = self._catchup, []
-        return buf
+    def _ack_receipt(self, msg: Message) -> None:
+        """Ack an accepted replication message unless it is a repair
+        *response* fed back through a handler (``reply_to`` set)."""
+        if not msg.reply_to:
+            # Not the client commit point.  ms-ec acks at the master's
+            # local apply, and a slave's frame ack is flow control the
+            # master never reads as replicated.  ms-sc parks a frame
+            # only mid-recovery, after the predecessor applied and
+            # logged every member.  aa-sc's writer holds the DLM lock
+            # until all replicas acked, so nothing overtakes a parked
+            # peer_apply.  Parked messages replay after the restore.
+            # lint: allow[ack-before-durable]
+            self.respond(msg, "ok")
 
     def on_catchup_drain(self, msgs: List[Message]) -> None:
-        """Replay messages buffered during recovery through their
-        registered handlers (now that ``recovered`` is True)."""
+        """Replay the parked messages (``recovered`` is True now)."""
         for m in msgs:
             handler = self._handlers.get(m.type)
             if handler is not None:
@@ -476,10 +480,6 @@ class Controlet(Actor):
     # ------------------------------------------------------------------
     # shard-view helpers
     # ------------------------------------------------------------------
-    @property
-    def my_replica(self) -> Replica:
-        return self.shard.replica_of(self.node_id)
-
     @property
     def is_head(self) -> bool:
         return self.shard.head.controlet == self.node_id
@@ -523,6 +523,18 @@ class Controlet(Actor):
             callback = watching
         timeout = self.config.replication_timeout if callback is not None else None
         self.call(target, type, payload, callback=callback, timeout=timeout)
+
+    def _issue_apply(self, item: Tuple[str, dict], done: Callable[[], None]) -> None:
+        """One replicated mutation in flight to the datalet: on the
+        multi-slot host CPU a small batch chasing a large one (catch-up
+        backlog or repair resend, then the fresh tail) could finish
+        first and apply out of order, diverging this replica for good."""
+        type, payload = item
+
+        def applied(resp: Optional[Message], err: Optional[BespoError]) -> None:
+            done()
+
+        self.datalet_call(type, payload, callback=applied)
 
     def _note_datalet_result(self, err) -> None:
         if err is None:
@@ -902,6 +914,13 @@ class Controlet(Actor):
         by the destination's dirty marks instead)."""
         then()
 
+    def _after_drain(self, pump: Pump, then: Callable[[], None]) -> None:
+        """``then()`` once ``pump`` is idle and empty, polled every 50 ms."""
+        if pump.busy or pump.queue:
+            self.set_timer(0.05, lambda: self._after_drain(pump, then))
+            return
+        then()
+
     def _migration_census(self, then: Callable[[List[str]], None]) -> None:
         """Snapshot the local engine and keep only keys this shard owns
         under the *old* ring whose *new*-ring owner is another shard
@@ -1116,11 +1135,4 @@ class MasterSlaveControlet(Controlet):
         the head's engine, the shard's write authority) sees them.
         Writes admitted *during* the window are dual-routed, so the
         destination's dirty marks cover them instead."""
-
-        def poll() -> None:
-            if self._accepts.busy or self._accepts.queue:
-                self.set_timer(0.05, poll)
-                return
-            then()
-
-        poll()
+        self._after_drain(self._accepts, then)

@@ -6,7 +6,10 @@ controlets, demonstrating the framework's extensibility claim.
   through the shared log (AA+EC machinery), and each master owns a set
   of *slaves* it propagates to asynchronously (MS+EC machinery).
   :class:`AAMSHybridControlet` is literally the AA+EC controlet with
-  the MS+EC propagation mixin bolted on — ~40 lines.
+  MS+EC's master side (:class:`~repro.core.ms_ec.AsyncPropagator`)
+  bolted on — 17 logical lines by the §VII counter
+  (``benchmarks/test_sec7_dev_effort.py``): the slave target list, and
+  log-ordered entries fed to the propagator.
 
 * **P2P** — "clients send a request to any controlet, which then routes
   the request to the actual controlet that manages the requested data.
@@ -18,12 +21,12 @@ controlets, demonstrating the framework's extensibility claim.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.aa_ec import AAEventualControlet
-from repro.core.controlet import Pump
+from repro.core.ms_ec import AsyncPropagator
 from repro.datalet import Engine, HashTableEngine
-from repro.errors import BespoError, KeyNotFound
+from repro.errors import KeyNotFound
 from repro.hashing import stable_hash
 from repro.net.actor import Actor
 from repro.net.message import Message
@@ -31,25 +34,21 @@ from repro.net.message import Message
 __all__ = ["AAMSHybridControlet", "P2PNode", "chord_distance"]
 
 
-class AAMSHybridControlet(AAEventualControlet):
+class AAMSHybridControlet(AsyncPropagator, AAEventualControlet):
     """Active master with its own asynchronously-replicated slaves.
 
     ``slaves`` are controlet ids that understand ``replicate`` batches
     (plain :class:`~repro.core.ms_ec.MSEventualControlet` instances work
-    as-is — reuse, per the paper's §IV pitch)."""
+    as-is — reuse, per the paper's §IV pitch).  Propagation, coalesced
+    frames and gap repair are MS+EC's own (:class:`AsyncPropagator`);
+    only the target list differs."""
 
     def __init__(self, *args, slaves: Optional[List[str]] = None, **kwargs):
         super().__init__(*args, **kwargs)
         self.slaves = slaves or []
-        self._backlog: List[Dict[str, Optional[str]]] = []
-        self._flush_armed = False
-        #: one replicate frame in flight per slave link (lazily built in
-        #: :meth:`_slave_pump`); frames queued behind a slow slave stay
-        #: here instead of flooding the fabric.
-        self._slave_pumps: Dict[str, Pump] = {}
-        #: sequence stream for our slaves (MS+EC replicate protocol)
-        self._slave_seq = 0
-        self.propagated = 0
+
+    def propagation_targets(self) -> List[str]:
+        return self.slaves
 
     def _apply_entries(self, entries) -> None:
         fresh = [d for d in entries if int(d["pos"]) >= self.cursor]
@@ -61,64 +60,6 @@ class AAMSHybridControlet(AAEventualControlet):
         # rides along so slaves inherit the request identity too.
         for d in fresh:
             self._enqueue(d["op"], d["key"], d["value"], d.get("rid"))
-
-    def _enqueue(self, op: str, key: str, val: Optional[str],
-                 rid: Optional[str] = None) -> None:
-        if not self.slaves:
-            return
-        entry: Dict[str, Optional[str]] = {"op": op, "key": key, "val": val}
-        if rid is not None:
-            entry["rid"] = rid
-        self._backlog.append(entry)
-        if len(self._backlog) >= self.config.ec_batch_max:
-            self._flush()
-        elif not self._flush_armed:
-            self._flush_armed = True
-            self.set_timer(self.config.ec_batch_interval, self._flush_tick)
-
-    def _flush_tick(self) -> None:
-        self._flush_armed = False
-        self._flush()
-
-    def _slave_pump(self, slave: str) -> Pump:
-        pump = self._slave_pumps.get(slave)
-        if pump is None:
-
-            def issue(frame: Dict[str, object], done: Callable[[], None],
-                      _slave: str = slave) -> None:
-                # The ack is pure flow control, same discipline as
-                # ms_ec._peer_pump: a dropped or timed-out frame is
-                # not retried here — the slave's gap-repair anti-entropy
-                # re-fetches anything it carried.  One-in-flight per
-                # link is what bounds the fan-out: a slow slave queues
-                # frames at its pump instead of flooding the fabric.
-                def acked(resp: Optional[Message],
-                          err: Optional[BespoError]) -> None:
-                    done()
-
-                self.call(_slave, "replicate", frame, callback=acked,
-                          timeout=self.config.replication_timeout)
-
-            pump = Pump(issue)
-            self._slave_pumps[slave] = pump
-        return pump
-
-    def _flush(self) -> None:
-        if not self._backlog:
-            return
-        batch, self._backlog = self._backlog, []
-        start_seq = self._slave_seq
-        self._slave_seq += len(batch)
-        for slave in self.slaves:
-            # per-slave copies, op dicts included: the fabric passes
-            # payloads by reference and a serializing network would
-            # never hand two receivers the same ops list
-            self._slave_pump(slave).push({
-                "master": self.node_id,
-                "start_seq": start_seq,
-                "ops": [dict(op) for op in batch],
-            })
-        self.propagated += len(batch)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ immediately; mutations are buffered and propagated to slaves in
 batches ("data is replicated asynchronously in batch mode from master
 to slaves", §VI-A).  Any replica serves reads, so reads scale with the
 replica count — the property that makes MS+EC match AA+EC on
-read-heavy workloads in Fig 12.
+read-heavy workloads in Fig 12.  The master side,
+:class:`AsyncPropagator`, is shared with the AA-MS hybrid
+(:mod:`repro.core.hybrid`), whose masters feed plain MS+EC slaves.
 
 **Anti-entropy** (App C-C mentions anti-entropy/reconciliation as the
 standard companion of asynchronous replication): batches carry dense
@@ -23,36 +25,37 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.core.controlet import MasterSlaveControlet, Pump
+from repro.core.controlet import Controlet, MasterSlaveControlet, Pump
 from repro.core.request import Request
 from repro.errors import BespoError
 from repro.net.message import Message
 
-__all__ = ["MSEventualControlet"]
+__all__ = ["AsyncPropagator", "MSEventualControlet"]
 
 #: retained-ops window for resends before snapshot fallback.
 RETAIN_LIMIT = 8192
 
 
-class MSEventualControlet(MasterSlaveControlet):
-    """Async-propagation controlet with gap-repair anti-entropy."""
-
-    accept_cap = "ec_batch_max"
+class AsyncPropagator(Controlet):
+    """Master side of asynchronous propagation: a backlog flushed in
+    sequence-numbered batches, one coalesced ``replicate`` frame in
+    flight per target, and a retained window that answers slaves'
+    ``resend_request``s.  MS+EC and the AA-MS hybrid differ only in
+    :meth:`propagation_targets`."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # -- master state ---------------------------------------------
         #: buffered (op, key, val, rid) awaiting propagation.
         self._backlog: List[Tuple[str, str, Optional[str], Optional[str]]] = []
         self._flush_timer_armed = False
         #: next sequence number to assign to a propagated op.
         self._seq = 0
         #: stream identity slaves track sequence numbers against.
-        #: Normally our node id; a durable *rejoin* of the master mints
-        #: a fresh incarnation (see :meth:`on_start`) because the old
-        #: counters died with the process — continuing as the same
-        #: stream would make every new batch look like a stale
-        #: duplicate to the slaves' cursors.
+        #: Normally our node id; a durable *rejoin* of an MS+EC master
+        #: mints a fresh incarnation (see ``MSEventualControlet.on_start``)
+        #: because the old counters died with the process — continuing
+        #: as the same stream would make every new batch look like a
+        #: stale duplicate to the slaves' cursors.
         self._stream_id = self.node_id
         #: recent ops window for resends: (seq, op_dict).
         self._retained: Deque[Tuple[int, Dict[str, Optional[str]]]] = deque(
@@ -61,156 +64,18 @@ class MSEventualControlet(MasterSlaveControlet):
         self.propagated = 0
         self.resends_served = 0
         self.snapshot_syncs_served = 0
-        #: one replicate frame in flight per peer link (lazily built in
+        #: one replicate frame in flight per target link (lazily built in
         #: :meth:`_peer_pump`); each pump queues the ``[start_seq, ops]``
         #: frames awaiting the link (:meth:`_queue_replicate`).
         self._peer_pumps: Dict[str, Pump] = {}
         self.replicate_frames = 0
         self.replicate_frame_ops = 0
-        # -- slave state --------------------------------------------------
-        #: (stream identity, next expected sequence).
-        self._stream: Tuple[Optional[str], int] = (None, 0)
-        self._repair_pending = False
-        self.applied_from_master = 0
-        self.gaps_detected = 0
-        #: slave-side datalet mutations — replicated ``apply_batch``es
-        #: and snapshot ``restore``s, as ``(type, payload)`` — waiting
-        #: for the datalet in stream order; serialized for the same
-        #: reason as AA+EC log replay (see :meth:`_issue_apply`).
-        self._applies = Pump(self._issue_apply)
-        if self.rejoining and self._view_says_head():
-            # A rejoining EC *master* is the authority for acked data:
-            # its WAL holds acked-but-never-propagated writes that no
-            # slave can supply, so a peer pull (which reset-restores)
-            # would silently drop durable acks.  Recover from local
-            # state alone; slaves resync against the fresh incarnation.
-            self.recovery_source = None
-            self.recovered = True
-            # seq 0 is never assigned/retained: a slave resyncing the
-            # new incarnation from 0 misses the retained window and
-            # falls through to the snapshot path — which is what
-            # carries the recovered unpropagated writes back out.
-            self._seq = 1
-        self.register("replicate", self._on_replicate)
         self.register("resend_request", self._on_resend_request)
-        # NB: "sync_snapshot" is deliberately NOT registered — it only
-        # exists as a *response* to resend_request, consumed by the
-        # _request_repair callback.  A response that misses its pending
-        # callback (late, after timeout) is dropped by Actor.deliver
-        # before handler dispatch, so a registration could never fire.
-        self.register("ec_sync_pull", self._on_ec_sync_pull)
-        self.register("seq_probe", self._on_seq_probe)
 
-    # ------------------------------------------------------------------
-    # periodic anti-entropy
-    # ------------------------------------------------------------------
-    def _view_says_head(self) -> bool:
-        """Whether our spawn-time shard view names us as master."""
-        try:
-            return self.shard.head.controlet == self.node_id
-        except Exception:  # noqa: BLE001 - empty view during transitions
-            return False
+    def propagation_targets(self) -> List[str]:
+        """Controlets every flushed batch goes to: our shard peers."""
+        return [peer.controlet for peer in self.peers()]
 
-    def on_start(self) -> None:
-        if self.rejoining and self._view_says_head():
-            # Mint the fresh incarnation for this boot.  Sim time is
-            # deterministic and strictly increasing across rejoins of
-            # the same node, so the identity is both unique and
-            # reproducible run-to-run.
-            self._stream_id = f"{self.node_id}@{self.now():.6f}"
-        super().on_start()
-        # An immediate first tick is useless (nothing replicated yet);
-        # arm with a stable phase so this loop and the heartbeat — same
-        # 1s period, both starting at boot — never fire at one timestamp.
-        self.set_timer(
-            self.loop_phase("anti-entropy", self.config.replication_timeout),
-            self._anti_entropy_tick,
-        )
-
-    def _anti_entropy_tick(self) -> None:
-        """Tail-of-stream repair: a gap is normally detected when the
-        *next* batch arrives, but if the final batches of a burst are
-        lost there is no next batch.  Slaves therefore periodically
-        compare their cursor against the master's sequence counter."""
-        self.set_timer(self.config.replication_timeout, self._anti_entropy_tick)
-        if self.retired or not self.recovered or self.is_head:
-            return
-        try:
-            master_id = self.shard.head.controlet
-        except Exception:  # noqa: BLE001 - empty shard view mid-repair
-            return
-        if master_id == self.node_id:
-            return
-
-        def on_seq(resp: Optional[Message], err: Optional[BespoError]) -> None:
-            if resp is None or resp.type != "seq_info":
-                return
-            probed_stream = resp.payload.get("stream", resp.payload["master"])
-            master_seq = int(resp.payload["seq"])
-            tracked, next_seq = self._stream
-            if probed_stream != tracked:
-                # unfamiliar numbering — a new master, or the old one
-                # rebooted into a fresh incarnation: resync from its
-                # first op (the replicate/adoption path would do the
-                # same).  Repairs are addressed to the *actor* we
-                # probed; the stream identity is not routable.
-                if master_seq > 0:
-                    self._request_repair(master_id, 0)
-            elif master_seq > next_seq:
-                self._request_repair(master_id, next_seq)
-
-        # Timeout strictly inside the tick period: a full-period timeout
-        # expires at the exact timestamp of the *next* tick whenever the
-        # master is unreachable, tying the abandon-probe and new-probe
-        # events on the heap (a schedule-sensitivity races.py flags).
-        self.call(
-            master_id,
-            "seq_probe",
-            {},
-            callback=on_seq,
-            timeout=self.config.replication_timeout / 2,
-        )
-
-    def _on_seq_probe(self, msg: Message) -> None:
-        self.respond(msg, "seq_info", {
-            "master": self.node_id, "stream": self._stream_id, "seq": self._seq,
-        })
-
-    # ------------------------------------------------------------------
-    # hole-free recovery (replacement slave)
-    # ------------------------------------------------------------------
-    def _recover(self) -> None:
-        self.sync_recover("ec_sync_pull")
-
-    def on_sync_state(self, state) -> None:
-        # Adopt the source's stream cursor, captured *before* its
-        # snapshot: any op missing from the snapshot carries a sequence
-        # number >= this cursor, so the gap-repair path fetches it.
-        self._stream = (state.get("master"), int(state.get("seq", 0)))
-
-    def _on_ec_sync_pull(self, msg: Message) -> None:
-        """We are the recovery source: capture our stream position
-        first, then snapshot.  Re-applying overlap is idempotent; a
-        skipped op would be a lost write."""
-        if self.is_head:
-            master, seq = self._stream_id, self._seq
-        else:
-            master, seq = self._stream
-        self.serve_sync_pull(msg, {"master": master, "seq": seq})
-
-    # ------------------------------------------------------------------
-    # write path (master)
-    # ------------------------------------------------------------------
-    def _forward_down(self, req: Request) -> None:
-        # EC: ack as soon as one replica (ours) has the write, then
-        # propagate asynchronously.
-        req.ack()
-        self._enqueue(req.op, req.msg.payload["key"],
-                      req.msg.payload.get("val"), req.rid)
-
-    # ------------------------------------------------------------------
-    # async propagation (master)
-    # ------------------------------------------------------------------
     def _enqueue(self, op: str, key: str, val: Optional[str],
                  rid: Optional[str] = None) -> None:
         self._backlog.append((op, key, val, rid))
@@ -244,8 +109,8 @@ class MSEventualControlet(MasterSlaveControlet):
             # peers — the fabric passes payloads by reference
             self._retained.append((self._seq, dict(op_dict)))
             self._seq += 1
-        for peer in self.peers():
-            self._queue_replicate(peer.controlet, start_seq, ops)
+        for target in self.propagation_targets():
+            self._queue_replicate(target, start_seq, ops)
         self.propagated += len(batch)
 
     def _queue_replicate(self, peer_id: str, start_seq: int, ops: List[dict]) -> None:
@@ -339,30 +204,154 @@ class MSEventualControlet(MasterSlaveControlet):
 
         self.datalet_call("snapshot", {}, callback=with_snapshot)
 
+
+class MSEventualControlet(AsyncPropagator, MasterSlaveControlet):
+    """Async-propagation controlet with gap-repair anti-entropy."""
+
+    accept_cap = "ec_batch_max"
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # -- slave state --------------------------------------------------
+        #: (stream identity, next expected sequence).
+        self._stream: Tuple[Optional[str], int] = (None, 0)
+        self._repair_pending = False
+        self.applied_from_master = 0
+        self.gaps_detected = 0
+        if self.rejoining and self._view_says_head():
+            # A rejoining EC *master* is the authority for acked data:
+            # its WAL holds acked-but-never-propagated writes that no
+            # slave can supply, so a peer pull (which reset-restores)
+            # would silently drop durable acks.  Recover from local
+            # state alone; slaves resync against the fresh incarnation.
+            self.recovery_source = None
+            self.recovered = True
+            # seq 0 is never assigned/retained: a slave resyncing the
+            # new incarnation from 0 misses the retained window and
+            # falls through to the snapshot path — which is what
+            # carries the recovered unpropagated writes back out.
+            self._seq = 1
+        self.register("replicate", self._on_replicate)
+        # NB: "sync_snapshot" is deliberately NOT registered — it only
+        # exists as a *response* to resend_request, consumed by the
+        # _request_repair callback.  A response that misses its pending
+        # callback (late, after timeout) is dropped by Actor.deliver
+        # before handler dispatch, so a registration could never fire.
+        # seq_probe stays MS+EC-only: a hybrid slave's view names another
+        # master as head, so hybrid masters answering it would flip that
+        # slave between two streams.
+        self.register("seq_probe", self._on_seq_probe)
+
+    # ------------------------------------------------------------------
+    # periodic anti-entropy
+    # ------------------------------------------------------------------
+    def _view_says_head(self) -> bool:
+        """Whether our spawn-time shard view names us as master."""
+        try:
+            return self.shard.head.controlet == self.node_id
+        except Exception:  # noqa: BLE001 - empty view during transitions
+            return False
+
+    def on_start(self) -> None:
+        if self.rejoining and self._view_says_head():
+            # Mint the fresh incarnation for this boot.  Sim time is
+            # deterministic and strictly increasing across rejoins of
+            # the same node, so the identity is both unique and
+            # reproducible run-to-run.
+            self._stream_id = f"{self.node_id}@{self.now():.6f}"
+        super().on_start()
+        # An immediate first tick is useless (nothing replicated yet);
+        # arm with a stable phase so this loop and the heartbeat — same
+        # 1s period, both starting at boot — never fire at one timestamp.
+        self.set_timer(
+            self.loop_phase("anti-entropy", self.config.replication_timeout),
+            self._anti_entropy_tick,
+        )
+
+    def _anti_entropy_tick(self) -> None:
+        """Tail-of-stream repair: a gap is normally detected when the
+        *next* batch arrives, but if the final batches of a burst are
+        lost there is no next batch.  Slaves therefore periodically
+        compare their cursor against the master's sequence counter."""
+        self.set_timer(self.config.replication_timeout, self._anti_entropy_tick)
+        if self.retired or not self.recovered or self.is_head:
+            return
+        try:
+            master_id = self.shard.head.controlet
+        except Exception:  # noqa: BLE001 - empty shard view mid-repair
+            return
+        if master_id == self.node_id:
+            return
+
+        def on_seq(resp: Optional[Message], err: Optional[BespoError]) -> None:
+            if resp is None or resp.type != "seq_info":
+                return
+            probed_stream = resp.payload.get("stream", resp.payload["master"])
+            master_seq = int(resp.payload["seq"])
+            tracked, next_seq = self._stream
+            if probed_stream != tracked:
+                # unfamiliar numbering — a new master, or the old one
+                # rebooted into a fresh incarnation: resync from its
+                # first op (the replicate/adoption path would do the
+                # same).  Repairs are addressed to the *actor* we
+                # probed; the stream identity is not routable.
+                if master_seq > 0:
+                    self._request_repair(master_id, 0)
+            elif master_seq > next_seq:
+                self._request_repair(master_id, next_seq)
+
+        # Timeout strictly inside the tick period: a full-period timeout
+        # expires at the exact timestamp of the *next* tick whenever the
+        # master is unreachable, tying the abandon-probe and new-probe
+        # events on the heap (a schedule-sensitivity races.py flags).
+        self.call(
+            master_id,
+            "seq_probe",
+            {},
+            callback=on_seq,
+            timeout=self.config.replication_timeout / 2,
+        )
+
+    def _on_seq_probe(self, msg: Message) -> None:
+        self.respond(msg, "seq_info", {
+            "master": self.node_id, "stream": self._stream_id, "seq": self._seq,
+        })
+
+    # ------------------------------------------------------------------
+    # hole-free recovery (replacement slave)
+    # ------------------------------------------------------------------
+    def on_sync_state(self, state) -> None:
+        # Adopt the source's stream cursor, captured *before* its
+        # snapshot: any op missing from the snapshot carries a sequence
+        # number >= this cursor, so the gap-repair path fetches it.
+        self._stream = (state.get("master"), int(state.get("seq", 0)))
+
+    def sync_source(self, puller: str):
+        """We are the recovery source: capture our stream position
+        first, then snapshot.  Re-applying overlap is idempotent; a
+        skipped op would be a lost write."""
+        if self.is_head:
+            master, seq = self._stream_id, self._seq
+        else:
+            master, seq = self._stream
+        return {"master": master, "seq": seq}, None
+
+    # ------------------------------------------------------------------
+    # write path (master)
+    # ------------------------------------------------------------------
+    def _forward_down(self, req: Request) -> None:
+        # EC: ack as soon as one replica (ours) has the write, then
+        # propagate asynchronously.
+        req.ack()
+        self._enqueue(req.op, req.msg.payload["key"],
+                      req.msg.payload.get("val"), req.rid)
+
     # ------------------------------------------------------------------
     # slave side
     # ------------------------------------------------------------------
-    def _ack_frame(self, msg: Message) -> None:
-        """Flow-control ack for a coalesced replicate frame.
-
-        Only *request* messages are answered: ``_request_repair`` feeds
-        resend *responses* (``reply_to`` set) through ``_on_replicate``
-        too, and those must not spawn an unsolicited reply.  This ack is
-        not a durability claim — the master treats it purely as
-        link-ready; convergence is owned by the anti-entropy path."""
-        if not msg.reply_to:
-            # Not the client commit point: combo ms-ec acks at the
-            # master's local apply, and a slave's frame ack is pure flow
-            # control (the master never interprets it as replicated).
-            # lint: allow[ack-before-durable]
-            self.respond(msg, "ok")
-
     def _on_replicate(self, msg: Message) -> None:
         if not self.recovered:
-            # mid-recovery: replay after the snapshot restore installs
-            # our stream cursor (overlap re-applies are idempotent).
-            self.buffer_catchup(msg)
-            self._ack_frame(msg)
+            self._catch_up_later(msg)
             return
         master = msg.payload["master"]
         stream = msg.payload.get("stream", master)
@@ -384,17 +373,17 @@ class MSEventualControlet(MasterSlaveControlet):
             self.gaps_detected += 1
             self._stream = (tracked_stream, next_seq)
             self._request_repair(master, next_seq)
-            self._ack_frame(msg)
+            self._ack_receipt(msg)
             return
         skip = next_seq - start_seq
         if skip >= len(ops) and ops:
-            self._ack_frame(msg)
+            self._ack_receipt(msg)
             return  # duplicate/overlapping resend, fully applied already
         fresh = ops[skip:]
         if fresh:
             # one ordered apply_batch per batch — per-op messages could
             # reorder in flight and apply a delete before its put — and
-            # at most one batch in flight (see _issue_apply).
+            # at most one batch in flight (Controlet._issue_apply).
             self._applies.push(("apply_batch", {"ops": fresh}))
             self.applied_from_master += len(fresh)
             # learn the rids this batch carries: if we are later promoted
@@ -406,23 +395,7 @@ class MSEventualControlet(MasterSlaveControlet):
                     self._remember_rid(rid)
         self._stream = (tracked_stream, start_seq + len(ops))
         self._repair_pending = False
-        self._ack_frame(msg)
-
-    def _issue_apply(self, item: Tuple[str, dict], done: Callable[[], None]) -> None:
-        """At most one replicated mutation in flight to the datalet.
-
-        The host CPU is a multi-slot server: a small batch chasing a
-        large one (a repair resend followed by the fresh tail) could
-        finish service first and apply stream ops out of order,
-        permanently diverging this slave.  Same defect class the
-        rolling-restart chaos schedule exposed in AA+EC log replay; the
-        one-in-flight discipline lives in :class:`Pump`."""
-        type, payload = item
-
-        def applied(resp: Optional[Message], err: Optional[BespoError]) -> None:
-            done()
-
-        self.datalet_call(type, payload, callback=applied)
+        self._ack_receipt(msg)
 
     def _request_repair(self, master: str, from_seq: int) -> None:
         if self._repair_pending:

@@ -59,15 +59,11 @@ class MSStrongControlet(MasterSlaveControlet):
         self.chain_frames = 0
         self.chain_frame_ops = 0
         self.register("chain_put_batch", self._on_chain_put_batch)
-        self.register("tail_sync_pull", self._on_tail_sync_pull)
 
     # ------------------------------------------------------------------
     # hole-free recovery (replacement tail)
     # ------------------------------------------------------------------
-    def _recover(self) -> None:
-        self.sync_recover("tail_sync_pull")
-
-    def _on_tail_sync_pull(self, msg: Message) -> None:
+    def sync_source(self, puller: str):
         """We are the recovery source: start relaying every subsequent
         chain write to the replacement *before* snapshotting.  Datalet
         message ordering then guarantees snapshot ∪ relayed writes
@@ -80,7 +76,6 @@ class MSStrongControlet(MasterSlaveControlet):
         found by the recovery-aware model checker) must not be relayed
         to: chain writes already flow through it to us, so the relay
         would bounce every write back up the chain forever."""
-        puller = msg.payload["controlet"]
         upstream = False
         try:
             order = [r.controlet for r in self.shard.ordered()]
@@ -96,7 +91,7 @@ class MSStrongControlet(MasterSlaveControlet):
         def stop_relay() -> None:
             self._sync_successor = None
 
-        self.serve_sync_pull(msg, undo=stop_relay)
+        return {}, stop_relay
 
     def on_shard_changed(self) -> None:
         if self._sync_successor is None:
@@ -115,14 +110,7 @@ class MSStrongControlet(MasterSlaveControlet):
     def _on_chain_put_batch(self, msg: Message) -> None:
         """A coalesced frame of chain writes from our predecessor."""
         if not self.recovered:
-            # Recovering replacement: buffer and ack.  Ack-on-buffer is
-            # safe because the predecessor applied (and logged) every
-            # member before the frame left, so the writes are durable
-            # upstream even if we die, and the buffer replays right
-            # after the snapshot restore (combo ms-sc).
-            self.buffer_catchup(msg)
-            # lint: allow[ack-before-durable]
-            self.respond(msg, "ok")
+            self._catch_up_later(msg)
             return
         self._frames.push(msg)
 

@@ -3,6 +3,7 @@
 import textwrap
 
 from repro.analysis import check_sources, check_tree, package_root
+from repro.analysis.source import SourceIndex
 
 TOY = textwrap.dedent(
     """
@@ -122,10 +123,17 @@ def test_real_tree_has_no_unsuppressed_errors():
 
 def test_real_tree_resolves_known_protocol_types():
     m = check_tree(package_root())
-    # chain-replication sync pull: sent via sync_recover's pull_type
-    # constant, handled by the same controlet class
-    assert "MSStrongControlet" in m.senders("tail_sync_pull")
-    assert "MSStrongControlet" in m.handlers("tail_sync_pull")
+    index = SourceIndex.from_root(package_root())
+    # one recovery handshake: every combo inherits the sync_pull send
+    # (a constant forwarded through _pull_state's pull_type) and its
+    # handler from the template
+    for combo in ("MSStrongControlet", "MSEventualControlet",
+                  "AAStrongControlet", "AAEventualControlet",
+                  "AAMSHybridControlet"):
+        chain = set(index.ancestry(combo))
+        assert chain & set(m.senders("sync_pull")), combo
+        assert chain & set(m.handlers("sync_pull")), combo
+        assert index.handlers(combo)["sync_pull"] == "_on_sync_pull", combo
     # client scan reaches the range controlet
     assert "KVClient" in m.senders("get_range")
     assert "RangeQueryControlet" in m.handlers("get_range")

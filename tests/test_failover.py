@@ -7,6 +7,7 @@ detected by ~t+4 and the replacement pair joins shortly after
 
 import pytest
 
+from repro.core.controlet import Controlet
 from repro.core.types import Consistency, Topology
 from repro.harness import Deployment, DeploymentSpec
 
@@ -166,6 +167,77 @@ def test_failover_counter_and_epoch_progression():
     assert dep.coordinator.failovers == 1
     # epoch bumped at least twice: removal + replacement join
     assert dep.map.epoch >= 2
+
+
+@pytest.mark.parametrize("topology,consistency,victim", [
+    (Topology.MS, Consistency.STRONG, 2),
+    (Topology.MS, Consistency.EVENTUAL, 2),
+    (Topology.AA, Consistency.STRONG, 1),
+    (Topology.AA, Consistency.EVENTUAL, 1),
+], ids=["ms-sc", "ms-ec", "aa-sc", "aa-ec"])
+def test_writes_during_state_transfer_reach_the_replacement(
+        topology, consistency, victim):
+    """Hole-free recovery (``sync_pull``): a write committed after the
+    source took its snapshot but before the replacement joined is in no
+    snapshot — only the source's relay, the replacement's catch-up
+    replay or the combo's own stream/log can carry it.  Every acked
+    write issued before the replacement recovered and joined must end
+    up on the new datalet."""
+    dep, client = build(topology, consistency)
+    load_keys(dep, client, n=10)
+    original = set(dep.cluster.actors)
+    # Every link *into* the replacement's host is slow until it has
+    # joined: the pull leaves at once, but the snapshot crawls back, so
+    # many writes commit between the snapshot and the join.
+    net = dep.cluster.network
+    standby = dep._standbys[0]
+    links = sorted({dep.cluster.host_of(n) for n in original} - {standby})
+
+    def slow_links(factor):
+        for h in links:
+            net.set_link_factor(h, standby, factor)
+
+    slow_links(2000.0)
+    window = {}
+    acked = []
+    writers = []
+
+    def writer(w):
+        for i in range(60):
+            issued = dep.sim.now
+            try:
+                yield client.put(f"w{w}.{i}", str(i))
+                acked.append((f"w{w}.{i}", str(i), issued))
+            except Exception:  # noqa: BLE001 - only acked writes count
+                pass
+            yield 0.01
+
+    def watch():
+        # writers start with the transfer: writes stalled by the kill
+        # would only queue behind the failover
+        while "end" not in window:
+            fresh = [a for n, a in dep.cluster.actors.items()
+                     if n not in original and isinstance(a, Controlet)]
+            if fresh and "ctl" not in window:
+                window["ctl"] = fresh[0]
+                writers.extend(dep.sim.spawn(writer(w)) for w in range(8))
+            if (fresh and fresh[0].recovered and fresh[0].node_id
+                    in dep.shard(0).controlets()):
+                window["end"] = dep.sim.now
+                slow_links(1.0)
+            yield 0.001
+
+    watcher = dep.sim.spawn(watch())
+    dep.kill_replica(0, chain_pos=victim)
+    dep.sim.run_future(watcher)
+    dep.sim.run_future(dep.sim.gather(writers))
+    dep.sim.run_until(dep.sim.now + 5.0)
+    during = [(k, v) for k, v, issued in acked if issued <= window["end"]]
+    assert during, "no write was acked during the state transfer"
+    engine = dep.cluster.actor(window["ctl"].datalet).engine
+    missing = [k for k, v in during
+               if not engine.contains(k) or engine.get(k) != v]
+    assert missing == [], f"acked during transfer, absent after: {missing}"
 
 
 def test_in_flight_writes_survive_tail_kill():

@@ -92,6 +92,51 @@ def test_hybrid_conflicting_writes_converge_everywhere():
     assert len(values) == 1
 
 
+def put(c, port, master, key, val):
+    resp = c.sim.run_future(port.request(master, "put", {"key": key, "val": val}))
+    assert resp.type == "ok"
+
+
+def test_hybrid_slave_repairs_a_lost_frame():
+    """A replicate frame lost on the master→slave link leaves a gap the
+    slave can only close through the master's ``resend_request`` path."""
+    c, port = build_hybrid()
+    c.network.cut_oneway("hm0", "hs0")
+    put(c, port, "m0", "a", "1")
+    c.sim.run_until(c.sim.now + 2.0)
+    c.network.heal_oneway("hm0", "hs0")
+    put(c, port, "m0", "b", "2")
+    put(c, port, "m0", "c", "3")
+    c.sim.run_until(c.sim.now + 2.0)
+    engine = c.actor("ds0").engine
+    assert [engine.get(k) for k in "abc"] == ["1", "2", "3"]
+    assert c.actor("sl0").gaps_detected >= 1
+    assert c.actor("m0").resends_served >= 1
+
+
+def test_hybrid_slaves_keep_their_own_master_after_repair():
+    """Both masters lose a frame to their slave while writes go to both:
+    each slave repairs against its *own* master's stream (the hybrid
+    masters do not answer ``seq_probe``, whose view-head target would be
+    ``m0`` for both slaves) and ends equal to that master's datalet."""
+    c, port = build_hybrid()
+    for i in range(2):
+        c.network.cut_oneway(f"hm{i}", f"hs{i}")
+    put(c, port, "m0", "x", "1")
+    put(c, port, "m1", "y", "2")
+    c.sim.run_until(c.sim.now + 2.0)
+    for i in range(2):
+        c.network.heal_oneway(f"hm{i}", f"hs{i}")
+    for n in range(3):
+        put(c, port, f"m{n % 2}", f"z{n}", str(n))
+    c.sim.run_until(c.sim.now + 3.0)
+    for i in range(2):
+        assert c.actor(f"sl{i}")._stream[0] == f"m{i}"
+        slave = c.actor(f"ds{i}").engine.snapshot()
+        assert slave == c.actor(f"dm{i}").engine.snapshot()
+        assert {"x", "y", "z0", "z1", "z2"} <= set(slave)
+
+
 # ---------------------------------------------------------------------------
 # Chord P2P
 # ---------------------------------------------------------------------------

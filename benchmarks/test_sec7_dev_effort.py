@@ -33,7 +33,7 @@ from repro.datalet.lsm import LSMEngine
 #: logical-LoC ceilings, each the size measured when it was last lowered
 #: (framework pieces, then per-controlet deltas).
 FRAMEWORK_BOUNDS = {
-    "controlet template": 719,
+    "controlet template": 676,
     "MS accept base": 58,
     "async propagation base": 121,
 }
@@ -41,11 +41,11 @@ CONTROLET_BOUNDS = {
     "MS+SC (chain replication)": 202,
     "MS+EC (async propagation)": 183,
     "AA+SC (DLM locking)": 178,
-    "AA+EC (shared log)": 233,
+    "AA+EC (shared log)": 230,
     "AA-MS hybrid (§IV-E)": 17,
 }
 #: template + shared bases + the five deltas.
-CONTROL_PLANE_BOUND = 1711
+CONTROL_PLANE_BOUND = 1665
 
 
 def loc(obj) -> int:

@@ -38,8 +38,9 @@ These passes check the idioms statically, on every path:
     path may strip the ``rid`` off a payload it then re-enqueues.
 
 ``ring-epoch`` (epoch-guard)
-    Ring state is only installed through the epoch-fenced
-    ``_install_shard``; overrides must keep the epoch comparison, and
+    Ring state (``self.shard``, the ring routing in ``self._gate``) is
+    only installed through the epoch-fenced ``_install_shard``;
+    overrides must keep the epoch comparison, and
     ``_on_config_update`` overrides must still route through
     ``_install_shard``.  A stale config install resurrects a retired
     replica set.
@@ -412,11 +413,11 @@ def _check_retry(index: SourceIndex, cls: str,
 # pass (d): epoch-guard
 # ----------------------------------------------------------------------
 
-#: double-ring routing state a controlet may only install through the
-#: epoch-fenced paths below — a stale broadcast writing these directly
-#: can re-open a committed reshard window.
-_RING_STATE_ATTRS = ("_ring", "_old_ring", "_reshard")
-_RING_INSTALLERS = ("__init__", "_install_shard", "_install_ring")
+#: the controlet's ring routing (its reshard gate), which only the
+#: epoch-fenced installer may assign or ``install`` into — a stale
+#: broadcast installed directly can re-open a committed reshard window.
+_RING_STATE_ATTRS = ("_gate",)
+_RING_INSTALLERS = ("__init__", "_install_shard")
 
 
 def _check_epoch(index: SourceIndex, cls: str) -> List[Raw]:
@@ -440,9 +441,12 @@ def _check_epoch(index: SourceIndex, cls: str) -> List[Raw]:
         return []
     raws = []
     for name, funcdef in sorted(methods.items()):
-        if name in ("__init__", "_install_shard"):
+        if name in _RING_INSTALLERS:
             continue
-        for line, target in index.facts(funcdef).stores:
+        facts = index.facts(funcdef)
+        installs = [(line, attr) for (attr, m), line in facts.drives.items()
+                    if attr in _RING_STATE_ATTRS and m == "install"]
+        for line, target in facts.stores + installs:
             if target == "shard":
                 raws.append(Raw(
                     file, line, "ring-epoch",
@@ -451,11 +455,11 @@ def _check_epoch(index: SourceIndex, cls: str) -> List[Raw]:
                     "epoch-fenced _install_shard — a stale config "
                     "delivery can resurrect a retired replica set",
                     cls))
-            elif target in _RING_STATE_ATTRS and name not in _RING_INSTALLERS:
+            elif target in _RING_STATE_ATTRS:
                 raws.append(Raw(
                     file, line, "ring-epoch",
                     f"{cls}.{name}: double-ring routing state "
-                    f"(self.{target} = ...) installed outside "
+                    f"(self.{target}) assigned or installed outside "
                     "the fenced installers "
                     f"({', '.join(_RING_INSTALLERS)}) — a delayed "
                     "broadcast from a previous window can re-open "

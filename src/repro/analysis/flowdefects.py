@@ -86,24 +86,19 @@ class UncappedRequeueMSStrongControlet(MSStrongControlet):
 
 
 class StaleEpochDualRouteControlet(MSEventualControlet):
-    """Known-bad build: a config handler that adopts the double-ring
-    reshard state straight off the wire — ``self._reshard`` and
-    ``self._old_ring`` written directly, and the whole payload never
-    routed through the epoch fence in ``_install_shard``.  A delayed
-    ``config_update`` broadcast from a *previous* reshard window then
-    re-opens dual-routing after the cutover committed: migrated keys
-    route back to the retired source, and a fenced source accepts
+    """Known-bad build: a config handler that installs the routing
+    block straight off the wire into the reshard gate, and never routes
+    the payload through the epoch fence in ``_install_shard``.  A
+    delayed ``config_update`` broadcast from a *previous* reshard window
+    then re-opens dual-routing after the cutover committed: migrated
+    keys route back to the retired source, and a fenced source accepts
     writes it no longer owns (``ring-epoch``, twice over).
     """
 
     def _on_config_update(self, msg: Message) -> None:
-        payload = msg.payload
-        ring = (payload.get("view") or {}).get("reshard")
         # BUG: no epoch comparison, no _install_shard — stale window
         # descriptors land as if they were fresh
-        self._reshard = dict(ring) if ring else None
-        self._old_ring = None
-        self.respond(msg, "config_ack", {"epoch": payload["map"]["epoch"]})
+        self._gate.install(msg.payload.get("ring") or {})
 
 
 FLOW_INJECTIONS: Dict[str, type] = {

@@ -166,7 +166,7 @@ class Facts:
         self.writes: Set[str] = set()       # self.X stores and dels
         self.self_calls: Set[str] = set()   # self.m(...)
         self.calls: Set[str] = set()        # <anything>.m(...)
-        self.drives: Set[Tuple[str, str]] = set()  # self.X.m(...)
+        self.drives: Dict[Tuple[str, str], int] = {}  # self.X.m(...) -> line
         self.fed: Set[str] = set()          # self.X[...].append(...) & co.
         self.attrs: Set[str] = set()        # every attribute name
         self.strings: Set[str] = set()      # every str constant
@@ -212,7 +212,7 @@ class Facts:
                     and const_str(n.args[1]) is not None:
                 self.sends.append((n.lineno, n.args[1].value))
         elif owner is not None:
-            self.drives.add((owner, func.attr))
+            self.drives.setdefault((owner, func.attr), n.lineno)
         if func.attr in PUSH_METHODS:
             target = func.value
             while isinstance(target, ast.Subscript):

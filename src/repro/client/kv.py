@@ -33,7 +33,8 @@ from repro.errors import (
     ShardUnavailable,
     TableNotFound,
 )
-from repro.hashing import HashRing, RangePartitioner
+from repro.cluster.routing import RingRouting
+from repro.hashing import RangePartitioner
 from repro.net.simnet import ClientPort, SimCluster
 from repro.sim import SimFuture
 
@@ -79,17 +80,15 @@ class KVClient:
         #: timeouts and exhausted retries — for the consistency oracle.
         self.recorder = recorder
         self.map: Optional[ClusterMap] = None
-        self._ring: Optional[HashRing] = None
+        #: ring generation, ring and open reshard window mirrored from
+        #: the coordinator's ClusterView.  The generation is stamped on
+        #: every op so controlets (and the DLM / sequencer backstops)
+        #: can fence stale-routed requests during a reshard; while a
+        #: window is open, writes for moved keys dual-route to both
+        #: owners and reads prefer the new owner with fallback to the
+        #: old one.
+        self._routing = RingRouting()
         self._range: Optional[RangePartitioner] = None
-        #: ring generation mirrored from the coordinator's ClusterView;
-        #: stamped on every op so controlets (and the DLM / sequencer
-        #: backstops) can fence stale-routed requests during a reshard.
-        self._ring_gen = 0
-        #: open reshard window descriptor + the old ring: while set,
-        #: writes for moved keys dual-route to both owners and reads
-        #: prefer the new owner with fallback to the old one.
-        self._reshard: Optional[Dict[str, Any]] = None
-        self._old_ring: Optional[HashRing] = None
         # Named stream from the registry, not a derived ad-hoc Random:
         # the client's jitter draws replay bit-for-bit for a given seed.
         self._rng = cluster.rng.stream(f"client.{name}")
@@ -148,42 +147,21 @@ class KVClient:
         The response is epoch-fenced: a map at or below the cached
         epoch (with an unchanged ring generation) re-versions nothing
         and is dropped without re-deriving any routing state.  When it
-        does advance, the hash ring is patched with the membership
-        *diff* — vnode placement is a pure function of the member name,
-        so add/remove reproduces a rebuilt ring exactly (see
-        ``HashRing.diff``) — instead of being rebuilt from scratch on
-        every refresh.
+        does advance, the routing block is installed into the one
+        :class:`~repro.cluster.routing.RingRouting`, which patches the
+        hash ring with the membership *diff* instead of rebuilding it
+        on every refresh.
         """
         epoch = int(payload["map"]["epoch"])
         view = payload.get("view") or {}
-        gen = int(view.get("gen", 0))
         if self.map is not None:
             if epoch < self.map.epoch:
                 return  # stale refresh (e.g. a lagging standby)
-            if epoch == self.map.epoch and gen == self._ring_gen:
+            if epoch == self.map.epoch and int(view.get("gen", 0)) == self._routing.gen:
                 return  # unchanged: keep every derived structure
         cmap = ClusterMap.from_dict(payload["map"])
         self.map = cmap
-        new_ids = [str(s) for s in (view.get("ids") or cmap.shard_ids())]
-        changed = True
-        if self._ring is None:
-            self._ring = HashRing(new_ids)
-        else:
-            want, have = set(new_ids), set(self._ring.members)
-            changed = want != have
-            for sid in sorted(have - want):
-                self._ring.remove(sid)
-            for sid in sorted(want - have):
-                self._ring.add(sid)
-        desc = view.get("reshard")
-        if desc is not None:
-            if self._reshard is None or self._reshard.get("gen") != desc.get("gen"):
-                self._old_ring = HashRing([str(s) for s in desc["old"]])
-            self._reshard = dict(desc)
-        else:
-            self._reshard = None
-            self._old_ring = None
-        self._ring_gen = gen
+        changed = self._routing.install(view)
         if self.partitioner == "range" and (changed or self._range is None):
             self._range = RangePartitioner.uniform_alpha(cmap.shard_ids())
 
@@ -208,7 +186,7 @@ class KVClient:
             raise BespoError("client not connected: call connect() first")
         if self.partitioner == "range":
             return self.map.shard(self._range.lookup(key))
-        return self.map.shard(self._ring.lookup(key))
+        return self.map.shard(self._routing.ring.lookup(key))
 
     def _route(
         self,
@@ -294,12 +272,15 @@ class KVClient:
                 # DLM / sequencer backstops) can fence stale-routed
                 # requests during a reshard window
                 req_payload = dict(payload)
-                req_payload["gen"] = self._ring_gen
-                old_shard = self._reshard_old_shard(key, shard)
-                if old_shard is not None:
+                req_payload["gen"] = self._routing.gen
+                # a key the open reshard window moves dual-routes to
+                # its old owner too
+                old_sid = self._routing.old_owner(key)
+                if (old_sid is not None and old_sid in self.map.shards
+                        and self.partitioner == "hash"):
                     outcome, result = yield from self._dual_attempt(
-                        op, shard, old_shard, req_payload, consistency,
-                        prefer_kind, ctx)
+                        op, shard, self.map.shard(old_sid), req_payload,
+                        consistency, prefer_kind, ctx)
                     if outcome == "ok":
                         status = "ok"
                         return result
@@ -368,21 +349,6 @@ class KVClient:
     # ------------------------------------------------------------------
     # reshard-window dual routing
     # ------------------------------------------------------------------
-    def _reshard_old_shard(
-        self, key: str, new_shard: ShardInfo
-    ) -> Optional[ShardInfo]:
-        """During an open reshard window: the *old* ring's owner of
-        ``key`` when it differs from the new owner (else None — the key
-        is unaffected by the window)."""
-        if self._reshard is None or self._old_ring is None:
-            return None
-        if self.partitioner != "hash" or self.map is None:
-            return None
-        old_sid = self._old_ring.lookup(key)
-        if old_sid == new_shard.shard_id or old_sid not in self.map.shards:
-            return None
-        return self.map.shard(old_sid)
-
     def _leg(self, target: str, op: str, payload: Dict[str, Any],
              ctx: Optional[RequestContext]):
         """One dual-route leg: returns ``(kind, resp)`` instead of

@@ -27,7 +27,7 @@ travel in coordinator sync messages and client refreshes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.types import ClusterMap
 from repro.errors import ConfigError
@@ -97,24 +97,28 @@ class ClusterView:
         return self._append(kind, detail)
 
     # -- resharding --------------------------------------------------------
-    def begin_reshard(self, action: str, shard_id: str) -> ViewTransition:
-        """Open the double-ring window: old ring = the current members,
-        new ring = members with ``shard_id`` added/removed."""
+    def plan_reshard(self, action: str, shard_id: str) -> Tuple[List[str], List[str]]:
+        """The ``(old, new)`` ring members of adding/removing
+        ``shard_id``: old = the current members.  ConfigError when the
+        action is unknown or cannot apply to the current membership."""
         if action not in (RESHARD_ADD, RESHARD_REMOVE):
             raise ConfigError(f"unknown reshard action {action!r}")
-        if self.reshard is not None:
-            raise ConfigError("reshard already in progress")
         old = self.map.shard_ids()
         if action == RESHARD_ADD:
             if shard_id in old:
                 raise ConfigError(f"shard {shard_id!r} already present")
-            new = sorted(old + [shard_id])
-        else:
-            if shard_id not in old:
-                raise ConfigError(f"shard {shard_id!r} not present")
-            if len(old) < 2:
-                raise ConfigError("cannot remove the last shard")
-            new = [s for s in old if s != shard_id]
+            return old, sorted(old + [shard_id])
+        if shard_id not in old:
+            raise ConfigError(f"shard {shard_id!r} not present")
+        if len(old) < 2:
+            raise ConfigError("cannot remove the last shard")
+        return old, [s for s in old if s != shard_id]
+
+    def begin_reshard(self, action: str, shard_id: str) -> ViewTransition:
+        """Open the double-ring window planned by :meth:`plan_reshard`."""
+        if self.reshard is not None:
+            raise ConfigError("reshard already in progress")
+        old, new = self.plan_reshard(action, shard_id)
         self.ring_gen += 1
         self.reshard = {
             "action": action,

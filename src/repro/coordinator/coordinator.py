@@ -28,8 +28,10 @@ from typing import Callable, Dict, List, Optional, Set
 from repro.cluster.view import RESHARD_ADD, RESHARD_REMOVE, ClusterView
 from repro.core.config import ControlConfig
 from repro.core.types import ClusterMap, Consistency, Replica, ShardInfo, Topology
+from repro.errors import ConfigError
 from repro.net.actor import Actor
 from repro.net.message import Message
+from repro.sharedlog import log_name
 
 __all__ = ["CoordinatorActor"]
 
@@ -439,6 +441,8 @@ class CoordinatorActor(Actor):
             )
             return
         action = msg.payload["action"]
+        new_shard: Optional[ShardInfo] = None
+        sid = msg.payload.get("shard")
         if action == RESHARD_ADD:
             if self.reshard_spawner is None:
                 self.respond(msg, "error", {"error": "no reshard spawner configured"})
@@ -448,23 +452,11 @@ class CoordinatorActor(Actor):
                 self.respond(msg, "error", {"error": "no capacity for a new shard"})
                 return
             sid = new_shard.shard_id
-        elif action == RESHARD_REMOVE:
-            sid = msg.payload["shard"]
-            if sid not in self.map.shards:
-                self.respond(msg, "error", {"error": f"unknown shard {sid!r}"})
-                return
-            if len(self.map.shards) < 2:
-                self.respond(msg, "error", {"error": "cannot remove the last shard"})
-                return
-            new_shard = None
-        else:
-            self.respond(msg, "error", {"error": f"unknown reshard action {action!r}"})
+        try:
+            old_ids, new_ids = self.view.plan_reshard(action, sid)
+        except ConfigError as e:
+            self.respond(msg, "error", {"error": str(e)})
             return
-        old_ids = self.map.shard_ids()
-        new_ids = (
-            sorted(old_ids + [sid]) if action == RESHARD_ADD
-            else [s for s in old_ids if s != sid]
-        )
         self._reshard = {
             "phase": "arming",
             "action": action,
@@ -495,8 +487,7 @@ class CoordinatorActor(Actor):
             targets.append(self.dlm)
         for s in shards:
             if s.topology is Topology.AA and s.consistency is Consistency.EVENTUAL:
-                # deployment naming convention: one log actor per shard
-                targets.append(f"sharedlog.{s.shard_id}")
+                targets.append(log_name(s.shard_id))
         return targets
 
     def _arm_authorities(self) -> None:

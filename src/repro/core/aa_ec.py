@@ -17,6 +17,7 @@ from repro.core.controlet import Controlet, Pump
 from repro.core.request import Request
 from repro.errors import BespoError
 from repro.net.message import Message
+from repro.sharedlog import log_name
 
 __all__ = ["AAEventualControlet"]
 
@@ -200,7 +201,7 @@ class AAEventualControlet(Controlet):
             "log_append_batch",
             # the ring generation rides along so the sequencer can fence
             # stale-routed writes during a reshard window
-            {"entries": entries, "gen": self._ring_gen},
+            {"entries": entries, "gen": self._gate.gen},
             callback=on_appended,
             timeout=self.config.replication_timeout,
         )
@@ -248,16 +249,13 @@ class AAEventualControlet(Controlet):
 
     def _migrate_copy(self, key, complete) -> None:
         """Copy one moved key by appending it to the *destination*
-        shard's log (deployment naming convention: one sequencer per
-        shard).  The destination's sequencer is the ordering authority:
-        it refuses the copy (``skipped``) when a client write for the
-        key was sequenced during the window, and a clean copy enters the
-        log as a plain put entry — replaying replicas (and the hybrid's
+        shard's log (one sequencer per shard, named by ``log_name``).
+        The destination's sequencer is the ordering authority: it
+        refuses the copy (``skipped``) when a client write for the key
+        was sequenced during the window, and a clean copy enters the log
+        as a plain put entry — replaying replicas (and the hybrid's
         slaves) need no special casing."""
-        if self._reshard is None or self._ring is None:
-            complete("skipped")
-            return
-        dest_log = f"sharedlog.{self._ring.lookup(key)}"
+        dest_log = log_name(self._gate.ring.lookup(key))
         self._read_for_copy(key, complete, lambda val: self._ship_copy(
             key, val, dest_log, "log_append", complete, op="put"))
 

@@ -131,7 +131,7 @@ class AAStrongControlet(Controlet):
             "lock",
             # the ring generation rides along so the DLM can fence
             # stale-routed writes during a reshard window
-            {"key": key, "mode": mode, "gen": self._ring_gen},
+            {"key": key, "mode": mode, "gen": self._gate.gen},
             callback=on_grant,
             timeout=self.config.lock_lease * 4,
         )
@@ -231,7 +231,7 @@ class AAStrongControlet(Controlet):
         self.call(
             self.dlm,
             "lock",
-            {"key": key, "mode": "w", "gen": self._ring_gen, "mig": True},
+            {"key": key, "mode": "w", "gen": self._gate.gen, "mig": True},
             callback=on_grant,
             timeout=self.config.lock_lease * 4,
         )

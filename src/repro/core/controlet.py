@@ -25,6 +25,11 @@ are parked (:meth:`Controlet._catch_up_later`) and replayed once
 :meth:`Controlet.on_sync_state` adopted the cursor.  The one-in-flight
 replicated-apply pump (``_applies``) that both EC combos feed lives
 here too.
+
+Reshard state is one :class:`~repro.cluster.gate.ReshardGate`
+(``_gate``), installed only by the epoch-fenced ``_install_shard``: its
+ring drives the ownership fence and the migration census, its marks
+keep migrated copies from clobbering client writes.
 """
 
 from __future__ import annotations
@@ -32,11 +37,11 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
+from repro.cluster.gate import ReshardGate
 from repro.core.config import ControlConfig
 from repro.core.request import Request
 from repro.core.types import Replica, ShardInfo
 from repro.errors import BespoError
-from repro.hashing.ring import HashRing
 from repro.net.actor import Actor
 from repro.net.message import Message
 
@@ -172,27 +177,18 @@ class Controlet(Actor):
         #: during a transition, client *writes* are forwarded here.
         self.forward_writes_to: Optional[str] = None
         #: cluster-view routing state, mirrored from the coordinator's
-        #: :class:`~repro.cluster.view.ClusterView` broadcasts.  The
-        #: ring generation + member ids give every controlet the same
-        #: key→shard function the clients route by, which is what makes
-        #: *ownership fencing* possible: once the ring has re-versioned
-        #: (gen > 0 under hash partitioning), ops for keys the new ring
-        #: assigns elsewhere bounce with ``wrong_shard``.
+        #: :class:`~repro.cluster.view.ClusterView` broadcasts, plus the
+        #: reshard window's dirty marks.  The ring gives every controlet
+        #: the key→shard function the clients route by, which is what
+        #: makes *ownership fencing* possible: once the ring has
+        #: re-versioned (gen > 0 under hash partitioning), ops for keys
+        #: the new ring assigns elsewhere bounce with ``wrong_shard``.
         self._partitioner = "hash"
-        self._ring_gen = 0
-        self._ring_ids: List[str] = []
-        self._ring: Optional[HashRing] = None
-        #: open reshard window descriptor (+ the old ring) while writes
-        #: dual-route; ``None`` when the topology is settled.
-        self._reshard: Optional[Dict[str, Any]] = None
-        self._old_ring: Optional[HashRing] = None
+        self._gate = ReshardGate()
         #: highest window generation we acked a ``reshard_fence`` for:
         #: from then on the dual-routed old-ring leg of that window is
         #: rejected too, so no stale read survives the cutover.
         self._fenced_gen = 0
-        #: keys written by clients — a migrated copy must never clobber
-        #: them (cleared when the window commits).
-        self._dirty_keys: set = set()
         #: in-flight source-side migration drive + last driven gen
         #: (duplicate ``reshard_migrate`` orders are dropped).
         self._migration: Optional[Any] = None
@@ -583,37 +579,33 @@ class Controlet(Actor):
             self.stats["errors"] += 1
             self.respond(msg, "error", {"error": "retired"})
             return
+        gate = self._gate
         if (
             msg.type != "scan"
             and self._partitioner == "hash"
-            and self._ring_gen > 0
-            and self._ring is not None
-        ):
+            and gate.gen > 0
+            and gate.ring.lookup(msg.payload["key"]) != self.shard.shard_id
             # ownership fence: the ring has re-versioned at least once,
             # so routing is no longer derivable from the static shard
             # list — ops for keys the current ring assigns elsewhere are
             # bounced.  The one sanctioned exception is the dual-routed
             # *old-ring* leg of an open, not-yet-fenced reshard window,
             # and only from clients that stamped that window's gen.
-            key = msg.payload["key"]
-            if self._ring.lookup(key) != self.shard.shard_id:
-                desc = self._reshard
-                dual_leg = (
-                    desc is not None
-                    and int(desc["gen"]) > self._fenced_gen
-                    and msg.payload.get("gen") == desc["gen"]
-                    and self._old_ring is not None
-                    and self._old_ring.lookup(key) == self.shard.shard_id
-                )
-                if not dual_leg:
-                    self.stats["errors"] += 1
-                    self.respond(msg, "error", {"error": "wrong_shard"})
-                    return
+            and not (
+                gate.window is not None
+                and gate.gen > self._fenced_gen
+                and msg.payload.get("gen") == gate.gen
+                and gate.old_owner(msg.payload["key"]) == self.shard.shard_id
+            )
+        ):
+            self.stats["errors"] += 1
+            self.respond(msg, "error", {"error": "wrong_shard"})
+            return
         if msg.type in ("put", "del"):
-            # dirty-track every admitted client mutation so an in-window
-            # migrated copy (an older value by construction) can never
-            # clobber it; see :meth:`_on_migrate_put`.
-            self._dirty_keys.add(msg.payload["key"])
+            # an in-window migrated copy (an older value by
+            # construction) must never clobber a client write; see
+            # :meth:`_on_migrate_put`.
+            gate.mark(msg.payload["key"], msg.payload.get("gen"))
         if self.forward_writes_to is not None and msg.type in ("put", "del"):
             self._forward_write(msg)
             return
@@ -799,7 +791,10 @@ class Controlet(Actor):
                 return False
             self._config_epoch = epoch
         self.shard = shard
-        self._install_ring(info.get("ring"), info.get("partitioner"))
+        if info.get("partitioner"):
+            self._partitioner = info["partitioner"]
+        if info.get("ring"):
+            self._gate.install(info["ring"])
         return True
 
     def _on_config_update(self, msg: Message) -> None:
@@ -841,41 +836,8 @@ class Controlet(Actor):
         self.respond(msg, "ctl_stats", {k: float(v) for k, v in self.stats.items()})
 
     # ------------------------------------------------------------------
-    # online resharding: ring install, ownership fence, key migration
+    # online resharding: key migration
     # ------------------------------------------------------------------
-    def _install_ring(
-        self,
-        ring: Optional[Dict[str, Any]],
-        partitioner: Optional[str],
-    ) -> None:
-        """Adopt the routing block of an (epoch-fenced) config payload:
-        ring generation + member ids, plus the reshard window when one
-        is open.  Callers must only reach here through the epoch fence
-        in :meth:`_install_shard` — installing a stale ring would
-        re-open a committed window."""
-        if partitioner:
-            self._partitioner = partitioner
-        if not ring:
-            return
-        gen = int(ring.get("gen", 0))
-        ids = list(ring.get("ids", []))
-        if gen != self._ring_gen or ids != self._ring_ids:
-            self._ring_gen = gen
-            self._ring_ids = ids
-            self._ring = HashRing(ids) if ids else None
-        desc = ring.get("reshard")
-        if desc is not None:
-            desc = dict(desc)
-            if self._reshard is None or self._reshard.get("gen") != desc.get("gen"):
-                self._reshard = desc
-                self._old_ring = HashRing(list(desc["old"]))
-        elif self._reshard is not None:
-            # window committed: the new ring is the only ring now, and
-            # the in-window dirty marks have served their purpose
-            self._reshard = None
-            self._old_ring = None
-            self._dirty_keys.clear()
-
     # -- source side: drive the per-key copy pump ----------------------
     def _on_reshard_migrate(self, msg: Message) -> None:
         """Coordinator order: this shard's owned range shrinks under the
@@ -885,13 +847,11 @@ class Controlet(Actor):
         gen = int(desc["gen"])
         if self._migration is not None or gen <= self._migrated_gen:
             return  # duplicate order (fabric dup or coordinator retry)
-        epoch = msg.payload.get("epoch")
-        if epoch is not None and int(epoch) > self._config_epoch:
-            self._config_epoch = int(epoch)
         # the order can outrun the config broadcast: adopt the window
         # straight from its descriptor (a no-op when already installed)
-        self._install_ring(
-            {"gen": gen, "ids": list(desc["new"]), "reshard": desc}, None)
+        self._install_shard(self.shard, {
+            "epoch": msg.payload.get("epoch"),
+            "ring": {"gen": gen, "ids": list(desc["new"]), "reshard": desc}})
         self._migrated_gen = gen
         # local import: cluster.migrate builds on Pump from this module
         from repro.cluster.migrate import MigrationPump
@@ -929,23 +889,18 @@ class Controlet(Actor):
         The old-ring clause is load-bearing: a source shard may hold
         stale leftovers of keys that migrated *away* in an earlier
         reshard (copies are not purged at commit).  Those keys are not
-        ours to ship — the current owner's value is newer, and none of
-        the dirty gates protect a key the open window does not move —
-        so re-migrating them would clobber live data at the owner."""
+        ours to ship — the current owner's value is newer, and the
+        dirty gate protects no key the open window does not move — so
+        re-migrating them would clobber live data at the owner."""
 
         def have(resp: Optional[Message], err: Optional[BespoError]) -> None:
             if err is not None or resp is None or resp.type != "snapshot":
                 # datalet briefly unreachable: the census must land
                 self.set_timer(0.05, lambda: self._migration_census(then))
                 return
-            data = resp.payload["data"]
-            assert self._ring is not None and self._old_ring is not None
             me = self.shard.shard_id
-            then([
-                k for k in sorted(data)
-                if self._old_ring.lookup(k) == me
-                and self._ring.lookup(k) != me
-            ])
+            then([k for k in sorted(resp.payload["data"])
+                  if self._gate.old_owner(k) == me])
 
         self.datalet_call("snapshot", {}, callback=have)
 
@@ -964,9 +919,10 @@ class Controlet(Actor):
 
     def _copy_dest(self, key: str) -> Optional[str]:
         """Entry controlet of ``key``'s new-ring owner, if any."""
-        if self._reshard is None or self._ring is None:
+        gate = self._gate
+        if gate.window is None:
             return None
-        return self._reshard.get("entries", {}).get(self._ring.lookup(key))
+        return gate.window.get("entries", {}).get(gate.ring.lookup(key))
 
     def _read_for_copy(self, key: str, complete: Callable[[str], None],
                        ship: Callable[[str], None]) -> None:
@@ -988,7 +944,7 @@ class Controlet(Actor):
         """Send one rid-stamped ``type`` copy of ``key`` to ``dest``;
         retries reuse the same rid so the destination's dedup gate
         keeps them exactly-once."""
-        desc = self._reshard
+        desc = self._gate.window
         if desc is None:
             complete("skipped")
             return
@@ -1019,8 +975,7 @@ class Controlet(Actor):
 
     # -- destination side: dirty-checked idempotent apply ---------------
     def _on_migrate_put(self, msg: Message) -> None:
-        key = msg.payload["key"]
-        if key in self._dirty_keys:
+        if not self._gate.clean(msg.payload["key"]):
             # a client wrote this key during the window — the source's
             # copy is older by construction and must not clobber it
             self.respond(msg, "ok", {"skipped": True})
@@ -1057,8 +1012,8 @@ class Controlet(Actor):
             "retired": self.retired,
             "catchup": len(self._catchup),
             "forward_writes_to": self.forward_writes_to,
-            "ring_gen": self._ring_gen,
-            "reshard_window": self._reshard is not None,
+            "ring_gen": self._gate.gen,
+            "reshard_window": self._gate.window is not None,
             "fenced_gen": self._fenced_gen,
         })
         return s

@@ -172,14 +172,14 @@ class LockManagerActor(Actor):
             timer = self.set_timer(self.lease, lambda: self._expire(key, owner))
             self._lease_timers[(key, owner)] = timer
             payload: Dict[str, object] = {"key": key, "lease": self.lease}
-            if mode == "w" and gate.gen:
+            if mode == "w" and gate.window is not None:
                 if mig:
                     # migration driver: tell it whether a client write
                     # beat it to the key (evaluated at *grant* time —
                     # writes that queued ahead of us have marked by now)
                     payload["dirty"] = not gate.clean(key)
                 else:
-                    gate.mark(key)
+                    gate.mark(key, msg.payload.get("gen"))
             self.respond(msg, "granted", payload)
 
         self.table.acquire(key, owner, mode, grant)

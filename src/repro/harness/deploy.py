@@ -171,7 +171,7 @@ class Deployment:
         self.cluster.add_actor(self.coordinator, host="coordinator")
 
         from repro.dlm import LockManagerActor  # local: keep import graph flat
-        from repro.sharedlog import SharedLogActor
+        from repro.sharedlog import SharedLogActor, log_name
 
         self.dlm = LockManagerActor("dlm", lease=spec.control.lock_lease)
         self.cluster.add_host("dlm", cpus=spec.dlm_cpus)
@@ -179,7 +179,7 @@ class Deployment:
 
         self.sharedlogs: Dict[str, str] = {}
         for i in range(spec.shards):
-            log_id = f"sharedlog.s{i}"
+            log_id = log_name(f"s{i}")
             self.cluster.add_host(log_id, cpus=spec.host_cpus)
             self.cluster.add_actor(SharedLogActor(log_id), host=log_id)
             self.sharedlogs[f"s{i}"] = log_id
@@ -395,8 +395,8 @@ class Deployment:
         """Launch a whole new shard for an online reshard (shard add).
 
         Fresh hosts, fresh controlet-datalet pairs — and for AA+EC a
-        fresh shared-log sequencer under the ``sharedlog.<sid>`` naming
-        convention the coordinator's reshard arming relies on.  The new
+        fresh shared-log sequencer named by ``log_name``, as the
+        coordinator's reshard arming addresses it.  The new
         shard is *not* entered into the cluster map here: the
         coordinator does that when it opens the double-ring window.
         """
@@ -404,10 +404,10 @@ class Deployment:
         i = next(self._shard_seq)
         sid = f"s{i}"
         if spec.topology is Topology.AA and spec.consistency is Consistency.EVENTUAL:
-            log_id = f"sharedlog.{sid}"
-            self.cluster.add_host(log_id, cpus=spec.host_cpus)
-            from repro.sharedlog import SharedLogActor  # local: keep import graph flat
+            from repro.sharedlog import SharedLogActor, log_name  # local: keep import graph flat
 
+            log_id = log_name(sid)
+            self.cluster.add_host(log_id, cpus=spec.host_cpus)
             self.cluster.add_actor(SharedLogActor(log_id), host=log_id)
             self.sharedlogs[sid] = log_id
         shard = ShardInfo(sid, spec.topology, spec.consistency, [])

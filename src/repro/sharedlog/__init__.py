@@ -7,6 +7,6 @@ fixed-size segments, and readers poll with ``fetch_from`` cursors
 (the paper's ``AsyncFetch``).
 """
 
-from repro.sharedlog.log import LogEntry, SharedLog, SharedLogActor
+from repro.sharedlog.log import LogEntry, SharedLog, SharedLogActor, log_name
 
-__all__ = ["SharedLog", "SharedLogActor", "LogEntry"]
+__all__ = ["SharedLog", "SharedLogActor", "LogEntry", "log_name"]

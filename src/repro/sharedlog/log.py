@@ -11,7 +11,13 @@ from repro.errors import BespoError
 from repro.net.actor import Actor
 from repro.net.message import Message
 
-__all__ = ["LogEntry", "SharedLog", "SharedLogActor"]
+__all__ = ["LogEntry", "SharedLog", "SharedLogActor", "log_name"]
+
+
+def log_name(shard_id: str) -> str:
+    """Actor id of shard ``shard_id``'s shared log: AA+EC deploys one
+    log per shard, and reshard arming and migration address it by name."""
+    return f"sharedlog.{shard_id}"
 
 
 @dataclass(frozen=True)
@@ -212,14 +218,14 @@ class SharedLogActor(Actor):
                 self.dup_appends += 1
                 return {"pos": pos, "dup": True}
         gate = self._gate
-        if gate.gen:
+        if gate.window is not None:
             if d.get("mig"):
                 if not gate.clean(d["key"]):
                     return {"skipped": True}
             elif gate.stale(d["key"], gen):
                 return {"wrong_shard": True}
             else:
-                gate.mark(d["key"])
+                gate.mark(d["key"], gen)
         entry = self.log.append(
             writer=writer, op=d["op"], key=d["key"], value=d.get("val"), rid=rid,
         )

@@ -235,12 +235,12 @@ def test_seeded_stale_epoch_dual_route_caught():
     hits = [f for f in _by_rule(findings, "ring-epoch")
             if f.path.endswith("flowdefects.py") and not f.suppressed]
     # the defect is loud twice over: the handler bypasses the
-    # _install_shard fence, and the double-ring state (self._reshard,
-    # self._old_ring) is written directly outside the fenced installers
-    assert len(hits) == 3, "\n".join(f.format() for f in findings)
+    # _install_shard fence, and it installs the routing block into the
+    # gate (self._gate.install) outside the fenced installers
+    assert len(hits) == 2, "\n".join(f.format() for f in findings)
     msgs = "\n".join(f.message for f in hits)
-    assert "_on_config_update" in msgs
-    assert "_reshard" in msgs and "_old_ring" in msgs
+    assert "does not route the new ring through _install_shard" in msgs
+    assert "(self._gate) assigned or installed outside" in msgs
     assert all("StaleEpochDualRoute" in f.message for f in hits)
 
 

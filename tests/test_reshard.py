@@ -15,9 +15,11 @@ they re-migrate and overwrite newer values at the true owner.
 
 import pytest
 
+from repro.core.controlet import Controlet
 from repro.core.types import Consistency, Topology
 from repro.errors import KeyNotFound
 from repro.harness.deploy import Deployment, DeploymentSpec
+from repro.hashing import HashRing
 
 COMBOS = [
     pytest.param(Topology.MS, Consistency.STRONG, id="ms-sc"),
@@ -184,21 +186,32 @@ def test_client_ring_is_patched_incrementally():
     dep = _deploy(Topology.MS, Consistency.EVENTUAL)
     client = dep.client("c1")
 
+    head = dep.cluster.actor(dep.shard(1).head.controlet)
+
     def proc():
         yield client.connect()
-        ring = client._ring
-        epoch, gen = client.map.epoch, client._ring_gen
+        routing = client._routing
+        ring = routing.ring
+        epoch, gen = client.map.epoch, routing.gen
         yield client.connect()  # same epoch + gen: everything kept
-        assert client._ring is ring
-        assert (client.map.epoch, client._ring_gen) == (epoch, gen)
+        assert routing.ring is ring
+        assert (client.map.epoch, routing.gen) == (epoch, gen)
         yield dep.request_reshard("add")
         yield client.connect()
         # membership changed, but the ring object was diffed in place
-        assert client._ring is ring
-        assert "s2" in client._ring.members
-        assert client._ring_gen == 1
+        assert routing.ring is ring
+        assert "s2" in ring.members
+        assert routing.gen == 1
         # the window is committed, so no dual-route state lingers
-        assert client._reshard is None and client._old_ring is None
+        assert routing.window is None and routing.old_ring is None
+        # a controlet's gate is the same RingRouting: the ring it adopted
+        # with the first window is patched in place by the next one
+        head_ring = head._gate.ring
+        yield dep.request_reshard("remove", shard="s0")
+        yield client.connect()
+        for r, kept in ((routing, ring), (head._gate, head_ring)):
+            assert r.ring is kept and kept.members == ["s1", "s2"]
+            assert r.gen == 2 and r.window is None and r.old_ring is None
 
     _run(dep, proc())
 
@@ -237,8 +250,8 @@ def test_rejoined_replica_adopts_the_ring_with_its_membership():
     rejoined = dep.cluster.actor(tail.controlet)
     peer = dep.cluster.actor(dep.shard(0).head.controlet)
     assert not rejoined.retired and rejoined.recovered
-    assert rejoined._ring_gen == peer._ring_gen == 1
-    assert rejoined._ring is not None
+    assert rejoined._gate.gen == peer._gate.gen == 1
+    assert rejoined._gate.ring is not None
     leftovers = dep.cluster.actor(tail.datalet).engine
     moved = next(k for k in KEYS if leftovers.contains(k)
                  and client.shard_for(k).shard_id != dep.shard(0).shard_id)
@@ -246,3 +259,120 @@ def test_rejoined_replica_adopts_the_ring_with_its_membership():
     resp = dep.sim.run_future(
         port.request(tail.controlet, "get", {"key": moved}, timeout=5.0))
     assert (resp.type, resp.payload["error"]) == ("error", "wrong_shard")
+
+
+# ---------------------------------------------------------------------------
+# one dirty gate: marks stay bounded by the window that needs them
+# ---------------------------------------------------------------------------
+def _gates(dep):
+    """Every reshard gate: one per controlet, the DLM's, and each
+    shared-log sequencer's."""
+    ctls = [a for a in dep.cluster.actors.values() if isinstance(a, Controlet)]
+    assert ctls
+    return ([c._gate for c in ctls] + [dep.dlm._gate]
+            + [dep.cluster.actor(log)._gate for log in dep.sharedlogs.values()])
+
+
+@pytest.mark.parametrize("topo,cons", COMBOS)
+def test_reshard_marks_stay_bounded(topo, cons):
+    dep = _deploy(topo, cons)
+    client = dep.client("c1")
+    writer = dep.client("c2")
+    keys = [f"m{i}" for i in range(500)]
+    marked, outside = set(), set()
+    done = []
+
+    def watch():
+        # sample every gate while the window is open: a mark is only
+        # ever for a key that window moves
+        while not done:
+            desc = dep.coordinator.view.reshard
+            if desc is not None:
+                old, new = HashRing(desc["old"]), HashRing(desc["new"])
+                for gate in _gates(dep):
+                    marked.update(gate.marks)
+                    outside.update(k for k in gate.marks
+                                   if old.lookup(k) == new.lookup(k))
+            yield 0.005
+
+    def write_rounds():
+        while not done:
+            yield writer.connect()  # dual-route as soon as a window opens
+            for k in keys[:20]:
+                yield writer.put(k, "w")
+
+    # slow every copy into the incoming shard (its head, or its log)
+    # so the window stays open for the writer to dual-route into it
+    for i in (0, 1):
+        for dst in ("node2.0", "sharedlog.s2"):
+            dep.cluster.network.set_link_factor(dep.shard(i).head.host, dst, 50.0)
+
+    def proc():
+        yield client.connect()
+        for k in keys:
+            yield client.put(k, "v")
+        # no reshard yet: nothing anywhere is marked
+        assert [g.marks for g in _gates(dep) if g.marks] == []
+        dep.sim.spawn(watch())
+        racer = dep.sim.spawn(write_rounds())
+        yield dep.request_reshard("add")
+        yield 1.0
+        done.append(True)
+        yield racer
+        # committing drops every mark
+        assert [g.marks for g in _gates(dep) if g.marks] == []
+
+    dep.sim.run_future(dep.sim.spawn(proc()), timeout=900.0)
+    assert marked, "no write was marked during the window"
+    assert outside == set(), f"marks outside the window's moved keys: {sorted(outside)}"
+
+
+@pytest.mark.parametrize("topo,cons", COMBOS[:2])
+def test_early_new_leg_write_survives_its_migrated_copy(topo, cons):
+    """A client can dual-route by a window the destination head has not
+    installed yet: at ring generation 0 its ownership fence is off, so
+    the new-leg write is admitted with no window to judge it by.  The
+    write's newer ``gen`` must still mark the key, or the migrated copy
+    — read at the source before the write, landing after it — clobbers
+    the newer value."""
+    dep = _deploy(topo, cons)
+    client = dep.client("c1")
+    net = dep.cluster.network
+    old, new = HashRing(["s0", "s1"]), HashRing(["s0", "s1", "s2"])
+    key = next(k for k in (f"e{i}" for i in range(1000))
+               if new.lookup(k) == "s2")
+    source = dep.cluster.actor(dep.map.shard(old.lookup(key)).head.controlet)
+    # the first add spawns shard s2 with its head on node2.0: the window
+    # reaches that head 2 s late, the moved key's copy 0.3 s late (well
+    # inside the copy's RPC timeout)
+    new_head_host = "node2.0"
+    net.set_link_factor("coordinator", new_head_host, 20000.0)
+    net.set_link_factor(dep.cluster.host_of(source.node_id), new_head_host, 3000.0)
+    shipped = []
+    ship = source._ship_copy
+
+    def recording_ship(k, *args, **kwargs):
+        shipped.append(k)
+        ship(k, *args, **kwargs)
+
+    source._ship_copy = recording_ship
+    dep.sim.run_future(client.connect())
+    dep.sim.run_future(client.put(key, "v0"))
+    reshard = dep.request_reshard("add")
+    while not shipped:  # the source has read the key and shipped v0
+        dep.sim.run_until(dep.sim.now + 0.001)
+    new_head = dep.map.shard("s2").head
+    assert new_head.host == new_head_host
+    assert dep.cluster.actor(new_head.controlet).snapshot_state()["ring_gen"] == 0
+    port = dep.cluster.add_port("early")
+    resp = dep.sim.run_future(port.request(
+        new_head.controlet, "put", {"key": key, "val": "v1", "gen": 1},
+        timeout=5.0))
+    assert resp.type == "ok", resp.payload
+    dep.sim.run_future(reshard)
+    net.clear_degradations()
+    dep.sim.run_until(dep.sim.now + 5.0)
+    for r in dep.map.shard("s2").ordered():
+        assert dep.cluster.actor(r.datalet).engine.get(key) == "v1", r.datalet
+    dep.sim.run_future(client.connect())
+    assert dep.sim.run_future(client.get(key)) == "v1"

@@ -9,10 +9,13 @@ buy different things with the same disk:
   every sync is latency on the write path, so put throughput is
   monotone in the cadence;
 * **snapshot cadence** (``snapshot_every``) buys *recovery speed*:
-  each compaction rewrites the full dataset (write amplification), but
-  bounds the log tail a crash-restart must replay — recovery replays at
-  most ``snapshot_every + sync_every`` records no matter how long the
-  run was.
+  each checkpoint of this sweep's ``ht`` engine rewrites the full
+  dataset (write amplification), but bounds the log tail a
+  crash-restart must replay — recovery replays at most
+  ``snapshot_every + sync_every`` records no matter how long the run
+  was.  (An engine with runs, the LSM, ignores this cadence: it
+  checkpoints a manifest each time it cuts a run, so its replay bound
+  is one memtable plus one batch.)
 
 Each cell drives a fixed number of serial puts through a durable MS+SC
 shard (fixed op count, so WAL counters are comparable across cells),

@@ -12,7 +12,10 @@ to replication, topology or consistency.  Here it splits into:
 
 Engines additionally support ``snapshot``/``restore`` which the failover
 manager uses to rebuild a replica on a standby node, mirroring the
-paper's "recovers the data from one of the datalets".
+paper's "recovers the data from one of the datalets", and
+``checkpoint``, which tells the write-ahead log what a durable baseline
+must hold: an engine that already keeps immutable runs (the LSM's
+SSTables) hands them over instead of a full copy.
 """
 
 from __future__ import annotations
@@ -34,6 +37,10 @@ class Engine(ABC):
     kind: str = ""
     #: whether :meth:`scan` is supported (tMT/tLSM/tSSDB are; tHT is not).
     supports_scan: bool = False
+    #: number of the newest immutable run the engine holds (0: none
+    #: yet); None for engines that keep no runs.  A change tells the
+    #: WAL a checkpoint is due (see :meth:`checkpoint`).
+    newest_run: Optional[int] = None
 
     @abstractmethod
     def put(self, key: str, value: str) -> None:
@@ -74,6 +81,16 @@ class Engine(ABC):
     def snapshot(self) -> Dict[str, str]:
         """Full copy of live data (sent to a standby during failover)."""
         return dict(self.items())
+
+    def checkpoint(self) -> Tuple[list, Dict[str, Optional[str]]]:
+        """``(runs, tail)``: the state a durable checkpoint must hold.
+
+        ``runs`` are the engine's immutable runs, oldest first, each
+        with a ``run`` number and sorted ``keys``/``values`` lists (a
+        None value is a tombstone); ``tail`` is everything newer, where
+        a None value deletes.  The default is no runs and a full copy.
+        """
+        return [], self.snapshot()
 
     def restore(self, data: Dict[str, str], reset: bool = False) -> None:
         """Bulk-load a snapshot into an empty or existing engine.
@@ -123,7 +140,8 @@ class DataletActor(Actor):
         #: optional :class:`~repro.datalet.wal.WriteAheadLog`.  When
         #: set, every mutation is logged (and fsynced per the WAL's
         #: group-commit policy) *before* it is acknowledged, and the
-        #: log is compacted into a snapshot periodically.  The extra
+        #: log is folded into an engine checkpoint when one falls due
+        #: (:meth:`WriteAheadLog.checkpoint_due`).  The extra
         #: CPU shows up in :meth:`service_demand` — durability is not
         #: free (the durability-tax benchmark measures exactly this).
         self.wal = wal
@@ -197,10 +215,12 @@ class DataletActor(Actor):
             self.wal.append(op, key, value)
 
     def _maybe_compact(self) -> None:
-        """Fold the log into a snapshot when due.  Called *after* the
-        mutation is applied, so the snapshot's data matches its seq."""
-        if self.wal is not None and self.wal.wants_snapshot:
-            self.wal.install_snapshot(self.engine.snapshot())
+        """Fold the log into an engine checkpoint when due.  Called
+        *after* the mutation is applied, so the checkpoint matches its
+        seq."""
+        if self.wal is not None and self.wal.checkpoint_due(self.engine):
+            runs, tail = self.engine.checkpoint()
+            self.wal.install_snapshot(tail, runs)
 
     def _on_put(self, msg: Message) -> None:
         self._log_mutation("put", msg.payload["key"], msg.payload["val"])
@@ -299,7 +319,8 @@ class DataletActor(Actor):
         if self.wal is not None:
             # an adopted snapshot is a new durable baseline: everything
             # the log held is superseded (or, for a reset, stale)
-            self.wal.install_snapshot(self.engine.snapshot())
+            runs, tail = self.engine.checkpoint()
+            self.wal.install_snapshot(tail, runs)
         self.respond(msg, "ok")
 
     def _on_stats(self, msg: Message) -> None:

@@ -5,12 +5,20 @@ attach a Bloom filter to every SSTable so point reads skip tables that
 cannot contain the key, taming read amplification.  This is a textbook
 double-hashing Bloom filter (Kirsch-Mitzenmacher): k index functions
 derived from two base hashes.
+
+Every bit index is a function of the key's 64-bit :func:`stable_hash`
+alone, so a caller probing several filters hashes the key once and
+passes the hash to :meth:`BloomFilter.might_contain_hash`, and
+:meth:`BloomFilter.build` sets all bits from one vectorized pass over
+the keys' hashes.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Iterable
+
+import numpy as np
 
 from repro.hashing import stable_hash
 
@@ -31,28 +39,45 @@ class BloomFilter:
         self._bits = bytearray((self.m + 7) // 8)
         self.items = 0
 
-    def _indexes(self, key: str) -> Iterable[int]:
-        h = stable_hash(key)
-        h1 = h & 0xFFFFFFFF
-        h2 = (h >> 32) | 1  # odd, so strides cover the table
-        for i in range(self.k):
-            yield (h1 + i * h2) % self.m
-
     def add(self, key: str) -> None:
-        for idx in self._indexes(key):
+        h = stable_hash(key)
+        h1, h2 = h & 0xFFFFFFFF, (h >> 32) | 1  # odd stride covers the table
+        for i in range(self.k):
+            idx = (h1 + i * h2) % self.m
             self._bits[idx >> 3] |= 1 << (idx & 7)
         self.items += 1
 
     def might_contain(self, key: str) -> bool:
         """False means *definitely absent*; True means "probably"."""
-        return all(self._bits[i >> 3] & (1 << (i & 7)) for i in self._indexes(key))
+        return self.might_contain_hash(stable_hash(key))
+
+    def might_contain_hash(self, h: int) -> bool:
+        """:meth:`might_contain` for a key whose ``stable_hash`` is ``h``."""
+        h1, h2 = h & 0xFFFFFFFF, (h >> 32) | 1
+        m, bits = self.m, self._bits
+        for i in range(self.k):
+            idx = (h1 + i * h2) % m
+            if not bits[idx >> 3] & (1 << (idx & 7)):
+                return False
+        return True
 
     @classmethod
     def build(cls, keys: Iterable[str], false_positive_rate: float = 0.01) -> "BloomFilter":
+        """A filter holding ``keys``: the same ``m``, ``k`` and bits as
+        :meth:`add` on each key in turn, set in one numpy pass."""
         keys = list(keys)
         bloom = cls(max(1, len(keys)), false_positive_rate)
-        for k in keys:
-            bloom.add(k)
+        if keys:
+            h = np.fromiter((stable_hash(k) for k in keys), dtype=np.uint64, count=len(keys))
+            h1 = h & np.uint64(0xFFFFFFFF)
+            h2 = (h >> np.uint64(32)) | np.uint64(1)
+            # h1 + i*h2 < (k + 1) * 2**32: no uint64 overflow for any sane k
+            idx = (h1[:, None] + np.arange(bloom.k, dtype=np.uint64) * h2[:, None]) \
+                % np.uint64(bloom.m)
+            flags = np.zeros(len(bloom._bits) * 8, dtype=bool)
+            flags[idx.ravel()] = True
+            bloom._bits = bytearray(np.packbits(flags, bitorder="little").tobytes())
+            bloom.items = len(keys)
         return bloom
 
     def __len__(self) -> int:

@@ -7,16 +7,24 @@ a size-tiered **compaction** merges them (newest version wins,
 tombstones dropped once the merge covers every table).  Reads probe the
 memtable then SSTables newest-first — the read amplification that makes
 LSM slower than a B+-tree for read-heavy workloads.
+
+Every SSTable carries a run number, unique within the engine and
+increasing in cut order.  :meth:`LSMEngine.checkpoint` hands the
+tables to the write-ahead log, which persists each run once and
+afterwards checkpoints only a manifest naming them (see
+:mod:`repro.datalet.wal`).
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Dict, Iterator, List, Optional, Tuple
+import heapq
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.datalet.base import Engine
 from repro.datalet.bloom import BloomFilter
 from repro.errors import KeyNotFound
+from repro.hashing import stable_hash
 
 __all__ = ["LSMEngine", "SSTable"]
 
@@ -27,12 +35,14 @@ _TOMBSTONE = None
 class SSTable:
     """Immutable sorted run of ``(key, value-or-None)`` pairs, fronted
     by a Bloom filter so point reads skip tables that cannot contain
-    the key (LevelDB-style read-amplification control)."""
+    the key (LevelDB-style read-amplification control).  ``run`` is
+    the engine's number for this table."""
 
-    __slots__ = ("keys", "values", "bloom")
+    __slots__ = ("run", "keys", "values", "bloom")
 
-    def __init__(self, entries: List[Tuple[str, Optional[str]]]):
+    def __init__(self, entries: List[Tuple[str, Optional[str]]], run: int):
         # entries must be sorted by key and duplicate-free
+        self.run = run
         self.keys = [k for k, _ in entries]
         self.values = [v for _, v in entries]
         self.bloom = BloomFilter.build(self.keys) if self.keys else None
@@ -40,10 +50,10 @@ class SSTable:
     def __len__(self) -> int:
         return len(self.keys)
 
-    def lookup(self, key: str) -> Tuple[bool, Optional[str]]:
-        """Return (present, value).  value None with present=True is a
-        tombstone."""
-        if self.bloom is None or not self.bloom.might_contain(key):
+    def lookup(self, key: str, h: int) -> Tuple[bool, Optional[str]]:
+        """Return (present, value) for ``key``, whose ``stable_hash`` is
+        ``h``.  value None with present=True is a tombstone."""
+        if self.bloom is None or not self.bloom.might_contain_hash(h):
             return False, None
         i = bisect.bisect_left(self.keys, key)
         if i < len(self.keys) and self.keys[i] == key:
@@ -72,8 +82,13 @@ class LSMEngine(Engine):
         self._tables: List[SSTable] = []  # newest first
         self._memtable_limit = memtable_limit
         self._max_sstables = max_sstables
+        self._runs_cut = 0
         self.flushes = 0
         self.compactions = 0
+
+    def _cut(self, entries: List[Tuple[str, Optional[str]]]) -> SSTable:
+        self._runs_cut += 1
+        return SSTable(entries, self._runs_cut)
 
     # -- write path ---------------------------------------------------
     def put(self, key: str, value: str) -> None:
@@ -96,8 +111,7 @@ class LSMEngine(Engine):
         """Freeze the memtable into a new SSTable."""
         if not self._mem:
             return
-        entries = sorted(self._mem.items())
-        self._tables.insert(0, SSTable(entries))
+        self._tables.insert(0, self._cut(sorted(self._mem.items())))
         self._mem = {}
         self.flushes += 1
 
@@ -109,7 +123,7 @@ class LSMEngine(Engine):
             for k, v in zip(table.keys, table.values):
                 merged[k] = v
         live = sorted((k, v) for k, v in merged.items() if v is not _TOMBSTONE)
-        self._tables = [SSTable(live)] if live else []
+        self._tables = [self._cut(live)] if live else []
         self.compactions += 1
 
     # -- read path ------------------------------------------------------
@@ -119,8 +133,11 @@ class LSMEngine(Engine):
             if value is _TOMBSTONE:
                 raise KeyNotFound(key)
             return value
+        if not self._tables:
+            raise KeyNotFound(key)
+        h = stable_hash(key)  # one hash serves every table's filter
         for table in self._tables:
-            present, value = table.lookup(key)
+            present, value = table.lookup(key, h)
             if present:
                 if value is _TOMBSTONE:
                     raise KeyNotFound(key)
@@ -151,16 +168,38 @@ class LSMEngine(Engine):
                 yield k, v
 
     def scan(self, start: str, end: str, limit: Optional[int] = None) -> List[Tuple[str, str]]:
-        """K-way merge over memtable + SSTables, newest version wins."""
-        view: Dict[str, Optional[str]] = {}
-        for table in reversed(self._tables):
-            for k, v in table.range(start, end):
-                view[k] = v
-        for k, v in self._mem.items():
-            if start <= k < end:
-                view[k] = v
-        out = sorted((k, v) for k, v in view.items() if v is not _TOMBSTONE)
-        return out[:limit] if limit is not None else out
+        """K-way merge over memtable + SSTables, newest version wins.
+
+        Each source is read lazily from ``start``; the merge stops after
+        ``limit`` live pairs, so a short scan touches only its range."""
+        mem = sorted((k, v) for k, v in self._mem.items() if start <= k < end)
+        sources = [_ranked(mem, 0)] + [
+            _ranked(table.range(start, end), rank)
+            for rank, table in enumerate(self._tables, 1)
+        ]
+        out: List[Tuple[str, str]] = []
+        last = None
+        # equal keys arrive newest (lowest rank) first
+        for key, _, value in heapq.merge(*sources):
+            if key == last:
+                continue
+            last = key
+            if value is _TOMBSTONE:
+                continue
+            if limit is not None and len(out) >= limit:
+                break
+            out.append((key, value))
+        return out
+
+    # -- durability -------------------------------------------------------
+    @property
+    def newest_run(self) -> int:
+        return self._tables[0].run if self._tables else 0
+
+    def checkpoint(self) -> Tuple[List[SSTable], Dict[str, Optional[str]]]:
+        """The SSTables oldest first, and a copy of the memtable that
+        keeps its tombstones: they shadow keys in the runs."""
+        return self._tables[::-1], dict(self._mem)
 
     def stats(self) -> Dict[str, float]:
         return {
@@ -170,3 +209,9 @@ class LSMEngine(Engine):
             "flushes": float(self.flushes),
             "compactions": float(self.compactions),
         }
+
+
+def _ranked(pairs: Iterable[Tuple[str, Optional[str]]], rank: int
+            ) -> Iterator[Tuple[str, int, Optional[str]]]:
+    for key, value in pairs:
+        yield key, rank, value

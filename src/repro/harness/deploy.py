@@ -92,7 +92,8 @@ class DeploymentSpec:
     #: fsync after this many appends (1 = sync every ack; >1 = group
     #: commit — faster, but a crash may lose the unsynced tail).
     wal_sync_every: int = 1
-    #: compact the log into a snapshot after this many appends.
+    #: checkpoint the log after this many appends; engines with runs
+    #: (the LSM) checkpoint whenever they cut one instead.
     wal_snapshot_every: int = 256
     #: how much of the unsynced suffix a crash destroys
     #: ("partial" | "all" | "none"), see :class:`~repro.sim.durable.DurableStore`.

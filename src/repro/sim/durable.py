@@ -14,6 +14,8 @@ The model is deliberately byte-level:
 * :meth:`DurableFile.replace` stages a full-content replacement that
   commits atomically at the next ``sync`` — the write-temp-then-rename
   idiom; a crash before the sync leaves the *old* content intact.
+* :meth:`DurableStore.remove` unlinks a file; the removal is durable
+  at once (unlink + directory fsync).
 * On a host crash (:meth:`DurableStore.on_crash`) any staged
   replacement is discarded and the unsynced suffix of every file is
   truncated to a seeded random prefix — so a torn (partially written)
@@ -127,6 +129,10 @@ class DurableStore:
         if f is None:
             f = self._files[name] = DurableFile(name)
         return f
+
+    def remove(self, name: str) -> None:
+        """Delete ``name`` (no-op if absent); durable immediately."""
+        self._files.pop(name, None)
 
     def files(self) -> List[str]:
         """File names in deterministic (sorted) order — never expose

@@ -2,8 +2,10 @@
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
+import repro.datalet.bloom as bloom_module
+import repro.datalet.lsm as lsm_module
 from repro.datalet import LSMEngine
 from repro.datalet.bloom import BloomFilter
 
@@ -66,3 +68,36 @@ def test_lsm_reads_correct_with_bloom_filters():
         else:
             assert e.get(key) == str(i)
     assert not e.contains("never-inserted")
+
+
+@settings(max_examples=60, deadline=None)
+@given(keys=st.lists(st.text(max_size=8), max_size=80))
+@example(keys=[])
+@example(keys=["dup", "x", "dup", "dup"])
+def test_property_build_sets_the_bits_of_per_key_add(keys):
+    built = BloomFilter.build(keys)
+    added = BloomFilter(max(1, len(keys)))
+    for k in keys:
+        added.add(k)
+    assert (built.m, built.k, len(built)) == (added.m, added.k, len(added))
+    assert built._bits == added._bits
+
+
+def test_lsm_get_hashes_the_key_once(monkeypatch):
+    e = LSMEngine(memtable_limit=2, max_sstables=16)
+    for i in range(12):
+        e.put(f"k{i:02d}", str(i))
+    assert e.stats()["sstables"] == 6
+    calls = []
+
+    def counting(key):
+        calls.append(key)
+        return real(key)
+
+    real = lsm_module.stable_hash
+    monkeypatch.setattr(lsm_module, "stable_hash", counting)
+    monkeypatch.setattr(bloom_module, "stable_hash", counting)
+    for key in ("k00", "k11", "absent"):
+        calls.clear()
+        assert e.contains(key) == (key != "absent")
+        assert calls == [key]

@@ -120,6 +120,29 @@ def test_scan_excludes_deleted(cls):
     assert "k5" not in keys and len(keys) == 9
 
 
+def test_lsm_scan_merges_tombstones_across_runs_with_limit():
+    e = LSMEngine(memtable_limit=4, max_sstables=16)
+    for i in range(12):                 # runs 1-3: k00..k11
+        e.put(f"k{i:02d}", "old")
+    for i in (1, 2, 5, 9):              # run 4: tombstones only
+        e.delete(f"k{i:02d}")
+    e.put("k03", "new")                 # run 5: values and a tombstone
+    e.put("k04", "new")
+    e.delete("k06")
+    e.put("k07", "r5")
+    e.delete("k08")                     # memtable tombstone
+    e.put("k01", "back")                # resurrected above its tombstone
+    assert e.stats()["sstables"] == 5 and e.stats()["memtable_keys"] == 2
+    want = [("k00", "old"), ("k01", "back"), ("k03", "new"), ("k04", "new"),
+            ("k07", "r5"), ("k10", "old"), ("k11", "old")]
+    assert e.scan("k00", "k99") == want
+    assert e.scan("k01", "k99", limit=4) == want[1:5]
+    assert e.scan("k02", "k08", limit=2) == want[2:4]
+    assert e.scan("k05", "k07") == []
+    assert e.scan("k08", "k10") == []
+    assert e.scan("k00", "k99", limit=0) == []
+
+
 def test_hash_engines_reject_scan():
     for cls in (HashTableEngine, RedisEngine, LogEngine):
         with pytest.raises(NotImplementedError):

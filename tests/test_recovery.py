@@ -5,6 +5,7 @@ import pytest
 
 from repro.chaos import FaultEvent, FaultSchedule, RecoveryRecord, check_recovery
 from repro.chaos.history import OpRecord
+from repro.analysis.commitpoints import ack_durable_for
 from repro.chaos.runner import run_combo
 from repro.core.types import Consistency, Topology
 from repro.harness import Deployment, DeploymentSpec
@@ -64,6 +65,59 @@ def test_recover_host_group_commit_may_lose_unsynced_tail():
     dep.sim.run_until(dep.sim.now + 5.0)
     for i in range(10):
         assert dep.sim.run_future(client.get(f"k{i}")) == f"v{i}"
+
+
+def test_recover_host_lsm_replays_runs_manifest_and_log():
+    """LSM + durable end to end: flushes and a compaction leave run
+    files under the manifest, deletes leave tombstones that shadow
+    older runs, and the crashed replica comes back with exactly the
+    state its WAL had promised."""
+    dep = build_durable(
+        topology=Topology.MS, consistency=Consistency.EVENTUAL,
+        datalet_kinds=("lsm",),
+        engine_kwargs={"lsm": {"memtable_limit": 8, "max_sstables": 3}},
+    )
+    client = dep.client("c0")
+    dep.sim.run_future(client.connect())
+    records = []
+
+    def run(o, key, value=None):
+        invoke = dep.sim.now
+        fut = client.put(key, value) if o == "put" else client.delete(key)
+        dep.sim.run_future(fut)
+        records.append(op(o, key, value, invoke=invoke, response=dep.sim.now))
+
+    for i in range(40):
+        run("put", f"k{i:02d}", f"v{i}")
+    for i in range(0, 40, 4):
+        run("del", f"k{i:02d}")
+    for i in range(4):
+        run("put", f"n{i}", f"w{i}")
+    victim = dep.replica_host(0, 1)
+    dep.sim.run_until(dep.sim.now + 2.0)  # let EC replication drain
+    replica = next(r for r in dep.map.shard(dep.map.shard_ids()[0]).ordered()
+                   if r.host == victim)
+    engine = dep.cluster.actor(replica.datalet).engine
+    assert engine.flushes >= 5 and engine.compactions >= 1
+    runs, tail = engine.checkpoint()
+    assert any(v is None for run in runs for v in run.values)  # tombstones in runs
+    promised = dict(engine.snapshot())
+    assert promised == {**{f"k{i:02d}": f"v{i}" for i in range(40) if i % 4},
+                        **{f"n{i}": f"w{i}" for i in range(4)}}
+
+    dep.cluster.kill_host(victim)
+    dep.sim.run_until(dep.sim.now + 0.5)
+    rec = dep.recover_host(victim)
+    assert rec.snapshot_seq > 0  # replay started from a manifest
+    assert rec.replayed_seq >= rec.durable_seq_at_crash
+    assert rec.recovered == promised
+    dep.sim.run_until(dep.sim.now + 5.0)
+    dumps = {sid: {r.datalet: dict(dep.cluster.actor(r.datalet).engine.snapshot())
+                   for r in dep.map.shard(sid).ordered()}
+             for sid in dep.map.shard_ids()}
+    report = check_recovery(records, [rec], dumps, strong=False, synced_acks=True,
+                            ack_durable=ack_durable_for("ms-ec", 1))
+    assert report.ok, report.violations
 
 
 def test_recover_host_without_durable_falls_back_to_thaw():

@@ -2,13 +2,18 @@
 
 The durability layer under the datalets: byte-level simulated disk with
 fsync watermarks and seeded power-loss damage, and the seq-numbered,
-checksummed, torn-tail-tolerant write-ahead log on top of it.
+checksummed, torn-tail-tolerant write-ahead log on top of it, with the
+LSM's run files and manifest.
 """
+
+import json
+import random
 
 import pytest
 
-from repro.datalet import HashTableEngine
+from repro.datalet import DataletActor, HashTableEngine, LSMEngine
 from repro.datalet.wal import WriteAheadLog, _encode
+from repro.sim.durable import DurableFile
 from repro.errors import ConfigError, WalCorruption
 from repro.sim.durable import DurableStore
 from repro.sim.rng import RngRegistry
@@ -20,11 +25,18 @@ def make_store(policy="partial", seed=7):
     )
 
 
-def replayed_dict(store, name="d0"):
+def replayed_dict(store, name="d0", engine=None):
     wal = WriteAheadLog(store, name)
-    engine = HashTableEngine()
+    engine = HashTableEngine() if engine is None else engine
     result = wal.replay(engine)
     return dict(engine.items()), result, wal
+
+
+def checkpoint_if_due(wal, engine):
+    """The datalet's production checkpoint path; True if it ran one."""
+    before = wal.snapshots
+    DataletActor("d0", engine, wal=wal)._maybe_compact()
+    return wal.snapshots > before
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +212,7 @@ def test_snapshot_truncates_log_and_replays():
     for i in range(4):
         wal.append("put", f"k{i}", str(i))
         engine.put(f"k{i}", str(i))
-    assert wal.wants_snapshot
-    assert wal.maybe_snapshot(dict(engine.items()))
+    assert checkpoint_if_due(wal, engine)
     assert store.file("d0.log").size == 0  # log truncated
     wal.append("put", "k9", "9")  # post-snapshot record
     data, result, _ = replayed_dict(store)
@@ -225,11 +236,12 @@ def test_crash_between_snapshot_commit_and_truncate():
     assert result.records_applied == 0  # both records skipped by seq
 
 
-def test_maybe_snapshot_below_threshold_is_noop():
+def test_checkpoint_below_threshold_is_noop():
     wal = WriteAheadLog(make_store(), "d0", snapshot_every=100)
+    engine = HashTableEngine()
     wal.append("put", "a", "1")
-    assert not wal.wants_snapshot
-    assert not wal.maybe_snapshot({"a": "1"})
+    engine.put("a", "1")
+    assert not checkpoint_if_due(wal, engine)
     assert wal.snapshots == 0
 
 
@@ -239,3 +251,197 @@ def test_stats_exposed():
     s = wal.stats()
     assert s["wal_seq"] == 1.0 and s["wal_durable_seq"] == 1.0
     assert s["wal_appends"] == 1.0 and s["wal_log_bytes"] > 0
+
+
+def test_ht_checkpoint_is_the_plain_snapshot_record():
+    """An engine without runs writes exactly ``{"data": ..., "s": ...}``
+    and no run files: the bytes the restart fingerprints hash."""
+    store = make_store()
+    wal = WriteAheadLog(store, "d0", snapshot_every=2)
+    engine = HashTableEngine()
+    for key in ("b", "a"):
+        wal.append("put", key, key.upper())
+        engine.put(key, key.upper())
+    assert checkpoint_if_due(wal, engine)
+    assert store.file("d0.snap").read() == _encode(
+        {"s": 2, "data": {"a": "A", "b": "B"}})
+    assert store.files() == ["d0.log", "d0.snap"]
+
+
+# ---------------------------------------------------------------------------
+# the LSM checkpoint: run files + manifest
+# ---------------------------------------------------------------------------
+def small_lsm():
+    return LSMEngine(memtable_limit=4, max_sstables=2)
+
+
+class Driver:
+    """Feeds mutations through the datalet's path (log, apply,
+    checkpoint if due) and remembers the model state after every seq."""
+
+    def __init__(self, store, sync_every=1, seed=3):
+        self.store = store
+        self.wal = WriteAheadLog(store, "d0", sync_every=sync_every)
+        self.engine = small_lsm()
+        self.states = {0: {}}
+        self.model = {}
+        self.rng = random.Random(seed)
+
+    def restart(self):
+        """Reopen after a crash: replay, then continue the sequence."""
+        self.wal = WriteAheadLog(self.store, "d0", sync_every=self.wal.sync_every)
+        self.engine = small_lsm()
+        result = self.wal.replay(self.engine)
+        self.model = dict(self.states[result.applied_seq])
+        self.states = {s: d for s, d in self.states.items() if s <= result.applied_seq}
+        return result
+
+    def step(self):
+        live = sorted(self.model)
+        if live and self.rng.random() < 0.3:
+            key, op, value = self.rng.choice(live), "del", None
+        else:
+            key, op, value = f"k{self.rng.randrange(12):02d}", "put", str(self.rng.random())
+        seq = self.wal.append(op, key, value)
+        if op == "put":
+            self.engine.put(key, value)
+            self.model[key] = value
+        else:
+            self.engine.delete(key)
+            del self.model[key]
+        self.states[seq] = dict(self.model)
+        checkpoint_if_due(self.wal, self.engine)
+
+
+def run_files(store):
+    return [f for f in store.files() if ".run" in f]
+
+
+def test_lsm_checkpoint_writes_each_run_once_and_replays(monkeypatch):
+    written = []
+    original = DurableFile.replace
+
+    def replace(self, content):
+        if ".run" in self.name:
+            written.append(self.name)
+        original(self, content)
+
+    monkeypatch.setattr(DurableFile, "replace", replace)
+    store = make_store()
+    d = Driver(store)
+    cut = set()
+    for _ in range(200):
+        d.step()
+        cut.add(d.engine.newest_run)
+        # the log holds only what the memtable holds: one memtable bound
+        logged = {json.loads(line.rsplit(b"|", 1)[0])["k"]
+                  for line in store.file("d0.log").read().splitlines()}
+        assert logged == set(d.engine.checkpoint()[1])
+    assert d.engine.compactions >= 3
+    assert len(written) == len(set(written))  # each run written once
+    assert len(written) == len(cut - {0})
+    # superseded runs are gone: the disk holds exactly the engine's runs
+    assert len(run_files(store)) == len(d.engine.checkpoint()[0])
+    engine = small_lsm()
+    data, result, _ = replayed_dict(store, engine=engine)
+    assert data == d.model == dict(d.engine.items())
+    assert result.snapshot_seq > 0
+
+
+def test_lsm_tombstones_in_runs_shadow_older_runs():
+    store = make_store()
+    wal = WriteAheadLog(store, "d0")
+    engine = LSMEngine(memtable_limit=2, max_sstables=8)
+    ops = [("put", "a", "1"), ("put", "b", "2"),   # run 1: a, b
+           ("del", "a", None), ("put", "c", "3"),  # run 2: a=tombstone, c
+           ("del", "b", None)]                     # memtable: b=tombstone
+    for op, key, value in ops:
+        wal.append(op, key, value)
+        engine.put(key, value) if op == "put" else engine.delete(key)
+        checkpoint_if_due(wal, engine)
+    assert len(run_files(store)) == 2
+    data, _, _ = replayed_dict(store, engine=small_lsm())
+    assert data == {"c": "3"} == dict(engine.items())
+
+
+class PowerLoss(Exception):
+    pass
+
+
+#: where a checkpoint dies: (class, method, file-name test)
+CRASH_POINTS = {
+    "run-written": (DurableFile, "sync", lambda f: ".run" in f.name and f._staged is not None),
+    "run-synced": (DurableFile, "sync", lambda f: f.name.endswith(".snap")),
+    "manifest-synced": (DurableFile, "replace", lambda f: f.name.endswith(".log")),
+    "log-truncated": (DurableStore, "remove", lambda store: True),
+}
+
+
+def arm(monkeypatch, driver, point, after=2):
+    """Make the first checkpoint after ``after`` committed ones die at
+    ``point``; returns a list that records the crash."""
+    cls, method, hit = CRASH_POINTS[point]
+    original = getattr(cls, method)
+    fired = []
+
+    def crashing(self, *args):
+        if not fired and driver.wal.snapshots >= after and hit(self):
+            fired.append(point)
+            raise PowerLoss(point)
+        return original(self, *args)
+
+    monkeypatch.setattr(cls, method, crashing)
+    return fired
+
+
+def run_until_crash(driver, limit=400):
+    for _ in range(limit):
+        floor = driver.wal.durable_seq
+        try:
+            driver.step()
+        except PowerLoss:
+            return floor
+    raise AssertionError("the crash point was never reached")
+
+
+@pytest.mark.parametrize("point", sorted(CRASH_POINTS))
+@pytest.mark.parametrize("sync_every", [1, 3])
+def test_lsm_checkpoint_crash_matrix(monkeypatch, point, sync_every):
+    store = make_store("partial")
+    d = Driver(store, sync_every=sync_every)
+    fired = arm(monkeypatch, d, point)
+    floor = run_until_crash(d)
+    assert fired == [point]
+    store.on_crash(now=1.0)
+    monkeypatch.undo()
+    result = d.restart()
+    # synced records over the committed manifest, never less
+    assert result.applied_seq >= floor
+    assert dict(d.engine.items()) == d.states[result.applied_seq]
+
+
+def test_run_file_names_never_reused_across_restarts(monkeypatch):
+    written = []
+    original = DurableFile.replace
+
+    def replace(self, content):
+        if ".run" in self.name:
+            written.append(self.name)
+        original(self, content)
+
+    store = make_store("partial")
+    d = Driver(store, sync_every=2)
+    for point in ("run-written", "run-synced", "log-truncated"):
+        monkeypatch.setattr(DurableFile, "replace", replace)
+        fired = arm(monkeypatch, d, point, after=1)
+        run_until_crash(d)
+        assert fired == [point]
+        store.on_crash(now=1.0)
+        monkeypatch.undo()
+        d.restart()
+        assert dict(d.engine.items()) == d.model
+    for _ in range(40):  # a fresh engine's runs restart at 1
+        d.step()
+    assert len(written) == len(set(written)), written
+    data, _, _ = replayed_dict(store, engine=small_lsm())
+    assert data == d.model

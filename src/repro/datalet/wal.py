@@ -101,14 +101,15 @@ def _encode(obj: dict) -> bytes:
 
 
 def _decode(line: bytes) -> Optional[dict]:
-    """Parse one checksummed line; None = damaged (torn or corrupt)."""
+    """Parse one checksummed line, trailing newline allowed; None =
+    damaged (torn or corrupt).  Works on the bytes as read: a run file
+    is one line of megabytes, and every decoded copy is a copy held."""
+    body, sep, crc_hex = line.rpartition(b"|")
     try:
-        text = line.decode()
-        body, crc_hex = text.rsplit("|", 1)
-        if zlib.crc32(body.encode()) & 0xFFFFFFFF != int(crc_hex, 16):
+        if not sep or zlib.crc32(body) & 0xFFFFFFFF != int(crc_hex, 16):
             return None
         obj = json.loads(body)
-    except (ValueError, UnicodeDecodeError):
+    except ValueError:  # UnicodeDecodeError included
         return None
     return obj if isinstance(obj, dict) else None
 
@@ -298,7 +299,7 @@ class WriteAheadLog:
         raw = self._snap.read()
         if not raw:
             return 0, {}, [], False
-        obj = _decode(raw.rstrip(b"\n"))
+        obj = _decode(raw)
         if obj is None or "data" not in obj:
             # a damaged manifest can only be a torn replace that the
             # durable store failed to roll back; treat as absent
@@ -306,7 +307,7 @@ class WriteAheadLog:
         return int(obj["s"]), dict(obj["data"]), [int(n) for n in obj.get("runs", ())], False
 
     def _read_run(self, num: int) -> Iterable[Tuple[str, Optional[str]]]:
-        obj = _decode(self.store.file(self._run_name(num)).read().rstrip(b"\n"))
+        obj = _decode(self.store.file(self._run_name(num)).read())
         if obj is None or "k" not in obj:
             # synced before the manifest that names it: not a torn write
             raise WalCorruption(f"wal {self.name!r}: run file {num} is damaged")
@@ -359,8 +360,8 @@ class WriteAheadLog:
         for num in runs:
             merged.update(self._read_run(num))
         merged.update(tail)
-        data = {k: v for k, v in merged.items() if v is not None}
-        engine.restore({k: data[k] for k in sorted(data)})
+        live = sorted(k for k, v in merged.items() if v is not None)
+        engine.restore({k: merged[k] for k in live})
         last_seq, records, torn = self._scan_log(snap_seq)
         applied = 0
         top = snap_seq
@@ -382,7 +383,7 @@ class WriteAheadLog:
             applied_seq=top,
             records_applied=applied,
             torn_tail_dropped=torn,
-            restored_keys=len(data),
+            restored_keys=len(live),
         )
 
     # ------------------------------------------------------------------

@@ -364,6 +364,17 @@ def test_lsm_tombstones_in_runs_shadow_older_runs():
     assert data == {"c": "3"} == dict(engine.items())
 
 
+def test_damaged_named_run_is_corruption_not_a_torn_tail():
+    store = make_store()
+    d = Driver(store)
+    for _ in range(20):
+        d.step()
+    f = store.file(run_files(store)[0])
+    f._data[3] ^= 0xFF  # media damage under a synced run
+    with pytest.raises(WalCorruption):
+        replayed_dict(store, engine=small_lsm())
+
+
 class PowerLoss(Exception):
     pass
 

@@ -13,9 +13,8 @@ import pytest
 
 from repro.datalet import DataletActor, HashTableEngine, LSMEngine
 from repro.datalet.wal import WriteAheadLog, _encode
-from repro.sim.durable import DurableFile
 from repro.errors import ConfigError, WalCorruption
-from repro.sim.durable import DurableStore
+from repro.sim.durable import DurableFile, DurableStore
 from repro.sim.rng import RngRegistry
 
 
@@ -317,7 +316,8 @@ def run_files(store):
     return [f for f in store.files() if ".run" in f]
 
 
-def test_lsm_checkpoint_writes_each_run_once_and_replays(monkeypatch):
+def record_run_writes(monkeypatch):
+    """Names of the run files written, in order, one entry per write."""
     written = []
     original = DurableFile.replace
 
@@ -327,6 +327,11 @@ def test_lsm_checkpoint_writes_each_run_once_and_replays(monkeypatch):
         original(self, content)
 
     monkeypatch.setattr(DurableFile, "replace", replace)
+    return written
+
+
+def test_lsm_checkpoint_writes_each_run_once_and_replays(monkeypatch):
+    written = record_run_writes(monkeypatch)
     store = make_store()
     d = Driver(store)
     cut = set()
@@ -357,7 +362,10 @@ def test_lsm_tombstones_in_runs_shadow_older_runs():
            ("del", "b", None)]                     # memtable: b=tombstone
     for op, key, value in ops:
         wal.append(op, key, value)
-        engine.put(key, value) if op == "put" else engine.delete(key)
+        if op == "put":
+            engine.put(key, value)
+        else:
+            engine.delete(key)
         checkpoint_if_due(wal, engine)
     assert len(run_files(store)) == 2
     data, _, _ = replayed_dict(store, engine=small_lsm())
@@ -406,12 +414,13 @@ def arm(monkeypatch, driver, point, after=2):
 
 
 def run_until_crash(driver, limit=400):
+    """Step until the armed crash fires; returns the seq the WAL had
+    promised durable at that moment."""
     for _ in range(limit):
-        floor = driver.wal.durable_seq
         try:
             driver.step()
         except PowerLoss:
-            return floor
+            return driver.wal.durable_seq
     raise AssertionError("the crash point was never reached")
 
 
@@ -432,23 +441,15 @@ def test_lsm_checkpoint_crash_matrix(monkeypatch, point, sync_every):
 
 
 def test_run_file_names_never_reused_across_restarts(monkeypatch):
-    written = []
-    original = DurableFile.replace
-
-    def replace(self, content):
-        if ".run" in self.name:
-            written.append(self.name)
-        original(self, content)
-
+    written = record_run_writes(monkeypatch)
     store = make_store("partial")
     d = Driver(store, sync_every=2)
     for point in ("run-written", "run-synced", "log-truncated"):
-        monkeypatch.setattr(DurableFile, "replace", replace)
-        fired = arm(monkeypatch, d, point, after=1)
-        run_until_crash(d)
+        with monkeypatch.context() as m:
+            fired = arm(m, d, point, after=1)
+            run_until_crash(d)
         assert fired == [point]
         store.on_crash(now=1.0)
-        monkeypatch.undo()
         d.restart()
         assert dict(d.engine.items()) == d.model
     for _ in range(40):  # a fresh engine's runs restart at 1

@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-import numpy as np
-
 from repro.hashing import stable_hash
 
 __all__ = ["BloomFilter"]
@@ -65,6 +63,8 @@ class BloomFilter:
     def build(cls, keys: Iterable[str], false_positive_rate: float = 0.01) -> "BloomFilter":
         """A filter holding ``keys``: the same ``m``, ``k`` and bits as
         :meth:`add` on each key in turn, set in one numpy pass."""
+        import numpy as np  # local: keeps numpy out of every CLI process's start-up
+
         keys = list(keys)
         bloom = cls(max(1, len(keys)), false_positive_rate)
         if keys:

@@ -54,6 +54,8 @@ class DurableFile:
 
     def __init__(self, name: str):
         self.name = name
+        #: committed content: the ``bytes`` of the last replace (shared,
+        #: not copied) until an append turns it into a bytearray.
         self._data = bytearray()
         #: byte offset up to which content is fsynced (crash-proof).
         self._synced = 0
@@ -66,6 +68,8 @@ class DurableFile:
             raise ConfigError(
                 f"durable file {self.name!r}: append while a replace is staged"
             )
+        if not isinstance(self._data, bytearray):
+            self._data = bytearray(self._data)
         self._data.extend(data)
 
     def replace(self, content: bytes) -> None:
@@ -75,13 +79,14 @@ class DurableFile:
     def sync(self) -> None:
         """fsync: commit staged replacement (if any) and harden all bytes."""
         if self._staged is not None:
-            self._data = bytearray(self._staged)
+            self._data = self._staged
             self._staged = None
         self._synced = len(self._data)
 
     # -- reads ---------------------------------------------------------
     def read(self) -> bytes:
-        """Current on-disk content (what a reopening process sees)."""
+        """Current on-disk content (what a reopening process sees);
+        no copy while the file is exactly what its last replace wrote."""
         return bytes(self._data)
 
     @property

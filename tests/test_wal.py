@@ -378,7 +378,10 @@ def test_damaged_named_run_is_corruption_not_a_torn_tail():
     for _ in range(20):
         d.step()
     f = store.file(run_files(store)[0])
-    f._data[3] ^= 0xFF  # media damage under a synced run
+    raw = bytearray(f.read())
+    raw[3] ^= 0xFF  # media damage under a synced run
+    f.replace(bytes(raw))
+    f.sync()
     with pytest.raises(WalCorruption):
         replayed_dict(store, engine=small_lsm())
 

@@ -274,7 +274,7 @@ def small_lsm():
     return LSMEngine(memtable_limit=4, max_sstables=2)
 
 
-class Driver:
+class Feed:
     """Feeds mutations through the datalet's path (log, apply,
     checkpoint if due) and remembers the model state after every seq."""
 
@@ -333,7 +333,7 @@ def record_run_writes(monkeypatch):
 def test_lsm_checkpoint_writes_each_run_once_and_replays(monkeypatch):
     written = record_run_writes(monkeypatch)
     store = make_store()
-    d = Driver(store)
+    d = Feed(store)
     cut = set()
     for _ in range(200):
         d.step()
@@ -374,7 +374,7 @@ def test_lsm_tombstones_in_runs_shadow_older_runs():
 
 def test_damaged_named_run_is_corruption_not_a_torn_tail():
     store = make_store()
-    d = Driver(store)
+    d = Feed(store)
     for _ in range(20):
         d.step()
     f = store.file(run_files(store)[0])
@@ -399,7 +399,7 @@ CRASH_POINTS = {
 }
 
 
-def arm(monkeypatch, driver, point, after=2):
+def arm(monkeypatch, feed, point, after=2):
     """Make the first checkpoint after ``after`` committed ones die at
     ``point``; returns a list that records the crash."""
     cls, method, hit = CRASH_POINTS[point]
@@ -407,7 +407,7 @@ def arm(monkeypatch, driver, point, after=2):
     fired = []
 
     def crashing(self, *args):
-        if not fired and driver.wal.snapshots >= after and hit(self):
+        if not fired and feed.wal.snapshots >= after and hit(self):
             fired.append(point)
             raise PowerLoss(point)
         return original(self, *args)
@@ -416,14 +416,14 @@ def arm(monkeypatch, driver, point, after=2):
     return fired
 
 
-def run_until_crash(driver, limit=400):
+def run_until_crash(feed, limit=400):
     """Step until the armed crash fires; returns the seq the WAL had
     promised durable at that moment."""
     for _ in range(limit):
         try:
-            driver.step()
+            feed.step()
         except PowerLoss:
-            return driver.wal.durable_seq
+            return feed.wal.durable_seq
     raise AssertionError("the crash point was never reached")
 
 
@@ -431,7 +431,7 @@ def run_until_crash(driver, limit=400):
 @pytest.mark.parametrize("sync_every", [1, 3])
 def test_lsm_checkpoint_crash_matrix(monkeypatch, point, sync_every):
     store = make_store("partial")
-    d = Driver(store, sync_every=sync_every)
+    d = Feed(store, sync_every=sync_every)
     fired = arm(monkeypatch, d, point)
     floor = run_until_crash(d)
     assert fired == [point]
@@ -446,7 +446,7 @@ def test_lsm_checkpoint_crash_matrix(monkeypatch, point, sync_every):
 def test_run_file_names_never_reused_across_restarts(monkeypatch):
     written = record_run_writes(monkeypatch)
     store = make_store("partial")
-    d = Driver(store, sync_every=2)
+    d = Feed(store, sync_every=2)
     for point in ("run-written", "run-synced", "log-truncated"):
         with monkeypatch.context() as m:
             fired = arm(m, d, point, after=1)

@@ -15,9 +15,10 @@ but nothing else enforces, plus one runtime detector:
   the chaos runner and the recovery-aware model checker;
 * :mod:`repro.analysis.flow` — path-sensitive flow-control passes over
   the controlet hot paths (pump-liveness, backpressure,
-  retry-idempotency, config-epoch fencing), built on the
-  :mod:`repro.analysis.cfg` walker that inlines RPC callbacks and
-  timer continuations; seeded must-fail defects live in
+  retry-idempotency, config-epoch fencing); like the commit-point pass
+  a query over the paths of the one :mod:`repro.analysis.cfg` walker
+  (RPC callbacks and helpers inlined, timer and join continuations
+  recorded as deferred steps); seeded must-fail defects live in
   :mod:`repro.analysis.flowdefects`;
 * :mod:`repro.analysis.summaries` — static per-handler read/write
   footprints, the commutativity evidence for the model checker's

@@ -1,29 +1,36 @@
-"""Per-handler control-flow extraction for the flow-control passes.
+"""The one path walker of the static passes: per-handler control flow
+for the flow-control passes and the commit-point query.
 
-The flow analyzer (:mod:`repro.analysis.flow`) needs to answer
-path-sensitive questions about controlet hot paths — "does every path
-out of this busy-flag acquisition release the flag, *including* the RPC
-error/timeout callback?" — which the flat read/write summaries of
-:mod:`repro.analysis.summaries` cannot express.  This module provides
-the missing machinery: a walker that linearizes a method body into
-execution *paths* (sequences of :class:`Step` events), forking at
-branches and following the asynchronous continuation structure the
-actor fabric imposes:
+Both need path-sensitive answers the flat read/write summaries of
+:mod:`repro.analysis.summaries` cannot give: "does every path out of
+this busy-flag acquisition release the flag, *including* the RPC
+error/timeout callback?" (:mod:`repro.analysis.flow`), "can this ack
+precede every durable effect?" (:mod:`repro.analysis.commitpoints`).
+The walker linearizes a method body into execution *paths* (sequences
+of :class:`Step` events), forking at branches and following the
+asynchronous continuation structure the actor fabric imposes:
 
 * ``self.call(..., callback=cb)`` / ``self.datalet_call(..., callback=cb)``
   — the callback is inlined **in line** with the emitting path: its
   statements are the path's future, executed at response/timeout time.
+  A subclass override of an emitting method is inlined as a helper.
 * ``self.helper(...)`` — same-class (inheritance-resolved) methods are
   inlined with parameters bound, so closures threaded through helpers
   (``refresh_shard(then=resume)``) keep their identity.
-* ``self.set_timer(delay, cb)`` — recorded as a :class:`Step` of kind
-  ``defer``; timer continuations run in a later turn, so the flow
-  passes treat them as separate discharge sites rather than splicing
-  them into the acquiring path (see the defer-discharge rule in
-  flow.py).
+* ``self.set_timer(delay, cb)`` and ``req.arm(n, then=cb)`` — recorded
+  as a ``defer`` step: the continuation runs in a later turn, so the
+  passes walk it separately (flow.py's defer-discharge rule; the
+  commit-point query plays it after the path).
 * closures parked into containers or passed to unresolvable calls are
   inlined optimistically exactly once per path — a continuation handed
   to a drained queue is invoked by whatever pump drains it.
+* ``try`` forks the body alone and the body followed by each handler;
+  ``break``/``continue`` resume the path after the loop.
+
+Where the passes need different facts they read different steps, never
+a different walk: every step records the call behind it and the frames
+(``via``) it runs in, a pump push names the issue method it runs, and a
+``self.X is None`` test records what each arm assumes.
 
 Branch tests are classified **strict** or **lenient**: a test that
 reads ``self`` state or a (callback) parameter — the shape of an RPC
@@ -43,6 +50,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.source import (
@@ -71,28 +79,44 @@ _APPEND_METHODS = {"append", "extend", "insert", "appendleft"}
 _DRAIN_METHODS = {"pop", "popleft", "clear"}
 
 
-@dataclass
+@dataclass(eq=False)
 class Step:
     """One observable event on an execution path.
 
     Kinds: ``flag-set``/``flag-clear`` (busy-token transitions),
-    ``append``/``drain``/``requeue``/``bound`` (queue discipline),
+    ``append``/``drain``/``requeue``/``bound``/``drive`` (queue
+    discipline; ``drive`` is any other ``self.X.m()``),
     ``pump-new``/``pump-push``/``pump-requeue``
-    (:class:`repro.core.controlet.Pump` usage), ``emit``/``respond``
-    (message out; detail = ``primitive:type``), ``defer`` (timer arm;
-    ``closure`` = the continuation), ``rid-strip`` (dedup identity
-    dropped from a payload), ``done-call`` (a pump issue callable
-    invoking its completion continuation), ``attr-assign`` (other
-    self-attribute store), ``reenter`` (cycle-guarded re-entry of a
-    frame already on the inline stack).
+    (:class:`repro.core.controlet.Pump` usage; a push's ``closure`` is
+    the issue method it runs), ``emit``/``respond`` (message out; detail
+    = ``primitive:type``, ``closure`` = the callback spliced in next),
+    ``invoke`` (a method call on any other receiver), ``defer`` (runs in
+    a later turn: ``set_timer`` or a fan-out ``arm``'s ``then``, the
+    ``closure``; None for a default join), ``enter`` (a helper inlined
+    here, ``closure`` binding its arguments), ``splice`` (a closure handed
+    to an opaque call, assumed to run here), ``assume`` (the arm of a
+    ``self.X is [not] None`` test), ``skip`` (``break``/``continue``),
+    ``rid-strip`` (dedup identity dropped from a payload), ``done-call``
+    (a pump issue callable invoking its completion continuation),
+    ``attr-assign`` (other self-attribute store), ``reenter``
+    (cycle-guarded re-entry of a frame already on the inline stack).
     """
 
     kind: str
     detail: str = ""
     line: int = 0
-    in_callback: bool = False
     file: str = ""
     closure: Optional["Closure"] = None
+    #: the call the step records, for passes that read its arguments.
+    call: Optional[ast.Call] = None
+    #: the ``emit``/``enter``/``splice`` steps whose callback, helper
+    #: body or spliced closure this step runs in, outermost first.
+    via: Tuple["Step", ...] = ()
+
+    @property
+    def in_callback(self) -> bool:
+        """Runs in a response callback or a spliced continuation."""
+        return any(v.kind != "enter" for v in self.via)
 
 
 @dataclass
@@ -129,6 +153,10 @@ class _DoneParam:
 
 CBPARAM = _CbParam()
 DONE = _DoneParam()
+
+#: ``_Ctx.ended`` after ``break``/``continue``: the enclosing loop
+#: statement resumes the path.
+_LOOP_EXIT = "loop"
 
 
 @dataclass
@@ -173,6 +201,16 @@ def _is_empty_container(node: ast.expr) -> bool:
     return False
 
 
+def _none_test(test: ast.expr) -> Optional[Tuple[ast.expr, bool]]:
+    """``X is None`` -> ``(X, True)``; ``X is not None`` -> ``(X, False)``."""
+    if (isinstance(test, ast.Compare) and len(test.ops) == 1
+            and isinstance(test.ops[0], (ast.Is, ast.IsNot))
+            and isinstance(test.comparators[0], ast.Constant)
+            and test.comparators[0].value is None):
+        return test.left, isinstance(test.ops[0], ast.Is)
+    return None
+
+
 def looks_like_flag(attr: str) -> bool:
     """Busy-token attribute names: one-in-flight / armed-timer tokens."""
     lowered = attr.lower()
@@ -187,10 +225,19 @@ class FlowWalker:
         self.cls = cls
         #: (class, method) frames currently inlined (cycle guard).
         self.active: set = set()
-        self.in_callback = False
+        self.via: Tuple[Step, ...] = ()
         self._file = table.file_of(cls)
         #: Pump constructions observed during the walk.
         self.pumps: List[PumpBinding] = []
+        #: walk_closure results: a closure's paths do not depend on
+        #: where it is walked from (the value keeps the key's ids alive).
+        self._walked: Dict[Tuple[int, int, str], Tuple[Closure, List[Path]]] = {}
+        #: per branch test: (reads self state, names it reads)
+        self._tests: Dict[int, Tuple[bool, List[str]]] = {}
+
+    @cached_property
+    def _pumps(self) -> Dict[str, str]:
+        return self.table.pumps(self.cls)
 
     # -- entry points ---------------------------------------------------
     def walk(self, funcdef, seed_env: Optional[Dict[str, Any]] = None) -> List[Path]:
@@ -201,6 +248,9 @@ class FlowWalker:
                      seed_env: Optional[Dict[str, Any]] = None) -> List[Path]:
         """Linearize a closure (deferred continuation / pump issue
         callable) with its captured environment re-seeded."""
+        key = (id(closure.node), id(closure.env) if closure.env else 0, closure.file)
+        if seed_env is None and key in self._walked:
+            return self._walked[key][1]
         ctx = _Ctx()
         ctx.env = dict(closure.env)
         for p in closure.params():
@@ -210,19 +260,23 @@ class FlowWalker:
         saved_file = self._file
         if closure.file:
             self._file = closure.file
-        key = (self.cls, closure.name)
-        self.active.add(key)
+        frame = (self.cls, closure.name)
+        self.active.add(frame)
         try:
             done = self._walk_block(closure.body(), [ctx])
         finally:
-            self.active.discard(key)
+            self.active.discard(frame)
             self._file = saved_file
-        return [Path(steps=c.steps, abandoned=c.abandoned) for c in done]
+        paths = [Path(steps=c.steps, abandoned=c.abandoned) for c in done]
+        if seed_env is None:
+            self._walked[key] = (closure, paths)
+        return paths
 
     # -- step helper ----------------------------------------------------
     def _step(self, kind: str, detail: str, line: int,
-              closure: Optional[Closure] = None) -> Step:
-        return Step(kind, detail, line, self.in_callback, self._file, closure)
+              closure: Optional[Closure] = None,
+              call: Optional[ast.Call] = None) -> Step:
+        return Step(kind, detail, line, self._file, closure, call, self.via)
 
     # -- statement dispatch ---------------------------------------------
     def _walk_block(self, stmts: List[ast.stmt], ctxs: List[_Ctx]) -> List[_Ctx]:
@@ -273,12 +327,25 @@ class FlowWalker:
         if isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)):
             # loop bodies are traced once: the passes reason about the
             # per-iteration obligations, not iteration counts
-            return self._walk_block(list(stmt.body) + list(stmt.orelse), [ctx])
+            out = self._walk_block(list(stmt.body) + list(stmt.orelse), [ctx])
+            for c in out:
+                if c.ended == _LOOP_EXIT:
+                    c.ended = False
+            return out
+        if isinstance(stmt, (ast.Break, ast.Continue)):
+            ctx.steps.append(self._step("skip", type(stmt).__name__.lower(),
+                                        stmt.lineno))
+            ctx.ended = _LOOP_EXIT
+            return [ctx]
         if isinstance(stmt, (ast.With, ast.AsyncWith)):
             return self._walk_block(list(stmt.body), [ctx])
         if isinstance(stmt, ast.Try):
-            out = self._walk_block(list(stmt.body), [ctx])
-            return self._walk_block(list(stmt.finalbody), out)
+            # the body runs to completion, or runs and then a handler
+            # does: effects ahead of the raise point are kept
+            out: List[_Ctx] = []
+            for arm in [stmt.body] + [stmt.body + h.body for h in stmt.handlers]:
+                out.extend(self._walk_block(list(arm), [ctx.fork()]))
+            return self._walk_block(list(stmt.finalbody), out[:PATH_CAP])
         return [ctx]
 
     # -- assignments -----------------------------------------------------
@@ -440,11 +507,11 @@ class FlowWalker:
         # self.<method>(...) -----------------------------------------------
         attr = self_attr(func) if isinstance(func, ast.Attribute) else None
         if attr is not None:
-            if attr in _EMITS:
+            if attr in _EMITS and self._is_primitive(attr):
                 return self._do_emit(attr, call, ctx)
             if attr == "set_timer":
                 cb = self._resolve_callable(arg_or_kw(call, 1, "callback"), ctx)
-                ctx.steps.append(self._step("defer", attr, call.lineno, cb))
+                ctx.steps.append(self._step("defer", attr, call.lineno, cb, call))
                 return [ctx]
             return self._do_self_call(attr, call, ctx)
         # self.<attr>.<method>(...) ----------------------------------------
@@ -457,6 +524,12 @@ class FlowWalker:
                     and const_str(call.args[0]) == "rid":
                 ctx.steps.append(self._step("rid-strip", "", call.lineno))
                 return [ctx]
+            if func.attr == "arm":
+                # a fan-out join: ``then`` runs once the last leg settled
+                then = self._resolve_callable(arg_or_kw(call, 1, "then"), ctx)
+                ctx.steps.append(self._step("defer", "arm", call.lineno, then, call))
+                return [ctx]
+            ctx.steps.append(self._step("invoke", func.attr, call.lineno, call=call))
             return self._inline_closure_args(call, ctx)
         # plain-name call ---------------------------------------------------
         if isinstance(func, ast.Name):
@@ -465,8 +538,16 @@ class FlowWalker:
                 ctx.steps.append(self._step("done-call", func.id, call.lineno))
                 return [ctx]
             if isinstance(bound, Closure):
-                return self._inline(bound, call, ctx, as_callback=False)
+                return self._inline(bound, call, ctx)
         return self._inline_closure_args(call, ctx)
+
+    def _is_primitive(self, method: str) -> bool:
+        """An emitting method not redefined below the class that
+        introduces it; an override is protocol code, inlined like any
+        helper."""
+        _fn, owner = self.table.resolve(self.cls, method)
+        return owner is None or not any(
+            method in self.table.methods(a) for a in self.table.ancestry(owner)[1:])
 
     def _do_emit(self, kind: str, call: ast.Call, ctx: _Ctx) -> List[_Ctx]:
         if kind == "datalet_call":
@@ -476,34 +557,42 @@ class FlowWalker:
         step_kind = "respond" if kind == "respond" else "emit"
         cb_expr = kwarg(call, "callback")
         detail = f"{kind}:{msg_type or '?'}" + ("+cb" if cb_expr else "")
-        ctx.steps.append(self._step(step_kind, detail, call.lineno))
         cb = self._resolve_callable(cb_expr, ctx)
+        step = self._step(step_kind, detail, call.lineno, cb, call)
+        ctx.steps.append(step)
         if cb is None:
             return [ctx]
         # splice the response/timeout continuation into the path
-        return self._inline(cb, None, ctx, as_callback=True)
+        return self._inline(cb, None, ctx, frame=step)
 
     def _do_container_call(self, attr: str, method: str, call: ast.Call,
                            ctx: _Ctx) -> List[_Ctx]:
         line = call.lineno
         if method in _APPEND_METHODS:
-            ctx.steps.append(self._step("append", attr, line))
+            ctx.steps.append(self._step("append", attr, line, call=call))
             # a continuation parked into a drained container is invoked
             # by whatever drains it: splice it in optimistically
             return self._inline_closure_args(call, ctx)
         if method in _DRAIN_METHODS:
-            ctx.steps.append(self._step("drain", attr, line))
+            ctx.steps.append(self._step("drain", attr, line, call=call))
             return [ctx]
         if method == "push":
-            ctx.steps.append(self._step("pump-push", attr, line))
+            ctx.steps.append(self._step("pump-push", attr, line,
+                                        self._pump_issue(attr), call))
             return self._inline_closure_args(call, ctx)
         if method == "requeue_front":
-            ctx.steps.append(self._step("pump-requeue", attr, line))
+            ctx.steps.append(self._step("pump-requeue", attr, line, call=call))
             return [ctx]
         if method == "kick":
             return [ctx]
         # unknown container/object method: follow any closures handed in
+        ctx.steps.append(self._step("drive", attr, line, call=call))
         return self._inline_closure_args(call, ctx)
+
+    def _pump_issue(self, attr: str) -> Optional[Closure]:
+        """The issue method of ``self.<attr> = Pump(self.<issue>)``."""
+        funcdef, owner = self.table.resolve(self.cls, self._pumps.get(attr, ""))
+        return Closure(funcdef, {}, file=self.table.file_of(owner)) if funcdef else None
 
     def _do_self_call(self, method: str, call: ast.Call, ctx: _Ctx) -> List[_Ctx]:
         funcdef, owner = self.table.resolve(self.cls, method)
@@ -512,35 +601,22 @@ class FlowWalker:
         if (self.cls, method) in self.active or (owner, method) in self.active:
             ctx.steps.append(self._step("reenter", method, call.lineno))
             return [ctx]
-        # bind parameters: closures and container aliases keep identity
-        env: Dict[str, Any] = {}
         params = [a.arg for a in funcdef.args.args if a.arg != "self"]
-        supplied: List[Tuple[str, ast.expr]] = []
-        for i, arg in enumerate(call.args):
-            if i < len(params):
-                supplied.append((params[i], arg))
-        for k in call.keywords:
-            if k.arg is not None and k.arg in params:
-                supplied.append((k.arg, k.value))
-        for name, expr in supplied:
-            resolved = self._resolve_callable(expr, ctx)
-            if resolved is not None:
-                env[name] = resolved
-                continue
-            src_attr = self_attr(expr)
-            if src_attr is not None:
-                env[name] = _Alias(src_attr)
-            elif isinstance(expr, ast.Name) and expr.id in ctx.env:
-                env[name] = ctx.env[expr.id]
+        env = self._bind(params, call, ctx)
+        step = self._step("enter", method, call.lineno,
+                          Closure(funcdef, env, method, self.table.file_of(owner)),
+                          call)
+        ctx.steps.append(step)
         self.active.add((self.cls, method))
         self.active.add((owner, method))
         saved_file = self._file
+        saved_via = self.via
         self._file = self.table.file_of(owner)
+        self.via = saved_via + (step,)
         try:
             saved_env = ctx.env
-            ctx.env = dict(env)
-            for p in params:
-                ctx.env.setdefault(p, CBPARAM)
+            ctx.env = {p: CBPARAM for p in params}
+            ctx.env.update(env)
             done = self._walk_block(list(funcdef.body), [ctx])
             out = []
             for c in done:
@@ -551,10 +627,13 @@ class FlowWalker:
             self.active.discard((self.cls, method))
             self.active.discard((owner, method))
             self._file = saved_file
+            self.via = saved_via
         return out
 
     def _inline(self, closure: Closure, call: Optional[ast.Call], ctx: _Ctx,
-                as_callback: bool) -> List[_Ctx]:
+                frame: Optional[Step] = None) -> List[_Ctx]:
+        """Splice a closure in: called by name, or (``frame``) run as
+        the emit callback or optimistic splice that step records."""
         key = id(closure.node)
         if key in ctx.inlined:
             ctx.steps.append(self._step("reenter", closure.name,
@@ -562,40 +641,41 @@ class FlowWalker:
             return [ctx]
         ctx.inlined.add(key)
         saved_env = ctx.env
-        saved_cb = self.in_callback
         saved_file = self._file
-        child_env = dict(closure.env)
+        saved_via = self.via
         params = closure.params()
+        ctx.env = {**closure.env, **{p: CBPARAM for p in params}}
         if call is not None:
-            for i, arg in enumerate(call.args):
-                if i >= len(params):
-                    break
-                resolved = self._resolve_callable(arg, ctx)
-                if resolved is not None:
-                    child_env[params[i]] = resolved
-                elif isinstance(arg, ast.Name) and arg.id in ctx.env:
-                    child_env[params[i]] = ctx.env[arg.id]
-                else:
-                    child_env[params[i]] = CBPARAM
-            for p in params:
-                child_env.setdefault(p, CBPARAM)
-        else:
-            for p in params:
-                child_env[p] = CBPARAM
-        ctx.env = child_env
-        if as_callback:
-            self.in_callback = True
+            ctx.env.update(self._bind(params, call, ctx))
         if closure.file:
             self._file = closure.file
+        if frame is not None:
+            self.via = saved_via + (frame,)
         done = self._walk_block(closure.body(), [ctx])
         out = []
         for c in done:
             c.env = dict(saved_env)
             c.ended = False  # the outer frame resumes after the splice
             out.append(c)
-        self.in_callback = saved_cb
         self._file = saved_file
+        self.via = saved_via
         return out
+
+    def _bind(self, params: List[str], call: ast.Call, ctx: _Ctx) -> Dict[str, Any]:
+        """Parameters bound by ``call``'s arguments: closures and
+        container aliases keep their identity."""
+        env: Dict[str, Any] = {}
+        supplied = list(zip(params, call.args)) + [
+            (k.arg, k.value) for k in call.keywords if k.arg in params]
+        for name, expr in supplied:
+            resolved = self._resolve_callable(expr, ctx)
+            if resolved is not None:
+                env[name] = resolved
+            elif self_attr(expr) is not None:
+                env[name] = _Alias(self_attr(expr))
+            elif isinstance(expr, ast.Name) and expr.id in ctx.env:
+                env[name] = ctx.env[expr.id]
+        return env
 
     def _inline_closure_args(self, call: ast.Call, ctx: _Ctx) -> List[_Ctx]:
         """Optimistically splice closure arguments of an opaque call: a
@@ -627,18 +707,31 @@ class FlowWalker:
         for closure in closures:
             nxt: List[_Ctx] = []
             for c in ctxs:
-                nxt.extend(self._inline(closure, None, c, as_callback=True))
+                step = self._step("splice", closure.name, call.lineno, closure)
+                c.steps.append(step)
+                nxt.extend(self._inline(closure, None, c, frame=step))
             ctxs = nxt
         return ctxs
 
     # -- branching -------------------------------------------------------
     def _do_if(self, stmt: ast.If, ctx: _Ctx) -> List[_Ctx]:
-        pruned = self._prune_known_callable(stmt.test, ctx)
-        if pruned is not None:
-            arm = stmt.body if pruned else stmt.orelse
+        none_test = _none_test(stmt.test)
+        if none_test is not None and isinstance(none_test[0], ast.Name) \
+                and isinstance(ctx.env.get(none_test[0].id), (Closure, _DoneParam)):
+            # ``then is not None`` over a bound continuation is decidable:
+            # take only the arm where it exists
+            arm = stmt.orelse if none_test[1] else stmt.body
             return self._walk_block(list(arm), [ctx])
         strict = self._is_strict_test(stmt.test, ctx)
         other = ctx.fork()
+        attr = self_attr(none_test[0]) if none_test is not None else None
+        if attr is not None:
+            # each arm records what it assumes: ``X is None`` / ``X is not None``
+            facts = [f"{attr} is None", f"{attr} is not None"]
+            if not none_test[1]:
+                facts.reverse()
+            ctx.steps.append(self._step("assume", facts[0], stmt.lineno))
+            other.steps.append(self._step("assume", facts[1], stmt.lineno))
         body_ctxs = self._walk_block(list(stmt.body), [ctx])
         else_ctxs = self._walk_block(list(stmt.orelse), [other])
         if not strict:
@@ -650,30 +743,16 @@ class FlowWalker:
                     c.abandoned = True
         return body_ctxs + else_ctxs
 
-    def _prune_known_callable(self, test: ast.expr,
-                              ctx: _Ctx) -> Optional[bool]:
-        """``then is not None`` over an env-bound closure is decidable:
-        take only the arm where the continuation exists."""
-        if isinstance(test, ast.Compare) and len(test.ops) == 1 \
-                and isinstance(test.comparators[0], ast.Constant) \
-                and test.comparators[0].value is None \
-                and isinstance(test.left, ast.Name) \
-                and isinstance(ctx.env.get(test.left.id),
-                               (Closure, _DoneParam)):
-            if isinstance(test.ops[0], ast.IsNot):
-                return True
-            if isinstance(test.ops[0], ast.Is):
-                return False
-        return None
-
     def _is_strict_test(self, test: ast.expr, ctx: _Ctx) -> bool:
-        for node in ast.walk(test):
-            if self_attr(node) is not None:
-                return True
-            if isinstance(node, ast.Name) \
-                    and isinstance(ctx.env.get(node.id), _CbParam):
-                return True
-        return False
+        shape = self._tests.get(id(test))
+        if shape is None:
+            nodes = list(ast.walk(test))
+            shape = self._tests[id(test)] = (
+                any(self_attr(n) is not None for n in nodes),
+                [n.id for n in nodes if isinstance(n, ast.Name)])
+        reads_self, names = shape
+        return reads_self or any(isinstance(ctx.env.get(n), _CbParam)
+                                 for n in names)
 
 
 def walk_method(table: SourceIndex, cls: str, funcdef,

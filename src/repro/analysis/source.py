@@ -70,8 +70,8 @@ _EXTERNAL = re.compile(r"#\s*protocol:\s*external\b")
 #: container methods that put an item into ``self.<attr>``.
 PUSH_METHODS = {"append", "extend", "insert", "appendleft", "push"}
 
-#: fork explosion guard of the path walkers (cfg.FlowWalker and the
-#: commit-point tracer): beyond this many concurrent paths they keep the
+#: fork explosion guard of the path walker (cfg.FlowWalker) and the
+#: commit-point query: beyond this many concurrent paths they keep the
 #: first ``PATH_CAP`` (real handlers stay well under it).
 PATH_CAP = 192
 

@@ -30,6 +30,10 @@ class _Incomplete:
 
 INCOMPLETE = _Incomplete()
 
+#: longest header line (type marker up to its CRLF) a peer may send:
+#: past it, bytes with no CRLF are rejected instead of buffered.
+MAX_LINE = 64 * 1024
+
 RespValue = Union[str, bytes, int, None, List["RespValue"]]
 
 
@@ -107,6 +111,8 @@ class RespParser:
         marker = self._buf[pos : pos + 1]
         end = self._line_end(pos + 1)
         if end is None:
+            if len(self._buf) - pos > MAX_LINE:
+                raise ProtocolError(f"line longer than {MAX_LINE} bytes without CRLF")
             return None
         header = bytes(self._buf[pos + 1 : end])
         after = end + 2

@@ -276,7 +276,9 @@ class TcpKVClient:
             return
         reply = self._binary_call({"op": "del", "key": key})
         if not reply.get("ok"):
-            raise KeyNotFound(key)
+            if reply.get("error") == "not_found":
+                raise KeyNotFound(key)
+            raise BespoError(reply.get("error", "delete failed"))
 
     def scan(self, start: str, end: str, limit: Optional[int] = None) -> List[Tuple[str, str]]:
         if self.protocol == "resp":

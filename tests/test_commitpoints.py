@@ -30,6 +30,16 @@ def _read(rel: str):
     return (rel, p.read_text())
 
 
+def _pinned(findings):
+    """``(path, rule, class, entry type, suppressed)`` per finding: the
+    message opens with ``<class> [<entry type>]:``."""
+    out = []
+    for f in findings:
+        cls, entry = f.message.split("]:", 1)[0].split(" [")
+        out.append((f.path, f.rule, cls, entry, f.suppressed))
+    return sorted(out)
+
+
 # ---------------------------------------------------------------------------
 # the contract table
 # ---------------------------------------------------------------------------
@@ -84,6 +94,14 @@ def test_tree_has_no_unsuppressed_findings():
     findings = analyze_tree(package_root())
     unsuppressed = [f for f in findings if not f.suppressed]
     assert unsuppressed == [], "\n".join(f.describe() for f in unsuppressed)
+    # the exact set: the two pragma'd acks (Controlet._ack_receipt and
+    # the all-duplicate chain frame), each first found by one class
+    assert _pinned(findings) == [
+        ("core/controlet.py", "ack-before-durable", "AAStrongControlet",
+         "peer_apply", True),
+        ("core/ms_sc.py", "ack-before-durable", "MSStrongControlet",
+         "chain_put_batch", True),
+    ]
 
 
 def test_tree_suppressions_are_attributed():
@@ -155,3 +173,44 @@ def test_healthy_chain_is_not_flagged_by_source_analysis():
         and "PartialBatchAck" not in f.message
     ]
     assert bad == [], "\n".join(f.message for f in bad)
+    # the exact set, the three seeded defects and the shared pragma'd
+    # acks included
+    assert _pinned(findings) == [
+        ("analysis/statespace.py", "ack-before-replication",
+         "EarlyAckMSStrongControlet", "del", False),
+        ("analysis/statespace.py", "ack-before-replication",
+         "PartialBatchAckMSStrongControlet", "del", False),
+        ("core/controlet.py", "ack-before-durable",
+         "EarlyAckMSStrongControlet", "chain_put_batch", True),
+        ("core/ms_sc.py", "ack-before-durable",
+         "EarlyAckMSStrongControlet", "chain_put_batch", True),
+        ("core/ms_sc.py", "ack-before-durable",
+         "UnsyncedAckMSStrongControlet", "chain_put_batch", False),
+        ("core/ms_sc.py", "ack-before-durable",
+         "UnsyncedAckMSStrongControlet", "del", False),
+    ]
+
+
+_TIMER_APPLY = '''\
+class TimerApplyControlet:
+    def __init__(self):
+        self.register("put", self._on_put)
+
+    def _on_put(self, msg):
+        self.set_timer(0.01, lambda: self._apply_and_ack(msg))
+
+    def _apply_and_ack(self, msg):
+        self.datalet_call("put", dict(msg.payload))
+        self.respond(msg, "ok")
+'''
+
+
+def test_durable_effect_in_a_timer_does_not_cover_its_ack():
+    """A continuation deferred onto a timer plays after the handler's
+    turn; a durable effect issued there is not a durable prefix, even
+    for an ack that follows it in the same continuation."""
+    findings = analyze_sources([("core/timer_apply.py", _TIMER_APPLY)])
+    assert _pinned(findings) == [
+        ("core/timer_apply.py", "ack-before-durable", "TimerApplyControlet",
+         "put", False)]
+    assert findings[0].line == 10  # the respond

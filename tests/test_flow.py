@@ -10,6 +10,7 @@ caught by the exact rule they plant — through inherited production
 machinery, not toy snippets.
 """
 
+import re
 from pathlib import Path
 
 from repro.analysis import package_root
@@ -32,6 +33,25 @@ def _read(rel: str):
 
 def _by_rule(findings, rule):
     return [f for f in findings if f.rule == rule]
+
+
+def _loud(findings, *rules):
+    """Sorted ``(rule, path, class)`` of the unsuppressed findings (of
+    ``rules``, when given); the message opens with the class name."""
+    return sorted((f.rule, f.path, re.match(r"\w+", f.message).group())
+                  for f in findings if not f.suppressed
+                  and (not rules or f.rule in rules))
+
+
+#: every finding the seeded flow defects must trip, and nothing else.
+_DEFECTS = "analysis/flowdefects.py"
+SEEDED_FLOW_FINDINGS = [
+    ("pump-leak", _DEFECTS, "LeakyPumpMSEventualControlet"),
+    ("retry-no-dedup", _DEFECTS, "UncappedRequeueMSStrongControlet"),
+    ("ring-epoch", _DEFECTS, "StaleEpochDualRouteControlet"),
+    ("ring-epoch", _DEFECTS, "StaleEpochDualRouteControlet"),
+    ("unbounded-buffer", _DEFECTS, "UncappedRequeueMSStrongControlet"),
+]
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +210,57 @@ def test_no_hand_rolled_busy_token_in_core():
     assert acquirers == {"Pump"}
 
 
+_WALK_SRC = '''\
+class Base:
+    def datalet_call(self, type, payload, callback=None):
+        self.send("d", type)
+
+class Node(Base):
+    def datalet_call(self, type, payload, callback=None):
+        self.send("d", "rewritten")
+
+    def handler(self, req, items):
+        try:
+            self.send("x", "body")
+        except KeyError:
+            self.send("x", "handler")
+        for i in items:
+            if i:
+                continue
+            self.send("x", "loop")
+        self.send("x", "after")
+        if self.wal is None:
+            return
+        req.arm(2, then=lambda err: self.send("x", "join"))
+        self.set_timer(1, lambda: self.send("x", "timer"))
+        self.datalet_call("put", {})
+'''
+
+
+def test_walker_semantics_the_path_passes_share():
+    """One walk serves flow and commit points: ``try`` forks body and
+    body+handler, ``continue`` resumes after the loop, each arm of a
+    ``self.X is None`` test records what it assumes, timer and join
+    continuations are deferred rather than spliced, and an overridden
+    emitting method is inlined as a helper."""
+    table = SourceIndex([("core/node.py", _WALK_SRC)])
+    paths, _pumps = walk_method(table, "Node", table.methods("Node")["handler"])
+    shapes = {tuple(f"{s.kind}:{s.detail}" for s in p.steps) for p in paths}
+    assert ("emit:send:body", "emit:send:handler") in {sh[:2] for sh in shapes}
+    assert ("emit:send:body", "emit:send:loop") in {sh[:2] for sh in shapes}
+    skipped = [sh for sh in shapes if "skip:continue" in sh]
+    assert skipped and all("emit:send:loop" not in sh
+                           and "emit:send:after" in sh for sh in skipped)
+    assert {sh[sh.index("emit:send:after") + 1] for sh in shapes} == {
+        "assume:wal is None", "assume:wal is not None"}
+    full = [sh for sh in shapes if "assume:wal is not None" in sh]
+    assert full and all(sh[-4:] == ("defer:arm", "defer:set_timer",
+                                     "enter:datalet_call", "emit:send:rewritten")
+                        for sh in full)
+    deferred = [s.closure for p in paths for s in p.steps if s.kind == "defer"]
+    assert deferred and all(c is not None for c in deferred)
+
+
 # ---------------------------------------------------------------------------
 # the real tree is clean
 # ---------------------------------------------------------------------------
@@ -210,6 +281,7 @@ def test_seeded_leaky_pump_caught():
     leaks = [f for f in _by_rule(findings, "pump-leak")
              if f.path.endswith("flowdefects.py") and not f.suppressed]
     assert len(leaks) == 1, "\n".join(f.format() for f in findings)
+    assert _loud(findings, "pump-leak") == SEEDED_FLOW_FINDINGS[:1]
     # anchored at the acquisition the error arm never releases
     assert "_replay_busy" in leaks[0].message
     assert "_pump_replays" in leaks[0].message
@@ -227,6 +299,8 @@ def test_seeded_uncapped_requeue_caught():
     stash_line = {f.line for f in in_defects
                   if f.rule in ("unbounded-buffer", "retry-no-dedup")}
     assert len(stash_line) == 1  # both anchor at the stash append
+    assert _loud(findings, "unbounded-buffer", "retry-no-dedup") == [
+        SEEDED_FLOW_FINDINGS[1], SEEDED_FLOW_FINDINGS[4]]
 
 
 def test_seeded_stale_epoch_dual_route_caught():
@@ -242,6 +316,7 @@ def test_seeded_stale_epoch_dual_route_caught():
     assert "does not route the new ring through _install_shard" in msgs
     assert "(self._gate) assigned or installed outside" in msgs
     assert all("StaleEpochDualRoute" in f.message for f in hits)
+    assert _loud(findings, "ring-epoch") == SEEDED_FLOW_FINDINGS[2:4]
 
 
 def test_healthy_ancestry_stays_unflagged_alongside_defects():
@@ -253,6 +328,7 @@ def test_healthy_ancestry_stays_unflagged_alongside_defects():
     assert loud, "seeded defects vanished"
     assert all(f.path.endswith("flowdefects.py") for f in loud), (
         "\n".join(f.format() for f in loud))
+    assert _loud(findings) == SEEDED_FLOW_FINDINGS
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,27 @@ def test_bulk_too_large_rejected():
         p.next_value()
 
 
+def test_unterminated_line_rejected_not_buffered():
+    p = resp.RespParser()
+    chunk = b"+" + b"x" * (16 * 1024 - 1)
+    for _ in range(4):
+        p.feed(chunk)
+        assert p.next_value() is resp.INCOMPLETE  # within the line bound
+    p.feed(chunk)
+    with pytest.raises(ProtocolError):
+        p.next_value()
+
+
+def test_one_mib_bulk_roundtrips_in_pieces():
+    p = resp.RespParser()
+    big = b"v" * (1 << 20)
+    data = resp.encode_command("SET", "k", big)
+    for i in range(0, len(data), 64 * 1024):
+        assert p.next_value() is resp.INCOMPLETE
+        p.feed(data[i : i + 64 * 1024])
+    assert p.next_value() == [b"SET", b"k", big]
+
+
 def test_unknown_marker():
     with pytest.raises(ProtocolError):
         roundtrip(b"?what\r\n")

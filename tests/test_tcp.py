@@ -40,6 +40,18 @@ def test_delete_over_tcp(server_client):
         client.delete("k")
 
 
+def test_delete_engine_error_is_not_key_not_found(server_client):
+    engine, client = server_client
+
+    def broken(key):
+        raise RuntimeError("engine fault")
+
+    engine.delete = broken
+    with pytest.raises(BespoError, match="engine fault") as info:
+        client.delete("k")
+    assert not isinstance(info.value, KeyNotFound)
+
+
 def test_scan_over_tcp(server_client):
     _, client = server_client
     for i in range(20):

@@ -647,6 +647,14 @@ class KVClient:
             if resp.payload.get("error") == "redirect":
                 override_target = resp.payload.get("to")
                 continue
+            if resp.payload.get("error") == "retired":
+                # as in _op_proc: back off, refresh, re-route (a flipped
+                # shard's new generation replaces the retired one)
+                self.retries += 1
+                yield from self._sleep(attempt, ctx)
+                yield from self._refresh_best_effort()
+                shard = self.map.shards.get(shard.shard_id, shard)
+                continue
             raise BespoError(f"scan failed on {shard.shard_id}: {resp.payload}")
         raise ShardUnavailable(f"scan on shard {shard.shard_id} exhausted retries")
 

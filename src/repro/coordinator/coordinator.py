@@ -13,17 +13,26 @@ Responsibilities (paper §III, Table III):
    joins as the new tail.
 4. **Transition manager** (§V) — orchestrates live topology/consistency
    switches with the dual-controlet handover protocol.
+5. **Reshard manager** — adds or removes a shard online (double-ring
+   cutover with live key migration).
+
+At most one transition or reshard is in flight, as one
+:class:`Operation`: its kind, phase, requester, and the participants
+the phase still waits for.  Requests pass one gate (``_admit``), acks
+one settle path (``_settle``).  Replica repairs run alongside, one
+``_repairs`` entry per replacement controlet until ``recovery_done``.
 
 Spawning new actors requires constructing them inside the hosting
-runtime, so the coordinator takes two injected factories from the
-deployment layer: ``spawner`` (replacement pairs) and
+runtime, so the coordinator takes three injected factories from the
+deployment layer: ``spawner`` (replacement pairs),
 ``transition_spawner`` (a parallel controlet set over existing
-datalets).
+datalets) and ``reshard_spawner`` (a whole new shard).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.cluster.view import RESHARD_ADD, RESHARD_REMOVE, ClusterView
 from repro.core.config import ControlConfig
@@ -42,6 +51,30 @@ TransitionSpawner = Callable[[ShardInfo, Topology, Consistency], ShardInfo]
 #: () -> a fresh ShardInfo (spawned controlet/datalet pairs + shared log
 #: when the combo needs one), or None when capacity is exhausted.
 ReshardSpawner = Callable[[], Optional[ShardInfo]]
+MOVE_STATS = ("moved", "skipped", "total")  # per-source ``migrate_done`` counts
+
+
+@dataclass(eq=False)
+class Operation:
+    """The coordinator's one in-flight transition or reshard."""
+
+    kind: str  # "transition" | "reshard"
+    requester: Message
+    phase: str = ""
+    #: participants the phase still waits for, by group; when a group
+    #: drains, ``step(group)`` moves the operation on
+    waiting: Dict[str, Set[str]] = field(default_factory=dict)
+    step: Callable[[str], None] = lambda group: None
+    #: transition: shard id -> (new controlet generation, old controlets)
+    flips: Dict[str, Tuple[ShardInfo, List[str]]] = field(default_factory=dict)
+    #: reshard: the planned ring change (``plan_reshard``'s old/new
+    #: members), the incoming shard on an add, and the copy totals
+    action: str = ""
+    shard: str = ""
+    new_shard: Optional[ShardInfo] = None
+    old_ring: List[str] = field(default_factory=list)
+    new_ring: List[str] = field(default_factory=list)
+    stats: Dict[str, int] = field(default_factory=lambda: dict.fromkeys(MOVE_STATS, 0))
 
 
 class CoordinatorActor(Actor):
@@ -79,15 +112,10 @@ class CoordinatorActor(Actor):
         self._shard_target: Dict[str, int] = {
             sid: len(s.replicas) for sid, s in self.map.shards.items()
         }
-        #: controlets whose replacement is being recovered.
-        self._recovering: Dict[str, str] = {}  # new controlet -> shard
-        #: replicas spawned but not yet recovered (see register_pending).
-        self._pending_replicas: Dict[str, Replica] = {}
-        #: in-flight transitions per shard.
-        self._transitions: Dict[str, Dict[str, object]] = {}
-        self._transition_requester: Optional[Message] = None
-        #: in-flight reshard (double-ring cutover) state machine.
-        self._reshard: Optional[Dict[str, object]] = None
+        #: replacements spawned, not yet recovered: controlet -> (shard, replica)
+        self._repairs: Dict[str, Tuple[str, Replica]] = {}
+        #: the in-flight transition or reshard, if any
+        self._op: Optional[Operation] = None
         self.failovers = 0
         self.register("heartbeat", self._on_heartbeat)
         self.register("datalet_failed", self._on_datalet_failed)
@@ -106,8 +134,7 @@ class CoordinatorActor(Actor):
     def metrics_group(self) -> Dict[str, float]:
         return {
             "failovers": self.failovers,
-            "recovering": len(self._recovering),
-            "pending_replicas": len(self._pending_replicas),
+            "recovering": len(self._repairs),
         }
 
     # ------------------------------------------------------------------
@@ -209,8 +236,7 @@ class CoordinatorActor(Actor):
         # If the dead node was itself a mid-recovery replacement
         # (AA-strong join-first), its in-flight entry must not count
         # toward shard strength below.
-        self._recovering.pop(dead.controlet, None)
-        self._pending_replicas.pop(dead.controlet, None)
+        self._repairs.pop(dead.controlet, None)
         shard.remove_replica(dead.controlet)
         # Re-number the chain: if the head died this *is* the leader
         # election (second node promoted); if a mid/tail died the chain
@@ -225,7 +251,7 @@ class CoordinatorActor(Actor):
         # death from a stale map (the old primary repaired it, then died
         # before syncing) must not spawn a second replacement.
         target = self._shard_target.get(shard.shard_id, len(shard.replicas) + 1)
-        inflight = sum(1 for sid in self._recovering.values() if sid == shard.shard_id)
+        inflight = sum(1 for sid, _ in self._repairs.values() if sid == shard.shard_id)
         if (
             self.spawner is not None
             and shard.replicas
@@ -245,7 +271,7 @@ class CoordinatorActor(Actor):
                 self.view.commit("degraded", shard.shard_id)
                 self._broadcast_config(shard)
                 return
-            self._recovering[new_replica.controlet] = shard.shard_id
+            self._repairs[new_replica.controlet] = (shard.shard_id, new_replica)
             self._last_seen[new_replica.controlet] = self.now()
             if (
                 shard.topology is Topology.AA
@@ -255,31 +281,22 @@ class CoordinatorActor(Actor):
                 # every member of the shard view, so the replacement
                 # must appear in the view *before* its state transfer
                 # starts — it buffers incoming writes while recovering.
-                # Use the registered pending replica object if the
-                # spawner recorded one, so identity stays consistent.
-                replica = self._pending_replicas.get(
-                    new_replica.controlet, new_replica
-                )
-                replica.chain_pos = len(shard.replicas)
-                shard.replicas.append(replica)
+                new_replica.chain_pos = len(shard.replicas)
+                shard.replicas.append(new_replica)
                 self.view.commit(
-                    "replica-join", f"{shard.shard_id}:+{replica.controlet}"
+                    "replica-join", f"{shard.shard_id}:+{new_replica.controlet}"
                 )
                 self._broadcast_config(shard)
 
     def _on_recovery_done(self, msg: Message) -> None:
         controlet = msg.payload["controlet"]
-        sid = self._recovering.pop(controlet, None)
-        if sid is None or sid not in self.map.shards:
+        repair = self._repairs.pop(controlet, None)
+        if repair is None or repair[0] not in self.map.shards:
             return
-        shard = self.map.shard(sid)
-        # The deployment's spawner registered the replica's identity via
-        # the pending queue; re-derive it from the heartbeat payload.
         # The replacement joins at the end of the chain (paper: "adds
         # the new pair as the new tail").
-        replica = self._pending_replicas.pop(controlet, None)
-        if replica is None:
-            return
+        sid, replica = repair
+        shard = self.map.shard(sid)
         self.map.degraded.discard(sid)
         if any(r.controlet == controlet for r in shard.replicas):
             # Join-first path (AA strong): already a member; recovery
@@ -290,10 +307,10 @@ class CoordinatorActor(Actor):
         self.view.commit("replica-join", f"{sid}:+{replica.controlet}")
         self._broadcast_config(shard)
 
-    def register_pending(self, replica: Replica) -> None:
-        """Called by the deployment's spawner so the coordinator can add
-        the replica to the shard once recovery completes."""
-        self._pending_replicas[replica.controlet] = replica
+    def register_pending(self, shard_id: str, replica: Replica) -> None:
+        """Mirror a replacement another coordinator spawned, so whichever
+        one is active when its recovery completes adds it to the shard."""
+        self._repairs[replica.controlet] = (shard_id, replica)
 
     def _broadcast_config(self, shard: ShardInfo) -> None:
         payload = {
@@ -327,6 +344,7 @@ class CoordinatorActor(Actor):
         progresses as the explorer advances time and saturates once the
         node is overdue."""
         s = super().snapshot_state()
+        op = self._op
         now = self.now()
         hb = self.config.heartbeat_interval
         cap = int(self.config.failure_timeout / hb) + 2
@@ -344,55 +362,73 @@ class CoordinatorActor(Actor):
             "degraded": sorted(self.map.degraded),
             "dead": sorted(self._dead),
             "staleness": staleness,
-            "recovering": dict(self._recovering),
-            "pending_replicas": sorted(self._pending_replicas),
-            "transitions": sorted(self._transitions),
+            "recovering": {c: sid for c, (sid, _) in self._repairs.items()},
+            "pending_replicas": sorted(self._repairs),
+            "transitions": sorted(op.waiting) if op and op.kind == "transition" else [],
             "view": self.view.snapshot(),
-            "reshard_phase": (
-                self._reshard["phase"] if self._reshard else None  # type: ignore[index]
-            ),
+            "reshard_phase": op.phase if op and op.kind == "reshard" else None,
         })
         return s
+
+    # ------------------------------------------------------------------
+    # the in-flight operation: one admission gate, one settle path
+    # ------------------------------------------------------------------
+    def _admit(self, msg: Message, kind: str) -> bool:
+        """The one gate: refuse any request while an operation runs."""
+        op = self._op
+        if op is None:
+            return True
+        again = "already " if op.kind == kind else ""
+        self.respond(msg, "error", {"error": f"{op.kind} {again}in progress"})
+        return False
+
+    def _enter(self, op: Operation, phase: str, members: List[str],
+               step: Callable[[str], None]) -> None:
+        """Enter ``phase``: ``step`` runs once all ``members`` acked."""
+        op.phase, op.step = phase, step
+        op.waiting = {"": set(members)} if members else {}
+        if not members:
+            step("")
+
+    def _settle(self, phase: str, member: str, group: str = "") -> None:
+        """Count one ack; a group's last ack runs the phase's step."""
+        op = self._op
+        if op is None or op.phase != phase or group not in op.waiting:
+            return
+        members = op.waiting[group]
+        members.discard(member)
+        if not members:
+            del op.waiting[group]
+            op.step(group)
 
     # ------------------------------------------------------------------
     # transitions (§V)
     # ------------------------------------------------------------------
     def _on_request_transition(self, msg: Message) -> None:
+        if not self._admit(msg, "transition"):
+            return
         if self.transition_spawner is None:
             self.respond(msg, "error", {"error": "no transition spawner configured"})
             return
-        if self._transitions:
-            self.respond(msg, "error", {"error": "transition already in progress"})
-            return
-        if self._reshard is not None:
-            self.respond(msg, "error", {"error": "reshard in progress"})
-            return
         topology = Topology(msg.payload["topology"])
         consistency = Consistency(msg.payload["consistency"])
-        self._transition_requester = msg
+        op = self._op = Operation("transition", msg, "draining")
+        op.step = lambda sid: self._flip(op, sid)
         for shard in self.map.shards.values():
             new_shard = self.transition_spawner(shard, topology, consistency)
             old_controlets = shard.controlets()
-            self._transitions[shard.shard_id] = {
-                "new_shard": new_shard,
-                "waiting": set(old_controlets),
-                "old": list(old_controlets),
-            }
+            op.flips[shard.shard_id] = (new_shard, old_controlets)
+            op.waiting[shard.shard_id] = set(old_controlets)
             forward_to = new_shard.head.controlet
             for c in old_controlets:
                 self.send(c, "transition_start", {"forward_to": forward_to})
 
     def _on_transition_ready(self, msg: Message) -> None:
-        sid = msg.payload["shard"]
-        state = self._transitions.get(sid)
-        if state is None:
-            return
-        waiting: Set[str] = state["waiting"]  # type: ignore[assignment]
-        waiting.discard(msg.payload["controlet"])
-        if waiting:
-            return
-        # Every old controlet drained: flip the shard to the new service.
-        new_shard: ShardInfo = state["new_shard"]  # type: ignore[assignment]
+        self._settle("draining", msg.payload["controlet"], msg.payload["shard"])
+
+    def _flip(self, op: Operation, sid: str) -> None:
+        """Every old controlet of ``sid`` drained: flip it to the new service."""
+        new_shard, old_controlets = op.flips.pop(sid)
         self.map.shards[sid] = new_shard
         self.view.commit(
             "transition-flip",
@@ -402,18 +438,17 @@ class CoordinatorActor(Actor):
         for replica in new_shard.ordered():
             self._last_seen.setdefault(replica.controlet, now)
         self._broadcast_config(new_shard)
-        for old in state["old"]:  # type: ignore[union-attr]
+        for old in old_controlets:
             self.send(old, "retire", {})
-        del self._transitions[sid]
-        if not self._transitions and self._transition_requester is not None:
-            req, self._transition_requester = self._transition_requester, None
-            self.respond(req, "transition_done", {"epoch": self.map.epoch})
+        if not op.waiting:
+            self._op = None
+            self.respond(op.requester, "transition_done", {"epoch": self.map.epoch})
 
     # ------------------------------------------------------------------
     # online resharding (double-ring cutover + live key migration)
     # ------------------------------------------------------------------
     #
-    # Phases of ``self._reshard``:
+    # Phases of a reshard operation:
     #
     # ``arming``     the shard-log sequencers / DLM learn the window
     #                *before* any client or controlet does, so every
@@ -428,11 +463,7 @@ class CoordinatorActor(Actor):
     # then the view commits ``reshard-commit``, a removed shard is
     # retired, and the new ring becomes the only ring.
     def _on_request_reshard(self, msg: Message) -> None:
-        if self._reshard is not None:
-            self.respond(msg, "error", {"error": "reshard already in progress"})
-            return
-        if self._transitions:
-            self.respond(msg, "error", {"error": "transition in progress"})
+        if not self._admit(msg, "reshard"):
             return
         if self.partitioner != "hash":
             self.respond(
@@ -457,29 +488,20 @@ class CoordinatorActor(Actor):
         except ConfigError as e:
             self.respond(msg, "error", {"error": str(e)})
             return
-        self._reshard = {
-            "phase": "arming",
-            "action": action,
-            "shard": sid,
-            "new_shard": new_shard,
-            "requester": msg,
-            "old": old_ids,
-            "new": new_ids,
-            "waiting": set(),
-            "stats": {"moved": 0, "skipped": 0, "total": 0},
-        }
-        self._arm_authorities()
+        op = self._op = Operation(
+            "reshard", msg, action=action, shard=sid, new_shard=new_shard,
+            old_ring=old_ids, new_ring=new_ids,
+        )
+        self._arm_authorities(op)
 
-    def _reshard_authorities(self) -> List[str]:
+    def _reshard_authorities(self, op: Operation) -> List[str]:
         """Ordering authorities that must learn the window first: the
         DLM for AA+SC shards, each shard's log sequencer for AA+EC —
         including the incoming shard's fresh sequencer."""
-        state = self._reshard
-        assert state is not None
         targets: List[str] = []
         shards = list(self.map.shards.values())
-        if state["new_shard"] is not None:
-            shards.append(state["new_shard"])  # type: ignore[arg-type]
+        if op.new_shard is not None:
+            shards.append(op.new_shard)
         if any(
             s.topology is Topology.AA and s.consistency is Consistency.STRONG
             for s in shards
@@ -490,19 +512,12 @@ class CoordinatorActor(Actor):
                 targets.append(log_name(s.shard_id))
         return targets
 
-    def _arm_authorities(self) -> None:
-        state = self._reshard
-        assert state is not None
-        targets = self._reshard_authorities()
-        if not targets:
-            self._open_window()
-            return
-        waiting: Set[str] = set(targets)
-        state["waiting"] = waiting
+    def _arm_authorities(self, op: Operation) -> None:
+        targets = self._reshard_authorities(op)
         payload = {
             "gen": self.view.ring_gen + 1,
-            "new": list(state["new"]),  # type: ignore[arg-type]
-            "old": list(state["old"]),  # type: ignore[arg-type]
+            "new": list(op.new_ring),
+            "old": list(op.old_ring),
         }
 
         def acked(target):
@@ -513,41 +528,32 @@ class CoordinatorActor(Actor):
                     self.call(target, "reshard_begin", dict(payload),
                               callback=acked(target), timeout=5.0)
                     return
-                waiting.discard(target)
-                if not waiting and state is self._reshard:
-                    self._open_window()
+                self._settle("arming", target)
             return cb
 
+        self._enter(op, "arming", targets, lambda _: self._open_window(op))
         for t in targets:
             self.call(t, "reshard_begin", dict(payload),
                       callback=acked(t), timeout=5.0)
 
-    def _open_window(self) -> None:
-        state = self._reshard
-        assert state is not None
-        action: str = state["action"]  # type: ignore[assignment]
-        sid: str = state["shard"]  # type: ignore[assignment]
-        self.view.begin_reshard(action, sid)
-        new_shard: Optional[ShardInfo] = state["new_shard"]  # type: ignore[assignment]
-        if new_shard is not None:
-            self.map.shards[sid] = new_shard
-            self._shard_target[sid] = len(new_shard.replicas)
+    def _open_window(self, op: Operation) -> None:
+        sid = op.shard
+        self.view.begin_reshard(op.action, sid)
+        if op.new_shard is not None:
+            self.map.shards[sid] = op.new_shard
+            self._shard_target[sid] = len(op.new_shard.replicas)
             now = self.now()
-            for r in new_shard.ordered():
+            for r in op.new_shard.ordered():
                 self._last_seen.setdefault(r.controlet, now)
         # entry (ordering authority) per shard, for migration targets
-        entries = {
+        assert self.view.reshard is not None
+        self.view.reshard["entries"] = {
             s.shard_id: s.head.controlet for s in self.map.shards.values()
         }
-        assert self.view.reshard is not None
-        self.view.reshard["entries"] = entries
-        state["phase"] = "migrating"
         # sources: shards whose owned key ranges shrink under the new
         # ring — every old shard on an add, the leaving shard on remove
-        source_ids = (
-            list(state["old"]) if action == RESHARD_ADD else [sid]  # type: ignore[arg-type]
-        )
-        state["sources"] = set(source_ids)
+        source_ids = list(op.old_ring) if op.action == RESHARD_ADD else [sid]
+        self._enter(op, "migrating", source_ids, lambda _: self._fence(op))
         self._broadcast_all()
         for source in sorted(source_ids):
             shard = self.map.shard(source)
@@ -558,65 +564,45 @@ class CoordinatorActor(Actor):
             )
 
     def _on_migrate_done(self, msg: Message) -> None:
-        state = self._reshard
-        if state is None or state["phase"] != "migrating":
-            return
-        sources: Set[str] = state["sources"]  # type: ignore[assignment]
+        op = self._op
         sid = msg.payload["shard"]
-        if sid not in sources:
-            return  # duplicate completion report
-        sources.discard(sid)
-        stats: Dict[str, int] = state["stats"]  # type: ignore[assignment]
-        for k in ("moved", "skipped", "total"):
-            stats[k] += int(msg.payload.get(k, 0))
-        if sources:
-            return
-        # every source drained: fence the old ring before the flip so
-        # no stale client can read a moved key from an old owner after
-        # new-ring-only writes begin
-        state["phase"] = "fencing"
-        waiting: Set[str] = set()
-        for old_sid in state["old"]:  # type: ignore[union-attr]
+        if op is None or op.phase != "migrating" or sid not in op.waiting.get("", ()):
+            return  # stale or duplicate completion report
+        for k in MOVE_STATS:
+            op.stats[k] += int(msg.payload.get(k, 0))
+        self._settle("migrating", sid)
+
+    def _fence(self, op: Operation) -> None:
+        """Every source drained: fence the old ring before the flip, so no
+        stale client reads a moved key from an old owner afterwards."""
+        fenced: List[str] = []
+        for old_sid in op.old_ring:
             if old_sid not in self.map.shards:
                 continue
             for r in self.map.shard(old_sid).ordered():
-                waiting.add(r.controlet)
+                fenced.append(r.controlet)
                 self.send(r.controlet, "reshard_fence", {"gen": self.view.ring_gen})
-        state["waiting"] = waiting
-        if not waiting:
-            self._finish_reshard()
+        self._enter(op, "fencing", fenced, lambda _: self._finish_reshard(op))
 
     def _on_reshard_fenced(self, msg: Message) -> None:
-        state = self._reshard
-        if state is None or state["phase"] != "fencing":
-            return
-        waiting: Set[str] = state["waiting"]  # type: ignore[assignment]
-        waiting.discard(msg.payload["controlet"])
-        if not waiting:
-            self._finish_reshard()
+        self._settle("fencing", msg.payload["controlet"])
 
-    def _finish_reshard(self) -> None:
-        state = self._reshard
-        assert state is not None
-        for t in self._reshard_authorities():
+    def _finish_reshard(self, op: Operation) -> None:
+        for t in self._reshard_authorities(op):
             self.send(t, "reshard_end", {"gen": self.view.ring_gen})
         self.view.commit_reshard()
-        sid: str = state["shard"]  # type: ignore[assignment]
-        if state["action"] == RESHARD_REMOVE:
-            removed = self.map.shards.pop(sid, None)
-            self._shard_target.pop(sid, None)
+        if op.action == RESHARD_REMOVE:
+            removed = self.map.shards.pop(op.shard, None)
+            self._shard_target.pop(op.shard, None)
             if removed is not None:
                 for r in removed.ordered():
                     self._last_seen.pop(r.controlet, None)
                     self._dead.discard(r.controlet)
                     self.send(r.controlet, "retire", {})
         self._broadcast_all()
-        req: Optional[Message] = state["requester"]  # type: ignore[assignment]
-        stats: Dict[str, int] = state["stats"]  # type: ignore[assignment]
-        self._reshard = None
-        if req is not None:
-            self.respond(
-                req,
-                "reshard_done",
-                {"epoch": self.map.epoch, "shard": sid, **stats},
-            )
+        self._op = None
+        self.respond(
+            op.requester,
+            "reshard_done",
+            {"epoch": self.map.epoch, "shard": op.shard, **op.stats},
+        )

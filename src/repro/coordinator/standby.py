@@ -6,7 +6,7 @@ The primary coordinator streams every cluster-map change to its
 follower (``coord_sync``); the follower answers read-only metadata
 queries from its mirrored map, heartbeats the primary, and **promotes
 itself** when the primary goes silent — taking over sweeps, failover
-orchestration, and transitions.  Controlets heartbeat *both*
+orchestration, transitions and reshards.  Controlets heartbeat *both*
 coordinators (cheap), so the follower owns fresh liveness data the
 moment it promotes.
 
@@ -109,13 +109,13 @@ class StandbyCoordinator(CoordinatorActor):
                 )
         self.set_timer(self.config.heartbeat_interval, self._sweep)
 
-    # transitions/failovers before promotion would be split-brain;
+    # transitions/reshards before promotion would be split-brain;
     # refuse them while following.
-    def _on_request_transition(self, msg: Message) -> None:
+    def _admit(self, msg: Message, kind: str) -> bool:
         if not self.promoted:
             self.respond(msg, "error", {"error": "standby: not the primary"})
-            return
-        super()._on_request_transition(msg)
+            return False
+        return super()._admit(msg, kind)
 
     # -- model-checker introspection ---------------------------------------
     def snapshot_state(self):

@@ -354,12 +354,11 @@ class Deployment:
             ),
             host=host,
         )
-        # both coordinators learn the pending replica: whichever is
-        # active when recovery completes finalizes the join
-        self.coordinator.register_pending(replica)
+        # the calling coordinator records the replica it gets back; the
+        # standby mirrors it, so whichever coordinator is active when
+        # recovery completes finalizes the join
         if self.standby is not None:
-            self.standby.register_pending(replica)
-            self.standby._recovering[replica.controlet] = shard.shard_id
+            self.standby.register_pending(shard.shard_id, replica)
         return replica
 
     def _spawn_transition(

@@ -85,6 +85,28 @@ def test_client_counts_ops_and_retries():
     assert client.retries >= before
 
 
+def test_scan_retries_past_a_retired_replica():
+    """A retired controlet answers ``retired``: a scan backs off,
+    refreshes and re-routes the way a point op does, instead of
+    failing the whole scan on the first such reply."""
+    dep = Deployment(DeploymentSpec(shards=1, replicas=3, topology=Topology.MS,
+                                    consistency=Consistency.EVENTUAL,
+                                    datalet_kinds=("mt",)))
+    dep.start()
+    # each retry re-routes uniformly at random, and this seed's stream
+    # draws the retired c0.1 seven times running: leave budget room
+    client = dep.client("c0", max_retries=12)
+    dep.sim.run_future(client.connect())
+    for i in range(5):
+        dep.sim.run_future(client.put(f"k{i}", str(i)))
+    dep.sim.run_until(dep.sim.now + 1.0)
+    dep.cluster.actor("c0.1").retired = True
+    for _ in range(20):
+        assert dep.sim.run_future(client.get("k1")) == "1"
+        items = dep.sim.run_future(client.scan("k0", "k9"))
+        assert [k for k, _ in items] == [f"k{i}" for i in range(5)]
+
+
 def test_epoch_visible_after_connect():
     dep, client = build()
     assert client.map.epoch == dep.map.epoch

@@ -93,15 +93,16 @@ def test_recovery_done_without_pending_is_ignored():
 
 def test_register_pending_then_recovery_done_joins_as_tail():
     cluster, coord, port = make_coordinator()
-    shard = coord.map.shard("s0")
-    coord._handle_failure(shard, shard.tail)
-    replica = Replica("c4", "d4", "h4", 99)
-    coord.register_pending(replica)
-    coord._recovering["c4"] = "s0"
-    port.send("coordinator", "recovery_done", {"controlet": "c4", "shard": "s0"})
+    coord.register_pending("s0", Replica("c4", "d4", "h4", 99))
+    # a replacement whose shard is gone is dropped, not left pending
+    coord.register_pending("gone", Replica("c5", "d5", "h5", 0))
+    assert coord.snapshot_state()["recovering"] == {"c4": "s0", "c5": "gone"}
+    for c in ("c4", "c5"):
+        port.send("coordinator", "recovery_done", {"controlet": c, "shard": "s0"})
     cluster.sim.run_until(0.5)
     assert coord.map.shard("s0").tail.controlet == "c4"
-    assert coord.map.shard("s0").tail.chain_pos == 2
+    assert coord.map.shard("s0").tail.chain_pos == 3
+    assert coord.snapshot_state()["pending_replicas"] == []
 
 
 def test_transition_without_spawner_errors():

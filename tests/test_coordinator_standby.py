@@ -37,14 +37,22 @@ def test_standby_serves_metadata_reads():
     assert resp.type == "cluster_map"
 
 
-def test_standby_refuses_transitions_while_following():
+@pytest.mark.parametrize("request_type,payload", [
+    ("request_transition", {"topology": "aa", "consistency": "eventual"}),
+    ("request_reshard", {"action": "add"}),
+], ids=["transition", "reshard"])
+def test_standby_refuses_transitions_while_following(request_type, payload):
+    """A following standby must not run a transition or a reshard on
+    its mirrored view: that would split the ring from the primary's."""
     dep, client = build()
     dep.sim.run_until(2.0)
     port = dep.cluster.add_port("probe")
     resp = dep.sim.run_future(
-        port.request("coordinator.standby", "request_transition",
-                     {"topology": "aa", "consistency": "eventual"}))
+        port.request("coordinator.standby", request_type, payload, timeout=5.0))
     assert resp.type == "error" and "standby" in resp.payload["error"]
+    dep.sim.run_until(dep.sim.now + 1.0)
+    assert dep.standby.view.ring_gen == dep.coordinator.view.ring_gen == 0
+    assert dep.standby.map.shard_ids() == dep.map.shard_ids() == ["s0", "s1"]
 
 
 def test_primary_death_promotes_standby():

@@ -143,23 +143,40 @@ def test_gets_served_throughout_transition():
     assert set(reads) == {"1"}
 
 
-def test_second_transition_rejected_while_active():
-    """Exactly one of two concurrent transition requests wins; the
-    other is rejected with 'transition already in progress'."""
+#: the coordinator's two exclusive operations, as a (first, second)
+#: request pair's builders; the second transition targets a different
+#: combo than the first
+GATED = {
+    "transition": lambda dep, nth: dep.request_transition(
+        *[(Topology.MS, Consistency.STRONG), (Topology.AA, Consistency.EVENTUAL)][nth],
+        client_name=f"admin{nth}"),
+    "reshard": lambda dep, nth: dep.request_reshard("add", client_name=f"admin{nth}"),
+}
+
+
+@pytest.mark.parametrize("first,second", [(a, b) for a in GATED for b in GATED])
+def test_second_transition_rejected_while_active(first, second):
+    """Exactly one of two concurrent requests — transitions or reshards
+    in any mix — wins; the other is refused by the one admission gate
+    with '<winner> in progress' ('<winner> already in progress' when
+    both are the same kind)."""
     dep, client = build(Topology.MS, Consistency.EVENTUAL)
-    f1 = dep.request_transition(Topology.MS, Consistency.STRONG)
-    f2 = dep.request_transition(Topology.AA, Consistency.EVENTUAL, client_name="admin2")
-    dep.sim.run_until(dep.sim.now + 30.0)
-    assert f1.done and f2.done
-    outcomes = []
-    for f in (f1, f2):
+    kinds = (first, second)
+    futs = [GATED[kind](dep, nth) for nth, kind in enumerate(kinds)]
+    dep.sim.run_until(dep.sim.now + 60.0)
+    assert all(f.done for f in futs)
+    errors = []
+    for f in futs:
         try:
             f.result()
-            outcomes.append("ok")
+            errors.append(None)
         except Exception as e:  # noqa: BLE001
-            assert "in progress" in str(e)
-            outcomes.append("rejected")
-    assert sorted(outcomes) == ["ok", "rejected"]
+            errors.append(str(e))
+    assert errors.count(None) == 1
+    winner = kinds[errors.index(None)]
+    again = "already " if first == second else ""
+    refusal = next(e for e in errors if e is not None)
+    assert f"'{winner} {again}in progress'" in refusal
 
 
 def test_chained_transitions_return_roundtrip():

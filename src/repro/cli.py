@@ -31,8 +31,8 @@ import sys
 import time
 from typing import List, Optional
 
-from repro.core.config import load_deployment_config
-from repro.core.types import Consistency, Topology
+# repro.core and the simulator are imported by the subcommands that use
+# them: ``serve`` loads the socket path and its one engine, nothing else.
 from repro.datalet import ENGINE_KINDS, make_engine
 
 __all__ = ["main"]
@@ -288,6 +288,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 # bench
 # ---------------------------------------------------------------------------
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from repro.core import Consistency, Topology, load_deployment_config
     from repro.harness import Deployment, DeploymentSpec
     from repro.harness.loadgen import LoadGenerator, preload
     from repro.sim import CostModel
@@ -299,8 +300,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         replicas = cfg.num_replicas
         datalet = cfg.datalet_kinds[0]
     else:
-        topology = Topology(args.topology)
-        consistency = Consistency(args.consistency)
+        topology, consistency = Topology(args.topology), Consistency(args.consistency)
         replicas = args.replicas
         datalet = args.datalet
 
@@ -341,6 +341,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 # demo
 # ---------------------------------------------------------------------------
 def _cmd_demo(args: argparse.Namespace) -> int:
+    from repro.core import Consistency, Topology
     from repro.harness import Deployment, DeploymentSpec
 
     dep = Deployment(DeploymentSpec(shards=args.shards, replicas=3,
@@ -374,6 +375,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.chaos import run_soak
     from repro.chaos.runner import ALL_COMBOS
+    from repro.core import Consistency, ControlConfig, Topology
     from repro.errors import ConfigError
 
     combo_by_flag = {
@@ -390,8 +392,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     if args.wal_sync_every != 1:
         spec_overrides["wal_sync_every"] = args.wal_sync_every
     if args.batch is not None:
-        from repro.core.config import ControlConfig
-
         spec_overrides["control"] = ControlConfig(
             group_commit_max=args.batch,
             chain_batch_max=args.batch,
@@ -482,6 +482,7 @@ def _print_violation_traces(report, limit: int = 8) -> None:
 # trace
 # ---------------------------------------------------------------------------
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from repro.core import Consistency, Topology
     from repro.errors import BespoError
     from repro.harness import Deployment, DeploymentSpec
 

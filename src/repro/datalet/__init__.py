@@ -14,13 +14,27 @@ name        engine                          characteristics
 
 from __future__ import annotations
 
-from repro.datalet.base import DataletActor, Engine
-from repro.datalet.btree import BTreeEngine
-from repro.datalet.hashtable import HashTableEngine
-from repro.datalet.log import LogEngine
-from repro.datalet.lsm import LSMEngine, SSTable
-from repro.datalet.ports import RedisEngine, SSDBEngine
-from repro.datalet.wal import ReplayResult, WriteAheadLog
+import sys
+from collections.abc import Iterator, Mapping
+
+from repro import _lazy_exports
+from repro.datalet.engine import Engine
+
+# Everything but the engine contract resolves on first use: ``bespokv
+# serve`` loads one engine's module, and no engine needs the actor
+# fabric (DataletActor) or the simulator (WriteAheadLog).
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "DataletActor": "repro.datalet.base",
+    "WriteAheadLog": "repro.datalet.wal",
+    "ReplayResult": "repro.datalet.wal",
+    "HashTableEngine": "repro.datalet.hashtable",
+    "BTreeEngine": "repro.datalet.btree",
+    "LogEngine": "repro.datalet.log",
+    "LSMEngine": "repro.datalet.lsm",
+    "SSTable": "repro.datalet.lsm",
+    "SSDBEngine": "repro.datalet.ports",
+    "RedisEngine": "repro.datalet.ports",
+})
 
 __all__ = [
     "Engine",
@@ -38,14 +52,30 @@ __all__ = [
     "make_engine",
 ]
 
-ENGINE_KINDS = {
-    "ht": HashTableEngine,
-    "mt": BTreeEngine,
-    "lsm": LSMEngine,
-    "log": LogEngine,
-    "ssdb": SSDBEngine,
-    "redis": RedisEngine,
-}
+
+class _EngineKinds(Mapping):
+    """Kind name -> engine class; a class's module loads on its first lookup."""
+
+    _classes = {
+        "ht": "HashTableEngine",
+        "mt": "BTreeEngine",
+        "lsm": "LSMEngine",
+        "log": "LogEngine",
+        "ssdb": "SSDBEngine",
+        "redis": "RedisEngine",
+    }
+
+    def __getitem__(self, kind: str) -> type:
+        return getattr(sys.modules[__name__], self._classes[kind])
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._classes)
+
+    def __len__(self) -> int:
+        return len(self._classes)
+
+
+ENGINE_KINDS: Mapping[str, type] = _EngineKinds()
 
 
 def make_engine(kind: str, **kwargs) -> Engine:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import bisect
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.datalet.base import Engine
+from repro.datalet.engine import Engine
 from repro.errors import KeyNotFound
 
 __all__ = ["BTreeEngine"]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, Tuple
 
-from repro.datalet.base import Engine
+from repro.datalet.engine import Engine
 from repro.errors import KeyNotFound
 
 __all__ = ["HashTableEngine"]

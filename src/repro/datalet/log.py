@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.datalet.base import Engine
+from repro.datalet.engine import Engine
 from repro.errors import KeyNotFound
 
 __all__ = ["LogEngine", "LogRecord"]

@@ -21,7 +21,7 @@ import bisect
 import heapq
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.datalet.base import Engine
+from repro.datalet.engine import Engine
 from repro.datalet.bloom import BloomFilter
 from repro.errors import KeyNotFound
 from repro.hashing import stable_hash

@@ -9,9 +9,18 @@
   the real TCP front-end (:mod:`repro.net.tcp`)
 """
 
-from repro.net.actor import Actor, NodeContext, Reply
-from repro.net.message import HEADER_BYTES, Message
-from repro.net.simnet import ClientPort, SimCluster
+from repro import _lazy_exports
+
+# resolved on first use: the TCP path imports none of them
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "Message": "repro.net.message",
+    "HEADER_BYTES": "repro.net.message",
+    "Actor": "repro.net.actor",
+    "NodeContext": "repro.net.actor",
+    "Reply": "repro.net.actor",
+    "SimCluster": "repro.net.simnet",
+    "ClientPort": "repro.net.simnet",
+})
 
 __all__ = [
     "Message",

@@ -43,26 +43,26 @@ def encode_bulk(value: Optional[Union[str, bytes]]) -> bytes:
     if value is None:
         return b"$-1\r\n"
     data = value.encode() if isinstance(value, str) else value
-    return b"$" + str(len(data)).encode() + b"\r\n" + data + b"\r\n"
+    return b"$%d\r\n%s\r\n" % (len(data), data)
 
 
 def encode_simple(value: str) -> bytes:
     if "\r" in value or "\n" in value:
         raise ProtocolError("simple strings cannot contain CR/LF")
-    return b"+" + value.encode() + b"\r\n"
+    return b"+%s\r\n" % value.encode()
 
 
 def encode_error(message: str) -> bytes:
-    return b"-" + message.replace("\r", " ").replace("\n", " ").encode() + b"\r\n"
+    return b"-%s\r\n" % message.replace("\r", " ").replace("\n", " ").encode()
 
 
 def encode_integer(value: int) -> bytes:
-    return b":" + str(value).encode() + b"\r\n"
+    return b":%d\r\n" % value
 
 
 def encode_array(items: List[bytes]) -> bytes:
     """Array of already-encoded elements."""
-    return b"*" + str(len(items)).encode() + b"\r\n" + b"".join(items)
+    return b"*%d\r\n%s" % (len(items), b"".join(items))
 
 
 def encode_command(*args: Union[str, bytes]) -> bytes:
@@ -70,8 +70,14 @@ def encode_command(*args: Union[str, bytes]) -> bytes:
     return encode_array([encode_bulk(a) for a in args])
 
 
+_SIMPLE, _ERROR, _INTEGER, _BULK, _ARRAY = b"+-:$*"   # type markers, as ints
+
+
 class RespParser:
     """Incremental RESP2 decoder.
+
+    Values are decoded in place from a read position; consumed bytes
+    are dropped once per :meth:`feed`, not once per value.
 
     >>> p = RespParser()
     >>> p.feed(b"*2\\r\\n$3\\r\\nGET\\r\\n$1\\r\\nk\\r\\n")
@@ -81,10 +87,13 @@ class RespParser:
 
     def __init__(self, max_bulk: int = 64 * 1024 * 1024):
         self._buf = bytearray()
+        self._pos = 0
         self._max_bulk = max_bulk
 
     def feed(self, data: bytes) -> None:
-        self._buf.extend(data)
+        del self._buf[: self._pos]  # what the last values consumed
+        self._pos = 0
+        self._buf += data
 
     def next_value(self) -> RespValue:
         """Decode one complete value.
@@ -93,61 +102,40 @@ class RespParser:
         bytes are needed (``None`` is a legal decoded value — the null
         bulk string).  Raises :class:`ProtocolError` on malformed input.
         """
-        result = self._parse(0)
+        result = self._parse(self._pos)
         if result is None:
             return INCOMPLETE
-        value, consumed = result
-        del self._buf[:consumed]
-        return None if value is NullValue else value
+        value, self._pos = result
+        return value
 
     # -- internals -------------------------------------------------------
-    def _line_end(self, start: int) -> Optional[int]:
-        idx = self._buf.find(b"\r\n", start)
-        return None if idx < 0 else idx
-
     def _parse(self, pos: int) -> Optional[Tuple[RespValue, int]]:
-        if pos >= len(self._buf):
-            return None
-        marker = self._buf[pos : pos + 1]
-        end = self._line_end(pos + 1)
-        if end is None:
-            if len(self._buf) - pos > MAX_LINE:
+        buf = self._buf
+        end = buf.find(b"\r\n", pos + 1)
+        if end < 0:
+            if len(buf) - pos > MAX_LINE:
                 raise ProtocolError(f"line longer than {MAX_LINE} bytes without CRLF")
             return None
-        header = bytes(self._buf[pos + 1 : end])
+        marker = buf[pos]
+        header = buf[pos + 1 : end]
         after = end + 2
 
-        if marker == b"+":
-            return header.decode(), after
-        if marker == b"-":
-            return ProtocolErrorValue(header.decode()), after
-        if marker == b":":
-            try:
-                return int(header), after
-            except ValueError:
-                raise ProtocolError(f"bad integer: {header!r}") from None
-        if marker == b"$":
-            try:
-                length = int(header)
-            except ValueError:
-                raise ProtocolError(f"bad bulk length: {header!r}") from None
+        if marker == _BULK:
+            length = _int(header, "bulk length")
             if length == -1:
-                return NullValue, after
+                return None, after  # the null bulk string
             if length < 0 or length > self._max_bulk:
                 raise ProtocolError(f"bulk length out of range: {length}")
-            if len(self._buf) < after + length + 2:
+            stop = after + length
+            if len(buf) < stop + 2:
                 return None
-            data = bytes(self._buf[after : after + length])
-            if self._buf[after + length : after + length + 2] != b"\r\n":
+            if buf[stop : stop + 2] != b"\r\n":
                 raise ProtocolError("bulk string missing CRLF terminator")
-            return data, after + length + 2
-        if marker == b"*":
-            try:
-                count = int(header)
-            except ValueError:
-                raise ProtocolError(f"bad array length: {header!r}") from None
+            return bytes(buf[after:stop]), stop + 2
+        if marker == _ARRAY:
+            count = _int(header, "array length")
             if count == -1:
-                return NullValue, after
+                return None, after
             if count < 0:
                 raise ProtocolError(f"array length out of range: {count}")
             items: List[RespValue] = []
@@ -157,19 +145,22 @@ class RespParser:
                 if sub is None:
                     return None
                 value, cursor = sub
-                items.append(None if value is NullValue else value)
+                items.append(value)
             return items, cursor
-        raise ProtocolError(f"unknown RESP type marker: {marker!r}")
+        if marker == _SIMPLE:
+            return header.decode(), after
+        if marker == _ERROR:
+            return ProtocolErrorValue(header.decode()), after
+        if marker == _INTEGER:
+            return _int(header, "integer"), after
+        raise ProtocolError(f"unknown RESP type marker: {buf[pos : pos + 1]!r}")
 
 
-class _Null:
-    """Internal sentinel distinguishing 'incomplete' from 'null bulk'."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<resp-null>"
-
-
-NullValue = _Null()
+def _int(header: bytearray, what: str) -> int:
+    try:
+        return int(header)
+    except ValueError:
+        raise ProtocolError(f"bad {what}: {bytes(header)!r}") from None
 
 
 class ProtocolErrorValue(str):

@@ -87,7 +87,7 @@ class Step:
     ``append``/``drain``/``requeue``/``bound``/``drive`` (queue
     discipline; ``drive`` is any other ``self.X.m()``),
     ``pump-new``/``pump-push``/``pump-requeue``
-    (:class:`repro.core.controlet.Pump` usage; a push's ``closure`` is
+    (:class:`repro.core.pump.Pump` usage; a push's ``closure`` is
     the issue method it runs), ``emit``/``respond`` (message out; detail
     = ``primitive:type``, ``closure`` = the callback spliced in next),
     ``invoke`` (a method call on any other receiver), ``defer`` (runs in

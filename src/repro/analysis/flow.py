@@ -91,14 +91,13 @@ _DEDUP_GATE_ATTRS = {"_rid_done", "_rid_pending", "_rid_pos", "dup_appends"}
 #: non-actor flow machinery that still owns queues/flags.
 _FLOW_BASES = ("Controlet", "Actor")
 _EXTRA_ANALYZED = {"PipelinedClient", "SharedLog", "Pump", "Request",
-                   "ClusterView", "MigrationPump"}
+                   "ClusterView", "ReshardParticipant"}
 
 #: generic machinery exempt from the queue-discipline passes: Pump's
-#: own queue/requeue ARE the drain/retry primitives the user-side
-#: rules check at each binding site, and MigrationPump's retry requeue
-#: is rid-disciplined by its issue callable (the controlet stamps the
-#: stable per-key migration rid), which the binding-site rules cover.
-_GENERIC_CLASSES = {"Pump", "MigrationPump"}
+#: own queue/requeue ARE the primitives the user-side rules check at
+#: each binding site; ReshardParticipant's copy requeue is rid-stamped
+#: by its owner's copy hook, which those binding-site rules cover.
+_GENERIC_CLASSES = {"Pump", "ReshardParticipant"}
 
 #: how deep the defer-discharge recursion chases timer continuations
 #: (arm → tick → re-arm chains settle well within this).
@@ -116,7 +115,7 @@ FLOW_INJECTION_SOURCES = [
     "core/ms_ec.py",
     "core/ms_sc.py",
     "cluster/view.py",
-    "cluster/migrate.py",
+    "cluster/gate.py",
     "analysis/flowdefects.py",
 ]
 

@@ -160,7 +160,7 @@ class SummaryTable:
         return "\n".join(lines)
 
 
-#: methods of :class:`repro.core.controlet.Pump` that run the bound
+#: methods of :class:`repro.core.pump.Pump` that run the bound
 #: issue callable synchronously (push/kick drain inline when idle).
 _PUMP_DRIVERS = {"push", "kick", "requeue_front"}
 

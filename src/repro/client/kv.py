@@ -194,7 +194,11 @@ class KVClient:
         op: str,
         consistency: Optional[str],
         prefer_kind: Optional[str],
+        avoid: Optional[str] = None,
     ) -> str:
+        """Pick the controlet for one attempt; a free choice skips
+        ``avoid`` (the replica that just answered ``retired``) whenever
+        another replica remains."""
         replicas = shard.ordered()
         if not replicas:
             raise ShardUnavailable(f"shard {shard.shard_id} has no replicas")
@@ -202,6 +206,8 @@ class KVClient:
             preferred = [r for r in replicas if r.datalet_kind == prefer_kind]
             if preferred:
                 replicas = preferred
+        if avoid is not None:
+            replicas = [r for r in replicas if r.controlet != avoid] or replicas
         write = op in ("put", "del")
         if shard.topology is Topology.AA:
             return self._rng.choice(replicas).controlet
@@ -265,6 +271,7 @@ class KVClient:
         status = "error"
         try:
             override_target: Optional[str] = None
+            avoid: Optional[str] = None
             last_error: Optional[str] = None
             for attempt in range(self.max_retries + 1):
                 shard = self.shard_for(key)
@@ -292,8 +299,9 @@ class KVClient:
                     yield from self._sleep(attempt, ctx)
                     yield from self._refresh_best_effort()
                     continue
-                target = override_target or self._route(shard, op, consistency, prefer_kind)
-                override_target = None
+                target = override_target or self._route(
+                    shard, op, consistency, prefer_kind, avoid)
+                override_target = avoid = None
                 try:
                     resp = yield self.port.request(
                         target, op, req_payload, timeout=self.op_timeout, ctx=ctx
@@ -318,6 +326,7 @@ class KVClient:
                     continue
                 if err == "retired":
                     last_error = f"{target} retired"
+                    avoid = target
                     self.retries += 1
                     yield from self._sleep(attempt, ctx)
                     yield from self._refresh_best_effort()
@@ -631,9 +640,10 @@ class KVClient:
     def _scan_one(self, shard: ShardInfo, payload: Dict[str, Any],
                   ctx: Optional[RequestContext] = None):
         override_target: Optional[str] = None
+        avoid: Optional[str] = None
         for attempt in range(self.max_retries + 1):
-            target = override_target or self._route(shard, "scan", None, None)
-            override_target = None
+            target = override_target or self._route(shard, "scan", None, None, avoid)
+            override_target = avoid = None
             try:
                 resp = yield self.port.request(target, "scan", dict(payload),
                                                timeout=self.op_timeout, ctx=ctx)
@@ -650,6 +660,7 @@ class KVClient:
             if resp.payload.get("error") == "retired":
                 # as in _op_proc: back off, refresh, re-route (a flipped
                 # shard's new generation replaces the retired one)
+                avoid = target
                 self.retries += 1
                 yield from self._sleep(attempt, ctx)
                 yield from self._refresh_best_effort()

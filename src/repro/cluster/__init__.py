@@ -8,12 +8,13 @@ and online resharding — is a named, versioned *view transition*
 rather than an ad-hoc epoch bump.  Every reader of its routing block
 holds a :class:`~repro.cluster.routing.RingRouting`; the
 :class:`~repro.cluster.gate.ReshardGate` adds the window's dirty marks
-for controlets and ordering authorities (DLM, shared-log sequencer).
-``repro.cluster.migrate.MigrationPump`` (not re-exported: it builds on
-``repro.core``, which imports this package) drives the per-key copies.
+for the ordering authorities (DLM, shared-log sequencer), and its
+subclass :class:`~repro.cluster.gate.ReshardParticipant` is a
+controlet's whole side of a reshard: ownership fence, census, key
+copies, ``migrate_done`` and migrated-copy admission.
 """
 
-from repro.cluster.gate import ReshardGate
+from repro.cluster.gate import ReshardGate, ReshardParticipant
 from repro.cluster.routing import RingRouting
 from repro.cluster.view import RESHARD_ADD, RESHARD_REMOVE, ClusterView, ViewTransition
 
@@ -21,6 +22,7 @@ __all__ = [
     "ClusterView",
     "ViewTransition",
     "ReshardGate",
+    "ReshardParticipant",
     "RingRouting",
     "RESHARD_ADD",
     "RESHARD_REMOVE",

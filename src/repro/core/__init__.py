@@ -6,28 +6,25 @@ of paper §IV; new combinations are subclasses of
 :mod:`repro.core.hybrid`).
 """
 
-from repro.core.aa_ec import AAEventualControlet
-from repro.core.aa_sc import AAStrongControlet
-from repro.core.config import ControlConfig, DeploymentConfig, load_deployment_config
-from repro.core.controlet import Controlet
-from repro.core.ms_ec import MSEventualControlet
-from repro.core.ms_sc import MSStrongControlet
-from repro.core.range_query import RangeQueryControlet
-from repro.core.types import ClusterMap, Consistency, Replica, ShardInfo, Topology
+from repro import _lazy_exports
 
-__all__ = [
-    "Controlet",
-    "MSStrongControlet",
-    "MSEventualControlet",
-    "AAStrongControlet",
-    "AAEventualControlet",
-    "RangeQueryControlet",
-    "ControlConfig",
-    "DeploymentConfig",
-    "load_deployment_config",
-    "ClusterMap",
-    "ShardInfo",
-    "Replica",
-    "Topology",
-    "Consistency",
-]
+#: re-export -> defining module, resolved on first use: the reshard
+#: participant imports :mod:`repro.core.pump` without the controlets
+_EXPORTS = {
+    "Controlet": "repro.core.controlet",
+    "MSStrongControlet": "repro.core.ms_sc",
+    "MSEventualControlet": "repro.core.ms_ec",
+    "AAStrongControlet": "repro.core.aa_sc",
+    "AAEventualControlet": "repro.core.aa_ec",
+    "RangeQueryControlet": "repro.core.range_query",
+    "ControlConfig": "repro.core.config",
+    "DeploymentConfig": "repro.core.config",
+    "load_deployment_config": "repro.core.config",
+    "ClusterMap": "repro.core.types",
+    "ShardInfo": "repro.core.types",
+    "Replica": "repro.core.types",
+    "Topology": "repro.core.types",
+    "Consistency": "repro.core.types",
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

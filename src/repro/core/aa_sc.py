@@ -209,7 +209,7 @@ class AAStrongControlet(Controlet):
         writer, so a clean grant means the local engine's value *is*
         the key's latest committed state (AA+SC applies acked writes at
         all replicas)."""
-        dest = self._copy_dest(key)
+        dest = self._gate.dest(key)
         if dest is None:
             complete("skipped")
             return

@@ -11,8 +11,8 @@ Subclasses implement the write path (``_accept_write``), override the
 read hooks (``handle_get``/``handle_scan``) where their consistency
 model demands it, and add whatever replication message handlers their
 protocol needs.  Everything else (heartbeats, config updates,
-transition forwarding, recovery, resharding, stats) lives here — the
-reuse story the paper tells with its ~150-LoC template.  Ours is
+transition forwarding, recovery, stats) lives here — the reuse story
+the paper tells with its ~150-LoC template.  Ours is
 larger: ``benchmarks/test_sec7_dev_effort.py`` counts this template and
 each controlet's delta over it in logical lines, and ratchets every
 number so it can only go down.
@@ -26,10 +26,14 @@ are parked (:meth:`Controlet._catch_up_later`) and replayed once
 replicated-apply pump (``_applies``) that both EC combos feed lives
 here too.
 
-Reshard state is one :class:`~repro.cluster.gate.ReshardGate`
-(``_gate``), installed only by the epoch-fenced ``_install_shard``: its
-ring drives the ownership fence and the migration census, its marks
-keep migrated copies from clobbering client writes.
+Resharding is one :class:`~repro.cluster.gate.ReshardParticipant`
+(``_gate``), whose ring the epoch-fenced ``_install_shard`` alone
+installs.  It serves ``reshard_migrate``, ``reshard_fence`` and
+``migrate_put``, holds the ownership fence ``_client_op`` asks and the
+dirty marks, and drives the census and the copy pump.  A combo adds
+only its steps: the census barrier (:meth:`Controlet._migrate_barrier`),
+the per-key copy (:meth:`Controlet._migrate_copy`) and the destination
+write path (:meth:`Controlet._admit_migrate`).
 """
 
 from __future__ import annotations
@@ -37,8 +41,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.cluster.gate import ReshardGate
+from repro.cluster.gate import ReshardParticipant
 from repro.core.config import ControlConfig
+from repro.core.pump import Pump
 from repro.core.request import Request
 from repro.core.types import Replica, ShardInfo
 from repro.errors import BespoError
@@ -52,69 +57,6 @@ CLIENT_OPS = ("put", "get", "del", "scan")
 
 #: request-id dedup memory per controlet (completed-write cache size).
 RID_CACHE = 65536
-
-
-class Pump:
-    """One-in-flight drain loop: busy flag + FIFO queue + retry-requeue.
-
-    Every hot path in the batched controlets serializes its async work
-    through the same hand-rolled shape — a queue, a busy flag, and a
-    completion callback that releases the flag and re-enters the drain.
-    ``Pump`` is that shape as a reusable primitive, so there is exactly
-    one canonical implementation for the flow-control static passes
-    (:mod:`repro.analysis.flow`) to certify.
-
-    ``issue(item, done)`` starts the asynchronous work for one queued
-    item and MUST invoke ``done()`` on **every** completion path —
-    success, error response, and RPC timeout alike.  A dropped ``done``
-    freezes the pump permanently; the pump-liveness pass checks every
-    issue callable wired into a ``Pump`` for exactly this obligation.
-
-    With ``cap=N`` the pump coalesces: ``issue`` receives the *list* of
-    up to N oldest items (FIFO) instead of a single item — the shape of
-    every batch/frame drain (one ``apply_batch``, one chain frame, one
-    sequencer group commit in flight).
-    """
-
-    __slots__ = ("issue", "cap", "queue", "busy")
-
-    def __init__(self, issue: Callable[[Any, Callable[[], None]], None],
-                 cap: Optional[int] = None):
-        self.issue = issue
-        self.cap = cap
-        self.queue: List[Any] = []
-        self.busy = False
-
-    def __len__(self) -> int:
-        return len(self.queue)
-
-    def push(self, item: Any) -> None:
-        """Queue one item and start draining if idle."""
-        self.queue.append(item)
-        self.kick()
-
-    def requeue_front(self, items: List[Any]) -> None:
-        """Put failed work back at the head of the line so a retry keeps
-        its place — younger items must not overtake it (FIFO under
-        retry is what keeps per-key ordering through link flaps)."""
-        self.queue[:0] = list(items)
-
-    def kick(self) -> None:
-        """Issue the next item unless one is already in flight."""
-        if self.busy or not self.queue:
-            return
-        self.busy = True
-        if self.cap is None:
-            item = self.queue.pop(0)
-        else:
-            item = self.queue[:self.cap]
-            del self.queue[:self.cap]
-
-        def done() -> None:
-            self.busy = False
-            self.kick()
-
-        self.issue(item, done)
 
 
 class Controlet(Actor):
@@ -177,22 +119,12 @@ class Controlet(Actor):
         #: during a transition, client *writes* are forwarded here.
         self.forward_writes_to: Optional[str] = None
         #: cluster-view routing state, mirrored from the coordinator's
-        #: :class:`~repro.cluster.view.ClusterView` broadcasts, plus the
-        #: reshard window's dirty marks.  The ring gives every controlet
-        #: the key→shard function the clients route by, which is what
-        #: makes *ownership fencing* possible: once the ring has
-        #: re-versioned (gen > 0 under hash partitioning), ops for keys
-        #: the new ring assigns elsewhere bounce with ``wrong_shard``.
+        #: :class:`~repro.cluster.view.ClusterView` broadcasts, and this
+        #: controlet's side of every reshard: ownership fence, dirty
+        #: marks, key migration (it serves ``reshard_migrate``,
+        #: ``reshard_fence`` and ``migrate_put``).
         self._partitioner = "hash"
-        self._gate = ReshardGate()
-        #: highest window generation we acked a ``reshard_fence`` for:
-        #: from then on the dual-routed old-ring leg of that window is
-        #: rejected too, so no stale read survives the cutover.
-        self._fenced_gen = 0
-        #: in-flight source-side migration drive + last driven gen
-        #: (duplicate ``reshard_migrate`` orders are dropped).
-        self._migration: Optional[Any] = None
-        self._migrated_gen = 0
+        self._gate = ReshardParticipant(self)
         self.stats: Dict[str, int] = {
             "puts": 0, "gets": 0, "dels": 0, "scans": 0,
             "redirects": 0, "forwarded": 0, "errors": 0,
@@ -217,9 +149,6 @@ class Controlet(Actor):
         self.register("transition_start", self._on_transition_start)
         self.register("retire", self._on_retire)
         self.register("ctl_stats", self._on_stats)
-        self.register("reshard_migrate", self._on_reshard_migrate)
-        self.register("reshard_fence", self._on_reshard_fence)
-        self.register("migrate_put", self._on_migrate_put)
         self.register("sync_pull", self._on_sync_pull)
 
     # ------------------------------------------------------------------
@@ -580,32 +509,10 @@ class Controlet(Actor):
             self.respond(msg, "error", {"error": "retired"})
             return
         gate = self._gate
-        if (
-            msg.type != "scan"
-            and self._partitioner == "hash"
-            and gate.gen > 0
-            and gate.ring.lookup(msg.payload["key"]) != self.shard.shard_id
-            # ownership fence: the ring has re-versioned at least once,
-            # so routing is no longer derivable from the static shard
-            # list — ops for keys the current ring assigns elsewhere are
-            # bounced.  The one sanctioned exception is the dual-routed
-            # *old-ring* leg of an open, not-yet-fenced reshard window,
-            # and only from clients that stamped that window's gen.
-            and not (
-                gate.window is not None
-                and gate.gen > self._fenced_gen
-                and msg.payload.get("gen") == gate.gen
-                and gate.old_owner(msg.payload["key"]) == self.shard.shard_id
-            )
-        ):
+        if msg.type != "scan" and not gate.admit(msg, self._partitioner == "hash"):
             self.stats["errors"] += 1
             self.respond(msg, "error", {"error": "wrong_shard"})
             return
-        if msg.type in ("put", "del"):
-            # an in-window migrated copy (an older value by
-            # construction) must never clobber a client write; see
-            # :meth:`_on_migrate_put`.
-            gate.mark(msg.payload["key"], msg.payload.get("gen"))
         if self.forward_writes_to is not None and msg.type in ("put", "del"):
             self._forward_write(msg)
             return
@@ -836,35 +743,8 @@ class Controlet(Actor):
         self.respond(msg, "ctl_stats", {k: float(v) for k, v in self.stats.items()})
 
     # ------------------------------------------------------------------
-    # online resharding: key migration
+    # online resharding: the combo's steps of the reshard participant
     # ------------------------------------------------------------------
-    # -- source side: drive the per-key copy pump ----------------------
-    def _on_reshard_migrate(self, msg: Message) -> None:
-        """Coordinator order: this shard's owned range shrinks under the
-        new ring — copy every moved key to its new owner, then report
-        ``migrate_done``."""
-        desc = dict(msg.payload["reshard"])
-        gen = int(desc["gen"])
-        if self._migration is not None or gen <= self._migrated_gen:
-            return  # duplicate order (fabric dup or coordinator retry)
-        # the order can outrun the config broadcast: adopt the window
-        # straight from its descriptor (a no-op when already installed)
-        self._install_shard(self.shard, {
-            "epoch": msg.payload.get("epoch"),
-            "ring": {"gen": gen, "ids": list(desc["new"]), "reshard": desc}})
-        self._migrated_gen = gen
-        # local import: cluster.migrate builds on Pump from this module
-        from repro.cluster.migrate import MigrationPump
-
-        pump = MigrationPump(self._migrate_copy, on_done=self._migration_done)
-        self._migration = pump
-
-        def census_ready(keys: List[str]) -> None:
-            pump.feed(keys)
-            pump.seal()
-
-        self._migrate_barrier(lambda: self._migration_census(census_ready))
-
     def _migrate_barrier(self, then: Callable[[], None]) -> None:
         """Hook: wait until every write admitted *before* the window
         opened is applied to the local engine, so the census read sees
@@ -881,48 +761,19 @@ class Controlet(Actor):
             return
         then()
 
-    def _migration_census(self, then: Callable[[List[str]], None]) -> None:
-        """Snapshot the local engine and keep only keys this shard owns
-        under the *old* ring whose *new*-ring owner is another shard
-        (sorted: deterministic copy order).
-
-        The old-ring clause is load-bearing: a source shard may hold
-        stale leftovers of keys that migrated *away* in an earlier
-        reshard (copies are not purged at commit).  Those keys are not
-        ours to ship — the current owner's value is newer, and the
-        dirty gate protects no key the open window does not move — so
-        re-migrating them would clobber live data at the owner."""
-
-        def have(resp: Optional[Message], err: Optional[BespoError]) -> None:
-            if err is not None or resp is None or resp.type != "snapshot":
-                # datalet briefly unreachable: the census must land
-                self.set_timer(0.05, lambda: self._migration_census(then))
-                return
-            me = self.shard.shard_id
-            then([k for k in sorted(resp.payload["data"])
-                  if self._gate.old_owner(k) == me])
-
-        self.datalet_call("snapshot", {}, callback=have)
-
     def _migrate_copy(self, key: str, complete: Callable[[str], None]) -> None:
-        """Copy one key to its new-ring owner: read the local engine,
-        ship a rid-stamped idempotent ``migrate_put`` to the destination
-        shard's entry controlet.  Combos with an external ordering
-        authority override this (AA+SC locks the key first; AA+EC
-        appends to the destination's shared log instead)."""
-        dest = self._copy_dest(key)
+        """Hook: copy one key to its new-ring owner and ``complete`` with
+        ``moved``, ``skipped`` or ``retry``.  Default: read the local
+        engine, ship a rid-stamped idempotent ``migrate_put`` to the
+        destination shard's entry controlet.  Combos with an external
+        ordering authority override this (AA+SC locks the key first;
+        AA+EC appends to the destination's shared log instead)."""
+        dest = self._gate.dest(key)
         if dest is None:
             complete("skipped")
         else:
             self._read_for_copy(key, complete, lambda val: self._ship_copy(
                 key, val, dest, "migrate_put", complete))
-
-    def _copy_dest(self, key: str) -> Optional[str]:
-        """Entry controlet of ``key``'s new-ring owner, if any."""
-        gate = self._gate
-        if gate.window is None:
-            return None
-        return gate.window.get("entries", {}).get(gate.ring.lookup(key))
 
     def _read_for_copy(self, key: str, complete: Callable[[str], None],
                        ship: Callable[[str], None]) -> None:
@@ -964,36 +815,13 @@ class Controlet(Actor):
             timeout=self.config.replication_timeout,
         )
 
-    def _migration_done(self) -> None:
-        pump, self._migration = self._migration, None
-        stats = pump.stats() if pump is not None else {}
-        self.send(
-            self.coordinator,
-            "migrate_done",
-            {"shard": self.shard.shard_id, **stats},
-        )
-
-    # -- destination side: dirty-checked idempotent apply ---------------
-    def _on_migrate_put(self, msg: Message) -> None:
-        if not self._gate.clean(msg.payload["key"]):
-            # a client wrote this key during the window — the source's
-            # copy is older by construction and must not clobber it
-            self.respond(msg, "ok", {"skipped": True})
-            return
-        self._admit_migrate(msg)
-
     def _admit_migrate(self, msg: Message) -> None:
-        """Protocol hook: run a migrated copy through the combo's write
+        """Hook: run a clean migrated copy through the combo's write
         path (idempotent under the in-band rid; see
         :meth:`begin_write`).  AA+SC overrides — the source already
         holds the cluster-wide lock, so its fan-out must not try to
         re-acquire it."""
         self.handle_put(msg)
-
-    # -- fence: close the old-ring leg before the view flips ------------
-    def _on_reshard_fence(self, msg: Message) -> None:
-        self._fenced_gen = max(self._fenced_gen, int(msg.payload.get("gen", 0)))
-        self.send(self.coordinator, "reshard_fenced", {"controlet": self.node_id})
 
     # ------------------------------------------------------------------
     # model-checker introspection
@@ -1014,7 +842,7 @@ class Controlet(Actor):
             "forward_writes_to": self.forward_writes_to,
             "ring_gen": self._gate.gen,
             "reshard_window": self._gate.window is not None,
-            "fenced_gen": self._fenced_gen,
+            "fenced_gen": self._gate.fenced,
         })
         return s
 

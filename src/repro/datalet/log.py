@@ -26,10 +26,6 @@ class LogRecord:
     key: str
     value: Optional[str]
 
-    @property
-    def is_tombstone(self) -> bool:
-        return self.value is None
-
     def size_bytes(self) -> int:
         return 16 + len(self.key) + (len(self.value) if self.value is not None else 0)
 

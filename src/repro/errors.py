@@ -32,21 +32,8 @@ class TableNotFound(BespoError):
         self.table = table
 
 
-class NotMaster(BespoError):
-    """A write was routed to a replica that is not allowed to accept it."""
-
-
 class ShardUnavailable(BespoError):
     """No live controlet is currently serving the shard."""
-
-
-class LockTimeout(BespoError):
-    """The distributed lock manager could not grant a lock in time."""
-
-
-class TransitionInProgress(BespoError):
-    """A second topology/consistency transition was requested while one is
-    still draining."""
 
 
 class RequestTimeout(BespoError):

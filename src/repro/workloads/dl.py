@@ -50,6 +50,3 @@ class DLIngestWorkload:
         self.rng.shuffle(order)
         for rec in order:
             yield ("get", rec)
-
-    def images_per_record(self) -> int:
-        return self.batch

@@ -10,7 +10,7 @@ ops inside benchmarks.
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -46,9 +46,6 @@ class KeySpace:
             letter = self._ALPHABET[(i * 26) // self.n]
             return f"{letter}{self.prefix}{i:0{self.width}d}"
         return f"{self.prefix}{i:0{self.width}d}"
-
-    def all_keys(self) -> List[str]:
-        return [self.key(i) for i in range(self.n)]
 
 
 class UniformKeys:

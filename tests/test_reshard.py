@@ -376,3 +376,66 @@ def test_early_new_leg_write_survives_its_migrated_copy(topo, cons):
         assert dep.cluster.actor(r.datalet).engine.get(key) == "v1", r.datalet
     dep.sim.run_future(client.connect())
     assert dep.sim.run_future(client.get(key)) == "v1"
+
+
+# ---------------------------------------------------------------------------
+# the source's duplicate-order guard
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("topo,cons", COMBOS[::2])
+def test_duplicate_migrate_order_drives_one_migration(topo, cons):
+    """A ``reshard_migrate`` order delivered twice (a fabric duplicate
+    or a coordinator retry) starts one migration, not two: the copy
+    that lands mid-census and a late one after the window committed
+    are both dropped.  Each source reports one ``migrate_done`` whose
+    ``total`` is its census, and ships each moved key once."""
+    dep = _deploy(topo, cons)
+    client = dep.client("c1")
+    old, new = HashRing(["s0", "s1"]), HashRing(["s0", "s1", "s2"])
+    orders, shipped, reports = [], {}, []
+    for sid in ("s0", "s1"):
+        source = dep.cluster.actor(dep.map.shard(sid).head.controlet)
+        handler = source._handlers["reshard_migrate"]
+
+        def twice(msg, handler=handler):
+            orders.append((handler, msg))
+            handler(msg)
+            handler(msg)
+
+        source._handlers["reshard_migrate"] = twice
+        log = shipped[sid] = []
+        ship = source._ship_copy
+
+        def recording_ship(k, *args, ship=ship, log=log, **kwargs):
+            log.append(k)
+            ship(k, *args, **kwargs)
+
+        source._ship_copy = recording_ship
+    coord = dep.coordinator
+    on_done = coord._handlers["migrate_done"]
+
+    def recording_done(msg):
+        reports.append(dict(msg.payload))
+        on_done(msg)
+
+    coord._handlers["migrate_done"] = recording_done
+
+    def proc():
+        yield client.connect()
+        for k in KEYS:
+            yield client.put(k, f"{k}.v0")
+        yield dep.request_reshard("add")
+
+    _run(dep, proc())
+    assert len(orders) == 2
+    for handler, msg in orders:  # the late duplicates
+        handler(msg)
+    dep.sim.run_until(dep.sim.now + 5.0)
+    assert sorted(r["shard"] for r in reports) == ["s0", "s1"]
+    for report in reports:
+        sid = report["shard"]
+        census = sorted(k for k in KEYS
+                        if old.lookup(k) == sid and new.lookup(k) != sid)
+        assert census, f"{sid} moves no key: the test proves nothing"
+        assert report["total"] == report["moved"] == len(census)
+        assert report["retries"] == 0
+        assert shipped[sid] == census

@@ -17,6 +17,7 @@ import hashlib
 
 import pytest
 
+from repro.chaos import run_combo
 from repro.core.types import Consistency, Topology
 from repro.errors import BespoError, KeyNotFound
 from repro.harness import Deployment, DeploymentSpec
@@ -74,3 +75,23 @@ def golden_run(topology: str, consistency: str):
 @pytest.mark.parametrize("combo", list(GOLDEN), ids=lambda c: "-".join(c))
 def test_golden_run_pins_the_sim_clock(combo):
     assert golden_run(*combo) == GOLDEN[combo]
+
+
+#: combo -> digest of ``repro chaos --seed 1 --duration 12 --reshard``:
+#: two live cutovers (add, then drain+remove) under the mild fault
+#: menu, so census, copy, admission and fence all run.  Recorded once,
+#: like :data:`GOLDEN`; a reshard refactor must keep every value.
+RESHARD_GOLDEN = {
+    ("ms", "strong"): "1621e35bf5539669",
+    ("ms", "eventual"): "599adefa590ba9fb",
+    ("aa", "strong"): "73736bc6af61b6c2",
+    ("aa", "eventual"): "1d609c9bd0bcdcb8",
+}
+
+
+@pytest.mark.parametrize("combo", list(RESHARD_GOLDEN), ids=lambda c: "-".join(c))
+def test_reshard_soak_pins_the_digest(combo):
+    res = run_combo(Topology(combo[0]), Consistency(combo[1]), seed=1,
+                    duration=12.0, reshard=True)
+    assert res.ok and res.stats["reshards"] == 2
+    assert res.digest[:16] == RESHARD_GOLDEN[combo]

@@ -95,3 +95,65 @@ def test_reshard_soak_pins_the_digest(combo):
                     duration=12.0, reshard=True)
     assert res.ok and res.stats["reshards"] == 2
     assert res.digest[:16] == RESHARD_GOLDEN[combo]
+
+
+#: (events_processed, messages_sent, bytes_sent, op digest) of
+#: :func:`scan_golden_run`.  Recorded once, like :data:`GOLDEN`; a
+#: client routing or retry refactor must keep every value.
+SCAN_GOLDEN = (3581, 1656, 142149, "80a5d66f97847650")
+
+
+def _scan_session(sim, client, index, records):
+    for j in range(OPS_PER_SESSION):
+        c = chr(ord("a") + (index * 5 + j * 7) % 26)
+        key = f"{c}{j % 4}"
+        kind = (index + j) % 5
+        t0 = sim.now
+        n = None
+        try:
+            if kind == 0:
+                # limited: shards are walked in key order until it fills
+                items = yield client.scan(key, "\uffff", limit=10)
+                op, n = "scan", len(items)
+            elif kind == 3:
+                # unlimited: scatter-gather over the covering shards
+                items = yield client.scan(c, chr(ord(c) + 3))
+                op, n = "scan*", len(items)
+            elif kind == 2:
+                op = "get"
+                yield client.get(key)
+            else:
+                op = "put"
+                yield client.put(key, f"v{index}.{j}")
+        except KeyNotFound:
+            pass
+        except BespoError:
+            op += "!"
+        records.append((op, key, t0, sim.now, n))
+
+
+def scan_golden_run():
+    """MS+EC on the B+-tree, range-partitioned over 3 shards, seed 1:
+    4 sessions mixing put, get, limited and unlimited scans."""
+    dep = Deployment(DeploymentSpec(
+        shards=3, replicas=3, topology=Topology.MS,
+        consistency=Consistency.EVENTUAL, datalet_kinds=("mt",),
+        partitioner="range", costs=CostModel(cpu_scale=600.0), standbys=0,
+        seed=1,
+    ))
+    dep.start()
+    sim = dep.sim
+    clients = [dep.client(f"golden{i}") for i in range(SESSIONS)]
+    for client in clients:
+        sim.run_future(client.connect())
+    records: list = []
+    sessions = [sim.spawn(_scan_session(sim, c, i, records))
+                for i, c in enumerate(clients)]
+    sim.run_future(sim.gather(sessions), timeout=600.0)
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()[:16]
+    net = dep.cluster.network
+    return sim.events_processed, net.messages_sent, net.bytes_sent, digest
+
+
+def test_scan_golden_run_pins_the_sim_clock():
+    assert scan_golden_run() == SCAN_GOLDEN

@@ -105,23 +105,24 @@ def run_load(
     timeline_interval: float = 0.0,
     extra_runtime: float = 0.0,
     client_factory=None,
-    partitioner: str = "hash",
     preload_data: bool = True,
 ) -> RunResult:
     """Preload, drive closed-loop sessions, return measurements."""
-    spread_alpha = partitioner == "range"
+    spec = getattr(dep, "spec", None)
+    # keys spread over the alphabet so every range shard gets some
+    spread_alpha = spec is not None and spec.partitioner == "range"
     if preload_data:
         items = _preload_items(keys, value_size, spread_alpha=spread_alpha)
         if client_factory is None:
-            preload(dep, items, partitioner=partitioner)
+            preload(dep, items)
         else:
             dep.preload(items)
     # enough closed-loop sessions to saturate the cluster at any size
     # (the paper sizes its client cluster "to saturate the cloud
     # network and server-side CPUs")
     if clients is None:
-        if getattr(dep, "spec", None) is not None:
-            clients = max(3, dep.spec.shards * dep.spec.replicas)
+        if spec is not None:
+            clients = max(3, spec.shards * spec.replicas)
         else:
             clients = max(3, dep.shards * getattr(dep, "replicas", 1))
 
@@ -141,7 +142,6 @@ def run_load(
         timeline_interval=timeline_interval,
         sessions_per_client=sessions_per_client,
         client_factory=client_factory,
-        client_kwargs=None if client_factory else {"partitioner": partitioner},
     )
     return lg.run(extra_runtime=extra_runtime)
 
@@ -162,7 +162,7 @@ def bespokv_run(
         topology, consistency, shards, replicas=replicas,
         datalet_kinds=datalet_kinds, partitioner=partitioner, seed=seed,
     )
-    return run_load(dep, mix, distribution, partitioner=partitioner, **load_kw)
+    return run_load(dep, mix, distribution, **load_kw)
 
 
 def baseline_run(

@@ -1,18 +1,23 @@
 """BESPOKV client library (paper §III "Client library", Table II).
 
-The client caches the coordinator's cluster map, partitions keys across
-shards (consistent hashing by default, range partitioning for the
-range-query service), and routes each operation to the right controlet
-for the shard's topology/consistency combination:
+The client caches the coordinator's cluster map and asks one
+:class:`~repro.cluster.routing.RingRouting` which shard owns a key, or
+which shards cover a key range: consistent hashing, or range
+partitioning when the coordinator names it (the range-query service).
+It then routes each request to the right controlet for the shard's
+topology/consistency combination:
 
 * MS+SC — writes to the chain head, strong reads to the tail;
 * MS+EC — writes to the master, reads to any replica;
 * AA+*  — any active for anything.
 
-Stale routing shows up as ``redirect``/``retired`` errors or timeouts;
-the client then refreshes its map and retries with jittered backoff —
-this is the mechanism behind the throughput dip-and-recover shape in
-the transition and failover experiments (Figs 10 & 16).
+Every request — a point op, one shard's leg of a scan, a server-side
+scan — runs through one attempt loop (:meth:`KVClient._attempts`).
+Stale routing shows up as ``redirect``/``retired``/``wrong_shard``
+errors or timeouts; the loop then refreshes the map and retries with
+jittered backoff (a redirect retries at once) — the mechanism behind
+the throughput dip-and-recover shape in the transition and failover
+experiments (Figs 10 & 16).
 
 All operations return :class:`~repro.sim.kernel.SimFuture` so that
 closed-loop load generators can drive thousands of concurrent client
@@ -22,7 +27,7 @@ sessions inside the simulation.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.types import ClusterMap, Consistency, ShardInfo, Topology
 from repro.obs import RequestContext
@@ -34,7 +39,6 @@ from repro.errors import (
     TableNotFound,
 )
 from repro.cluster.routing import RingRouting
-from repro.hashing import RangePartitioner
 from repro.net.simnet import ClientPort, SimCluster
 from repro.sim import SimFuture
 
@@ -49,15 +53,12 @@ class KVClient:
         cluster: SimCluster,
         name: str,
         coordinator: "str | Sequence[str]" = "coordinator",
-        partitioner: str = "hash",
         op_timeout: float = 0.5,
         max_retries: int = 6,
         retry_backoff: float = 0.2,
         retry_backoff_cap: float = 2.0,
         recorder: Optional[Any] = None,
     ):
-        if partitioner not in ("hash", "range"):
-            raise BespoError(f"unknown partitioner {partitioner!r}")
         self.cluster = cluster
         self.sim = cluster.sim
         self.name = name
@@ -69,7 +70,6 @@ class KVClient:
         )
         if not self.coordinators:
             raise BespoError("need at least one coordinator address")
-        self.partitioner = partitioner
         self.op_timeout = op_timeout
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff
@@ -80,15 +80,14 @@ class KVClient:
         #: timeouts and exhausted retries — for the consistency oracle.
         self.recorder = recorder
         self.map: Optional[ClusterMap] = None
-        #: ring generation, ring and open reshard window mirrored from
-        #: the coordinator's ClusterView.  The generation is stamped on
-        #: every op so controlets (and the DLM / sequencer backstops)
-        #: can fence stale-routed requests during a reshard; while a
-        #: window is open, writes for moved keys dual-route to both
-        #: owners and reads prefer the new owner with fallback to the
-        #: old one.
+        #: key→shard routing (ring generation, ring or key ranges, open
+        #: reshard window) mirrored from the coordinator's replies.  The
+        #: generation is stamped on every keyed op so controlets (and
+        #: the DLM / sequencer backstops) can fence stale-routed
+        #: requests during a reshard; while a window is open, writes for
+        #: moved keys dual-route to both owners and reads prefer the new
+        #: owner with fallback to the old one.
         self._routing = RingRouting()
-        self._range: Optional[RangePartitioner] = None
         # Named stream from the registry, not a derived ad-hoc Random:
         # the client's jitter draws replay bit-for-bit for a given seed.
         self._rng = cluster.rng.stream(f"client.{name}")
@@ -148,9 +147,9 @@ class KVClient:
         epoch (with an unchanged ring generation) re-versions nothing
         and is dropped without re-deriving any routing state.  When it
         does advance, the routing block is installed into the one
-        :class:`~repro.cluster.routing.RingRouting`, which patches the
-        hash ring with the membership *diff* instead of rebuilding it
-        on every refresh.
+        :class:`~repro.cluster.routing.RingRouting` with the partitioner
+        the reply names; it patches the hash ring with the membership
+        *diff* instead of rebuilding it on every refresh.
         """
         epoch = int(payload["map"]["epoch"])
         view = payload.get("view") or {}
@@ -159,11 +158,8 @@ class KVClient:
                 return  # stale refresh (e.g. a lagging standby)
             if epoch == self.map.epoch and int(view.get("gen", 0)) == self._routing.gen:
                 return  # unchanged: keep every derived structure
-        cmap = ClusterMap.from_dict(payload["map"])
-        self.map = cmap
-        changed = self._routing.install(view)
-        if self.partitioner == "range" and (changed or self._range is None):
-            self._range = RangePartitioner.uniform_alpha(cmap.shard_ids())
+        self.map = ClusterMap.from_dict(payload["map"])
+        self._routing.install(view, payload.get("partitioner"))
 
     def auto_refresh(self, interval: float) -> None:
         """Poll the coordinator for map updates (transition pickup)."""
@@ -184,9 +180,7 @@ class KVClient:
     def shard_for(self, key: str) -> ShardInfo:
         if self.map is None:
             raise BespoError("client not connected: call connect() first")
-        if self.partitioner == "range":
-            return self.map.shard(self._range.lookup(key))
-        return self.map.shard(self._routing.ring.lookup(key))
+        return self.map.shard(self._routing.lookup(key))
 
     def _route(
         self,
@@ -246,8 +240,11 @@ class KVClient:
             self._latency[op] = hist
         hist.observe(seconds)
 
-    def _sleep(self, attempt: int, ctx: Optional[RequestContext]):
-        """Backoff with a ``backoff`` span when the request is traced."""
+    def _pause(self, attempt: int, ctx: Optional[RequestContext]):
+        """Between attempts: back off (a ``backoff`` span when the
+        request is traced), then refresh the map.  A lost or failed
+        refresh must not abort the request — the stale map plus another
+        retry is still a valid plan."""
         obs = self.cluster.obs
         span = None
         if obs is not None and ctx is not None and ctx.trace_id is not None:
@@ -255,117 +252,125 @@ class KVClient:
         yield self._backoff(attempt)
         if span is not None:
             obs.end(span, "ok")
-
-    def _op_proc(
-        self,
-        op: str,
-        key: str,
-        payload: Dict[str, Any],
-        consistency: Optional[str] = None,
-        prefer_kind: Optional[str] = None,
-        ctx: Optional[RequestContext] = None,
-    ):
-        self.ops += 1
-        obs = self.cluster.obs
-        start = self.sim.now
-        status = "error"
-        try:
-            override_target: Optional[str] = None
-            avoid: Optional[str] = None
-            last_error: Optional[str] = None
-            for attempt in range(self.max_retries + 1):
-                shard = self.shard_for(key)
-                # the ring generation rides along so servers (and the
-                # DLM / sequencer backstops) can fence stale-routed
-                # requests during a reshard window
-                req_payload = dict(payload)
-                req_payload["gen"] = self._routing.gen
-                # a key the open reshard window moves dual-routes to
-                # its old owner too
-                old_sid = self._routing.old_owner(key)
-                if (old_sid is not None and old_sid in self.map.shards
-                        and self.partitioner == "hash"):
-                    outcome, result = yield from self._dual_attempt(
-                        op, shard, self.map.shard(old_sid), req_payload,
-                        consistency, prefer_kind, ctx)
-                    if outcome == "ok":
-                        status = "ok"
-                        return result
-                    if outcome == "not_found":
-                        status = "not_found"
-                        raise KeyNotFound(key)
-                    last_error = result
-                    self.retries += 1
-                    yield from self._sleep(attempt, ctx)
-                    yield from self._refresh_best_effort()
-                    continue
-                target = override_target or self._route(
-                    shard, op, consistency, prefer_kind, avoid)
-                override_target = avoid = None
-                try:
-                    resp = yield self.port.request(
-                        target, op, req_payload, timeout=self.op_timeout, ctx=ctx
-                    )
-                except RequestTimeout:
-                    last_error = f"timeout talking to {target}"
-                    self.retries += 1
-                    self.timeouts += 1
-                    yield from self._sleep(attempt, ctx)
-                    yield from self._refresh_best_effort()
-                    continue
-                if resp.type != "error":
-                    status = "ok"
-                    return resp
-                err = resp.payload.get("error", "")
-                if err == "not_found":
-                    status = "not_found"
-                    raise KeyNotFound(key)
-                if err == "redirect":
-                    override_target = resp.payload.get("to")
-                    self.retries += 1
-                    continue
-                if err == "retired":
-                    last_error = f"{target} retired"
-                    avoid = target
-                    self.retries += 1
-                    yield from self._sleep(attempt, ctx)
-                    yield from self._refresh_best_effort()
-                    continue
-                if err == "wrong_shard":
-                    # stale routing across a reshard: refresh picks up
-                    # the new ring (and any open window), then re-route
-                    last_error = f"{target} is not the owner of {key!r}"
-                    self.retries += 1
-                    yield from self._sleep(attempt, ctx)
-                    yield from self._refresh_best_effort()
-                    continue
-                raise BespoError(f"{op} {key!r} failed: {err}")
-            raise ShardUnavailable(f"{op} {key!r} exhausted retries: {last_error}")
-        finally:
-            self._observe_latency(op, self.sim.now - start)
-            if obs is not None and ctx is not None and ctx.trace_id is not None:
-                obs.end_trace(ctx, status)
-
-    def _refresh_best_effort(self):
-        """Refresh the map inside a retry loop; a lost/failed refresh
-        must not abort the operation — the stale map plus another retry
-        is still a valid plan."""
         try:
             yield self.sim.spawn(self._refresh_proc())
         except BespoError:
             pass
 
-    # ------------------------------------------------------------------
-    # reshard-window dual routing
-    # ------------------------------------------------------------------
+    def _traced(self, ctx: Optional[RequestContext], gen):
+        """Run one request's generator and close its trace (when the
+        request is traced) with the outcome."""
+        status = "error"
+        try:
+            result = yield from gen
+            status = "ok"
+            return result
+        except KeyNotFound:
+            status = "not_found"
+            raise
+        finally:
+            obs = self.cluster.obs
+            if obs is not None and ctx is not None and ctx.trace_id is not None:
+                obs.end_trace(ctx, status)
+
+    def _point(self, op: str, key: str, payload: Dict[str, Any], value: Optional[str],
+               consistency: Optional[str], prefer_kind: Optional[str] = None):
+        """One point op: its request envelope, its history record and its
+        run through the attempt loop; returns the value a ``get`` read."""
+        ctx = self._begin_ctx(op, key, mutation=op != "get")
+        result = yield from self._recorded(op, key, self._op_proc(
+            op, key, payload, consistency, prefer_kind, ctx), value=value, ctx=ctx)
+        return result
+
+    def _op_proc(self, op: str, key: str, payload: Dict[str, Any],
+                 consistency: Optional[str], prefer_kind: Optional[str],
+                 ctx: Optional[RequestContext]):
+        """A point op through the attempt loop, counted and timed."""
+        self.ops += 1
+        start = self.sim.now
+        try:
+            resp = yield from self._traced(ctx, self._attempts(
+                op, payload, ctx, lambda: self.shard_for(key), repr(key),
+                consistency, prefer_kind))
+            return resp.payload["val"] if op == "get" else None
+        finally:
+            self._observe_latency(op, self.sim.now - start)
+
+    def _attempts(self, op: str, payload: Dict[str, Any], ctx: Optional[RequestContext],
+                  locate: Callable[[], ShardInfo], what: str,
+                  consistency: Optional[str] = None, prefer_kind: Optional[str] = None,
+                  timeout: Optional[float] = None):
+        """The one attempt loop every request runs through; returns the
+        reply.
+
+        ``locate()`` names the shard afresh for each attempt.  A keyed
+        request (``payload["key"]``) carries the ring generation, so
+        servers (and the DLM / sequencer backstops) can fence
+        stale-routed requests during a reshard, and dual-routes while
+        the open window moves its key.  A redirect retries at once on
+        the controlet it names; a timeout, ``retired``, ``wrong_shard``
+        or a server without a cluster map yet backs off, refreshes the
+        map and retries (after ``retired``, on another replica whenever
+        the choice is free).  Raises :class:`KeyNotFound`, a
+        :class:`BespoError` for any other error reply, or
+        :class:`ShardUnavailable` once ``max_retries`` retries are spent.
+        """
+        key = payload.get("key")
+        override: Optional[str] = None
+        avoid: Optional[str] = None
+        last_error: Optional[str] = None
+        for attempt in range(self.max_retries + 1):
+            shard = locate()
+            req, old_sid = payload, None
+            if key is not None:
+                req = dict(payload, gen=self._routing.gen)
+                old_sid = self._routing.old_owner(key)
+            if old_sid is not None and old_sid in self.map.shards:
+                kind, resp = yield from self._dual_attempt(
+                    op, shard, self.map.shard(old_sid), req,
+                    consistency, prefer_kind, ctx)
+            else:
+                target = override or self._route(
+                    shard, op, consistency, prefer_kind, avoid)
+                override = avoid = None
+                kind, resp = yield from self._leg(target, op, req, ctx, timeout)
+            if kind == "ok":
+                return resp
+            if kind == "not_found":
+                raise KeyNotFound(key)
+            if kind == "redirect":
+                override = resp.payload.get("to")
+                self.retries += 1
+                continue
+            if kind == "timeout":
+                last_error = f"timeout talking to {target}"
+            elif kind == "retired":
+                last_error = f"{target} retired"
+                avoid = target
+            elif kind == "wrong_shard":
+                # stale routing across a reshard: refresh picks up the
+                # new ring (and any open window), then re-route
+                last_error = f"{target} is not the owner of {key!r}"
+            elif kind == "dual":
+                last_error = resp
+            elif kind == "cluster map not yet available":
+                last_error = kind
+            else:
+                raise BespoError(f"{op} {what} failed: {kind}")
+            self.retries += 1
+            yield from self._pause(attempt, ctx)
+        raise ShardUnavailable(f"{op} {what} exhausted retries: {last_error}")
+
     def _leg(self, target: str, op: str, payload: Dict[str, Any],
-             ctx: Optional[RequestContext]):
-        """One dual-route leg: returns ``(kind, resp)`` instead of
-        raising, so the caller can join two concurrent legs."""
+             ctx: Optional[RequestContext], timeout: Optional[float] = None):
+        """The one request primitive: a single attempt at ``target``.
+        Returns ``(kind, resp)`` — ``"ok"``, ``"timeout"`` or the error
+        reply's code — instead of raising, so the attempt loop and the
+        two concurrent legs of a dual-routed write share it."""
         try:
             resp = yield self.port.request(
-                target, op, dict(payload), timeout=self.op_timeout, ctx=ctx
-            )
+                target, op, dict(payload), timeout=timeout or self.op_timeout,
+                ctx=ctx)
         except RequestTimeout:
             self.timeouts += 1
             return "timeout", None
@@ -373,6 +378,9 @@ class KVClient:
             return "ok", resp
         return resp.payload.get("error", "error"), resp
 
+    # ------------------------------------------------------------------
+    # reshard-window dual routing
+    # ------------------------------------------------------------------
     def _dual_attempt(self, op, new_shard, old_shard, payload, consistency,
                       prefer_kind, ctx):
         """One attempt for a key the open reshard window *moves*.
@@ -386,7 +394,7 @@ class KVClient:
         closed under us — and the new leg alone decides.
 
         Returns ``("ok", resp)``, ``("not_found", None)`` or
-        ``("retry", why)``.
+        ``("dual", why)`` for a retry.
         """
         new_target = self._route(new_shard, op, consistency, prefer_kind)
         old_target = self._route(old_shard, op, consistency, prefer_kind)
@@ -400,8 +408,8 @@ class KVClient:
                     return "ok", oresp
                 if okind in ("not_found", "wrong_shard", "retired"):
                     return "not_found", None
-                return "retry", f"old-leg read on {old_target}: {okind}"
-            return "retry", f"new-leg read on {new_target}: {kind}"
+                return "dual", f"old-leg read on {old_target}: {okind}"
+            return "dual", f"new-leg read on {new_target}: {kind}"
         # put/del: both legs in flight at once (the shared rid lets
         # controlets deduplicate any later retry of either leg)
         new_fut = self.sim.spawn(self._leg(new_target, op, payload, ctx))
@@ -409,14 +417,14 @@ class KVClient:
         nkind, nresp = yield new_fut
         okind, oresp = yield old_fut
         if okind not in ("ok", "not_found", "wrong_shard", "retired"):
-            return "retry", f"old-leg {op} on {old_target}: {okind}"
+            return "dual", f"old-leg {op} on {old_target}: {okind}"
         if nkind == "ok":
             return "ok", nresp
         if nkind == "not_found":  # only `del` reports it
             if okind == "ok":
                 return "ok", oresp
             return "not_found", None
-        return "retry", f"new-leg {op} on {new_target}: {nkind}"
+        return "dual", f"new-leg {op} on {new_target}: {nkind}"
 
     def _backoff(self, attempt: int) -> float:
         """Jittered exponential backoff, capped: ``base * 2^attempt`` up
@@ -446,34 +454,23 @@ class KVClient:
             req_id=ctx.req_id if ctx is not None else None,
             trace_id=ctx.trace_id if ctx is not None else None,
         )
-        retries_before = self.retries
-        timeouts_before = self.timeouts
+        retries, timeouts = self.retries, self.timeouts
+
+        def complete(outcome: str, **kw: Any) -> None:
+            self.recorder.complete(rec, outcome,
+                                   attempts=1 + self.retries - retries,
+                                   timeouts=self.timeouts - timeouts, **kw)
+
         try:
             result = yield from gen
         except KeyNotFound:
             # a definite observation (key absent), not a failure
-            self.recorder.complete(
-                rec, "not_found",
-                attempts=1 + self.retries - retries_before,
-                timeouts=self.timeouts - timeouts_before,
-            )
+            complete("not_found")
             raise
         except BespoError as e:
-            self.recorder.complete(
-                rec,
-                "fail",
-                error=f"{type(e).__name__}: {e}",
-                attempts=1 + self.retries - retries_before,
-                timeouts=self.timeouts - timeouts_before,
-            )
+            complete("fail", error=f"{type(e).__name__}: {e}")
             raise
-        self.recorder.complete(
-            rec,
-            "ok",
-            value=result if op == "get" else None,
-            attempts=1 + self.retries - retries_before,
-            timeouts=self.timeouts - timeouts_before,
-        )
+        complete("ok", value=result if op == "get" else None)
         return result
 
     # ------------------------------------------------------------------
@@ -481,14 +478,7 @@ class KVClient:
     # ------------------------------------------------------------------
     def put(self, key: str, val: str, consistency: Optional[str] = None) -> SimFuture:
         """Write a pair; resolves to None."""
-
-        def proc():
-            ctx = self._begin_ctx("put", key, mutation=True)
-            gen = self._op_proc("put", key, {"key": key, "val": val},
-                                consistency, ctx=ctx)
-            yield from self._recorded("put", key, gen, value=val, ctx=ctx)
-
-        return self._run(proc())
+        return self._run(self._point("put", key, {"key": key, "val": val}, val, consistency))
 
     def get(
         self,
@@ -502,32 +492,14 @@ class KVClient:
         request only (§IV-C); ``prefer_kind`` picks a replica backed by
         a specific datalet engine (polyglot persistence, §IV-D).
         """
-
-        def proc():
-            payload: Dict[str, Any] = {"key": key}
-            if consistency is not None:
-                payload["consistency"] = consistency
-            ctx = self._begin_ctx("get", key, mutation=False)
-
-            def inner():
-                resp = yield from self._op_proc("get", key, payload, consistency,
-                                                prefer_kind, ctx=ctx)
-                return resp.payload["val"]
-
-            value = yield from self._recorded("get", key, inner(), ctx=ctx)
-            return value
-
-        return self._run(proc())
+        payload: Dict[str, Any] = {"key": key}
+        if consistency is not None:
+            payload["consistency"] = consistency
+        return self._run(self._point("get", key, payload, None, consistency, prefer_kind))
 
     def delete(self, key: str, consistency: Optional[str] = None) -> SimFuture:
         """Delete a pair; resolves to None."""
-
-        def proc():
-            ctx = self._begin_ctx("del", key, mutation=True)
-            gen = self._op_proc("del", key, {"key": key}, consistency, ctx=ctx)
-            yield from self._recorded("del", key, gen, ctx=ctx)
-
-        return self._run(proc())
+        return self._run(self._point("del", key, {"key": key}, None, consistency))
 
     def scan(self, start: str, end: str, limit: Optional[int] = None) -> SimFuture:
         """Range query over ``[start, end)`` (§IV-B).
@@ -537,51 +509,50 @@ class KVClient:
         shard must be consulted.  Results merge into one sorted list.
         """
 
+        def gather(ctx):
+            ordered = sorted(self._routing.covering(start, end).items(),
+                             key=lambda kv: kv[1][0])
+            if limit is not None and self._routing.ranges is not None:
+                # Range-partitioned limited scan: shards are visited in
+                # key order and the walk stops as soon as the limit is
+                # filled — most scans touch one or two shards.
+                out: List[Tuple[str, str]] = []
+                for sid, (lo, hi) in ordered:
+                    payload = {"start": lo, "end": hi, "limit": limit - len(out)}
+                    chunk = yield self.sim.spawn(
+                        self._scan_one(self.map.shard(sid), payload, ctx))
+                    out.extend(tuple(item) for item in chunk)
+                    if len(out) >= limit:
+                        break
+                return out[:limit]
+            # Unlimited (or hash-partitioned) scan: scatter-gather.
+            futs = [
+                self.sim.spawn(self._scan_one(
+                    self.map.shard(sid), {"start": lo, "end": hi, "limit": limit}, ctx))
+                for sid, (lo, hi) in ordered
+            ]
+            chunks = yield self.sim.gather(futs)
+            merged: List[Tuple[str, str]] = sorted(
+                (tuple(item) for chunk in chunks for item in chunk)
+            )
+            return merged[:limit] if limit is not None else merged
+
         def proc():
             if self.map is None:
                 raise BespoError("client not connected: call connect() first")
             ctx = self._begin_ctx("scan", start, mutation=False)
-            obs = self.cluster.obs
-            status = "error"
-            try:
-                if self.partitioner == "range":
-                    targets = self._range.covering(start, end)
-                else:
-                    targets = {sid: (start, end) for sid in self.map.shard_ids()}
-                ordered = sorted(targets.items(), key=lambda kv: kv[1][0])
-                if limit is not None and self.partitioner == "range":
-                    # Range-partitioned limited scan: shards are visited in
-                    # key order and the walk stops as soon as the limit is
-                    # filled — most scans touch one or two shards.
-                    out: List[Tuple[str, str]] = []
-                    for sid, (lo, hi) in ordered:
-                        shard = self.map.shard(sid)
-                        payload = {"start": lo, "end": hi, "limit": limit - len(out)}
-                        chunk = yield self.sim.spawn(
-                            self._scan_one(shard, payload, ctx=ctx))
-                        out.extend(tuple(item) for item in chunk)
-                        if len(out) >= limit:
-                            break
-                    status = "ok"
-                    return out[:limit]
-                # Unlimited (or hash-partitioned) scan: scatter-gather.
-                futs = []
-                for sid, (lo, hi) in ordered:
-                    shard = self.map.shard(sid)
-                    payload = {"start": lo, "end": hi, "limit": limit}
-                    futs.append(self.sim.spawn(
-                        self._scan_one(shard, payload, ctx=ctx)))
-                chunks = yield self.sim.gather(futs)
-                merged: List[Tuple[str, str]] = sorted(
-                    (tuple(item) for chunk in chunks for item in chunk)
-                )
-                status = "ok"
-                return merged[:limit] if limit is not None else merged
-            finally:
-                if obs is not None and ctx is not None and ctx.trace_id is not None:
-                    obs.end_trace(ctx, status)
+            items = yield from self._traced(ctx, gather(ctx))
+            return items
 
         return self._run(proc())
+
+    def _scan_one(self, shard: ShardInfo, payload: Dict[str, Any],
+                  ctx: Optional[RequestContext]):
+        """One shard's leg of a client-side scan."""
+        sid = shard.shard_id
+        resp = yield from self._attempts(
+            "scan", payload, ctx, lambda: self.map.shards.get(sid, shard), f"on {sid}")
+        return resp.payload["items"]
 
     def server_scan(self, start: str, end: str, limit: Optional[int] = None) -> SimFuture:
         """Range query delegated to the server side (§IV-B).
@@ -598,76 +569,14 @@ class KVClient:
         def proc():
             if self.map is None:
                 raise BespoError("client not connected: call connect() first")
-            payload: Dict[str, Any] = {"start": start, "end": end, "limit": limit}
             ctx = self._begin_ctx("server_scan", start, mutation=False)
-            obs = self.cluster.obs
-            status = "error"
-            try:
-                last_error: Optional[str] = None
-                for attempt in range(self.max_retries + 1):
-                    shard = self.shard_for(start)
-                    target = self._route(shard, "scan", None, None)
-                    try:
-                        resp = yield self.port.request(
-                            target, "get_range", dict(payload),
-                            timeout=self.op_timeout * 2, ctx=ctx,
-                        )
-                    except RequestTimeout:
-                        last_error = f"timeout talking to {target}"
-                        self.retries += 1
-                        self.timeouts += 1
-                        yield from self._sleep(attempt, ctx)
-                        yield from self._refresh_best_effort()
-                        continue
-                    if resp.type == "range":
-                        status = "ok"
-                        return [tuple(item) for item in resp.payload["items"]]
-                    err = resp.payload.get("error", "")
-                    if err in ("retired", "cluster map not yet available"):
-                        last_error = err
-                        self.retries += 1
-                        yield from self._sleep(attempt, ctx)
-                        yield from self._refresh_best_effort()
-                        continue
-                    raise BespoError(f"server scan failed: {err}")
-                raise ShardUnavailable(f"server scan exhausted retries: {last_error}")
-            finally:
-                if obs is not None and ctx is not None and ctx.trace_id is not None:
-                    obs.end_trace(ctx, status)
+            resp = yield from self._traced(ctx, self._attempts(
+                "get_range", {"start": start, "end": end, "limit": limit}, ctx,
+                lambda: self.shard_for(start), f"[{start!r}, {end!r})",
+                timeout=self.op_timeout * 2))
+            return [tuple(item) for item in resp.payload["items"]]
 
         return self._run(proc())
-
-    def _scan_one(self, shard: ShardInfo, payload: Dict[str, Any],
-                  ctx: Optional[RequestContext] = None):
-        override_target: Optional[str] = None
-        avoid: Optional[str] = None
-        for attempt in range(self.max_retries + 1):
-            target = override_target or self._route(shard, "scan", None, None, avoid)
-            override_target = avoid = None
-            try:
-                resp = yield self.port.request(target, "scan", dict(payload),
-                                               timeout=self.op_timeout, ctx=ctx)
-            except RequestTimeout:
-                self.retries += 1
-                self.timeouts += 1
-                yield from self._sleep(attempt, ctx)
-                continue
-            if resp.type != "error":
-                return resp.payload["items"]
-            if resp.payload.get("error") == "redirect":
-                override_target = resp.payload.get("to")
-                continue
-            if resp.payload.get("error") == "retired":
-                # as in _op_proc: back off, refresh, re-route (a flipped
-                # shard's new generation replaces the retired one)
-                avoid = target
-                self.retries += 1
-                yield from self._sleep(attempt, ctx)
-                yield from self._refresh_best_effort()
-                shard = self.map.shards.get(shard.shard_id, shard)
-                continue
-            raise BespoError(f"scan failed on {shard.shard_id}: {resp.payload}")
-        raise ShardUnavailable(f"scan on shard {shard.shard_id} exhausted retries")
 
     # ------------------------------------------------------------------
     # table namespace API (Table II client API)

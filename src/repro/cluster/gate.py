@@ -114,17 +114,17 @@ class ReshardParticipant(ReshardGate):
         owner.register("migrate_put", self._on_migrate_put)
 
     # -- client ops -----------------------------------------------------
-    def admit(self, msg: Message, hashed: bool) -> bool:
+    def admit(self, msg: Message) -> bool:
         """Ownership fence for one keyed client op (``False``: bounce it
         with ``wrong_shard``); an admitted write marks its key.  Once
-        the ring has re-versioned (gen > 0 under hash partitioning),
+        the ring has re-versioned (gen > 0: only hash rings reshard),
         routing is no longer derivable from the static shard list, so
         ops for keys the current ring assigns elsewhere bounce.  The one
         sanctioned exception is the dual-routed *old-ring* leg of an
         open, not-yet-fenced window, from clients that stamped its gen."""
         key, gen = msg.payload["key"], msg.payload.get("gen")
         me = self._owner.shard.shard_id
-        if hashed and self.gen > 0 and self.ring.lookup(key) != me and not (
+        if self.gen > 0 and self.ring.lookup(key) != me and not (
                 self.window is not None and self.gen > self.fenced
                 and gen == self.gen and self.old_owner(key) == me):
             return False

@@ -123,7 +123,6 @@ class Controlet(Actor):
         #: controlet's side of every reshard: ownership fence, dirty
         #: marks, key migration (it serves ``reshard_migrate``,
         #: ``reshard_fence`` and ``migrate_put``).
-        self._partitioner = "hash"
         self._gate = ReshardParticipant(self)
         self.stats: Dict[str, int] = {
             "puts": 0, "gets": 0, "dels": 0, "scans": 0,
@@ -509,7 +508,7 @@ class Controlet(Actor):
             self.respond(msg, "error", {"error": "retired"})
             return
         gate = self._gate
-        if msg.type != "scan" and not gate.admit(msg, self._partitioner == "hash"):
+        if msg.type != "scan" and not gate.admit(msg):
             self.stats["errors"] += 1
             self.respond(msg, "error", {"error": "wrong_shard"})
             return
@@ -698,8 +697,6 @@ class Controlet(Actor):
                 return False
             self._config_epoch = epoch
         self.shard = shard
-        if info.get("partitioner"):
-            self._partitioner = info["partitioner"]
         if info.get("ring"):
             self._gate.install(info["ring"])
         return True

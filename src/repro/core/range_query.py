@@ -6,9 +6,9 @@ specified range."
 
 :class:`RangeQueryControlet` extends MS+EC with a ``get_range`` API:
 any controlet accepts a full-keyspace range query, consults its cached
-cluster map (range-partitioned, refreshed from the coordinator), fans
-clipped sub-scans out to the covering shards, merges the sorted
-results and answers — so clients need no partitioning knowledge at all
+cluster map and routing (refreshed from the coordinator), fans clipped
+sub-scans out to the covering shards, merges the sorted results and
+answers — so clients need no partitioning knowledge at all
 for scans (the client-side alternative lives in
 :meth:`repro.client.kv.KVClient.scan`).
 """
@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.cluster.routing import RingRouting
 from repro.core.ms_ec import MSEventualControlet
 from repro.core.types import ClusterMap
 from repro.errors import BespoError
-from repro.hashing import RangePartitioner
 from repro.net.message import Message
 
 __all__ = ["RangeQueryControlet"]
@@ -35,7 +35,9 @@ class RangeQueryControlet(MSEventualControlet):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._cluster_map: Optional[ClusterMap] = None
-        self._partitioner: Optional[RangePartitioner] = None
+        #: covering shards of a range, from the polled map's routing
+        #: block (kept apart from the epoch-fenced ``_gate``).
+        self._routing = RingRouting()
         self.range_queries = 0
         self.register("get_range", self._on_get_range)
 
@@ -50,7 +52,8 @@ class RangeQueryControlet(MSEventualControlet):
                 cmap = ClusterMap.from_dict(resp.payload["map"])
                 if self._cluster_map is None or cmap.epoch != self._cluster_map.epoch:
                     self._cluster_map = cmap
-                    self._partitioner = RangePartitioner.uniform_alpha(cmap.shard_ids())
+                    self._routing.install(resp.payload["view"],
+                                         resp.payload["partitioner"])
             self.set_timer(self.MAP_REFRESH, self._refresh_map)
 
         self.call(self.coordinator, "get_cluster_map", {}, callback=on_map,
@@ -61,14 +64,14 @@ class RangeQueryControlet(MSEventualControlet):
         if self.retired:
             self.respond(msg, "error", {"error": "retired"})
             return
-        if self._cluster_map is None or self._partitioner is None:
+        if self._cluster_map is None:
             self.respond(msg, "error", {"error": "cluster map not yet available"})
             return
         self.range_queries += 1
         start = msg.payload["start"]
         end = msg.payload["end"]
         limit = msg.payload.get("limit")
-        covering = self._partitioner.covering(start, end)
+        covering = self._routing.covering(start, end)
         if not covering:
             self.respond(msg, "range", {"items": []})
             return

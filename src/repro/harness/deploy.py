@@ -57,6 +57,8 @@ class DeploymentSpec:
     datalet_kinds: Sequence[str] = ("ht",)
     #: engine constructor kwargs per kind.
     engine_kwargs: Dict[str, dict] = field(default_factory=dict)
+    #: key→shard partitioning, "hash" (consistent hashing) or "range"
+    #: (alphabetical, §IV-B); the coordinator names it in every reply.
     partitioner: str = "hash"
     standbys: int = 2
     dpdk: bool = False
@@ -106,6 +108,8 @@ class DeploymentSpec:
             raise ConfigError("datalet_kinds must not be empty")
         if self.controlet_hosts is not None and self.controlet_hosts < 1:
             raise ConfigError("controlet_hosts must be >= 1 when set")
+        if self.partitioner not in ("hash", "range"):
+            raise ConfigError(f"unknown partitioner {self.partitioner!r}")
         self.topology = Topology(self.topology)
         self.consistency = Consistency(self.consistency)
 
@@ -449,7 +453,6 @@ class Deployment:
         return "coordinator"
 
     def client(self, name: str, **kwargs) -> KVClient:
-        kwargs.setdefault("partitioner", self.spec.partitioner)
         kwargs.setdefault("coordinator", self.coordinator_names())
         return KVClient(self.cluster, name, **kwargs)
 

@@ -15,9 +15,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.client.kv import KVClient
+from repro.cluster.routing import RingRouting
 from repro.errors import BespoError, KeyNotFound
 from repro.harness.deploy import Deployment
-from repro.hashing import HashRing, RangePartitioner
 from repro.workloads.ycsb import Workload
 
 __all__ = ["RunResult", "LoadGenerator", "preload"]
@@ -47,24 +47,21 @@ class RunResult:
         )
 
 
-def preload(dep: Deployment, items: Dict[str, str], partitioner: str = "hash") -> None:
+def preload(dep: Deployment, items: Dict[str, str]) -> None:
     """Bulk-load data into every replica's engine directly.
 
     The paper's load phase (inserting 10M tuples) is uninteresting to
     simulate event-by-event; what matters is that measurement starts
-    from a populated, fully replicated store.  Routing matches the
-    client library exactly so reads find their keys.
+    from a populated, fully replicated store.  Keys are routed by the
+    client library's own :class:`RingRouting`, fed what the coordinator
+    tells clients, so reads find their keys.
     """
-    shard_ids = dep.map.shard_ids()
-    if partitioner == "range":
-        part = RangePartitioner.uniform_alpha(shard_ids)
-        lookup = part.lookup
-    else:
-        ring = HashRing(shard_ids)
-        lookup = ring.lookup
-    by_shard: Dict[str, List[Tuple[str, str]]] = {sid: [] for sid in shard_ids}
+    coord = dep.coordinator
+    routing = RingRouting()
+    routing.install(coord.view.ring_info(), coord.partitioner)
+    by_shard: Dict[str, List[Tuple[str, str]]] = {sid: [] for sid in dep.map.shard_ids()}
     for k, v in items.items():
-        by_shard[lookup(k)].append((k, v))
+        by_shard[routing.lookup(k)].append((k, v))
     for sid, pairs in by_shard.items():
         for replica in dep.map.shard(sid).ordered():
             engine = dep.cluster.actor(replica.datalet).engine
@@ -84,7 +81,6 @@ class LoadGenerator:
         duration: float = 2.0,
         timeline_interval: float = 0.0,
         sessions_per_client: int = 4,
-        client_kwargs: Optional[dict] = None,
         client_factory: Optional[Callable[[str], object]] = None,
     ):
         """``clients`` KVClient instances (each with its own port/host),
@@ -103,7 +99,6 @@ class LoadGenerator:
         self.duration = duration
         self.timeline_interval = timeline_interval
         self.sessions_per_client = sessions_per_client
-        self.client_kwargs = client_kwargs or {}
         self._running = True
         self._ops = 0
         self._errors = 0
@@ -160,7 +155,7 @@ class LoadGenerator:
             if self.client_factory is not None:
                 client = self.client_factory(f"loadgen{i}")
             else:
-                client = self.dep.client(f"loadgen{i}", **self.client_kwargs)
+                client = self.dep.client(f"loadgen{i}")
             sim.run_future(client.connect())
             for s in range(self.sessions_per_client):
                 wl = self.workload_factory(i * self.sessions_per_client + s)

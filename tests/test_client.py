@@ -4,7 +4,7 @@ per-request consistency, table API edge cases)."""
 import pytest
 
 from repro.core.types import Consistency, Topology
-from repro.errors import BespoError, KeyNotFound
+from repro.errors import BespoError, ConfigError, KeyNotFound
 from repro.harness import Deployment, DeploymentSpec
 
 
@@ -27,9 +27,8 @@ def test_ops_before_connect_rejected():
 
 
 def test_unknown_partitioner_rejected():
-    dep = Deployment(DeploymentSpec(shards=1, replicas=1))
-    with pytest.raises(BespoError):
-        dep.client("c", partitioner="rendezvous")
+    with pytest.raises(ConfigError):
+        DeploymentSpec(shards=1, replicas=1, partitioner="rendezvous")
 
 
 def test_routing_writes_to_head_reads_to_tail_ms_sc():
@@ -103,6 +102,38 @@ def test_scan_retries_past_a_retired_replica():
         assert dep.sim.run_future(client.get("k1")) == "1"
         items = dep.sim.run_future(client.scan("k0", "k9"))
         assert [k for k, _ in items] == [f"k{i}" for i in range(5)]
+
+
+def test_scan_times_out_refreshes_and_retries_after_a_host_dies():
+    """Kill the host serving a scan leg while the request is in flight:
+    the leg times out, the client refreshes its map and retries on
+    another replica, and the scan completes with every item."""
+    dep = Deployment(DeploymentSpec(shards=2, replicas=3, topology=Topology.MS,
+                                    consistency=Consistency.EVENTUAL,
+                                    datalet_kinds=("mt",), partitioner="range"))
+    dep.start()
+    client = dep.client("c0")
+    dep.sim.run_future(client.connect())
+    keys = [f"{c}{i}" for c in "bx" for i in range(4)]
+    for k in keys:
+        dep.sim.run_future(client.put(k, k.upper()))
+    dep.sim.run_until(dep.sim.now + 1.0)
+    chosen = []
+    route = client._route
+    client._route = lambda *a, **kw: chosen.append(route(*a, **kw)) or chosen[-1]
+    refreshes, timeouts = client.refreshes, client.timeouts
+    fut = client.scan("a", "z")
+    while not chosen:
+        dep.sim.step_one()
+    victim = chosen[0]
+    host = next(r.host for sid in dep.map.shard_ids()
+                for r in dep.map.shard(sid).ordered() if r.controlet == victim)
+    dep.cluster.kill_host(host)
+    items = dep.sim.run_future(fut)
+    assert items == sorted((k, k.upper()) for k in keys)
+    assert client.timeouts > timeouts
+    assert client.refreshes > refreshes
+    assert chosen.count(victim) < len(chosen)
 
 
 def test_epoch_visible_after_connect():

@@ -5,6 +5,7 @@ import pytest
 from repro.core.range_query import RangeQueryControlet
 from repro.core.types import Consistency, Topology
 from repro.harness import Deployment, DeploymentSpec
+from repro.harness.loadgen import preload
 
 
 def build(shards=3):
@@ -45,6 +46,51 @@ def test_cross_shard_range_through_any_controlet():
     assert [tuple(i) for i in resp.payload["items"]] == expect
     # the range spanned multiple shards
     assert len({client.shard_for(k).shard_id for k, _ in expect}) > 1
+
+
+def test_get_range_after_a_shard_view_install():
+    """A shard-view install (``shard_info``/``config_update``) names the
+    partitioner as a string; it must leave the routing the range
+    service covers with alone, so a ``get_range`` right after one is
+    served instead of raising inside the simulator."""
+    dep, client, port = build()
+    keys = load(dep, client)
+    entry = dep.shard(1).ordered()[1].controlet
+    actor = dep.cluster.actor(entry)
+    actor._install_shard(actor.shard, {"partitioner": "range"})
+    resp = ask(dep, port, entry, {"start": "d00", "end": "p04"})
+    assert resp.type == "range"
+    assert [k for k, _ in resp.payload["items"]] == sorted(
+        k for k in keys if "d00" <= k < "p04")
+
+
+def test_client_server_scan_retries_until_the_map_is_there():
+    """``KVClient.server_scan`` at boot: the entry shard's controlets
+    have not polled the cluster map yet, answer ``cluster map not yet
+    available``, and the client backs off and retries through its one
+    attempt loop; a later cross-shard range is fanned out server-side."""
+    dep = Deployment(
+        DeploymentSpec(
+            shards=3, replicas=3,
+            topology=Topology.MS, consistency=Consistency.EVENTUAL,
+            datalet_kinds=("mt",), partitioner="range",
+            controlet_class=RangeQueryControlet,
+        )
+    )
+    dep.start()
+    keys = [f"{c}{i:02d}" for c in "adhkpstx" for i in range(4)]
+    preload(dep, {k: k.upper() for k in keys})
+    client = dep.client("c0")
+    dep.sim.run_future(client.connect())
+    entry = client.shard_for("s00")
+    assert all(dep.cluster.actor(r.controlet)._cluster_map is None
+               for r in entry.ordered())
+    items = dep.sim.run_future(client.server_scan("s00", "z"))
+    assert items == [(k, k.upper()) for k in keys if k >= "s00"]
+    assert client.retries >= 1
+    items = dep.sim.run_future(client.server_scan("d01", "t02", limit=9))
+    assert items == [(k, k.upper()) for k in keys if "d01" <= k < "t02"][:9]
+    assert len({client.shard_for(k).shard_id for k, _ in items}) > 1
 
 
 def test_limit_applied_after_merge():

@@ -17,10 +17,23 @@ Responsibilities (paper §III, Table III):
    cutover with live key migration).
 
 At most one transition or reshard is in flight, as one
-:class:`Operation`: its kind, phase, requester, and the participants
-the phase still waits for.  Requests pass one gate (``_admit``), acks
-one settle path (``_settle``).  Replica repairs run alongside, one
-``_repairs`` entry per replacement controlet until ``recovery_done``.
+:class:`Operation`: the *desired* state (target combo and each shard's
+pending new service, or the planned ring change) beside the committed
+map.  A request passes one gate (``_admit``) and only writes that
+record; one idempotent ``_reconcile``, run on every ack, every failure
+and every sweep tick, emits the next step (and with nothing to do sends
+nothing).  A phase's participants are recomputed from the live map each
+time: its order goes to every current participant not yet sent it, and
+the phase advances once every current participant acked — a dead member
+drops out of the wait, a member that joins mid-phase gets the order.
+So a source whose head changed gets ``reshard_migrate`` at its new
+head; a pending new service drops the counterpart of a dead old
+replica, and if that moves its head the live old members get
+``transition_start`` again with the new ``forward_to``; and a shard in
+mid-transition refills only once it flips, against the new service
+(replacements still recovering for the old one are retired).  Repairs
+run alongside, one ``_repairs`` entry per replacement until
+``recovery_done``.
 
 Spawning new actors requires constructing them inside the hosting
 runtime, so the coordinator takes three injected factories from the
@@ -48,25 +61,31 @@ __all__ = ["CoordinatorActor"]
 Spawner = Callable[[ShardInfo, str], Optional[Replica]]
 #: (shard, topology, consistency) -> new ShardInfo with fresh controlets.
 TransitionSpawner = Callable[[ShardInfo, Topology, Consistency], ShardInfo]
-#: () -> a fresh ShardInfo (spawned controlet/datalet pairs + shared log
-#: when the combo needs one), or None when capacity is exhausted.
-ReshardSpawner = Callable[[], Optional[ShardInfo]]
+#: (topology, consistency) -> a fresh shard of that combo (its pairs + a
+#: shared log when the combo needs one), or None when out of capacity.
+ReshardSpawner = Callable[[Topology, Consistency], Optional[ShardInfo]]
 MOVE_STATS = ("moved", "skipped", "total")  # per-source ``migrate_done`` counts
+#: ack message -> (the phase it settles, the payload field naming the participant)
+ACKS = {"transition_ready": ("draining", "controlet"), "migrate_done": ("migrating", "shard"),
+        "reshard_fenced": ("fencing", "controlet")}
 
 
 @dataclass(eq=False)
 class Operation:
-    """The coordinator's one in-flight transition or reshard."""
+    """The coordinator's one in-flight transition or reshard: the
+    desired state ``_reconcile`` drives the committed map toward."""
 
     kind: str  # "transition" | "reshard"
     requester: Message
     phase: str = ""
-    #: participants the phase still waits for, by group; when a group
-    #: drains, ``step(group)`` moves the operation on
-    waiting: Dict[str, Set[str]] = field(default_factory=dict)
-    step: Callable[[str], None] = lambda group: None
-    #: transition: shard id -> (new controlet generation, old controlets)
-    flips: Dict[str, Tuple[ShardInfo, List[str]]] = field(default_factory=dict)
+    #: participant -> (destination, argument) of the order it was last
+    #: sent; ``acked``: the participants that acked that order
+    sent: Dict[str, Tuple[str, str]] = field(default_factory=dict)
+    acked: Set[str] = field(default_factory=set)
+    #: transition: the target combo, and each shard's new service (None
+    #: until spawned; dropped when the shard flips)
+    combo: Tuple[Optional[Topology], Optional[Consistency]] = (None, None)
+    pending: Dict[str, Optional[ShardInfo]] = field(default_factory=dict)
     #: reshard: the planned ring change (``plan_reshard``'s old/new
     #: members), the incoming shard on an add, and the copy totals
     action: str = ""
@@ -75,6 +94,9 @@ class Operation:
     old_ring: List[str] = field(default_factory=list)
     new_ring: List[str] = field(default_factory=list)
     stats: Dict[str, int] = field(default_factory=lambda: dict.fromkeys(MOVE_STATS, 0))
+
+    def start_phase(self, phase: str) -> None:
+        self.phase, self.sent, self.acked = phase, {}, set()
 
 
 class CoordinatorActor(Actor):
@@ -92,9 +114,8 @@ class CoordinatorActor(Actor):
         dlm: str = "dlm",
     ):
         super().__init__(node_id)
-        #: the epoch'd membership view; ``self.map`` stays an alias of
-        #: the (shared) underlying ClusterMap so the deployment harness,
-        #: model checker and tests keep observing every change.
+        #: the epoch'd membership view; ``self.map`` aliases its shared
+        #: ClusterMap, so the harness, checker and tests see every change.
         self.view = ClusterView(cluster_map if cluster_map is not None else ClusterMap())
         self.map = self.view.map
         self.config = config or ControlConfig()
@@ -105,13 +126,11 @@ class CoordinatorActor(Actor):
         self.dlm = dlm
         self._last_seen: Dict[str, float] = {}
         self._dead: Set[str] = set()
-        #: desired replica count per shard: repairs refill to this
-        #: level and never past it (a promoted standby working from a
-        #: stale map must not spawn a second replacement for a death
-        #: the old primary already repaired).
-        self._shard_target: Dict[str, int] = {
-            sid: len(s.replicas) for sid, s in self.map.shards.items()
-        }
+        #: desired replica count per shard (recorded on start and on
+        #: standby sync): repairs refill to this level and never past it
+        #: (a promoted standby working from a stale map must not spawn a
+        #: second replacement for a death the old primary repaired).
+        self._shard_target: Dict[str, int] = {}
         #: replacements spawned, not yet recovered: controlet -> (shard, replica)
         self._repairs: Dict[str, Tuple[str, Replica]] = {}
         #: the in-flight transition or reshard, if any
@@ -123,19 +142,16 @@ class CoordinatorActor(Actor):
         self.register("get_shard_info", self._on_get_shard)
         self.register("recovery_done", self._on_recovery_done)
         self.register("request_transition", self._on_request_transition)
-        self.register("transition_ready", self._on_transition_ready)
         self.register("request_reshard", self._on_request_reshard)
-        self.register("migrate_done", self._on_migrate_done)
-        self.register("reshard_fenced", self._on_reshard_fenced)
+        self.register("transition_ready", self._on_ack)
+        self.register("migrate_done", self._on_ack)
+        self.register("reshard_fenced", self._on_ack)
 
     def service_demand(self, msg: Message, costs) -> float:
         return costs.scaled("coordinator_overhead")
 
     def metrics_group(self) -> Dict[str, float]:
-        return {
-            "failovers": self.failovers,
-            "recovering": len(self._repairs),
-        }
+        return {"failovers": self.failovers, "recovering": len(self._repairs)}
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -154,11 +170,19 @@ class CoordinatorActor(Actor):
             self.view.note("bootstrap", ",".join(self.map.shard_ids()))
         # phase-staggered first arm: the sweep must never share a
         # timestamp with the follower-sync loop (same period, same boot)
-        self.set_timer(
-            self.config.heartbeat_interval
-            + self.loop_phase("sweep", self.config.heartbeat_interval),
-            self._sweep,
-        )
+        self._arm_loop("sweep", self._sweep)
+
+    def _arm_loop(self, name: str, fn: Callable[[], None]) -> None:
+        """First arm of a heartbeat-period loop, at its own phase offset."""
+        hb = self.config.heartbeat_interval
+        self.set_timer(hb + self.loop_phase(name, hb), fn)
+
+    def _ticks(self, seen: float) -> int:
+        """Quantized silence since ``seen``: heartbeat periods, capped
+        just past the failure timeout (model-checker fingerprints)."""
+        hb = self.config.heartbeat_interval
+        cap = int(self.config.failure_timeout / hb) + 2
+        return min(int(max(0.0, self.now() - seen) / hb), cap)
 
     def _record_targets(self) -> None:
         for sid, shard in self.map.shards.items():
@@ -168,31 +192,21 @@ class CoordinatorActor(Actor):
     # metadata queries
     # ------------------------------------------------------------------
     def _on_get_map(self, msg: Message) -> None:
-        self.respond(
-            msg,
-            "cluster_map",
-            {
-                "map": self.map.to_dict(),
-                "view": self.view.ring_info(),
-                "partitioner": self.partitioner,
-            },
-        )
+        self.respond(msg, "cluster_map", {"map": self.map.to_dict(),
+                                          "view": self.view.ring_info(),
+                                          "partitioner": self.partitioner})
 
     def _on_get_shard(self, msg: Message) -> None:
         sid = msg.payload["shard"]
         if sid not in self.map.shards:
             self.respond(msg, "error", {"error": f"unknown shard {sid!r}"})
             return
-        self.respond(
-            msg,
-            "shard_info",
-            {
-                "shard": self.map.shard(sid).to_dict(),
-                "epoch": self.map.epoch,
-                "ring": self.view.ring_info(),
-                "partitioner": self.partitioner,
-            },
-        )
+        self.respond(msg, "shard_info", self._shard_payload(self.map.shard(sid)))
+
+    def _shard_payload(self, shard: ShardInfo) -> Dict[str, object]:
+        """One shard's view: what ``shard_info`` and ``config_update`` carry."""
+        return {"shard": shard.to_dict(), "epoch": self.map.epoch,
+                "ring": self.view.ring_info(), "partitioner": self.partitioner}
 
     # ------------------------------------------------------------------
     # liveness & failover
@@ -212,25 +226,23 @@ class CoordinatorActor(Actor):
         shard = self.map.shard(sid)
         try:
             replica = shard.replica_of(controlet)
-        except Exception:  # noqa: BLE001 - stale report after repair
+        except ConfigError:  # stale report after repair
             return
         self._handle_failure(shard, replica)
         self.send(controlet, "retire", {})
 
     def _sweep(self) -> None:
-        now = self.now()
+        now, timeout = self.now(), self.config.failure_timeout
         for shard in list(self.map.shards.values()):
             for replica in shard.ordered():
-                c = replica.controlet
-                if c in self._dead:
-                    continue
-                seen = self._last_seen.get(c, now)
-                if now - seen > self.config.failure_timeout:
+                silent = now - self._last_seen.get(replica.controlet, now)
+                if replica.controlet not in self._dead and silent > timeout:
                     self._handle_failure(shard, replica)
+        self._reconcile()
         self.set_timer(self.config.heartbeat_interval, self._sweep)
 
     def _handle_failure(self, shard: ShardInfo, dead: Replica) -> None:
-        """Chain repair + leader election + replacement launch."""
+        """Chain repair + leader election, then refill and reconcile."""
         self.failovers += 1
         self._dead.add(dead.controlet)
         # If the dead node was itself a mid-recovery replacement
@@ -245,48 +257,42 @@ class CoordinatorActor(Actor):
             replica.chain_pos = pos
         self.view.commit("failover", f"{shard.shard_id}:-{dead.controlet}")
         self._broadcast_config(shard)
+        if self._op is None or shard.shard_id not in self._op.pending:
+            self._refill(shard)  # a shard mid-transition refills once it flips
+        self._reconcile()
 
-        # Refill toward the deployment's target strength, counting
-        # replacements already in flight: a promoted standby replaying a
-        # death from a stale map (the old primary repaired it, then died
-        # before syncing) must not spawn a second replacement.
+    def _refill(self, shard: ShardInfo) -> None:
+        """Launch a replacement toward the deployment's target strength,
+        counting replacements already in flight: a promoted standby
+        replaying a death from a stale map (the old primary repaired it,
+        then died before syncing) must not spawn a second one."""
         target = self._shard_target.get(shard.shard_id, len(shard.replicas) + 1)
         inflight = sum(1 for sid, _ in self._repairs.values() if sid == shard.shard_id)
-        if (
-            self.spawner is not None
-            and shard.replicas
-            and len(shard.replicas) + inflight < target
-        ):
-            # Recover from the current tail: under chain replication the
-            # tail holds every committed write; under EC/AA any live
-            # replica is as good as another.  Capture the source BEFORE
-            # any join-first append below changes who the tail is.
-            source = shard.tail.datalet
-            new_replica = self.spawner(shard, source)
-            if new_replica is None:
-                # No standby host available: the shard keeps serving
-                # with fewer replicas, but flag the exposure so clients
-                # and operators can see it.
-                self.map.degraded.add(shard.shard_id)
-                self.view.commit("degraded", shard.shard_id)
-                self._broadcast_config(shard)
-                return
-            self._repairs[new_replica.controlet] = (shard.shard_id, new_replica)
-            self._last_seen[new_replica.controlet] = self.now()
-            if (
-                shard.topology is Topology.AA
-                and shard.consistency is Consistency.STRONG
-            ):
-                # Join-first (AA strong): fan-out writers replicate to
-                # every member of the shard view, so the replacement
-                # must appear in the view *before* its state transfer
-                # starts — it buffers incoming writes while recovering.
-                new_replica.chain_pos = len(shard.replicas)
-                shard.replicas.append(new_replica)
-                self.view.commit(
-                    "replica-join", f"{shard.shard_id}:+{new_replica.controlet}"
-                )
-                self._broadcast_config(shard)
+        if self.spawner is None or not shard.replicas or len(shard.replicas) + inflight >= target:
+            return
+        # Recover from the current tail (under chain replication it holds
+        # every committed write; under EC/AA any live replica will do),
+        # read BEFORE a join-first append below changes who the tail is.
+        new_replica = self.spawner(shard, shard.tail.datalet)
+        if new_replica is None:
+            # No standby host available: the shard keeps serving with
+            # fewer replicas, but flag the exposure so clients and
+            # operators can see it.
+            self.map.degraded.add(shard.shard_id)
+            self.view.commit("degraded", shard.shard_id)
+            self._broadcast_config(shard)
+            return
+        self._repairs[new_replica.controlet] = (shard.shard_id, new_replica)
+        self._last_seen[new_replica.controlet] = self.now()
+        if shard.topology is Topology.AA and shard.consistency is Consistency.STRONG:
+            # Join-first (AA strong): fan-out writers replicate to
+            # every member of the shard view, so the replacement must
+            # appear in the view *before* its state transfer starts —
+            # it buffers incoming writes while recovering.
+            new_replica.chain_pos = len(shard.replicas)
+            shard.replicas.append(new_replica)
+            self.view.commit("replica-join", f"{shard.shard_id}:+{new_replica.controlet}")
+            self._broadcast_config(shard)
 
     def _on_recovery_done(self, msg: Message) -> None:
         controlet = msg.payload["controlet"]
@@ -313,19 +319,13 @@ class CoordinatorActor(Actor):
         self._repairs[replica.controlet] = (shard_id, replica)
 
     def _broadcast_config(self, shard: ShardInfo) -> None:
-        payload = {
-            "shard": shard.to_dict(),
-            "epoch": self.map.epoch,
-            "ring": self.view.ring_info(),
-            "partitioner": self.partitioner,
-        }
+        payload = self._shard_payload(shard)
         for replica in shard.ordered():
             self.send(replica.controlet, "config_update", dict(payload))
 
     def _broadcast_all(self) -> None:
-        """Push fresh config to every shard — ring-wide changes
-        (reshard begin/commit) re-route every controlet, not just one
-        shard's."""
+        """Push fresh config to every shard: ring-wide changes (reshard
+        begin/commit) re-route every controlet, not just one shard's."""
         for shard in self.map.shards.values():
             self._broadcast_config(shard)
 
@@ -345,61 +345,90 @@ class CoordinatorActor(Actor):
         node is overdue."""
         s = super().snapshot_state()
         op = self._op
-        now = self.now()
-        hb = self.config.heartbeat_interval
-        cap = int(self.config.failure_timeout / hb) + 2
-        staleness = {}
-        for c, seen in self._last_seen.items():
-            if c in self._dead:
-                continue
-            staleness[c] = min(int(max(0.0, now - seen) / hb), cap)
         s.update({
             "epoch": self.map.epoch,
-            "shards": {
-                sid: [r.controlet for r in shard.ordered()]
-                for sid, shard in self.map.shards.items()
-            },
+            "shards": {sid: shard.controlets() for sid, shard in self.map.shards.items()},
             "degraded": sorted(self.map.degraded),
             "dead": sorted(self._dead),
-            "staleness": staleness,
+            "staleness": {c: self._ticks(seen) for c, seen in self._last_seen.items()
+                          if c not in self._dead},
             "recovering": {c: sid for c, (sid, _) in self._repairs.items()},
-            "pending_replicas": sorted(self._repairs),
-            "transitions": sorted(op.waiting) if op and op.kind == "transition" else [],
             "view": self.view.snapshot(),
-            "reshard_phase": op.phase if op and op.kind == "reshard" else None,
+            "op": None if op is None else [
+                op.kind, op.phase, sorted(op.pending), sorted(op.acked)],
         })
         return s
 
     # ------------------------------------------------------------------
-    # the in-flight operation: one admission gate, one settle path
+    # the in-flight operation: one admission gate, one reconcile
     # ------------------------------------------------------------------
     def _admit(self, msg: Message, kind: str) -> bool:
         """The one gate: refuse any request while an operation runs."""
         op = self._op
-        if op is None:
-            return True
-        again = "already " if op.kind == kind else ""
-        self.respond(msg, "error", {"error": f"{op.kind} {again}in progress"})
-        return False
+        if op is not None:
+            again = "already " if op.kind == kind else ""
+            self.respond(msg, "error", {"error": f"{op.kind} {again}in progress"})
+        return op is None
 
-    def _enter(self, op: Operation, phase: str, members: List[str],
-               step: Callable[[str], None]) -> None:
-        """Enter ``phase``: ``step`` runs once all ``members`` acked."""
-        op.phase, op.step = phase, step
-        op.waiting = {"": set(members)} if members else {}
-        if not members:
-            step("")
+    def _on_ack(self, msg: Message) -> None:
+        phase, who = ACKS[msg.type]
+        self._ack(phase, msg.payload[who], counts=msg.payload)
 
-    def _settle(self, phase: str, member: str, group: str = "") -> None:
-        """Count one ack; a group's last ack runs the phase's step."""
+    def _ack(self, phase: str, member: str, err=None, counts=None) -> None:
+        """The one ack path: count ``member``'s ack of its current order
+        (an unreachable member is sent it again), then reconcile."""
         op = self._op
-        if op is None or op.phase != phase or group not in op.waiting:
+        if op is None or op.phase != phase or member not in op.sent or member in op.acked:
+            return  # stale or duplicate
+        if err is not None:
+            del op.sent[member]
+        else:
+            op.acked.add(member)
+            if phase == "migrating":
+                for k in MOVE_STATS:
+                    op.stats[k] += int(counts.get(k, 0))
+        self._reconcile()
+
+    def _dispatch(self, op: Operation, participants: Dict[str, Tuple[str, str]]) -> bool:
+        """Send the phase's order to every participant not yet sent this
+        one; True once every current participant acked it."""
+        for member, order in participants.items():
+            if op.sent.get(member) != order:
+                op.sent[member] = order
+                op.acked.discard(member)
+                self._order(op, member, *order)
+        return participants.keys() <= op.acked
+
+    def _order(self, op: Operation, member: str, dest: str, arg: str) -> None:
+        if op.phase == "draining":
+            self.send(dest, "transition_start", {"forward_to": arg})
+        elif op.phase == "arming":
+            # the window must not open until every authority is armed:
+            # an unreachable one is asked again
+            payload = {"gen": self.view.ring_gen + 1, "new": list(op.new_ring),
+                       "old": list(op.old_ring)}
+            self.call(dest, "reshard_begin", payload, timeout=5.0,
+                      callback=lambda resp, err: self._ack("arming", member, err))
+        elif op.phase == "migrating":
+            self.send(dest, "reshard_migrate",
+                      {"reshard": dict(self.view.reshard), "epoch": self.map.epoch})
+        else:
+            self.send(dest, "reshard_fence", {"gen": self.view.ring_gen})
+
+    def _reconcile(self) -> None:
+        """Emit the next step of the in-flight operation, if any."""
+        op = self._op
+        if op is not None and op.kind == "transition":
+            self._reconcile_transition(op)
             return
-        members = op.waiting[group]
-        members.discard(member)
-        if not members:
-            del op.waiting[group]
-            op.step(group)
+        while op is not None and self._dispatch(op, self._reshard_participants(op)):
+            if op.phase == "fencing":
+                self._finish_reshard(op)
+                return
+            if op.phase == "arming":
+                self._open_window(op)
+            else:
+                op.start_phase("fencing")
 
     # ------------------------------------------------------------------
     # transitions (§V)
@@ -410,131 +439,111 @@ class CoordinatorActor(Actor):
         if self.transition_spawner is None:
             self.respond(msg, "error", {"error": "no transition spawner configured"})
             return
-        topology = Topology(msg.payload["topology"])
-        consistency = Consistency(msg.payload["consistency"])
-        op = self._op = Operation("transition", msg, "draining")
-        op.step = lambda sid: self._flip(op, sid)
-        for shard in self.map.shards.values():
-            new_shard = self.transition_spawner(shard, topology, consistency)
-            old_controlets = shard.controlets()
-            op.flips[shard.shard_id] = (new_shard, old_controlets)
-            op.waiting[shard.shard_id] = set(old_controlets)
-            forward_to = new_shard.head.controlet
-            for c in old_controlets:
-                self.send(c, "transition_start", {"forward_to": forward_to})
+        combo = (Topology(msg.payload["topology"]), Consistency(msg.payload["consistency"]))
+        self._op = Operation("transition", msg, "draining", combo=combo,
+                             pending=dict.fromkeys(self.map.shards))
+        self._reconcile()
 
-    def _on_transition_ready(self, msg: Message) -> None:
-        self._settle("draining", msg.payload["controlet"], msg.payload["shard"])
+    def _reconcile_transition(self, op: Operation) -> None:
+        """Per shard: spawn its new service, prune the counterparts of
+        dead old replicas, order every live old member to drain and
+        forward to the new head, and flip once all of them are ready."""
+        for sid, new in list(op.pending.items()):
+            shard = self.map.shard(sid)
+            live = {r.datalet for r in shard.replicas}
+            if new is None:
+                new = op.pending[sid] = self.transition_spawner(shard, *op.combo)
+            new.replicas = [r for r in new.ordered() if r.datalet in live]
+            for pos, replica in enumerate(new.replicas):
+                replica.chain_pos = pos
+            forward_to = new.head.controlet if new.replicas else ""
+            if self._dispatch(op, {c: (c, forward_to) for c in shard.controlets()}):
+                self._flip(op, sid)
+        if not op.pending:
+            self._op = None
+            self.respond(op.requester, "transition_done", {"epoch": self.map.epoch})
 
     def _flip(self, op: Operation, sid: str) -> None:
-        """Every old controlet of ``sid`` drained: flip it to the new service."""
-        new_shard, old_controlets = op.flips.pop(sid)
+        """Every live old controlet of ``sid`` drained: flip it to the new
+        service, retire the old one (with any replacement still
+        recovering for it) and refill against the new one."""
+        new_shard = op.pending.pop(sid)
+        old = self.map.shards[sid].controlets()
         self.map.shards[sid] = new_shard
-        self.view.commit(
-            "transition-flip",
-            f"{sid}:{new_shard.topology.value}-{new_shard.consistency.value}",
-        )
+        self.view.commit("transition-flip",
+                         f"{sid}:{new_shard.topology.value}-{new_shard.consistency.value}")
         now = self.now()
         for replica in new_shard.ordered():
             self._last_seen.setdefault(replica.controlet, now)
         self._broadcast_config(new_shard)
-        for old in old_controlets:
-            self.send(old, "retire", {})
-        if not op.waiting:
-            self._op = None
-            self.respond(op.requester, "transition_done", {"epoch": self.map.epoch})
+        old += [c for c, (s, _) in self._repairs.items() if s == sid and c not in old]
+        for c in old:
+            self._repairs.pop(c, None)
+            self.send(c, "retire", {})
+        self._refill(new_shard)
 
     # ------------------------------------------------------------------
     # online resharding (double-ring cutover + live key migration)
     # ------------------------------------------------------------------
-    #
-    # Phases of a reshard operation:
-    #
-    # ``arming``     the shard-log sequencers / DLM learn the window
-    #                *before* any client or controlet does, so every
-    #                dual-routed write is dirty-tracked from the first;
-    # ``migrating``  the window is open (double ring broadcast, clients
-    #                dual-route writes / prefer-new-fallback-old reads)
-    #                while each source shard's entry pumps its moved
-    #                keys to the new-ring owners;
-    # ``fencing``    copies done: every old-ring controlet acks that it
-    #                now rejects moved-key ops, so no stale read can be
-    #                served from an old owner after the flip;
+    # Phases of a reshard, each a set of participants:
+    # ``arming``     the shard-log sequencers / DLM learn the window before
+    #                any client or controlet, so every dual-routed write
+    #                is dirty-tracked from the first;
+    # ``migrating``  the window is open (double ring broadcast) while each
+    #                source shard's head pumps its moved keys away;
+    # ``fencing``    every old-ring controlet acks that it now rejects
+    #                moved-key ops, so no stale read outlives the flip;
     # then the view commits ``reshard-commit``, a removed shard is
     # retired, and the new ring becomes the only ring.
     def _on_request_reshard(self, msg: Message) -> None:
         if not self._admit(msg, "reshard"):
             return
-        if self.partitioner != "hash":
-            self.respond(
-                msg, "error",
-                {"error": f"resharding requires hash partitioning, not {self.partitioner!r}"},
-            )
-            return
-        action = msg.payload["action"]
+        action, sid = msg.payload["action"], msg.payload.get("shard")
         new_shard: Optional[ShardInfo] = None
-        sid = msg.payload.get("shard")
-        if action == RESHARD_ADD:
-            if self.reshard_spawner is None:
-                self.respond(msg, "error", {"error": "no reshard spawner configured"})
-                return
-            new_shard = self.reshard_spawner()
-            if new_shard is None:
-                self.respond(msg, "error", {"error": "no capacity for a new shard"})
-                return
-            sid = new_shard.shard_id
         try:
+            if self.partitioner != "hash":
+                raise ConfigError(
+                    f"resharding requires hash partitioning, not {self.partitioner!r}")
+            if action == RESHARD_ADD:
+                if self.reshard_spawner is None:
+                    raise ConfigError("no reshard spawner configured")
+                ref = self.map.shard(self.map.shard_ids()[0])  # the committed combo
+                new_shard = self.reshard_spawner(ref.topology, ref.consistency)
+                if new_shard is None:
+                    raise ConfigError("no capacity for a new shard")
+                sid = new_shard.shard_id
             old_ids, new_ids = self.view.plan_reshard(action, sid)
         except ConfigError as e:
             self.respond(msg, "error", {"error": str(e)})
             return
-        op = self._op = Operation(
-            "reshard", msg, action=action, shard=sid, new_shard=new_shard,
-            old_ring=old_ids, new_ring=new_ids,
-        )
-        self._arm_authorities(op)
+        self._op = Operation("reshard", msg, "arming", action=action, shard=sid,
+                             new_shard=new_shard, old_ring=old_ids, new_ring=new_ids)
+        self._reconcile()
 
     def _reshard_authorities(self, op: Operation) -> List[str]:
         """Ordering authorities that must learn the window first: the
         DLM for AA+SC shards, each shard's log sequencer for AA+EC —
         including the incoming shard's fresh sequencer."""
-        targets: List[str] = []
         shards = list(self.map.shards.values())
         if op.new_shard is not None:
             shards.append(op.new_shard)
-        if any(
-            s.topology is Topology.AA and s.consistency is Consistency.STRONG
-            for s in shards
-        ):
-            targets.append(self.dlm)
-        for s in shards:
-            if s.topology is Topology.AA and s.consistency is Consistency.EVENTUAL:
-                targets.append(log_name(s.shard_id))
-        return targets
+        combos = [(s.topology, s.consistency) for s in shards]
+        targets = [self.dlm] if (Topology.AA, Consistency.STRONG) in combos else []
+        return targets + [log_name(s.shard_id) for s, combo in zip(shards, combos)
+                          if combo == (Topology.AA, Consistency.EVENTUAL)]
 
-    def _arm_authorities(self, op: Operation) -> None:
-        targets = self._reshard_authorities(op)
-        payload = {
-            "gen": self.view.ring_gen + 1,
-            "new": list(op.new_ring),
-            "old": list(op.old_ring),
-        }
-
-        def acked(target):
-            def cb(resp, err):
-                if err is not None:
-                    # authority unreachable mid-arm: re-ask (the window
-                    # must not open until every authority is armed)
-                    self.call(target, "reshard_begin", dict(payload),
-                              callback=acked(target), timeout=5.0)
-                    return
-                self._settle("arming", target)
-            return cb
-
-        self._enter(op, "arming", targets, lambda _: self._open_window(op))
-        for t in targets:
-            self.call(t, "reshard_begin", dict(payload),
-                      callback=acked(t), timeout=5.0)
+    def _reshard_participants(self, op: Operation) -> Dict[str, Tuple[str, str]]:
+        """The current phase's participants in the live map: the
+        authorities, each source shard's current head (sources: every
+        old shard on an add, the leaving shard on a remove), or every
+        old-ring controlet."""
+        if op.phase == "arming":
+            return {t: (t, "") for t in self._reshard_authorities(op)}
+        shards = [self.map.shards[s] for s in op.old_ring if s in self.map.shards]
+        if op.phase == "migrating":
+            return {s.shard_id: (s.head.controlet, "") for s in shards
+                    if s.replicas and (op.action == RESHARD_ADD or s.shard_id == op.shard)}
+        return {c: (c, "") for s in shards for c in s.controlets()}
 
     def _open_window(self, op: Operation) -> None:
         sid = op.shard
@@ -547,45 +556,10 @@ class CoordinatorActor(Actor):
                 self._last_seen.setdefault(r.controlet, now)
         # entry (ordering authority) per shard, for migration targets
         assert self.view.reshard is not None
-        self.view.reshard["entries"] = {
-            s.shard_id: s.head.controlet for s in self.map.shards.values()
-        }
-        # sources: shards whose owned key ranges shrink under the new
-        # ring — every old shard on an add, the leaving shard on remove
-        source_ids = list(op.old_ring) if op.action == RESHARD_ADD else [sid]
-        self._enter(op, "migrating", source_ids, lambda _: self._fence(op))
+        self.view.reshard["entries"] = {s.shard_id: s.head.controlet
+                                        for s in self.map.shards.values()}
+        op.start_phase("migrating")
         self._broadcast_all()
-        for source in sorted(source_ids):
-            shard = self.map.shard(source)
-            self.send(
-                shard.head.controlet,
-                "reshard_migrate",
-                {"reshard": dict(self.view.reshard), "epoch": self.map.epoch},
-            )
-
-    def _on_migrate_done(self, msg: Message) -> None:
-        op = self._op
-        sid = msg.payload["shard"]
-        if op is None or op.phase != "migrating" or sid not in op.waiting.get("", ()):
-            return  # stale or duplicate completion report
-        for k in MOVE_STATS:
-            op.stats[k] += int(msg.payload.get(k, 0))
-        self._settle("migrating", sid)
-
-    def _fence(self, op: Operation) -> None:
-        """Every source drained: fence the old ring before the flip, so no
-        stale client reads a moved key from an old owner afterwards."""
-        fenced: List[str] = []
-        for old_sid in op.old_ring:
-            if old_sid not in self.map.shards:
-                continue
-            for r in self.map.shard(old_sid).ordered():
-                fenced.append(r.controlet)
-                self.send(r.controlet, "reshard_fence", {"gen": self.view.ring_gen})
-        self._enter(op, "fencing", fenced, lambda _: self._finish_reshard(op))
-
-    def _on_reshard_fenced(self, msg: Message) -> None:
-        self._settle("fencing", msg.payload["controlet"])
 
     def _finish_reshard(self, op: Operation) -> None:
         for t in self._reshard_authorities(op):
@@ -601,8 +575,5 @@ class CoordinatorActor(Actor):
                     self.send(r.controlet, "retire", {})
         self._broadcast_all()
         self._op = None
-        self.respond(
-            op.requester,
-            "reshard_done",
-            {"epoch": self.map.epoch, "shard": op.shard, **op.stats},
-        )
+        self.respond(op.requester, "reshard_done",
+                     {"epoch": self.map.epoch, "shard": op.shard, **op.stats})

@@ -62,17 +62,10 @@ class StandbyCoordinator(CoordinatorActor):
     def on_start(self) -> None:
         # No sweep while following: failover authority stays with the
         # primary.  Liveness bookkeeping still runs (we receive the
-        # same controlet heartbeats the primary does).
-        now = self.now()
-        self._primary_seen = now
-        for shard in self.map.shards.values():
-            for r in shard.replicas:
-                self._last_seen.setdefault(r.controlet, now)
-        self.set_timer(
-            self.config.heartbeat_interval
-            + self.loop_phase("watch-primary", self.config.heartbeat_interval),
-            self._watch_primary,
-        )
+        # same controlet heartbeats the primary does), and promotion
+        # gives every replica a fresh grace period.
+        self._primary_seen = self.now()
+        self._arm_loop("watch-primary", self._watch_primary)
 
     def _on_sync(self, msg: Message) -> None:
         self._primary_seen = self.now()
@@ -104,9 +97,7 @@ class StandbyCoordinator(CoordinatorActor):
             for r in shard.replicas:
                 # grace period: don't declare everyone dead because our
                 # heartbeat history predates the promotion
-                self._last_seen[r.controlet] = max(
-                    self._last_seen.get(r.controlet, now), now
-                )
+                self._last_seen[r.controlet] = now
         self.set_timer(self.config.heartbeat_interval, self._sweep)
 
     # transitions/reshards before promotion would be split-brain;
@@ -120,13 +111,6 @@ class StandbyCoordinator(CoordinatorActor):
     # -- model-checker introspection ---------------------------------------
     def snapshot_state(self):
         s = super().snapshot_state()
-        hb = self.config.heartbeat_interval
-        cap = int(self.config.failure_timeout / hb) + 2
-        s.update({
-            "promoted": self.promoted,
-            # quantized like the liveness staleness in the base class
-            "primary_staleness": min(
-                int(max(0.0, self.now() - self._primary_seen) / hb), cap
-            ),
-        })
+        s.update({"promoted": self.promoted,
+                  "primary_staleness": self._ticks(self._primary_seen)})
         return s

@@ -395,8 +395,8 @@ class Deployment:
             )
         return new_shard
 
-    def _spawn_shard(self) -> Optional[ShardInfo]:
-        """Launch a whole new shard for an online reshard (shard add).
+    def _spawn_shard(self, topology: Topology, consistency: Consistency) -> Optional[ShardInfo]:
+        """Launch a whole new shard of the given combo (online shard add).
 
         Fresh hosts, fresh controlet-datalet pairs — and for AA+EC a
         fresh shared-log sequencer named by ``log_name``, as the
@@ -407,14 +407,14 @@ class Deployment:
         spec = self.spec
         i = next(self._shard_seq)
         sid = f"s{i}"
-        if spec.topology is Topology.AA and spec.consistency is Consistency.EVENTUAL:
+        if topology is Topology.AA and consistency is Consistency.EVENTUAL:
             from repro.sharedlog import SharedLogActor, log_name  # local: keep import graph flat
 
             log_id = log_name(sid)
             self.cluster.add_host(log_id, cpus=spec.host_cpus)
             self.cluster.add_actor(SharedLogActor(log_id), host=log_id)
             self.sharedlogs[sid] = log_id
-        shard = ShardInfo(sid, spec.topology, spec.consistency, [])
+        shard = ShardInfo(sid, topology, consistency, [])
         for j in range(spec.replicas):
             kind = spec.datalet_kinds[j % len(spec.datalet_kinds)]
             shard.replicas.append(

@@ -102,7 +102,7 @@ def test_register_pending_then_recovery_done_joins_as_tail():
     cluster.sim.run_until(0.5)
     assert coord.map.shard("s0").tail.controlet == "c4"
     assert coord.map.shard("s0").tail.chain_pos == 3
-    assert coord.snapshot_state()["pending_replicas"] == []
+    assert coord.snapshot_state()["recovering"] == {}
 
 
 def test_transition_without_spawner_errors():

@@ -106,6 +106,35 @@ def test_reshard_preserves_last_write(topo, cons):
     assert dep.coordinator.view.ring_gen == 2
 
 
+@pytest.mark.parametrize("pos", [0, 1], ids=["head", "mid"])
+@pytest.mark.parametrize("topo,cons", COMBOS)
+def test_reshard_completes_when_a_source_member_dies(topo, cons, pos):
+    """A source shard's head (or middle replica) dies as the add starts:
+    the migration order follows the promoted head, the fence stops
+    waiting on the dead member, and every preloaded key reads back."""
+    dep = _deploy(topo, cons)
+    client = dep.client("c1")
+
+    def proc():
+        yield client.connect()
+        for k in KEYS:
+            yield client.put(k, f"{k}.v0")
+        # let async propagation settle: an eventual master that dies
+        # holding unreplicated acked writes loses them by design
+        yield 1.0
+        fut = dep.request_reshard("add")
+        dep.kill_replica(0, pos)
+        stats = yield fut
+        yield client.connect()
+        for k in KEYS:
+            val = yield from _get_eventual(client, k)
+            assert val == f"{k}.v0", f"{k} lost: {val!r}"
+        return stats
+
+    stats = dep.sim.run_future(dep.sim.spawn(proc()), timeout=900.0)
+    assert stats["moved"] + stats["skipped"] == stats["total"]
+
+
 # ---------------------------------------------------------------------------
 # live traffic racing the migration window
 # ---------------------------------------------------------------------------
@@ -145,7 +174,7 @@ def test_writes_racing_migration_window(topo, cons):
             yield from _gone_eventual(client, k)
         return stats
 
-    stats = _run(dep, proc())
+    stats = dep.sim.run_future(dep.sim.spawn(proc()), timeout=900.0)
     assert stats["moved"] + stats["skipped"] == stats["total"]
 
 

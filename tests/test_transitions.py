@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.types import Consistency, Topology
-from repro.harness import Deployment, DeploymentSpec
+from repro.harness import CONTROLET_CLASSES, Deployment, DeploymentSpec
 
 
 def build(topology, consistency, shards=2, replicas=3):
@@ -60,6 +60,42 @@ def test_transition_flips_map_and_preserves_data(t0, c0, t1, c1):
     client2 = dep.client("c1")
     dep.sim.run_future(client2.connect())
     for i in range(0, 20, 5):
+        assert dep.sim.run_future(client2.get(f"k{i}")) == str(i)
+
+
+def run_until(dep, done, horizon):
+    """Step the simulation until ``done()`` or ``horizon`` simulated seconds pass."""
+    deadline = dep.sim.now + horizon
+    while not done() and dep.sim.now < deadline:
+        dep.sim.run_until(min(deadline, dep.sim.now + 0.5))
+    return done()
+
+
+@pytest.mark.parametrize("pos", [0, 1], ids=["head", "mid"])
+@pytest.mark.parametrize("t0,c0,t1,c1", TRANSITIONS, ids=IDS)
+def test_transition_completes_when_a_replica_died_first(t0, c0, t1, c1, pos):
+    """A replica host dies just before the request: the transition
+    spawns a counterpart on the dead host and orders the dead controlet
+    to drain.  Once the failure detector drops it, the wait and the new
+    service drop it too, the shard flips, and the refill joins the new
+    service, so the next reshard is admitted."""
+    dep, client = build(t0, c0, shards=1)
+    load(dep, client)
+    dead = dep.kill_replica(0, pos)
+    fut = dep.request_transition(t1, c1)
+    assert run_until(dep, lambda: fut.done, dep.spec.control.failure_timeout + 10.0)
+    fut.result()
+    assert dead not in {r.host for r in dep.shard(0).replicas}
+    assert run_until(dep, lambda: len(dep.shard(0).replicas) == 3, 30.0)
+    new_cls = CONTROLET_CLASSES[(t1, c1)]
+    for r in dep.shard(0).replicas:
+        assert type(dep.cluster.actor(r.controlet)) is new_cls
+    stats = dep.sim.run_future(dep.request_reshard("add"))
+    assert stats["moved"] + stats["skipped"] == stats["total"]
+    dep.sim.run_until(dep.sim.now + 2.0)  # eventual combos: let copies propagate
+    client2 = dep.client("c1")
+    dep.sim.run_future(client2.connect())
+    for i in range(20):
         assert dep.sim.run_future(client2.get(f"k{i}")) == str(i)
 
 

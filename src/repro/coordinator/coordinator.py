@@ -31,9 +31,9 @@ head; a pending new service drops the counterpart of a dead old
 replica, and if that moves its head the live old members get
 ``transition_start`` again with the new ``forward_to``; and a shard in
 mid-transition refills only once it flips, against the new service
-(replacements still recovering for the old one are retired).  Repairs
-run alongside, one ``_repairs`` entry per replacement until
-``recovery_done``.
+(replacements still recovering for the old one are retired).  Replica
+repairs run alongside, one ``_repairs`` entry per replacement
+controlet until ``recovery_done``.
 
 Spawning new actors requires constructing them inside the hosting
 runtime, so the coordinator takes three injected factories from the
@@ -61,13 +61,17 @@ __all__ = ["CoordinatorActor"]
 Spawner = Callable[[ShardInfo, str], Optional[Replica]]
 #: (shard, topology, consistency) -> new ShardInfo with fresh controlets.
 TransitionSpawner = Callable[[ShardInfo, Topology, Consistency], ShardInfo]
-#: (topology, consistency) -> a fresh shard of that combo (its pairs + a
-#: shared log when the combo needs one), or None when out of capacity.
+#: (topology, consistency) -> a fresh ShardInfo of that combo (spawned
+#: controlet/datalet pairs + shared log when the combo needs one), or
+#: None when capacity is exhausted.
 ReshardSpawner = Callable[[Topology, Consistency], Optional[ShardInfo]]
 MOVE_STATS = ("moved", "skipped", "total")  # per-source ``migrate_done`` counts
 #: ack message -> (the phase it settles, the payload field naming the participant)
-ACKS = {"transition_ready": ("draining", "controlet"), "migrate_done": ("migrating", "shard"),
-        "reshard_fenced": ("fencing", "controlet")}
+ACKS = {
+    "transition_ready": ("draining", "controlet"),
+    "migrate_done": ("migrating", "shard"),
+    "reshard_fenced": ("fencing", "controlet"),
+}
 
 
 @dataclass(eq=False)
@@ -87,13 +91,14 @@ class Operation:
     combo: Tuple[Optional[Topology], Optional[Consistency]] = (None, None)
     pending: Dict[str, Optional[ShardInfo]] = field(default_factory=dict)
     #: reshard: the planned ring change (``plan_reshard``'s old/new
-    #: members), the incoming shard on an add, and the copy totals
+    #: members), the incoming shard on an add, and each source's copy
+    #: counts (from the ``migrate_done`` counted for it)
     action: str = ""
     shard: str = ""
     new_shard: Optional[ShardInfo] = None
     old_ring: List[str] = field(default_factory=list)
     new_ring: List[str] = field(default_factory=list)
-    stats: Dict[str, int] = field(default_factory=lambda: dict.fromkeys(MOVE_STATS, 0))
+    counts: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
     def start_phase(self, phase: str) -> None:
         self.phase, self.sent, self.acked = phase, {}, set()
@@ -114,8 +119,9 @@ class CoordinatorActor(Actor):
         dlm: str = "dlm",
     ):
         super().__init__(node_id)
-        #: the epoch'd membership view; ``self.map`` aliases its shared
-        #: ClusterMap, so the harness, checker and tests see every change.
+        #: the epoch'd membership view; ``self.map`` stays an alias of
+        #: the (shared) underlying ClusterMap so the deployment harness,
+        #: model checker and tests keep observing every change.
         self.view = ClusterView(cluster_map if cluster_map is not None else ClusterMap())
         self.map = self.view.map
         self.config = config or ControlConfig()
@@ -126,11 +132,13 @@ class CoordinatorActor(Actor):
         self.dlm = dlm
         self._last_seen: Dict[str, float] = {}
         self._dead: Set[str] = set()
-        #: desired replica count per shard (recorded on start and on
-        #: standby sync): repairs refill to this level and never past it
-        #: (a promoted standby working from a stale map must not spawn a
-        #: second replacement for a death the old primary repaired).
-        self._shard_target: Dict[str, int] = {}
+        #: desired replica count per shard: repairs refill to this
+        #: level and never past it (a promoted standby working from a
+        #: stale map must not spawn a second replacement for a death
+        #: the old primary already repaired).
+        self._shard_target: Dict[str, int] = {
+            sid: len(s.replicas) for sid, s in self.map.shards.items()
+        }
         #: replacements spawned, not yet recovered: controlet -> (shard, replica)
         self._repairs: Dict[str, Tuple[str, Replica]] = {}
         #: the in-flight transition or reshard, if any
@@ -151,7 +159,10 @@ class CoordinatorActor(Actor):
         return costs.scaled("coordinator_overhead")
 
     def metrics_group(self) -> Dict[str, float]:
-        return {"failovers": self.failovers, "recovering": len(self._repairs)}
+        return {
+            "failovers": self.failovers,
+            "recovering": len(self._repairs),
+        }
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -192,9 +203,15 @@ class CoordinatorActor(Actor):
     # metadata queries
     # ------------------------------------------------------------------
     def _on_get_map(self, msg: Message) -> None:
-        self.respond(msg, "cluster_map", {"map": self.map.to_dict(),
-                                          "view": self.view.ring_info(),
-                                          "partitioner": self.partitioner})
+        self.respond(
+            msg,
+            "cluster_map",
+            {
+                "map": self.map.to_dict(),
+                "view": self.view.ring_info(),
+                "partitioner": self.partitioner,
+            },
+        )
 
     def _on_get_shard(self, msg: Message) -> None:
         sid = msg.payload["shard"]
@@ -205,8 +222,12 @@ class CoordinatorActor(Actor):
 
     def _shard_payload(self, shard: ShardInfo) -> Dict[str, object]:
         """One shard's view: what ``shard_info`` and ``config_update`` carry."""
-        return {"shard": shard.to_dict(), "epoch": self.map.epoch,
-                "ring": self.view.ring_info(), "partitioner": self.partitioner}
+        return {
+            "shard": shard.to_dict(),
+            "epoch": self.map.epoch,
+            "ring": self.view.ring_info(),
+            "partitioner": self.partitioner,
+        }
 
     # ------------------------------------------------------------------
     # liveness & failover
@@ -229,20 +250,27 @@ class CoordinatorActor(Actor):
         except ConfigError:  # stale report after repair
             return
         self._handle_failure(shard, replica)
+        self._reconcile()
         self.send(controlet, "retire", {})
 
     def _sweep(self) -> None:
-        now, timeout = self.now(), self.config.failure_timeout
+        now = self.now()
         for shard in list(self.map.shards.values()):
             for replica in shard.ordered():
-                silent = now - self._last_seen.get(replica.controlet, now)
-                if replica.controlet not in self._dead and silent > timeout:
+                c = replica.controlet
+                if c in self._dead:
+                    continue
+                seen = self._last_seen.get(c, now)
+                if now - seen > self.config.failure_timeout:
                     self._handle_failure(shard, replica)
+        # once, after every death of this tick: a flip mid-loop would
+        # leave the loop repairing a shard the map no longer holds
         self._reconcile()
         self.set_timer(self.config.heartbeat_interval, self._sweep)
 
     def _handle_failure(self, shard: ShardInfo, dead: Replica) -> None:
-        """Chain repair + leader election, then refill and reconcile."""
+        """Chain repair + leader election + replacement launch (deferred
+        while the shard is mid-transition).  The caller reconciles."""
         self.failovers += 1
         self._dead.add(dead.controlet)
         # If the dead node was itself a mid-recovery replacement
@@ -258,41 +286,54 @@ class CoordinatorActor(Actor):
         self.view.commit("failover", f"{shard.shard_id}:-{dead.controlet}")
         self._broadcast_config(shard)
         if self._op is None or shard.shard_id not in self._op.pending:
-            self._refill(shard)  # a shard mid-transition refills once it flips
-        self._reconcile()
+            self._refill(shard)
 
-    def _refill(self, shard: ShardInfo) -> None:
-        """Launch a replacement toward the deployment's target strength,
-        counting replacements already in flight: a promoted standby
-        replaying a death from a stale map (the old primary repaired it,
-        then died before syncing) must not spawn a second one."""
+    def _refill(self, shard: ShardInfo) -> bool:
+        """Launch one replacement if ``shard`` is below its target
+        strength; True if one was launched."""
+        # Refill toward the deployment's target strength, counting
+        # replacements already in flight: a promoted standby replaying a
+        # death from a stale map (the old primary repaired it, then died
+        # before syncing) must not spawn a second replacement.
         target = self._shard_target.get(shard.shard_id, len(shard.replicas) + 1)
         inflight = sum(1 for sid, _ in self._repairs.values() if sid == shard.shard_id)
-        if self.spawner is None or not shard.replicas or len(shard.replicas) + inflight >= target:
-            return
-        # Recover from the current tail (under chain replication it holds
-        # every committed write; under EC/AA any live replica will do),
-        # read BEFORE a join-first append below changes who the tail is.
-        new_replica = self.spawner(shard, shard.tail.datalet)
+        if not (
+            self.spawner is not None
+            and shard.replicas
+            and len(shard.replicas) + inflight < target
+        ):
+            return False
+        # Recover from the current tail: under chain replication the
+        # tail holds every committed write; under EC/AA any live
+        # replica is as good as another.  Capture the source BEFORE
+        # any join-first append below changes who the tail is.
+        source = shard.tail.datalet
+        new_replica = self.spawner(shard, source)
         if new_replica is None:
-            # No standby host available: the shard keeps serving with
-            # fewer replicas, but flag the exposure so clients and
-            # operators can see it.
+            # No standby host available: the shard keeps serving
+            # with fewer replicas, but flag the exposure so clients
+            # and operators can see it.
             self.map.degraded.add(shard.shard_id)
             self.view.commit("degraded", shard.shard_id)
             self._broadcast_config(shard)
-            return
+            return False
         self._repairs[new_replica.controlet] = (shard.shard_id, new_replica)
         self._last_seen[new_replica.controlet] = self.now()
-        if shard.topology is Topology.AA and shard.consistency is Consistency.STRONG:
+        if (
+            shard.topology is Topology.AA
+            and shard.consistency is Consistency.STRONG
+        ):
             # Join-first (AA strong): fan-out writers replicate to
-            # every member of the shard view, so the replacement must
-            # appear in the view *before* its state transfer starts —
-            # it buffers incoming writes while recovering.
+            # every member of the shard view, so the replacement
+            # must appear in the view *before* its state transfer
+            # starts — it buffers incoming writes while recovering.
             new_replica.chain_pos = len(shard.replicas)
             shard.replicas.append(new_replica)
-            self.view.commit("replica-join", f"{shard.shard_id}:+{new_replica.controlet}")
+            self.view.commit(
+                "replica-join", f"{shard.shard_id}:+{new_replica.controlet}"
+            )
             self._broadcast_config(shard)
+        return True
 
     def _on_recovery_done(self, msg: Message) -> None:
         controlet = msg.payload["controlet"]
@@ -324,8 +365,9 @@ class CoordinatorActor(Actor):
             self.send(replica.controlet, "config_update", dict(payload))
 
     def _broadcast_all(self) -> None:
-        """Push fresh config to every shard: ring-wide changes (reshard
-        begin/commit) re-route every controlet, not just one shard's."""
+        """Push fresh config to every shard — ring-wide changes
+        (reshard begin/commit) re-route every controlet, not just one
+        shard's."""
         for shard in self.map.shards.values():
             self._broadcast_config(shard)
 
@@ -345,13 +387,20 @@ class CoordinatorActor(Actor):
         node is overdue."""
         s = super().snapshot_state()
         op = self._op
+        staleness = {}
+        for c, seen in self._last_seen.items():
+            if c in self._dead:
+                continue
+            staleness[c] = self._ticks(seen)
         s.update({
             "epoch": self.map.epoch,
-            "shards": {sid: shard.controlets() for sid, shard in self.map.shards.items()},
+            "shards": {
+                sid: [r.controlet for r in shard.ordered()]
+                for sid, shard in self.map.shards.items()
+            },
             "degraded": sorted(self.map.degraded),
             "dead": sorted(self._dead),
-            "staleness": {c: self._ticks(seen) for c, seen in self._last_seen.items()
-                          if c not in self._dead},
+            "staleness": staleness,
             "recovering": {c: sid for c, (sid, _) in self._repairs.items()},
             "view": self.view.snapshot(),
             "op": None if op is None else [
@@ -365,28 +414,37 @@ class CoordinatorActor(Actor):
     def _admit(self, msg: Message, kind: str) -> bool:
         """The one gate: refuse any request while an operation runs."""
         op = self._op
-        if op is not None:
-            again = "already " if op.kind == kind else ""
-            self.respond(msg, "error", {"error": f"{op.kind} {again}in progress"})
-        return op is None
+        if op is None:
+            return True
+        again = "already " if op.kind == kind else ""
+        self.respond(msg, "error", {"error": f"{op.kind} {again}in progress"})
+        return False
 
     def _on_ack(self, msg: Message) -> None:
         phase, who = ACKS[msg.type]
-        self._ack(phase, msg.payload[who], counts=msg.payload)
+        self._ack(phase, msg.payload[who], msg.src, counts=msg.payload)
 
-    def _ack(self, phase: str, member: str, err=None, counts=None) -> None:
-        """The one ack path: count ``member``'s ack of its current order
-        (an unreachable member is sent it again), then reconcile."""
+    def _ack(self, phase: str, member: str, src: str, err=None, counts=None) -> None:
+        """The one ack path: count ``member``'s ack of the order it was
+        last sent, if it comes from where that order went (an
+        unreachable member is sent it again), then reconcile.
+
+        An ack does not name the order it answers: a ``transition_ready``
+        still in flight when a moved head re-sends ``transition_start``
+        counts for the new order.  That is safe: the old controlet's
+        drain is done either way, and it forwards to the new head as
+        soon as the new order lands, before the flip's retire.  A source
+        re-ordered at its new head replaces its earlier copy counts."""
         op = self._op
-        if op is None or op.phase != phase or member not in op.sent or member in op.acked:
+        if (op is None or op.phase != phase or member in op.acked
+                or op.sent.get(member, ("",))[0] != src):
             return  # stale or duplicate
         if err is not None:
             del op.sent[member]
         else:
             op.acked.add(member)
             if phase == "migrating":
-                for k in MOVE_STATS:
-                    op.stats[k] += int(counts.get(k, 0))
+                op.counts[member] = {k: int(counts.get(k, 0)) for k in MOVE_STATS}
         self._reconcile()
 
     def _dispatch(self, op: Operation, participants: Dict[str, Tuple[str, str]]) -> bool:
@@ -405,13 +463,19 @@ class CoordinatorActor(Actor):
         elif op.phase == "arming":
             # the window must not open until every authority is armed:
             # an unreachable one is asked again
-            payload = {"gen": self.view.ring_gen + 1, "new": list(op.new_ring),
-                       "old": list(op.old_ring)}
+            payload = {
+                "gen": self.view.ring_gen + 1,
+                "new": list(op.new_ring),
+                "old": list(op.old_ring),
+            }
             self.call(dest, "reshard_begin", payload, timeout=5.0,
-                      callback=lambda resp, err: self._ack("arming", member, err))
+                      callback=lambda resp, err: self._ack("arming", member, dest, err))
         elif op.phase == "migrating":
-            self.send(dest, "reshard_migrate",
-                      {"reshard": dict(self.view.reshard), "epoch": self.map.epoch})
+            self.send(
+                dest,
+                "reshard_migrate",
+                {"reshard": dict(self.view.reshard), "epoch": self.map.epoch},
+            )
         else:
             self.send(dest, "reshard_fence", {"gen": self.view.ring_gen})
 
@@ -439,8 +503,9 @@ class CoordinatorActor(Actor):
         if self.transition_spawner is None:
             self.respond(msg, "error", {"error": "no transition spawner configured"})
             return
-        combo = (Topology(msg.payload["topology"]), Consistency(msg.payload["consistency"]))
-        self._op = Operation("transition", msg, "draining", combo=combo,
+        topology = Topology(msg.payload["topology"])
+        consistency = Consistency(msg.payload["consistency"])
+        self._op = Operation("transition", msg, "draining", combo=(topology, consistency),
                              pending=dict.fromkeys(self.map.shards))
         self._reconcile()
 
@@ -448,15 +513,15 @@ class CoordinatorActor(Actor):
         """Per shard: spawn its new service, prune the counterparts of
         dead old replicas, order every live old member to drain and
         forward to the new head, and flip once all of them are ready."""
-        for sid, new in list(op.pending.items()):
+        for sid, new_shard in list(op.pending.items()):
             shard = self.map.shard(sid)
             live = {r.datalet for r in shard.replicas}
-            if new is None:
-                new = op.pending[sid] = self.transition_spawner(shard, *op.combo)
-            new.replicas = [r for r in new.ordered() if r.datalet in live]
-            for pos, replica in enumerate(new.replicas):
+            if new_shard is None:
+                new_shard = op.pending[sid] = self.transition_spawner(shard, *op.combo)
+            new_shard.replicas = [r for r in new_shard.ordered() if r.datalet in live]
+            for pos, replica in enumerate(new_shard.replicas):
                 replica.chain_pos = pos
-            forward_to = new.head.controlet if new.replicas else ""
+            forward_to = new_shard.head.controlet if new_shard.replicas else ""
             if self._dispatch(op, {c: (c, forward_to) for c in shard.controlets()}):
                 self._flip(op, sid)
         if not op.pending:
@@ -466,71 +531,95 @@ class CoordinatorActor(Actor):
     def _flip(self, op: Operation, sid: str) -> None:
         """Every live old controlet of ``sid`` drained: flip it to the new
         service, retire the old one (with any replacement still
-        recovering for it) and refill against the new one."""
+        recovering for it) and refill against the new one, one
+        replacement per death the transition deferred."""
         new_shard = op.pending.pop(sid)
-        old = self.map.shards[sid].controlets()
+        old_controlets = self.map.shards[sid].controlets()
         self.map.shards[sid] = new_shard
-        self.view.commit("transition-flip",
-                         f"{sid}:{new_shard.topology.value}-{new_shard.consistency.value}")
+        self.view.commit(
+            "transition-flip",
+            f"{sid}:{new_shard.topology.value}-{new_shard.consistency.value}",
+        )
         now = self.now()
         for replica in new_shard.ordered():
             self._last_seen.setdefault(replica.controlet, now)
         self._broadcast_config(new_shard)
-        old += [c for c, (s, _) in self._repairs.items() if s == sid and c not in old]
-        for c in old:
-            self._repairs.pop(c, None)
-            self.send(c, "retire", {})
-        self._refill(new_shard)
+        old_controlets += [c for c, (s, _) in self._repairs.items()
+                           if s == sid and c not in old_controlets]
+        for old in old_controlets:
+            self._repairs.pop(old, None)
+            self.send(old, "retire", {})
+        while self._refill(new_shard):
+            pass
 
     # ------------------------------------------------------------------
     # online resharding (double-ring cutover + live key migration)
     # ------------------------------------------------------------------
-    # Phases of a reshard, each a set of participants:
-    # ``arming``     the shard-log sequencers / DLM learn the window before
-    #                any client or controlet, so every dual-routed write
-    #                is dirty-tracked from the first;
-    # ``migrating``  the window is open (double ring broadcast) while each
-    #                source shard's head pumps its moved keys away;
-    # ``fencing``    every old-ring controlet acks that it now rejects
-    #                moved-key ops, so no stale read outlives the flip;
+    #
+    # Phases of a reshard operation, each a set of participants:
+    #
+    # ``arming``     the shard-log sequencers / DLM learn the window
+    #                *before* any client or controlet does, so every
+    #                dual-routed write is dirty-tracked from the first;
+    # ``migrating``  the window is open (double ring broadcast, clients
+    #                dual-route writes / prefer-new-fallback-old reads)
+    #                while each source shard's entry pumps its moved
+    #                keys to the new-ring owners;
+    # ``fencing``    copies done: every old-ring controlet acks that it
+    #                now rejects moved-key ops, so no stale read can be
+    #                served from an old owner after the flip;
     # then the view commits ``reshard-commit``, a removed shard is
     # retired, and the new ring becomes the only ring.
     def _on_request_reshard(self, msg: Message) -> None:
         if not self._admit(msg, "reshard"):
             return
-        action, sid = msg.payload["action"], msg.payload.get("shard")
+        if self.partitioner != "hash":
+            self.respond(
+                msg, "error",
+                {"error": f"resharding requires hash partitioning, not {self.partitioner!r}"},
+            )
+            return
+        action = msg.payload["action"]
         new_shard: Optional[ShardInfo] = None
+        sid = msg.payload.get("shard")
+        if action == RESHARD_ADD:
+            if self.reshard_spawner is None:
+                self.respond(msg, "error", {"error": "no reshard spawner configured"})
+                return
+            ref = self.map.shard(self.map.shard_ids()[0])  # the committed combo
+            new_shard = self.reshard_spawner(ref.topology, ref.consistency)
+            if new_shard is None:
+                self.respond(msg, "error", {"error": "no capacity for a new shard"})
+                return
+            sid = new_shard.shard_id
         try:
-            if self.partitioner != "hash":
-                raise ConfigError(
-                    f"resharding requires hash partitioning, not {self.partitioner!r}")
-            if action == RESHARD_ADD:
-                if self.reshard_spawner is None:
-                    raise ConfigError("no reshard spawner configured")
-                ref = self.map.shard(self.map.shard_ids()[0])  # the committed combo
-                new_shard = self.reshard_spawner(ref.topology, ref.consistency)
-                if new_shard is None:
-                    raise ConfigError("no capacity for a new shard")
-                sid = new_shard.shard_id
             old_ids, new_ids = self.view.plan_reshard(action, sid)
         except ConfigError as e:
             self.respond(msg, "error", {"error": str(e)})
             return
-        self._op = Operation("reshard", msg, "arming", action=action, shard=sid,
-                             new_shard=new_shard, old_ring=old_ids, new_ring=new_ids)
+        self._op = Operation(
+            "reshard", msg, "arming", action=action, shard=sid, new_shard=new_shard,
+            old_ring=old_ids, new_ring=new_ids,
+        )
         self._reconcile()
 
     def _reshard_authorities(self, op: Operation) -> List[str]:
         """Ordering authorities that must learn the window first: the
         DLM for AA+SC shards, each shard's log sequencer for AA+EC —
         including the incoming shard's fresh sequencer."""
+        targets: List[str] = []
         shards = list(self.map.shards.values())
         if op.new_shard is not None:
             shards.append(op.new_shard)
-        combos = [(s.topology, s.consistency) for s in shards]
-        targets = [self.dlm] if (Topology.AA, Consistency.STRONG) in combos else []
-        return targets + [log_name(s.shard_id) for s, combo in zip(shards, combos)
-                          if combo == (Topology.AA, Consistency.EVENTUAL)]
+        if any(
+            s.topology is Topology.AA and s.consistency is Consistency.STRONG
+            for s in shards
+        ):
+            targets.append(self.dlm)
+        for s in shards:
+            if s.topology is Topology.AA and s.consistency is Consistency.EVENTUAL:
+                targets.append(log_name(s.shard_id))
+        return targets
 
     def _reshard_participants(self, op: Operation) -> Dict[str, Tuple[str, str]]:
         """The current phase's participants in the live map: the
@@ -556,8 +645,9 @@ class CoordinatorActor(Actor):
                 self._last_seen.setdefault(r.controlet, now)
         # entry (ordering authority) per shard, for migration targets
         assert self.view.reshard is not None
-        self.view.reshard["entries"] = {s.shard_id: s.head.controlet
-                                        for s in self.map.shards.values()}
+        self.view.reshard["entries"] = {
+            s.shard_id: s.head.controlet for s in self.map.shards.values()
+        }
         op.start_phase("migrating")
         self._broadcast_all()
 
@@ -575,5 +665,9 @@ class CoordinatorActor(Actor):
                     self.send(r.controlet, "retire", {})
         self._broadcast_all()
         self._op = None
-        self.respond(op.requester, "reshard_done",
-                     {"epoch": self.map.epoch, "shard": op.shard, **op.stats})
+        totals = {k: sum(c[k] for c in op.counts.values()) for k in MOVE_STATS}
+        self.respond(
+            op.requester,
+            "reshard_done",
+            {"epoch": self.map.epoch, "shard": op.shard, **totals},
+        )

@@ -62,9 +62,12 @@ class StandbyCoordinator(CoordinatorActor):
     def on_start(self) -> None:
         # No sweep while following: failover authority stays with the
         # primary.  Liveness bookkeeping still runs (we receive the
-        # same controlet heartbeats the primary does), and promotion
-        # gives every replica a fresh grace period.
-        self._primary_seen = self.now()
+        # same controlet heartbeats the primary does).
+        now = self.now()
+        self._primary_seen = now
+        for shard in self.map.shards.values():
+            for r in shard.replicas:
+                self._last_seen.setdefault(r.controlet, now)
         self._arm_loop("watch-primary", self._watch_primary)
 
     def _on_sync(self, msg: Message) -> None:
@@ -97,7 +100,9 @@ class StandbyCoordinator(CoordinatorActor):
             for r in shard.replicas:
                 # grace period: don't declare everyone dead because our
                 # heartbeat history predates the promotion
-                self._last_seen[r.controlet] = now
+                self._last_seen[r.controlet] = max(
+                    self._last_seen.get(r.controlet, now), now
+                )
         self.set_timer(self.config.heartbeat_interval, self._sweep)
 
     # transitions/reshards before promotion would be split-brain;
@@ -111,6 +116,9 @@ class StandbyCoordinator(CoordinatorActor):
     # -- model-checker introspection ---------------------------------------
     def snapshot_state(self):
         s = super().snapshot_state()
-        s.update({"promoted": self.promoted,
-                  "primary_staleness": self._ticks(self._primary_seen)})
+        s.update({
+            "promoted": self.promoted,
+            # quantized like the liveness staleness in the base class
+            "primary_staleness": self._ticks(self._primary_seen),
+        })
         return s

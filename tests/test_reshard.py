@@ -131,7 +131,10 @@ def test_reshard_completes_when_a_source_member_dies(topo, cons, pos):
             assert val == f"{k}.v0", f"{k} lost: {val!r}"
         return stats
 
+    # run_future, not _run: a 900 s horizon costs ~35 s wall per AA+EC
+    # case; 30 s past the cutover still runs the refill and the retires
     stats = dep.sim.run_future(dep.sim.spawn(proc()), timeout=900.0)
+    dep.sim.run_until(dep.sim.now + 30.0)
     assert stats["moved"] + stats["skipped"] == stats["total"]
 
 
@@ -174,7 +177,7 @@ def test_writes_racing_migration_window(topo, cons):
             yield from _gone_eventual(client, k)
         return stats
 
-    stats = dep.sim.run_future(dep.sim.spawn(proc()), timeout=900.0)
+    stats = _run(dep, proc())
     assert stats["moved"] + stats["skipped"] == stats["total"]
 
 

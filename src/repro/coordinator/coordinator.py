@@ -295,8 +295,11 @@ class CoordinatorActor(Actor):
         # replacements already in flight: a promoted standby replaying a
         # death from a stale map (the old primary repaired it, then died
         # before syncing) must not spawn a second replacement.
+        # An AA+SC join-first replacement is a member already: count it once.
         target = self._shard_target.get(shard.shard_id, len(shard.replicas) + 1)
-        inflight = sum(1 for sid, _ in self._repairs.values() if sid == shard.shard_id)
+        members = {r.controlet for r in shard.replicas}
+        inflight = sum(1 for c, (sid, _) in self._repairs.items()
+                       if sid == shard.shard_id and c not in members)
         if not (
             self.spawner is not None
             and shard.replicas
@@ -305,9 +308,12 @@ class CoordinatorActor(Actor):
             return False
         # Recover from the current tail: under chain replication the
         # tail holds every committed write; under EC/AA any live
-        # replica is as good as another.  Capture the source BEFORE
-        # any join-first append below changes who the tail is.
-        source = shard.tail.datalet
+        # replica is as good as another.  A join-first replacement
+        # still recovering is no source (it may lack committed writes):
+        # take the last member that is not one.  Capture the source
+        # BEFORE any join-first append below changes who the tail is.
+        source = next((r.datalet for r in reversed(shard.ordered())
+                       if r.controlet not in self._repairs), shard.tail.datalet)
         new_replica = self.spawner(shard, source)
         if new_replica is None:
             # No standby host available: the shard keeps serving

@@ -11,10 +11,10 @@ from repro.net import SimCluster
 from repro.net.actor import Actor
 
 
-def make_coordinator(spawner=None):
+def make_coordinator(spawner=None, topology=Topology.MS):
     cmap = ClusterMap()
     cmap.shards["s0"] = ShardInfo(
-        "s0", Topology.MS, Consistency.STRONG,
+        "s0", topology, Consistency.STRONG,
         [Replica("c1", "d1", "h1", 0), Replica("c2", "d2", "h2", 1),
          Replica("c3", "d3", "h3", 2)],
     )
@@ -104,6 +104,28 @@ def test_register_pending_then_recovery_done_joins_as_tail():
     assert coord.map.shard("s0").tail.controlet == "c4"
     assert coord.map.shard("s0").tail.chain_pos == 3
     assert coord.snapshot_state()["recovering"] == {}
+
+
+def test_aa_sc_second_death_during_join_first_recovery_spawns_again():
+    """An AA+SC join-first replacement is a shard member while it
+    recovers.  A second death in that window must still spawn, and the
+    new spawn must not recover from the replacement (it may lack
+    committed writes)."""
+    spawned = []
+
+    def spawner(shard, source):
+        spawned.append(source)
+        n = len(spawned)
+        return Replica(f"r{n}", f"rd{n}", f"rh{n}", 0)
+
+    cluster, coord, port = make_coordinator(spawner, topology=Topology.AA)
+    shard = coord.map.shard("s0")
+    coord._handle_failure(shard, shard.replica_of("c3"))
+    assert shard.controlets() == ["c1", "c2", "r1"]  # joined first
+    coord._handle_failure(shard, shard.replica_of("c2"))
+    assert len(spawned) == 2
+    assert spawned[1] != "rd1"
+    assert shard.controlets() == ["c1", "r1", "r2"]
 
 
 def test_transition_without_spawner_errors():

@@ -63,11 +63,17 @@ def _gone_eventual(client, key, rounds=40):
     raise AssertionError(f"{key} never disappeared")
 
 
+#: failure timeouts of quiet simulation run after each scenario, so an
+#: actor exception after the cutover still fails the test.
+QUIET_TAIL = 3
+
+
 def _run(dep, gen, until=900.0):
-    fut = dep.sim.spawn(gen)
-    dep.sim.run(until=until)
-    assert fut.done, "scenario did not finish within the sim horizon"
-    return fut.result()
+    """Run the scenario to its end (at most ``until`` s of sim time),
+    then a short quiet tail, and return its result."""
+    result = dep.sim.run_future(dep.sim.spawn(gen), timeout=until)
+    dep.sim.run_until(dep.sim.now + QUIET_TAIL * dep.spec.control.failure_timeout)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +137,8 @@ def test_reshard_completes_when_a_source_member_dies(topo, cons, pos):
             assert val == f"{k}.v0", f"{k} lost: {val!r}"
         return stats
 
-    # run_future, not _run: a 900 s horizon costs ~35 s wall per AA+EC
-    # case; 30 s past the cutover still runs the refill and the retires
+    # not _run: its quiet tail is too short for the refill and the
+    # retires, which 30 s past the cutover still runs
     stats = dep.sim.run_future(dep.sim.spawn(proc()), timeout=900.0)
     dep.sim.run_until(dep.sim.now + 30.0)
     assert stats["moved"] + stats["skipped"] == stats["total"]

@@ -111,16 +111,6 @@ class ProtocolModel:
     def handlers(self, type: str) -> List[str]:
         return sorted({u.cls for u in self.registered.get(type, [])})
 
-    def describe(self) -> str:
-        """Per-type role table (handlers ← senders)."""
-        lines = []
-        for t in sorted(set(self.registered) | set(self.sent)):
-            handlers = ", ".join(self.handlers(t)) or "-"
-            senders = ", ".join(self.senders(t)) or "-"
-            mark = " (external)" if t in self.external else ""
-            lines.append(f"{t:22s} handlers: {handlers:40s} senders: {senders}{mark}")
-        return "\n".join(lines)
-
     def findings(self) -> List[Finding]:
         out: List[Finding] = []
         response_types = set(self.responded)

@@ -91,7 +91,7 @@ _DEDUP_GATE_ATTRS = {"_rid_done", "_rid_pending", "_rid_pos", "dup_appends"}
 #: non-actor flow machinery that still owns queues/flags.
 _FLOW_BASES = ("Controlet", "Actor")
 _EXTRA_ANALYZED = {"PipelinedClient", "SharedLog", "Pump", "Request",
-                   "ClusterView", "ReshardParticipant"}
+                   "ClusterView", "ReshardParticipant", "Recovery"}
 
 #: generic machinery exempt from the queue-discipline passes: Pump's
 #: own queue/requeue ARE the primitives the user-side rules check at

@@ -139,10 +139,9 @@ class UnsyncedAckMSStrongControlet(MSStrongControlet):
     ``CheckScenario(inject="unsynced-ack")``.
     """
 
-    def datalet_call(self, type, payload, callback=None, datalet=None):
+    def datalet_call(self, type, payload, callback=None):
         if type != "apply_batch":
-            super().datalet_call(type, payload, callback=callback,
-                                 datalet=datalet)
+            super().datalet_call(type, payload, callback=callback)
             return
         # BUG: the coalesced frame's durable apply rides a timer while a
         # forged success resumes the pump immediately, so every member

@@ -32,11 +32,13 @@ too, so the static passes stay in sync.
 
 from __future__ import annotations
 
+import ast
+import copy
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Optional, Set, Tuple
 
-from repro.analysis.source import SourceIndex
+from repro.analysis.source import Facts, SourceIndex, is_self
 
 __all__ = [
     "DATALET_ATTR",
@@ -146,23 +148,23 @@ class SummaryTable:
                 merged.handlers.setdefault(t, fp)
         return merged
 
-    def describe(self) -> str:
-        lines = []
-        for cls in sorted(self.classes):
-            summary = self.classes[cls]
-            for t in sorted(summary.handlers):
-                fp = summary.handlers[t]
-                shape = "opaque" if fp.opaque else (
-                    f"R={sorted(fp.reads - IGNORED_ATTRS)} "
-                    f"W={sorted(fp.writes - IGNORED_ATTRS)}"
-                )
-                lines.append(f"{cls}.{fp.method} [{t}]: {shape}")
-        return "\n".join(lines)
-
 
 #: methods of :class:`repro.core.pump.Pump` that run the bound
 #: issue callable synchronously (push/kick drain inline when idle).
 _PUMP_DRIVERS = {"push", "kick", "requeue_front"}
+
+
+def _as_owner(node: ast.AST) -> Optional[Facts]:
+    """Facts of a part's handler with ``self._owner.X`` read as its owner's
+    ``self.X``; None (opaque) if it touches anything else of the part."""
+    tree = copy.deepcopy(node)
+    selves = [n for n in ast.walk(tree) if isinstance(n, ast.Attribute) and is_self(n.value)]
+    through = [n for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.value in selves]
+    if any(n.attr != "_owner" for n in selves) or len(through) != len(selves):
+        return None
+    for n in through:
+        n.value = n.value.value
+    return Facts(tree)
 
 
 def _footprint(
@@ -172,28 +174,29 @@ def _footprint(
     cache: Dict[Tuple[str, str], HandlerFootprint],
     stack: Set[Tuple[str, str]],
     pumps: Dict[str, str],
+    part: Optional[str] = None,
 ) -> HandlerFootprint:
     """Transitive footprint of ``method`` resolved against ``cls``.
     ``pumps`` are the class's ``Pump(self.<issue>)`` bindings: driving
     a pump runs its issue callable (synchronously when idle), so the
-    issue's footprint belongs to the driver."""
-    key = (cls, method)
+    issue's footprint belongs to the driver; a ``part``'s is its owner's."""
+    key = (cls, method if part is None else f"{part}.{method}")
     if key in cache:
         return cache[key]
     if key in stack:  # recursion (retry loops): already accounted
         return HandlerFootprint(method=method)
-    node, _owner = index.resolve(cls, method)
+    node, _owner = index.resolve(part or cls, method)
     fp = HandlerFootprint(method=method)
-    if node is None:
-        fp.opaque = True
-        cache[key] = fp
-        return fp
     # the whole body *including* nested callback closures: their
     # accesses happen at later events, and folding them in only widens
     # the footprint (conservative in the right direction).  A mutating
     # container call ``self.attr.m(...)`` cannot be told from a pure
     # read, so it counts as both.
-    facts = index.facts(node)
+    facts = node and (index.facts(node) if part is None else _as_owner(node))
+    if facts is None:
+        fp.opaque = True
+        cache[key] = fp
+        return fp
     fp.reads |= facts.reads
     fp.writes |= facts.writes | {attr for attr, _m in facts.drives}
     # a colocated engine call executes synchronously under the checker,
@@ -245,6 +248,13 @@ def build_from_sources(sources) -> SummaryTable:
             summary.handlers[msg_type] = _footprint(
                 index, cls, method, cache, set(), pumps
             )
+        # a part built with our ``self`` registers its handlers on us
+        parts = {p for a in index.ancestry(cls) for fn in index.methods(a).values()
+                 for p in index.facts(fn).self_passed_to}
+        for reg in (r for r in index.registrations if r.cls in parts):
+            for msg_type in reg.types or ():
+                summary.handlers.setdefault(msg_type, _footprint(
+                    index, cls, reg.handler, cache, set(), pumps, reg.cls))
         table[cls] = summary
     return SummaryTable(table)
 

@@ -108,7 +108,8 @@ class ReshardParticipant(ReshardGate):
         #: one in flight (``None`` when idle).
         self._migrated = 0
         self._counts: Optional[Dict[str, int]] = None
-        self._copies = Pump(self._copy)
+        #: one key copy in flight (the owner registers it with its pumps)
+        self.copies = Pump(self._copy)
         owner.register("reshard_migrate", self._on_reshard_migrate)
         owner.register("reshard_fence", self._on_reshard_fence)
         owner.register("migrate_put", self._on_migrate_put)
@@ -182,7 +183,7 @@ class ReshardParticipant(ReshardGate):
                     if self.old_owner(k) == me]
             self._counts["total"] = len(keys)
             for key in keys:
-                self._copies.push(key)
+                self.copies.push(key)
             self._settle()
 
         owner.datalet_call("snapshot", {}, callback=have)
@@ -194,7 +195,7 @@ class ReshardParticipant(ReshardGate):
         def complete(outcome: str) -> None:
             if outcome == "retry":
                 self._counts["retries"] += 1
-                self._copies.requeue_front([key])
+                self.copies.requeue_front([key])
             else:
                 self._counts[outcome] += 1
             done()

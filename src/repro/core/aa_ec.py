@@ -45,8 +45,7 @@ class AAEventualControlet(Controlet):
         #: drained in group-commit batches by :meth:`_issue_order` with
         #: at most one sequenced batch in flight per controlet.
         self._orders = Pump(self._issue_order, cap=self.config.group_commit_max)
-        self.group_commits = 0
-        self.group_commit_ops = 0
+        self._pump("order", self._orders, "group_commit")
         #: ``(target, then)`` waiters of :meth:`_replay_to_tail`, fired
         #: by the fetch loop once the cursor reaches their target.
         self._draining: List[Tuple[int, Callable[[], None]]] = []
@@ -54,7 +53,7 @@ class AAEventualControlet(Controlet):
 
     def on_start(self) -> None:
         super().on_start()
-        if self.recovery_source is not None and not self.recovered:
+        if not self.recovered:
             return  # sync_pull installs the cursor, then replay starts
         if self._start_at_tail:
             self._fetch_initial_tail()
@@ -142,10 +141,6 @@ class AAEventualControlet(Controlet):
             if req.rid is not None:
                 entry["rid"] = req.rid
             entries.append(entry)
-        self.group_commits += 1
-        self.group_commit_ops += len(batch)
-        if self._metrics is not None:
-            self._metrics.histogram("batch.group_commit_size").observe(len(batch))
 
         def on_appended(resp: Optional[Message], err: Optional[BespoError]) -> None:
             if err is not None or resp is None or resp.type != "appended_batch":
@@ -321,17 +316,6 @@ class AAEventualControlet(Controlet):
         unreachable there is nothing more we can replay."""
         self._replay_to_tail(done, unreachable=done)
 
-    def _batch_metrics(self):
-        ops = self.group_commit_ops
-        return {
-            "group_commits": float(self.group_commits),
-            "group_commit_ops": float(ops),
-            # >1.0 means the sequencer round-trip is being amortized
-            "coalesce_ratio": (
-                ops / self.group_commits if self.group_commits else 0.0
-            ),
-        }
-
     # ------------------------------------------------------------------
     # model-checker introspection
     # ------------------------------------------------------------------
@@ -342,9 +326,5 @@ class AAEventualControlet(Controlet):
             "start_at_tail": self._start_at_tail,
             "fetch_armed": self._fetch_armed,
             "draining": bool(self._draining),
-            "apply_queue": len(self._applies.queue),
-            "apply_busy": self._applies.busy,
-            "order_queue": len(self._orders),
-            "order_busy": self._orders.busy,
         })
         return s

@@ -54,9 +54,8 @@ class AAStrongControlet(Controlet):
         if msg.payload.get("controlet") == self._relay_to:
             self._relay_to = None
 
-    def on_catchup_drain(self, msgs) -> None:
-        super().on_catchup_drain(msgs)
-        src = self.source_controlet()
+    def on_caught_up(self) -> None:
+        src = self._recovery.source_controlet()
         if src is not None:
             self.send(src, "aa_sync_complete", {"controlet": self.node_id})
 

@@ -17,14 +17,20 @@ larger: ``benchmarks/test_sec7_dev_effort.py`` counts this template and
 each controlet's delta over it in logical lines, and ratchets every
 number so it can only go down.
 
-Recovery is one handshake for every combo: a replacement sends
-``sync_pull`` to its source controlet, which arms its relay and names
-its protocol cursor (the :meth:`Controlet.sync_source` hook) before it
-snapshots; replication messages that reach the replacement meanwhile
-are parked (:meth:`Controlet._catch_up_later`) and replayed once
-:meth:`Controlet.on_sync_state` adopted the cursor.  The one-in-flight
-replicated-apply pump (``_applies``) that both EC combos feed lives
-here too.
+Recovery is one :class:`~repro.core.recovery.Recovery` (``_recovery``)
+for every combo: the replacement-recovery handshake, its source, the
+abandon flag and the catch-up park.  A combo adds only its cursor hooks
+(:meth:`Controlet.sync_source`, :meth:`Controlet.on_sync_state`) and,
+for AA+SC, the :meth:`Controlet.on_caught_up` notice.  The
+one-in-flight replicated-apply pump (``_applies``) that both EC combos
+feed lives here too.
+
+Every :class:`~repro.core.pump.Pump` a controlet drives is registered
+once (:meth:`Controlet._pump`).  The registry alone yields the pumps'
+``<name>_queue``/``<name>_busy`` fingerprint fields, the batching
+metrics (``chain_frames``, ``replicate_frames``, ``group_commits``, each
+with its ``_ops`` count, and ``coalesce_ratio``) and the
+``batch.<unit>_size`` histograms.
 
 Resharding is one :class:`~repro.cluster.gate.ReshardParticipant`
 (``_gate``), whose ring the epoch-fenced ``_install_shard`` alone
@@ -44,6 +50,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 from repro.cluster.gate import ReshardParticipant
 from repro.core.config import ControlConfig
 from repro.core.pump import Pump
+from repro.core.recovery import Recovery
 from repro.core.request import Request
 from repro.core.types import Replica, ShardInfo
 from repro.errors import BespoError
@@ -88,10 +95,9 @@ class Controlet(Actor):
         self.datalet_colocated = datalet_colocated
         self._datalet_strikes = 0
         self._datalet_reported = False
-        #: datalet to copy state from when launched as a standby
-        #: replacement (paper: "recovers the data from one of the
-        #: datalets").
-        self.recovery_source = recovery_source
+        #: replacement recovery: its source, the catch-up park, and the
+        #: ``sync_pull`` handshake (it registers the handler).
+        self._recovery = Recovery(self, recovery_source)
         self.recovered = recovery_source is None
         #: True when this controlet was re-spawned on its *old* host
         #: after a durable crash-restart (WAL recovery): it was a shard
@@ -99,14 +105,14 @@ class Controlet(Actor):
         #: for — and if the coordinator already swept us, recovery is
         #: abandoned (a replacement pair owns the slot now).
         self.rejoining = rejoin
-        self._recovery_abandoned = False
-        #: replication messages that arrived while we were still copying
-        #: state from the recovery source; drained (in arrival order)
-        #: once the snapshot is restored.  See :meth:`_recover`.
-        self._catchup: List[Message] = []
+        #: every Pump this controlet drives, by name, and the pumps of
+        #: each unit batches are reported in (:meth:`_pump`).
+        self._pumps: Dict[str, Pump] = {}
+        self._units: Dict[str, List[Pump]] = {}
         #: replicated datalet mutations, as ``(type, payload)``, waiting
         #: for the datalet in stream/log order (:meth:`_issue_apply`).
         self._applies = Pump(self._issue_apply)
+        self._pump("apply", self._applies)
         #: set once a transition replaced this controlet; all client ops
         #: are rejected with a ``retired`` error that carries the new
         #: epoch hint so clients refresh their map.
@@ -124,6 +130,7 @@ class Controlet(Actor):
         #: marks, key migration (it serves ``reshard_migrate``,
         #: ``reshard_fence`` and ``migrate_put``).
         self._gate = ReshardParticipant(self)
+        self._pump("copy", self._gate.copies)
         self.stats: Dict[str, int] = {
             "puts": 0, "gets": 0, "dels": 0, "scans": 0,
             "redirects": 0, "forwarded": 0, "errors": 0,
@@ -148,24 +155,39 @@ class Controlet(Actor):
         self.register("transition_start", self._on_transition_start)
         self.register("retire", self._on_retire)
         self.register("ctl_stats", self._on_stats)
-        self.register("sync_pull", self._on_sync_pull)
 
     # ------------------------------------------------------------------
     # metrics
     # ------------------------------------------------------------------
     def metrics_group(self) -> Dict[str, float]:
         """Live scrape source for the cluster metrics plane: the request
-        counters plus whatever batching counters the combo maintains
-        (:meth:`_batch_metrics`)."""
+        counters plus, per pump unit, its batches and their items, so
+        batching is observable without tracing."""
         out = {k: float(v) for k, v in self.stats.items()}
-        out.update(self._batch_metrics())
+        for unit, pumps in self._units.items():
+            batches = sum(p.batches for p in pumps)
+            items = sum(p.items for p in pumps)
+            out[f"{unit}s"] = float(batches)
+            out[f"{unit}_ops"] = float(items)
+            # >1.0 means the first unit's batches are coalescing
+            out.setdefault("coalesce_ratio", items / batches if batches else 0.0)
         return out
 
-    def _batch_metrics(self) -> Dict[str, float]:
-        """Combo-specific batching/coalescing counters; subclasses that
-        batch override this (group commit, chain frames, replicate
-        frames) so effectiveness is observable without tracing."""
-        return {}
+    def _pump(self, name: str, pump: Pump, unit: Optional[str] = None) -> None:
+        """Register ``pump``: its backlog joins the fingerprint as
+        ``<name>_queue``/``<name>_busy``; with a ``unit`` it also counts
+        toward ``<unit>s``/``<unit>_ops`` and feeds the
+        ``batch.<unit>_size`` histogram."""
+        self._pumps[name] = pump
+        if unit is not None:
+            self._units.setdefault(unit, []).append(pump)
+            hist = f"batch.{unit}_size"
+
+            def observe(n: int) -> None:
+                if self._metrics is not None:
+                    self._metrics.histogram(hist).observe(n)
+
+            pump.observe = observe
 
     # ------------------------------------------------------------------
     # cost accounting
@@ -181,10 +203,10 @@ class Controlet(Actor):
             # recovered-but-stale state: fence client ops until the
             # coordinator confirms we are still a shard member
             self.retired = True
-            self._confirm_membership()
+            self._recovery.confirm_membership()
         self._heartbeat(stagger=True)
-        if self.recovery_source is not None and not self.recovered:
-            self._recover()
+        if not self.recovered:
+            self._recovery.recover()
 
     def on_restart(self) -> None:
         """A crashed-and-revived controlet must *fence* itself: its role
@@ -198,41 +220,8 @@ class Controlet(Actor):
         # re-execute — but keep the completed-write cache, which is the
         # part that carries the exactly-once guarantee.
         self._rid_pending.clear()
-        self._confirm_membership()
+        self._recovery.confirm_membership()
         self.on_start()
-
-    def _confirm_membership(self, attempt: int = 0) -> None:
-        coords = [self.coordinator] + list(self.backup_coordinators)
-
-        def again() -> None:
-            self.set_timer(
-                self.config.heartbeat_interval,
-                lambda: self._confirm_membership(attempt + 1),
-            )
-
-        def on_info(resp: Optional[Message], err: Optional[BespoError]) -> None:
-            if resp is None or resp.type != "shard_info":
-                again()
-                return
-            shard = ShardInfo.from_dict(resp.payload["shard"])
-            if any(r.controlet == self.node_id for r in shard.replicas):
-                self._install_shard(shard, resp.payload)
-                self.retired = False
-                self.on_shard_changed()
-            elif self.rejoining:
-                # we came back from disk but the coordinator already
-                # swept us — a replacement pair owns the slot.  Stop
-                # recovering (armed retry timers re-check the flag and
-                # fizzle); this process stays a fenced zombie.
-                self._recovery_abandoned = True
-                self.retired = True
-            elif not self.recovered:
-                # mid-recovery replacement: not joined yet — keep
-                # polling until the coordinator adds us.
-                again()
-            # else: we were repaired out of the shard; stay fenced.
-
-        self._ask_shard_info(coords[attempt % len(coords)], on_info)
 
     def _tell_coordinators(self, type: str, payload: Dict[str, Any]) -> None:
         """Standby coordinators hear what the leader hears, so a
@@ -257,114 +246,9 @@ class Controlet(Actor):
             delay += self.loop_phase("heartbeat", delay)
         self.set_timer(delay, self._heartbeat)
 
-    def _recover(self) -> None:
-        """Hole-free state transfer, then report readiness.  A plain
-        datalet snapshot would lose every write committed between it and
-        our join, so we ``sync_pull`` the *source controlet*, which arms
-        its relay to us before it snapshots (:meth:`_on_sync_pull`);
-        what reaches us meanwhile is parked (:meth:`_catch_up_later`)
-        and replayed once :meth:`on_sync_state` adopted the cursor."""
-        src = self.source_controlet()
-        if src is None or src == self.node_id:
-            # The source was repaired out of the shard (it died while we
-            # were copying): fall back to the current head, which under
-            # every topology here holds a superset of committed state.
-            try:
-                head = self.shard.head
-            except Exception:  # noqa: BLE001 - empty shard view
-                head = None
-            if head is None or head.controlet == self.node_id:
-                # no controlet to pull from: a plain datalet snapshot
-                self._pull_state(self.recovery_source, "snapshot", {},
-                                 "snapshot", lambda state: self._recovery_done())
-                return
-            self.recovery_source, src = head.datalet, head.controlet
-
-        def restored(state: Dict[str, Any]) -> None:
-            self.on_sync_state(state)
-            self._recovery_done()
-            parked, self._catchup = self._catchup, []
-            self.on_catchup_drain(parked)
-
-        self._pull_state(
-            src, "sync_pull",
-            {"controlet": self.node_id, "datalet": self.datalet},
-            "sync_state", restored,
-        )
-
-    def _pull_state(self, target: str, pull_type: str, payload: Dict[str, Any],
-                    reply_type: str, then: Callable[[Dict[str, Any]], None]) -> None:
-        """Pull ``reply_type`` state from ``target``, restore its
-        ``data`` into our datalet, ``then(state)``; any failure retries
-        :meth:`_recover` after a beat, behind a view refresh.  Restores
-        reset, so a rejoining node's stale keys cannot resurrect deletes."""
-        if self._recovery_abandoned:
-            return
-
-        def retry() -> None:
-            self.set_timer(self.config.replication_timeout,
-                           lambda: self.refresh_shard(then=self._recover))
-
-        def on_state(resp: Optional[Message], err: Optional[BespoError]) -> None:
-            if self._recovery_abandoned:
-                return
-            if err is not None or resp is None or resp.type != reply_type:
-                retry()
-                return
-            state = dict(resp.payload)
-
-            def restored(r: Optional[Message], e: Optional[BespoError]) -> None:
-                if self._recovery_abandoned:
-                    return
-                if e is not None:
-                    retry()
-                else:
-                    then(state)
-
-            self.datalet_call(
-                "restore", {"data": state.get("data", {}), "reset": True},
-                callback=restored,
-            )
-
-        self.call(target, pull_type, payload, callback=on_state,
-                  timeout=self.config.replication_timeout * 10)
-
-    def _recovery_done(self) -> None:
-        self.recovered = True
-        self._tell_coordinators(
-            "recovery_done",
-            {"controlet": self.node_id, "shard": self.shard.shard_id},
-        )
-
     # ------------------------------------------------------------------
-    # hole-free recovery (controlet-to-controlet state transfer)
+    # recovery hooks (the handshake is :class:`~repro.core.recovery.Recovery`)
     # ------------------------------------------------------------------
-    def source_controlet(self) -> Optional[str]:
-        """Controlet owning our recovery-source datalet, per our spawn
-        -time shard view (None if the view no longer lists it)."""
-        if self.recovery_source is None:
-            return None
-        for r in self.shard.ordered():
-            if r.datalet == self.recovery_source:
-                return r.controlet
-        return None
-
-    def _on_sync_pull(self, msg: Message) -> None:
-        """Source side of :meth:`_recover`: the relay is armed and the
-        cursor taken (:meth:`sync_source`) *before* the snapshot, so
-        snapshot ∪ relay covers every write; a failed snapshot disarms."""
-        cursor, undo = self.sync_source(msg.payload["controlet"])
-
-        def with_snap(resp: Optional[Message], err: Optional[BespoError]) -> None:
-            if err is not None or resp is None or resp.type != "snapshot":
-                if undo is not None:
-                    undo()
-                self.respond(msg, "error", {"error": f"snapshot failed: {err}"})
-                return
-            self.respond(msg, "sync_state", {"data": resp.payload["data"], **cursor})
-
-        self.datalet_call("snapshot", {}, callback=with_snap)
-
     def sync_source(self, puller: str) -> Tuple[dict, Optional[Callable[[], None]]]:
         """Hook: arm any relay of later writes to ``puller``; return
         ``(cursor, undo)`` — the position the snapshot covers, and what
@@ -374,10 +258,13 @@ class Controlet(Actor):
     def on_sync_state(self, state: Dict[str, Any]) -> None:
         """Hook: adopt the protocol cursor a ``sync_state`` carries."""
 
+    def on_caught_up(self) -> None:
+        """Hook: the parked catch-up messages were replayed."""
+
     def _catch_up_later(self, msg: Message) -> None:
-        """Mid-recovery: park ``msg`` for replay after the restore (overlap
-        re-applies are idempotent), acking it if it is a request."""
-        self._catchup.append(msg)
+        """Mid-recovery: park ``msg`` for replay after the restore
+        (:meth:`Recovery.park`), acking it if it is a request."""
+        self._recovery.park(msg)
         self._ack_receipt(msg)
 
     def _ack_receipt(self, msg: Message) -> None:
@@ -394,13 +281,6 @@ class Controlet(Actor):
             # lint: allow[ack-before-durable]
             self.respond(msg, "ok")
 
-    def on_catchup_drain(self, msgs: List[Message]) -> None:
-        """Replay the parked messages (``recovered`` is True now)."""
-        for m in msgs:
-            handler = self._handlers.get(m.type)
-            if handler is not None:
-                handler(m)
-
     # ------------------------------------------------------------------
     # shard-view helpers
     # ------------------------------------------------------------------
@@ -416,37 +296,26 @@ class Controlet(Actor):
         """Every replica in the shard except this one, in chain order."""
         return [r for r in self.shard.ordered() if r.controlet != self.node_id]
 
-    def datalet_call(
-        self,
-        type: str,
-        payload: Dict[str, Any],
-        callback: Optional[Callable] = None,
-        datalet: Optional[str] = None,
-    ) -> None:
-        """RPC to a datalet (default: our own).
+    def datalet_call(self, type: str, payload: Dict[str, Any],
+                     callback: Optional[Callable] = None) -> None:
+        """RPC to our datalet.
 
-        Calls to a *colocated* own datalet skip the timeout timer: the
+        A call to a *colocated* datalet skips the timeout timer: the
         pair shares a host, so the only way our datalet stops answering
-        is the host dying — taking us with it.  Remote datalet calls
-        (split placement, AA+SC fan-out writes, recovery snapshots) keep
-        the timeout; repeated timeouts against our own remote datalet
-        are reported to the coordinator as a ``datalet_failed`` event.
+        is the host dying — taking us with it.  Under split placement
+        the call keeps the timeout, and repeated timeouts are reported
+        to the coordinator as a ``datalet_failed`` event.
         """
-        target = datalet or self.datalet
-        own = target == self.datalet
-        if callback is not None and own and self.datalet_colocated:
-            self.call(target, type, payload, callback=callback, timeout=None)
-            return
-        if own and not self.datalet_colocated and callback is not None:
+        timeout = None
+        if callback is not None and not self.datalet_colocated:
             inner = callback
 
             def watching(resp, err):
                 self._note_datalet_result(err)
                 inner(resp, err)
 
-            callback = watching
-        timeout = self.config.replication_timeout if callback is not None else None
-        self.call(target, type, payload, callback=callback, timeout=timeout)
+            callback, timeout = watching, self.config.replication_timeout
+        self.call(self.datalet, type, payload, callback=callback, timeout=timeout)
 
     def _issue_apply(self, item: Tuple[str, dict], done: Callable[[], None]) -> None:
         """One replicated mutation in flight to the datalet: on the
@@ -835,12 +704,15 @@ class Controlet(Actor):
             "epoch": self._config_epoch,
             "recovered": self.recovered,
             "retired": self.retired,
-            "catchup": len(self._catchup),
+            "catchup": len(self._recovery.catchup),
             "forward_writes_to": self.forward_writes_to,
             "ring_gen": self._gate.gen,
             "reshard_window": self._gate.window is not None,
             "fenced_gen": self._gate.fenced,
         })
+        for name, pump in self._pumps.items():
+            s[f"{name}_queue"] = len(pump)
+            s[f"{name}_busy"] = pump.busy
         return s
 
 
@@ -868,6 +740,7 @@ class MasterSlaveControlet(Controlet):
         #: acceptance order (:meth:`_issue_accept`).
         self._accepts = Pump(self._issue_accept,
                              cap=getattr(self.config, self.accept_cap))
+        self._pump("accept", self._accepts)
 
     def _accept_write(self, msg: Message, op: str) -> None:
         if not self.is_head:
@@ -887,17 +760,16 @@ class MasterSlaveControlet(Controlet):
                 self.stats["errors"] += len(batch)
                 for req in batch:
                     req.fail(f"local datalet write failed: {err}")
-                done()
-                return
-            results = resp.payload.get("results") or ["ok"] * len(batch)
-            for req, status in zip(batch, results):
-                if status != "ok":
-                    # e.g. delete of a missing key: nothing applied, so
-                    # nothing replicates for this member.
-                    req.finish("error", {"error": status,
-                                         "key": req.msg.payload["key"]})
-                else:
-                    self._forward_down(req)
+            else:
+                results = resp.payload.get("results") or ["ok"] * len(batch)
+                for req, status in zip(batch, results):
+                    if status != "ok":
+                        # e.g. delete of a missing key: nothing applied,
+                        # so nothing replicates for this member.
+                        req.finish("error", {"error": status,
+                                             "key": req.msg.payload["key"]})
+                    else:
+                        self._forward_down(req)
             done()
 
         self.datalet_call("apply_batch", {"ops": ops, "want_results": True},

@@ -36,6 +36,15 @@ __all__ = ["AsyncPropagator", "MSEventualControlet"]
 RETAIN_LIMIT = 8192
 
 
+class _Frame(list):
+    """The ops of one queued ``replicate`` frame, numbered on from
+    ``start_seq``; its pump counts it as its ops."""
+
+    def __init__(self, start_seq: int, ops: List[dict]):
+        super().__init__(ops)
+        self.start_seq = start_seq
+
+
 class AsyncPropagator(Controlet):
     """Master side of asynchronous propagation: a backlog flushed in
     sequence-numbered batches, one coalesced ``replicate`` frame in
@@ -65,11 +74,11 @@ class AsyncPropagator(Controlet):
         self.resends_served = 0
         self.snapshot_syncs_served = 0
         #: one replicate frame in flight per target link (lazily built in
-        #: :meth:`_peer_pump`); each pump queues the ``[start_seq, ops]``
-        #: frames awaiting the link (:meth:`_queue_replicate`).
+        #: :meth:`_peer_pump`); each pump queues the :class:`_Frame`\ s
+        #: awaiting the link (:meth:`_queue_replicate`).
         self._peer_pumps: Dict[str, Pump] = {}
-        self.replicate_frames = 0
-        self.replicate_frame_ops = 0
+        # a slave reports its (zero) replicate frames too
+        self._units["replicate_frame"] = []
         self.register("resend_request", self._on_resend_request)
 
     def propagation_targets(self) -> List[str]:
@@ -124,17 +133,17 @@ class AsyncPropagator(Controlet):
         copies = [dict(op) for op in ops]
         while copies:
             tail = pump.queue[-1] if pump.queue else None
-            if (tail is not None and len(tail[1]) < cap
-                    and tail[0] + len(tail[1]) == start_seq):
-                take = copies[:cap - len(tail[1])]
-                tail[1].extend(take)
+            if (tail is not None and len(tail) < cap
+                    and tail.start_seq + len(tail) == start_seq):
+                take = copies[:cap - len(tail)]
+                tail.extend(take)
             else:
                 # a new frame: the link is idle, the buffered tail is
                 # full, or it is non-contiguous (the peer missed a flush
                 # while absent from the view) and merging would make
                 # the frame's start_seq a lie.
                 take = copies[:cap]
-                pump.push([start_seq, take])
+                pump.push(_Frame(start_seq, take))
             start_seq += len(take)
             del copies[:len(take)]
 
@@ -142,7 +151,7 @@ class AsyncPropagator(Controlet):
         pump = self._peer_pumps.get(peer_id)
         if pump is None:
 
-            def issue(frame: list, done: Callable[[], None]) -> None:
+            def issue(frame: _Frame, done: Callable[[], None]) -> None:
                 # At most one replicate frame in flight per peer link.
                 # The ack is pure flow control — a lost or timed-out
                 # frame is *not* retried here, because the slave's
@@ -151,13 +160,6 @@ class AsyncPropagator(Controlet):
                 # buys is coalescing (everything flushed while the link
                 # is busy rides the next frame) and in-order frame
                 # arrival on the fabric.
-                start_seq, ops = frame
-                self.replicate_frames += 1
-                self.replicate_frame_ops += len(ops)
-                if self._metrics is not None:
-                    self._metrics.histogram(
-                        "batch.replicate_frame_size").observe(len(ops))
-
                 def acked(resp: Optional[Message],
                           err: Optional[BespoError]) -> None:
                     done()
@@ -165,12 +167,12 @@ class AsyncPropagator(Controlet):
                 self.call(peer_id, "replicate", {
                     "master": self.node_id,
                     "stream": self._stream_id,
-                    "start_seq": start_seq,
-                    "ops": ops,
+                    "start_seq": frame.start_seq,
+                    "ops": list(frame),
                 }, callback=acked, timeout=self.config.replication_timeout)
 
-            pump = Pump(issue)
-            self._peer_pumps[peer_id] = pump
+            pump = self._peer_pumps[peer_id] = Pump(issue)
+            self._pump(f"replicate.{peer_id}", pump, "replicate_frame")
         return pump
 
     def _on_resend_request(self, msg: Message) -> None:
@@ -224,7 +226,6 @@ class MSEventualControlet(AsyncPropagator, MasterSlaveControlet):
             # slave can supply, so a peer pull (which reset-restores)
             # would silently drop durable acks.  Recover from local
             # state alone; slaves resync against the fresh incarnation.
-            self.recovery_source = None
             self.recovered = True
             # seq 0 is never assigned/retained: a slave resyncing the
             # new incarnation from 0 misses the retained window and
@@ -447,17 +448,6 @@ class MSEventualControlet(AsyncPropagator, MasterSlaveControlet):
         # allow the final batch one network round before declaring ready
         self.set_timer(self.config.replication_timeout, done)
 
-    def _batch_metrics(self):
-        ops = self.replicate_frame_ops
-        return {
-            "replicate_frames": float(self.replicate_frames),
-            "replicate_frame_ops": float(ops),
-            # >1.0 means per-peer replicate fan-out is coalescing
-            "coalesce_ratio": (
-                ops / self.replicate_frames if self.replicate_frames else 0.0
-            ),
-        }
-
     # ------------------------------------------------------------------
     # model-checker introspection
     # ------------------------------------------------------------------
@@ -465,21 +455,11 @@ class MSEventualControlet(AsyncPropagator, MasterSlaveControlet):
         s = super().snapshot_state()
         s.update({
             "seq": self._seq,
-            "accept_queue": len(self._accepts),
-            "accept_busy": self._accepts.busy,
             "backlog": [list(entry) for entry in self._backlog],
             "retained_window": [
                 self._retained[0][0], self._retained[-1][0]
             ] if self._retained else None,
             "stream": list(self._stream),
             "repair_pending": self._repair_pending,
-            "apply_queue": len(self._applies.queue),
-            "apply_busy": self._applies.busy,
-            "peer_pending": {
-                p: sum(len(ops) for _seq, ops in pump.queue)
-                for p, pump in sorted(self._peer_pumps.items()) if pump.queue
-            },
-            "peer_busy": sorted(
-                p for p, pump in self._peer_pumps.items() if pump.busy),
         })
         return s

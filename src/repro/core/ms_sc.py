@@ -51,13 +51,13 @@ class MSStrongControlet(MasterSlaveControlet):
         #: drained in coalesced ``chain_put_batch`` frames with at most
         #: one frame in flight per link (:meth:`_issue_down`).
         self._down = Pump(self._issue_down, cap=self.config.chain_batch_max)
+        self._pump("down", self._down, "chain_frame")
         self._down_retries = 0
         #: inbound frames serialized FIFO (:meth:`_issue_frame`): a
         #: frame's members finish before the next frame is examined, so
         #: a duplicate frame only ever observes completed originals.
         self._frames = Pump(self._issue_frame)
-        self.chain_frames = 0
-        self.chain_frame_ops = 0
+        self._pump("frame", self._frames)
         self.register("chain_put_batch", self._on_chain_put_batch)
 
     # ------------------------------------------------------------------
@@ -227,10 +227,6 @@ class MSStrongControlet(MasterSlaveControlet):
         if succ_id is None:  # we are the tail: commit point reached
             settle(None)
             return
-        self.chain_frames += 1
-        self.chain_frame_ops += len(batch)
-        if self._metrics is not None:
-            self._metrics.histogram("batch.chain_frame_size").observe(len(batch))
 
         def on_ack(resp: Optional[Message], err: Optional[BespoError]) -> None:
             if err is None and resp is not None:
@@ -285,27 +281,10 @@ class MSStrongControlet(MasterSlaveControlet):
             return
         super().handle_scan(msg)
 
-    def _batch_metrics(self):
-        ops = self.chain_frame_ops
-        return {
-            "chain_frames": float(self.chain_frames),
-            "chain_frame_ops": float(ops),
-            # >1.0 means adjacent chain writes are coalescing per link
-            "coalesce_ratio": (
-                ops / self.chain_frames if self.chain_frames else 0.0
-            ),
-        }
-
     # ------------------------------------------------------------------
     # model-checker introspection
     # ------------------------------------------------------------------
     def snapshot_state(self):
         s = super().snapshot_state()
         s["sync_successor"] = self._sync_successor
-        s["accept_queue"] = len(self._accepts)
-        s["accept_busy"] = self._accepts.busy
-        s["down_queue"] = len(self._down)
-        s["down_busy"] = self._down.busy
-        s["frame_queue"] = len(self._frames)
-        s["frame_busy"] = self._frames.busy
         return s

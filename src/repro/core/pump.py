@@ -28,9 +28,14 @@ class Pump:
     up to N oldest items (FIFO) instead of a single item — the shape of
     every batch/frame drain (one ``apply_batch``, one chain frame, one
     sequencer group commit in flight).
+
+    A pump reports itself: ``batches`` and ``items`` count what it
+    issued (a retried batch counts again), and ``observe``, when set,
+    sees each batch's size.  An item that is itself a list (a frame
+    built before it was queued) counts as its members.
     """
 
-    __slots__ = ("issue", "cap", "queue", "busy")
+    __slots__ = ("issue", "cap", "queue", "busy", "batches", "items", "observe")
 
     def __init__(self, issue: Callable[[Any, Callable[[], None]], None],
                  cap: Optional[int] = None):
@@ -38,9 +43,13 @@ class Pump:
         self.cap = cap
         self.queue: List[Any] = []
         self.busy = False
+        self.batches = 0
+        self.items = 0
+        self.observe: Optional[Callable[[int], None]] = None
 
     def __len__(self) -> int:
-        return len(self.queue)
+        """Queued items, a queued frame counted as its members."""
+        return sum(len(x) if isinstance(x, list) else 1 for x in self.queue)
 
     def push(self, item: Any) -> None:
         """Queue one item and start draining if idle."""
@@ -60,9 +69,15 @@ class Pump:
         self.busy = True
         if self.cap is None:
             item = self.queue.pop(0)
+            n = len(item) if isinstance(item, list) else 1
         else:
             item = self.queue[:self.cap]
             del self.queue[:self.cap]
+            n = len(item)
+        self.batches += 1
+        self.items += n
+        if self.observe is not None:
+            self.observe(n)
 
         def done() -> None:
             self.busy = False

@@ -289,9 +289,9 @@ def test_batch_size_one_disables_coalescing():
     futs = [pipe.put(f"k{i}", "v") for i in range(20)]
     dep.sim.run_future(dep.sim.gather(futs), timeout=120.0)
     pipe.stop()
-    head = dep.cluster.actor("c0.0")
-    assert head.chain_frames == head.chain_frame_ops  # 1 op per frame
-    assert head.chain_frames >= 20
+    head = dep.cluster.actor("c0.0").metrics_group()
+    assert head["chain_frames"] == head["chain_frame_ops"]  # 1 op per frame
+    assert head["chain_frames"] >= 20
 
 # ---------------------------------------------------------------------------
 # AIMD window reacts to RPC timeouts (which never reach the histograms)

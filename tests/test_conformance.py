@@ -4,6 +4,7 @@ import textwrap
 
 from repro.analysis import check_sources, check_tree, package_root
 from repro.analysis.source import SourceIndex
+from repro.analysis.summaries import build_summaries
 
 TOY = textwrap.dedent(
     """
@@ -124,16 +125,20 @@ def test_real_tree_has_no_unsuppressed_errors():
 def test_real_tree_resolves_known_protocol_types():
     m = check_tree(package_root())
     index = SourceIndex.from_root(package_root())
-    # one recovery handshake: every combo inherits the sync_pull send
-    # (a constant forwarded through _pull_state's pull_type) and its
-    # handler from the template
+    # one recovery handshake: the Recovery part every combo's template
+    # builds sends sync_pull (a constant forwarded through _pull_state's
+    # pull_type) and registers its handler on its owner
+    assert "Recovery" in m.senders("sync_pull")
+    assert "Recovery" in m.handlers("sync_pull")
+    assert index.handlers("Recovery")["sync_pull"] == "_on_sync_pull"
+    # ... and the handler summaries read it as each combo's own
+    table = build_summaries()
     for combo in ("MSStrongControlet", "MSEventualControlet",
                   "AAStrongControlet", "AAEventualControlet",
                   "AAMSHybridControlet"):
-        chain = set(index.ancestry(combo))
-        assert chain & set(m.senders("sync_pull")), combo
-        assert chain & set(m.handlers("sync_pull")), combo
-        assert index.handlers(combo)["sync_pull"] == "_on_sync_pull", combo
+        fp = table.classes[combo].footprint("sync_pull")
+        assert fp.method == "_on_sync_pull" and not fp.opaque, combo
+        assert "sync_source" in fp.reads, combo
     # client scan reaches the range controlet
     assert "KVClient" in m.senders("get_range")
     assert "RangeQueryControlet" in m.handlers("get_range")

@@ -38,7 +38,7 @@ class NodeContext(Protocol):
 
     def transmit(self, msg: Message) -> None: ...
 
-    def set_timer(self, delay: float, fn: Callable[[], None]) -> Any: ...
+    def set_timer(self, delay: float, fn: Callable[..., None], *args: Any) -> Any: ...
 
     def now(self) -> float: ...
 
@@ -104,6 +104,9 @@ class Actor:
     # ------------------------------------------------------------------
     def attach(self, ctx: NodeContext) -> None:
         self._ctx = ctx
+        # sends call the transport directly, shadowing the method below
+        # that refuses to send while unattached
+        self._transmit = ctx.transmit  # type: ignore[method-assign]
 
     def on_start(self) -> None:
         """Hook: the node joined the cluster and may send messages."""
@@ -174,7 +177,9 @@ class Actor:
                 msg.ctx = ctx.child(span.span_id)
             timer = None
             if timeout is not None:
-                timer = self.set_timer(timeout, lambda: self._expire(msg.msg_id, dst, type))
+                if self._ctx is None:
+                    raise BespoError(f"actor {self.node_id} not attached to a transport")
+                timer = self._ctx.set_timer(timeout, self._expire, msg.msg_id, dst, type)
             self._pending[msg.msg_id] = _Pending(callback, timer, ctx, span)
         self._transmit(msg)
         return msg
@@ -196,6 +201,10 @@ class Actor:
         self._transmit(fwd)
 
     def _expire(self, msg_id: int, dst: str, type: str) -> None:
+        """An RPC timeout fires: fail the call, unless it was answered
+        or this node died first (a dead node runs no timer callback)."""
+        if not self.alive:
+            return
         pending = self._pending.pop(msg_id, None)
         if pending is None:
             return
@@ -305,14 +314,15 @@ class Actor:
     # ------------------------------------------------------------------
     # time
     # ------------------------------------------------------------------
-    def set_timer(self, delay: float, fn: Callable[[], None]) -> Any:
-        """Run ``fn`` after ``delay`` seconds unless the node dies first."""
+    def set_timer(self, delay: float, fn: Callable[..., None], *args: Any) -> Any:
+        """Run ``fn(*args)`` after ``delay`` seconds unless the node dies
+        first."""
         if self._ctx is None:
             raise BespoError(f"actor {self.node_id} not attached to a transport")
 
         def guarded() -> None:
             if self.alive:
-                fn()
+                fn(*args)
 
         # surfaced in race-detector reports (see simnet._NodeCtx.set_timer)
         guarded.timer_label = getattr(fn, "__qualname__", "timer")  # type: ignore[attr-defined]

@@ -52,28 +52,29 @@ class _Host:
 class _NodeCtx:
     """Per-actor runtime services bound to one cluster."""
 
-    __slots__ = ("node_id", "_cluster")
+    __slots__ = ("node_id", "_cluster", "transmit")
 
     def __init__(self, node_id: str, cluster: "SimCluster"):
         self.node_id = node_id
         self._cluster = cluster
+        #: the cluster's ``route``, bound once: an actor's send reaches
+        #: it with no frame in between (see :meth:`Actor.attach`)
+        self.transmit: Callable[[Message], None] = cluster.route
 
-    def transmit(self, msg: Message) -> None:
-        self._cluster.route(msg)
-
-    def set_timer(self, delay: float, fn: Callable[[], None]) -> Any:
+    def set_timer(self, delay: float, fn: Callable[..., None], *args: Any) -> Any:
         tracer = self._cluster.race_tracer
         if tracer is None:
-            return self._cluster.sim.call_later(delay, fn)
+            return self._cluster.sim.call_later(delay, fn, *args)
         node_id = self.node_id
-        label = f"timer:{getattr(fn, 'timer_label', 'fn')}"
+        name = getattr(fn, "timer_label", None) or getattr(fn, "__qualname__", "fn")
+        label = f"timer:{name}"
 
         def traced() -> None:
             tracer.record_access(node_id, label)
-            fn()
+            fn(*args)
 
         # keep the label visible to kernel introspection (armed_events)
-        traced.timer_label = getattr(fn, "timer_label", "fn")  # type: ignore[attr-defined]
+        traced.timer_label = name  # type: ignore[attr-defined]
         return self._cluster.sim.call_later(delay, traced)
 
     def now(self) -> float:
@@ -337,7 +338,9 @@ class SimCluster:
             dst_actor.deliver(msg)
             return
         costs = self.costs
-        demand = costs.msg_cost(dpdk=host.dpdk) + dst_actor.service_demand(msg, costs)
+        # the per-message stack cost, CostModel.msg_cost inline
+        demand = ((costs.dpdk_msg_cost if host.dpdk else costs.socket_msg_cost)
+                  * costs.cpu_scale + dst_actor.service_demand(msg, costs))
         if net_span is not None:
             # receiver-side dispatch: CPU queueing + service time before
             # the handler runs (the "controlet dispatch" / "datalet

@@ -60,12 +60,14 @@ class TimerHandle:
     returns for it: the kernel runs ``fn(*args)`` at :attr:`when` unless
     :meth:`cancel` was called first.
 
-    The heap stores ``(time, seq, handle)`` tuples so ordering is decided
-    by C-level tuple comparison — ``seq`` is unique, so the comparison
-    never falls through to the handle.  (An earlier design gave the
-    event a Python ``__lt__`` and heaped the objects directly; at
+    The heap stores ``(time, seq, None, handle)`` tuples so ordering is
+    decided by C-level tuple comparison — ``seq`` is unique, so the
+    comparison never falls through to the rest.  (An earlier design gave
+    the event a Python ``__lt__`` and heaped the objects directly; at
     saturation that one method dominated kernel profiles.)  Carrying
     ``args`` on the event means scheduling a call allocates no closure.
+    Callbacks that are never cancelled skip the handle altogether: see
+    :meth:`Simulator.post`.
     """
 
     __slots__ = ("when", "seq", "fn", "args", "cancelled")
@@ -116,10 +118,10 @@ class SimFuture:
         return self._exception
 
     def set_result(self, value: Any = None) -> None:
-        self._finish(result=value)
+        self._finish(value, None)
 
     def set_exception(self, exc: BaseException) -> None:
-        self._finish(exception=exc)
+        self._finish(None, exc)
 
     def _finish(self, result: Any = None, exception: Optional[BaseException] = None) -> None:
         if self._done:
@@ -161,7 +163,9 @@ class Simulator:
         if tie_break not in ("fifo", "lifo"):
             raise SimulationError(f"tie_break must be 'fifo' or 'lifo', got {tie_break!r}")
         self._now = 0.0
-        self._heap: list[tuple[float, int, TimerHandle]] = []
+        #: ``(when, seq, fn, args)`` for a posted callback, ``(when, seq,
+        #: None, handle)`` for a cancellable ``call_later`` timer
+        self._heap: list[tuple] = []
         # "lifo" counts the insertion sequence down (-1, -2, ...) so
         # simultaneous events pop in reverse order — a legal-but-different
         # schedule used by the race detector's perturbation re-runs.
@@ -205,8 +209,23 @@ class Simulator:
         when = self._now + delay
         seq = next(self._seq)
         ev = TimerHandle(when, seq, fn, args)
-        heappush(self._heap, (when, seq, ev))
+        heappush(self._heap, (when, seq, None, ev))
         return ev
+
+    def post(self, delay: float, fn: Callable[..., None], args: tuple = ()) -> None:
+        """Schedule ``fn(*args)`` after ``delay`` virtual seconds, with no
+        handle: for callbacks that are never cancelled (a message in
+        flight, a CPU job in service).  It takes the same sequence number
+        a :meth:`call_later` would, so the schedule is the same either
+        way.  With a tracer attached it *is* a :meth:`call_later`, so
+        whatever observes ``call_later`` sees every callback."""
+        if self.tracer is not None:
+            self.call_later(delay, fn, *args)
+            return
+        if delay < 0:
+            raise SimulationError(f"negative delay: {delay}")
+        when = self._now + delay
+        heappush(self._heap, (when, next(self._seq), fn, args))
 
     def call_at(self, when: float, fn: Callable[..., None], *args: Any) -> TimerHandle:
         """Schedule ``fn(*args)`` at absolute virtual time ``when``."""
@@ -234,7 +253,7 @@ class Simulator:
           is sent back into the generator (exceptions are thrown in).
         """
         done = self.create_future()
-        self.call_soon(self._step, gen, None, None, done)
+        self.post(0.0, self._step, (gen, None, None, done))
         return done
 
     def _step(
@@ -258,21 +277,21 @@ class Simulator:
 
         if isinstance(yielded, SimFuture):
             def resume(fut: SimFuture, _gen=gen, _done=done) -> None:
-                err = fut.exception()
+                err = fut._exception
                 if err is not None:
                     self._step(_gen, None, err, _done)
                 else:
                     self._step(_gen, fut._result, None, _done)
 
-            if yielded.done:
+            if yielded._done:
                 # Yielding an already-resolved future must not resume
                 # inline: a process looping over completed futures would
                 # otherwise recurse one stack frame per iteration.
-                self.call_soon(resume, yielded)
+                self.post(0.0, resume, (yielded,))
             else:
-                yielded.add_done_callback(resume)
+                yielded._callbacks.append(resume)
         elif isinstance(yielded, (int, float)):
-            self.call_later(float(yielded), self._step, gen, None, None, done)
+            self.post(float(yielded), self._step, (gen, None, None, done))
         else:
             self._step(
                 gen, None, SimulationError(f"process yielded {type(yielded).__name__}"), done
@@ -307,27 +326,29 @@ class Simulator:
     def sleep(self, delay: float) -> SimFuture:
         """Future that resolves after ``delay`` seconds (for process code)."""
         fut = self.create_future()
-        self.call_later(delay, fut.set_result, None)
+        self.post(delay, fut.set_result, (None,))
         return fut
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def _execute(self, ev: TimerHandle) -> None:
+    def _traced(self, when: float, seq: int, fn: Callable[..., None], args: tuple) -> None:
         tracer = self.tracer
-        if tracer is None:
-            ev.fn(*ev.args)
-        else:
-            tracer.begin_event(ev.when, ev.seq)
-            try:
-                ev.fn(*ev.args)
-            finally:
-                tracer.end_event()
-        self.events_processed += 1
+        tracer.begin_event(when, seq)
+        try:
+            fn(*args)
+        finally:
+            tracer.end_event()
 
     def stop(self) -> None:
         """Make the current :meth:`run`/:meth:`run_until` return."""
         self._stopped = True
+
+    # step_one and the three run loops share one body, written out in
+    # each so an event costs no call beyond its own callback: pop the
+    # earliest entry, unwrap a timer's handle (skipping it if cancelled),
+    # advance the clock, run the callback (inside the tracer's begin/end
+    # when one is attached) and count it.
 
     def step_one(self) -> Optional[float]:
         """Execute exactly the earliest pending event (skipping cancelled
@@ -336,13 +357,20 @@ class Simulator:
         timers fire one at a time, in deterministic deadline order, so
         the explorer controls how far the clock moves between message
         deliveries."""
-        while self._heap:
-            ev = heappop(self._heap)[2]
-            if ev.cancelled:
-                continue
-            self._now = ev.when
-            self._execute(ev)
-            return ev.when
+        heap = self._heap
+        while heap:
+            when, seq, fn, args = heappop(heap)
+            if fn is None:
+                if args.cancelled:
+                    continue
+                fn, args = args.fn, args.args
+            self._now = when
+            if self.tracer is None:
+                fn(*args)
+            else:
+                self._traced(when, seq, fn, args)
+            self.events_processed += 1
+            return when
         return None
 
     def armed_events(self) -> list[tuple[float, str]]:
@@ -352,13 +380,15 @@ class Simulator:
         ``__qualname__`` (never by its arguments), which is what makes
         two runs' timer sets comparable."""
         out = []
-        for _t, _s, ev in sorted(self._heap):
-            if ev.cancelled:
-                continue
-            label = getattr(ev.fn, "timer_label", None) or getattr(
-                ev.fn, "__qualname__", type(ev.fn).__name__
+        for when, _seq, fn, args in sorted(self._heap):
+            if fn is None:
+                if args.cancelled:
+                    continue
+                fn = args.fn
+            label = getattr(fn, "timer_label", None) or getattr(
+                fn, "__qualname__", type(fn).__name__
             )
-            out.append((ev.when, str(label)))
+            out.append((when, str(label)))
         return out
 
     def run_until(self, deadline: float) -> None:
@@ -370,15 +400,20 @@ class Simulator:
         self._stopped = False
         heap = self._heap
         pop = heappop
-        execute = self._execute
         while heap and not self._stopped:
             if heap[0][0] > deadline:
                 break
-            ev = pop(heap)[2]
-            if ev.cancelled:
-                continue
-            self._now = ev.when
-            execute(ev)
+            when, seq, fn, args = pop(heap)
+            if fn is None:
+                if args.cancelled:
+                    continue
+                fn, args = args.fn, args.args
+            self._now = when
+            if self.tracer is None:
+                fn(*args)
+            else:
+                self._traced(when, seq, fn, args)
+            self.events_processed += 1
         if not self._stopped:
             self._now = max(self._now, deadline)
 
@@ -390,13 +425,18 @@ class Simulator:
         self._stopped = False
         heap = self._heap
         pop = heappop
-        execute = self._execute
         while heap and not self._stopped:
-            ev = pop(heap)[2]
-            if ev.cancelled:
-                continue
-            self._now = ev.when
-            execute(ev)
+            when, seq, fn, args = pop(heap)
+            if fn is None:
+                if args.cancelled:
+                    continue
+                fn, args = args.fn, args.args
+            self._now = when
+            if self.tracer is None:
+                fn(*args)
+            else:
+                self._traced(when, seq, fn, args)
+            self.events_processed += 1
 
     def run_future(self, fut: SimFuture, timeout: Optional[float] = None) -> Any:
         """Drive the simulation until ``fut`` resolves and return its result.
@@ -406,17 +446,22 @@ class Simulator:
         deadline = None if timeout is None else self._now + timeout
         heap = self._heap
         pop = heappop
-        execute = self._execute
         while not fut.done:
             if not heap:
                 raise SimulationError("simulation quiesced before future resolved")
             entry = pop(heap)
-            ev = entry[2]
-            if ev.cancelled:
-                continue
-            if deadline is not None and ev.when > deadline:
+            when, seq, fn, args = entry
+            if fn is None:
+                if args.cancelled:
+                    continue
+                fn, args = args.fn, args.args
+            if deadline is not None and when > deadline:
                 heappush(heap, entry)
                 raise SimulationError(f"future unresolved after {timeout}s of sim time")
-            self._now = ev.when
-            execute(ev)
+            self._now = when
+            if self.tracer is None:
+                fn(*args)
+            else:
+                self._traced(when, seq, fn, args)
+            self.events_processed += 1
         return fut.result()

@@ -168,12 +168,15 @@ class Network:
         else:
             base = p.one_way_latency + nbytes / p.bandwidth
             if self._link_factor or self._node_factor:
-                factor = self._link_factor.get((src, dst), 1.0)
-                factor = max(factor, self._node_factor.get(src, 1.0))
-                factor = max(factor, self._node_factor.get(dst, 1.0))
-                base *= factor
+                base *= self._factor(src, dst)
         jitter = base * p.jitter_frac * self._rng.random()
         return base + jitter
+
+    def _factor(self, src: str, dst: str) -> float:
+        """The largest latency multiplier on the ``src -> dst`` path."""
+        factor = self._link_factor.get((src, dst), 1.0)
+        factor = max(factor, self._node_factor.get(src, 1.0))
+        return max(factor, self._node_factor.get(dst, 1.0))
 
     def send(
         self,
@@ -196,21 +199,28 @@ class Network:
             self.messages_dropped += 1
             return False
         p = self.params
-        # RNG draws, in this order: loss, jitter, reorder, duplicate
-        if p.loss_rate > 0.0 and src != dst and self._rng.random() < p.loss_rate:
-            self.messages_dropped += 1
-            return False
+        rng = self._rng
+        # RNG draws, in this order: loss, jitter, reorder, duplicate.
+        # The delay is :meth:`delay`'s, computed inline: this is the
+        # fabric's hottest function.
+        if src == dst:
+            base = p.loopback_latency
+        else:
+            if p.loss_rate > 0.0 and rng.random() < p.loss_rate:
+                self.messages_dropped += 1
+                return False
+            base = p.one_way_latency + nbytes / p.bandwidth
+            if self._link_factor or self._node_factor:
+                base *= self._factor(src, dst)
         self.bytes_sent += nbytes
-        delay = self.delay(src, dst, nbytes)
+        delay = base + base * p.jitter_frac * rng.random()
         if src != dst:
-            if p.reorder_rate > 0.0 and self._rng.random() < p.reorder_rate:
+            if p.reorder_rate > 0.0 and rng.random() < p.reorder_rate:
                 # hold the message back so later traffic overtakes it
                 self.messages_reordered += 1
-                delay += p.reorder_delay * self._rng.random()
-            if p.duplicate_rate > 0.0 and self._rng.random() < p.duplicate_rate:
+                delay += p.reorder_delay * rng.random()
+            if p.duplicate_rate > 0.0 and rng.random() < p.duplicate_rate:
                 self.messages_duplicated += 1
-                self.sim.call_later(
-                    delay + p.reorder_delay * self._rng.random(), deliver, *args
-                )
-        self.sim.call_later(delay, deliver, *args)
+                self.sim.post(delay + p.reorder_delay * rng.random(), deliver, args)
+        self.sim.post(delay, deliver, args)
         return True

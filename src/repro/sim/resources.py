@@ -75,22 +75,23 @@ class Server:
             raise SimulationError(f"negative service demand: {demand}")
         demand *= self.slowdown
         if self._in_service < self.capacity:
-            self._start(demand, fn, args)
+            # an idle slot: start the job now (the fabric's hot path)
+            self._in_service += 1
+            self.busy_time += demand
+            self.sim.post(demand, self._finish, (fn, args))
         else:
             self._queue.append((demand, fn, args))
             self.max_queue = max(self.max_queue, len(self._queue))
-
-    def _start(self, demand: float, fn: Optional[Callable[..., None]], args: tuple) -> None:
-        self._in_service += 1
-        self.busy_time += demand
-        self.sim.call_later(demand, self._finish, fn, args)
 
     def _finish(self, fn: Optional[Callable[..., None]], args: tuple) -> None:
         self._in_service -= 1
         self.completions += 1
         # the next queued job is scheduled before this one's callback runs
         if self._queue and self._in_service < self.capacity:
-            self._start(*self._queue.popleft())
+            demand, next_fn, next_args = self._queue.popleft()
+            self._in_service += 1
+            self.busy_time += demand
+            self.sim.post(demand, self._finish, (next_fn, next_args))
         if fn is not None:
             fn(*args)
 

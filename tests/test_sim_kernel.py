@@ -316,3 +316,129 @@ def test_process_loop_over_completed_futures_no_recursion():
         return total
 
     assert sim.run_future(sim.spawn(proc())) == 5000
+
+
+# ---------------------------------------------------------------------------
+# handle-free posted events (Simulator.post) beside call_later timers
+# ---------------------------------------------------------------------------
+def _interleaved(tie_break):
+    sim = Simulator(tie_break=tie_break)
+    fired = []
+    for i in range(6):
+        if i % 2:
+            sim.post(1.0, fired.append, (f"post{i}",))
+        else:
+            sim.call_later(1.0, fired.append, f"timer{i}")
+    sim.post(0.5, fired.append, ("early",))
+    sim.run()
+    return fired, sim
+
+
+@pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
+def test_posted_and_timer_events_interleave_by_seq(tie_break):
+    fired, sim = _interleaved(tie_break)
+    same_time = ["timer0", "post1", "timer2", "post3", "timer4", "post5"]
+    if tie_break == "lifo":
+        same_time.reverse()
+    assert fired == ["early"] + same_time
+    assert sim.events_processed == 7  # both kinds count
+
+
+def test_cancelled_timers_are_skipped_and_not_counted():
+    sim = Simulator()
+    fired = []
+    sim.post(1.0, fired.append, ("posted",))
+    sim.call_later(1.0, fired.append, "cancelled").cancel()
+    sim.call_later(2.0, fired.append, "timer")
+    sim.call_later(3.0, fired.append, "late").cancel()
+    sim.run()
+    assert fired == ["posted", "timer"]
+    assert sim.events_processed == 2
+
+
+def test_step_one_and_armed_events_see_posted_entries():
+    def tick():
+        pass
+
+    tick.timer_label = "tick"
+    sim = Simulator()
+    fired = []
+    sim.post(2.0, fired.append, ("posted",))
+    sim.call_later(1.0, tick)
+    sim.call_later(1.5, fired.append, "gone").cancel()
+    assert sim.armed_events() == [(1.0, "tick"), (2.0, "list.append")]
+    assert sim.step_one() == 1.0
+    assert sim.step_one() == 2.0 and fired == ["posted"]
+    assert sim.step_one() is None
+    assert sim.events_processed == 2
+
+
+def test_run_future_drives_posted_events_and_keeps_the_late_one():
+    sim = Simulator()
+    fut = sim.create_future()
+    sim.post(1.0, fut.set_result, ("v",))
+    assert sim.run_future(fut) == "v" and sim.now == 1.0
+    never = sim.create_future()
+    sim.post(5.0, never.set_result, ("late",))
+    with pytest.raises(SimulationError):
+        sim.run_future(never, timeout=1.0)
+    # the entry past the deadline is back on the heap, not lost
+    assert sim.armed_events() == [(6.0, "SimFuture.set_result")]
+
+
+def test_post_rejects_negative_delay():
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.post(-1.0, print)
+
+
+class _NullTracer:
+    def begin_event(self, time, seq):
+        pass
+
+    def end_event(self):
+        pass
+
+
+def test_with_a_tracer_every_hop_schedules_through_call_later(monkeypatch):
+    """perfbench's tracer attributes callbacks by patching
+    ``Simulator.call_later``: with a tracer attached, each message's
+    network hop and CPU job must reach it (none may be posted past it)."""
+    from repro.net import Actor, SimCluster
+
+    scheduled = []
+    original = Simulator.call_later
+
+    def call_later(self, delay, fn, *args):
+        scheduled.append(getattr(fn, "__name__", "?"))
+        return original(self, delay, fn, *args)
+
+    monkeypatch.setattr(Simulator, "call_later", call_later)
+    routed = []
+    original_route = SimCluster.route
+
+    def route(self, msg):
+        routed.append(msg.type)
+        return original_route(self, msg)
+
+    monkeypatch.setattr(SimCluster, "route", route)
+
+    class Echo(Actor):
+        def __init__(self, node_id):
+            super().__init__(node_id)
+            self.register("ping", lambda m: self.respond(m, "pong"))
+
+    cluster = SimCluster(seed=3)
+    cluster.sim.add_tracer(_NullTracer())
+    cluster.add_actor(Echo("a"), host="h1")
+    cluster.add_actor(Echo("b"), host="h2")
+    port = cluster.add_port("client")
+    cluster.start()
+    for target in ("a", "b", "a"):
+        cluster.sim.run_future(port.request(target, "ping", timeout=1.0))
+    assert routed == ["ping", "pong"] * 3
+    # one network hop per routed message; one CPU job per message that
+    # lands on a charged host (the client's port host is free)
+    assert scheduled.count("_arrive") == len(routed)
+    assert scheduled.count("_finish") == routed.count("ping")
+    assert all(entry[2] is None for entry in cluster.sim._heap)

@@ -275,11 +275,14 @@ class KVClient:
 
     def _point(self, op: str, key: str, payload: Dict[str, Any], value: Optional[str],
                consistency: Optional[str], prefer_kind: Optional[str] = None):
-        """One point op: its request envelope, its history record and its
-        run through the attempt loop; returns the value a ``get`` read."""
+        """One point op: its request envelope, its history record (when a
+        recorder is attached) and its run through the attempt loop;
+        returns the value a ``get`` read."""
         ctx = self._begin_ctx(op, key, mutation=op != "get")
-        result = yield from self._recorded(op, key, self._op_proc(
-            op, key, payload, consistency, prefer_kind, ctx), value=value, ctx=ctx)
+        gen = self._op_proc(op, key, payload, consistency, prefer_kind, ctx)
+        if self.recorder is not None:
+            gen = self._recorded(op, key, gen, value=value, ctx=ctx)
+        result = yield from gen
         return result
 
     def _op_proc(self, op: str, key: str, payload: Dict[str, Any],
@@ -289,15 +292,17 @@ class KVClient:
         self.ops += 1
         start = self.sim.now
         try:
-            resp = yield from self._traced(ctx, self._attempts(
-                op, payload, ctx, lambda: self.shard_for(key), repr(key),
-                consistency, prefer_kind))
+            gen = self._attempts(op, payload, ctx, lambda: self.shard_for(key), None,
+                                 consistency, prefer_kind)
+            if ctx is not None and ctx.trace_id is not None:
+                gen = self._traced(ctx, gen)
+            resp = yield from gen
             return resp.payload["val"] if op == "get" else None
         finally:
             self._observe_latency(op, self.sim.now - start)
 
     def _attempts(self, op: str, payload: Dict[str, Any], ctx: Optional[RequestContext],
-                  locate: Callable[[], ShardInfo], what: str,
+                  locate: Callable[[], ShardInfo], what: Optional[str],
                   consistency: Optional[str] = None, prefer_kind: Optional[str] = None,
                   timeout: Optional[float] = None):
         """The one attempt loop every request runs through; returns the
@@ -314,6 +319,8 @@ class KVClient:
         the choice is free).  Raises :class:`KeyNotFound`, a
         :class:`BespoError` for any other error reply, or
         :class:`ShardUnavailable` once ``max_retries`` retries are spent.
+        ``what`` names the request in those errors (``None``: the key's
+        repr).
         """
         key = payload.get("key")
         override: Optional[str] = None
@@ -356,10 +363,10 @@ class KVClient:
             elif kind == "cluster map not yet available":
                 last_error = kind
             else:
-                raise BespoError(f"{op} {what} failed: {kind}")
+                raise BespoError(f"{op} {what or repr(key)} failed: {kind}")
             self.retries += 1
             yield from self._pause(attempt, ctx)
-        raise ShardUnavailable(f"{op} {what} exhausted retries: {last_error}")
+        raise ShardUnavailable(f"{op} {what or repr(key)} exhausted retries: {last_error}")
 
     def _leg(self, target: str, op: str, payload: Dict[str, Any],
              ctx: Optional[RequestContext], timeout: Optional[float] = None):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional
 
 from repro.errors import ConfigError
@@ -68,6 +69,9 @@ class Replica:
         )
 
 
+_CHAIN_POS = attrgetter("chain_pos")
+
+
 @dataclass
 class ShardInfo:
     """Replica group serving one partition of the keyspace."""
@@ -85,7 +89,7 @@ class ShardInfo:
 
     # -- role helpers ------------------------------------------------------
     def ordered(self) -> List[Replica]:
-        return sorted(self.replicas, key=lambda r: r.chain_pos)
+        return sorted(self.replicas, key=_CHAIN_POS)
 
     @property
     def head(self) -> Replica:

@@ -11,11 +11,25 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Dict, List, Sequence
+import weakref
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import ConfigError
 
 __all__ = ["HashRing", "stable_hash"]
+
+#: most keys a lookup memo holds; it starts over when full
+LOOKUP_MEMO_MAX = 1 << 14
+
+
+class _Memo(dict):
+    """key -> owner, shared by every ring with the same vnode placement
+    (each client and controlet mirrors the same ring)."""
+
+    __slots__ = ("__weakref__",)
+
+
+_MEMOS: "weakref.WeakValueDictionary[Tuple, _Memo]" = weakref.WeakValueDictionary()
 
 
 def stable_hash(key: str) -> int:
@@ -24,7 +38,12 @@ def stable_hash(key: str) -> int:
 
 
 class HashRing:
-    """Maps keys to member names on a consistent-hash circle."""
+    """Maps keys to member names on a consistent-hash circle.
+
+    :meth:`lookup` remembers the owner of up to :data:`LOOKUP_MEMO_MAX`
+    keys in a memo shared with every ring of the same vnode placement;
+    :meth:`add` and :meth:`remove` move the ring to its new placement's
+    memo."""
 
     def __init__(self, members: Sequence[str] = (), vnodes: int = 64):
         if vnodes < 1:
@@ -33,6 +52,7 @@ class HashRing:
         self._points: List[int] = []
         self._owners: Dict[int, str] = {}
         self._members: set[str] = set()
+        self._memo = _Memo()
         for m in members:
             self.add(m)
 
@@ -48,6 +68,7 @@ class HashRing:
                 point = (point + 1) % (1 << 64)
             self._owners[point] = member
             bisect.insort(self._points, point)
+        self._placed()
 
     def remove(self, member: str) -> None:
         if member not in self._members:
@@ -57,6 +78,15 @@ class HashRing:
         for p in dead:
             del self._owners[p]
         self._points = sorted(self._owners)
+        self._placed()
+
+    def _placed(self) -> None:
+        """Adopt the lookup memo of the current vnode placement."""
+        placement = (tuple(self._points), tuple(self._owners[p] for p in self._points))
+        memo = _MEMOS.get(placement)
+        if memo is None:
+            memo = _MEMOS[placement] = _Memo()
+        self._memo = memo
 
     @property
     def members(self) -> List[str]:
@@ -82,13 +112,21 @@ class HashRing:
     # -- lookup ----------------------------------------------------------
     def lookup(self, key: str) -> str:
         """Owner of ``key`` (first vnode clockwise of the key's point)."""
+        owner = self._memo.get(key)
+        if owner is not None:
+            return owner
         if not self._points:
             raise ConfigError("lookup on empty hash ring")
         point = stable_hash(key)
         i = bisect.bisect_right(self._points, point)
         if i == len(self._points):
             i = 0
-        return self._owners[self._points[i]]
+        owner = self._owners[self._points[i]]
+        memo = self._memo
+        if len(memo) >= LOOKUP_MEMO_MAX:
+            memo.clear()
+        memo[key] = owner
+        return owner
 
     def lookup_n(self, key: str, n: int) -> List[str]:
         """First ``n`` distinct members clockwise of the key (preference

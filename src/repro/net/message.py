@@ -20,6 +20,25 @@ HEADER_BYTES = 64
 
 _msg_ids = itertools.count(1)
 
+#: value types sized as 8 bytes (bool is an int)
+_SCALARS = frozenset({int, float, bool, type(None)})
+#: list members sized as 8 bytes: neither str nor bytes
+_SCALAR_MEMBERS = _SCALARS | {list, tuple, dict}
+
+
+def _value_size(v: Any) -> int:
+    """Modeled size of one payload value (see :meth:`Message.size_bytes`)."""
+    if isinstance(v, (str, bytes)):
+        return len(v)
+    if isinstance(v, (list, tuple)):
+        return sum(len(x) if isinstance(x, (str, bytes)) else 8 for x in v)
+    if isinstance(v, dict):
+        return sum(
+            len(kk) + (len(vv) if isinstance(vv, (str, bytes)) else 8)
+            for kk, vv in v.items()
+        )
+    return 8
+
 
 @dataclass(slots=True)
 class Message:
@@ -51,23 +70,23 @@ class Message:
     _chk_sig: Optional[Tuple[Any, ...]] = field(default=None, compare=False, repr=False)
 
     def size_bytes(self) -> int:
-        """Estimated wire size for network modeling."""
+        """Estimated wire size for network modeling: the header, each
+        key, each str/bytes value's length, 8 per other scalar, and per
+        list/tuple/dict member its (key's and) str/bytes length or 8."""
         n = HEADER_BYTES
         for k, v in self.payload.items():
             n += len(k)
-            if isinstance(v, str):
+            t = type(v)
+            # exact-type fast paths first; any other value (subclasses
+            # of str included) takes the general rule below
+            if t is str:
                 n += len(v)
-            elif isinstance(v, bytes):
-                n += len(v)
-            elif isinstance(v, (list, tuple)):
-                n += sum(len(x) if isinstance(x, (str, bytes)) else 8 for x in v)
-            elif isinstance(v, dict):
-                n += sum(
-                    len(kk) + (len(vv) if isinstance(vv, (str, bytes)) else 8)
-                    for kk, vv in v.items()
-                )
-            else:
+            elif t in _SCALARS:
                 n += 8
+            elif t is list and set(map(type, v)) <= _SCALAR_MEMBERS:
+                n += 8 * len(v)
+            else:
+                n += _value_size(v)
         return n
 
     def response(self, type: str, payload: Dict[str, Any] | None = None) -> "Message":

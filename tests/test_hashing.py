@@ -1,9 +1,13 @@
 """Tests for consistent hashing and range partitioning."""
 
+import bisect
+
 import pytest
 
+from repro.cluster.routing import RingRouting
 from repro.errors import ConfigError
 from repro.hashing import HashRing, RangePartitioner, stable_hash
+from repro.hashing import ring as ring_mod
 
 
 def test_stable_hash_is_stable():
@@ -154,6 +158,71 @@ def test_ring_vnode_collision_skew_is_deterministic(monkeypatch):
 # ---------------------------------------------------------------------------
 # range partitioner
 # ---------------------------------------------------------------------------
+def _owner(ring, key):
+    """The ring's owner of ``key``, computed without its lookup memo."""
+    points = sorted(ring._owners)
+    i = bisect.bisect_right(points, stable_hash(key)) % len(points)
+    return ring._owners[points[i]]
+
+
+def test_ring_lookup_memo_forgets_on_add_and_remove():
+    ring = HashRing(["a", "b", "c"])
+    keys = [f"k{i}" for i in range(2000)]
+    cached = {k: ring.lookup(k) for k in keys}  # every key now memoized
+    ring.add("d")
+    fresh = HashRing(["a", "b", "c", "d"])
+    moved = [k for k in keys if fresh.lookup(k) != cached[k]]
+    assert moved and all(ring.lookup(k) == fresh.lookup(k) == "d" for k in moved)
+    ring.remove("a")
+    fresh = HashRing(["b", "c", "d"])
+    assert all(ring.lookup(k) == fresh.lookup(k) for k in keys)
+    assert "a" not in {ring.lookup(k) for k in keys}
+
+
+def test_ring_lookup_memo_is_shared_per_placement_only():
+    one, two = HashRing(["a", "b"]), HashRing(["b", "a"])
+    assert one._memo is two._memo
+    two.add("c")
+    assert one._memo is not two._memo
+    # a lookup through one ring never answers for the other placement
+    keys = [f"k{i}" for i in range(500)]
+    assert [one.lookup(k) for k in keys] == [HashRing(["a", "b"]).lookup(k) for k in keys]
+    assert [two.lookup(k) for k in keys] == [HashRing(["a", "b", "c"]).lookup(k) for k in keys]
+
+
+def test_ring_lookup_memo_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(ring_mod, "LOOKUP_MEMO_MAX", 64)
+    ring = HashRing(["a", "b", "c"])
+    for i in range(1000):
+        key = f"k{i}"
+        assert ring.lookup(key) == _owner(ring, key)
+        assert len(ring._memo) <= 64
+
+
+def test_ring_routing_memo_follows_a_reshard_window():
+    """A key looked up (and memoized) before a reshard window opens is
+    routed by the new ring inside the window and after it closes, and the
+    window's old ring still names the old owner."""
+    routing = RingRouting()
+    routing.install({"gen": 0, "ids": ["s0", "s1"]}, "hash")
+    keys = [f"k{i}" for i in range(2000)]
+    before = {k: routing.lookup(k) for k in keys}
+    opened = {"gen": 1, "ids": ["s0", "s1", "s2"],
+              "reshard": {"gen": 1, "old": ["s0", "s1"], "new": ["s0", "s1", "s2"]}}
+    routing.install(opened, "hash")
+    after = HashRing(["s0", "s1", "s2"])
+    moved = [k for k in keys if after.lookup(k) != before[k]]
+    assert moved
+    for k in keys:
+        assert routing.lookup(k) == after.lookup(k)
+        assert routing.old_owner(k) == (before[k] if k in moved else None)
+    routing.install({"gen": 1, "ids": ["s0", "s1", "s2"]}, "hash")  # window closes
+    assert all(routing.lookup(k) == after.lookup(k) for k in keys)
+    assert all(routing.old_owner(k) is None for k in keys)
+    routing.install({"gen": 2, "ids": ["s1", "s2"]}, "hash")  # s0 drains away
+    assert "s0" not in {routing.lookup(k) for k in keys}
+
+
 def test_range_lookup_boundaries():
     p = RangePartitioner(["s0", "s1", "s2"], ["g", "n"])
     assert p.lookup("a") == "s0"

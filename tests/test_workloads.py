@@ -1,5 +1,6 @@
 """Tests for workload generators."""
 
+import hashlib
 import random
 
 import pytest
@@ -194,3 +195,42 @@ def test_dl_record_payload_size():
     assert len(wl.record_value()) == 128
     with pytest.raises(ConfigError):
         DLIngestWorkload(images=0)
+
+
+# The first 200 ops of four session streams, as digests of their reprs:
+# key sharing and table sharing must not change a single draw.
+_STREAM_PINS = {
+    ("zipfian", False): ("2e3cebd25c4024cdb2309a550d7ee5c8",
+                         ("scan", "user00000583", 50), ("get", "user00000569")),
+    ("zipfian", True): ("82522e14d021f2c0cf3dad2efeb5aeb7",
+                        ("scan", "puser00000583", 50), ("get", "ouser00000569")),
+    ("uniform", False): ("d1354857d33ec92d4c5f28b50e88e524",
+                         ("scan", "user00000244", 50), ("scan", "user00000652", 50)),
+    ("uniform", True): ("317d0b285c1e1bbe541985c7e219cbc6",
+                        ("scan", "guser00000244", 50), ("scan", "quser00000652", 50)),
+}
+
+
+@pytest.mark.parametrize("distribution,spread_alpha", sorted(_STREAM_PINS))
+def test_workload_stream_is_pinned(distribution, spread_alpha):
+    wl = make_workload(OpMix(get=0.5, put=0.3, scan=0.2), keys=1000,
+                       distribution=distribution, seed=7, spread_alpha=spread_alpha)
+    ops = [wl.next_op() for _ in range(200)]
+    digest, first, last = _STREAM_PINS[(distribution, spread_alpha)]
+    assert (ops[0], ops[-1]) == (first, last)
+    assert hashlib.sha256(repr(ops).encode()).hexdigest()[:32] == digest
+
+
+def test_sessions_of_one_shape_share_their_tables():
+    a = make_workload(YCSB_B, keys=500, seed=1)
+    b = make_workload(YCSB_B, keys=500, seed=2)
+    other = make_workload(YCSB_B, keys=501, seed=1)
+    assert a.popularity._table is b.popularity._table
+    assert a.space._table is b.space._table
+    assert other.popularity._table is not a.popularity._table
+    assert KeySpace(500, spread_alpha=True)._table is not a.space._table
+    # a shared key string is the one object every session hands out
+    key = a.space.key(3)
+    assert b.space.key(3) is key
+    # separate RNGs: the streams still differ
+    assert [a.next_op() for _ in range(20)] != [b.next_op() for _ in range(20)]

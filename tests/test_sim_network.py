@@ -184,3 +184,22 @@ def test_cost_model_unknown_op_raises():
 def test_dpdk_cheaper_than_socket():
     c = CostModel()
     assert c.msg_cost(dpdk=True) < c.msg_cost(dpdk=False)
+
+
+def test_send_schedules_exactly_the_delay_model():
+    """``send`` computes ``delay()`` inline: for the same RNG stream every
+    scheduled delivery lands at ``delay()``'s sample, bit for bit, on
+    loopback, plain and degraded links."""
+    params = NetworkParams(one_way_latency=1e-4, jitter_frac=0.3)
+    sent = Network(Simulator(), params, RngRegistry(5))
+    ref = Network(Simulator(), params, RngRegistry(5))
+    for net in (sent, ref):
+        net.set_link_factor("a", "c", 3.0)
+        net.set_node_factor("d", 2.0)
+    routes = [("a", "b", 100), ("a", "a", 10), ("a", "c", 0), ("d", "b", 999),
+              ("b", "d", 5), ("c", "a", 7)] * 10
+    landed = {}
+    for i, (src, dst, nbytes) in enumerate(routes):
+        sent.send(src, dst, nbytes, lambda i: landed.__setitem__(i, sent.sim.now), i)
+    sent.sim.run()
+    assert [landed[i] for i in range(len(routes))] == [ref.delay(*r) for r in routes]

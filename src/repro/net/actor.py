@@ -314,15 +314,14 @@ class Actor:
     # ------------------------------------------------------------------
     # time
     # ------------------------------------------------------------------
-    def set_timer(self, delay: float, fn: Callable[..., None], *args: Any) -> Any:
-        """Run ``fn(*args)`` after ``delay`` seconds unless the node dies
-        first."""
+    def set_timer(self, delay: float, fn: Callable[[], None]) -> Any:
+        """Run ``fn`` after ``delay`` seconds unless the node dies first."""
         if self._ctx is None:
             raise BespoError(f"actor {self.node_id} not attached to a transport")
 
         def guarded() -> None:
             if self.alive:
-                fn(*args)
+                fn()
 
         # surfaced in race-detector reports (see simnet._NodeCtx.set_timer)
         guarded.timer_label = getattr(fn, "__qualname__", "timer")  # type: ignore[attr-defined]

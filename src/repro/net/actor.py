@@ -179,7 +179,7 @@ class Actor:
             if timeout is not None:
                 if self._ctx is None:
                     raise BespoError(f"actor {self.node_id} not attached to a transport")
-                timer = self._ctx.set_timer(timeout, self._expire, msg.msg_id, dst, type)
+                timer = self._ctx.set_timer(timeout, self._rpc_timeout, msg.msg_id, dst, type)
             self._pending[msg.msg_id] = _Pending(callback, timer, ctx, span)
         self._transmit(msg)
         return msg
@@ -200,7 +200,7 @@ class Actor:
         )
         self._transmit(fwd)
 
-    def _expire(self, msg_id: int, dst: str, type: str) -> None:
+    def _rpc_timeout(self, msg_id: int, dst: str, type: str) -> None:
         """An RPC timeout fires: fail the call, unless it was answered
         or this node died first (a dead node runs no timer callback)."""
         if not self.alive:

@@ -5,7 +5,7 @@ flows client → controlet → replication fan-out/chain → datalet → ack
 without any handler threading it by hand: the actor fabric stamps the
 current context onto every outgoing :class:`~repro.net.message.Message`
 and restores it around response callbacks, handler dispatch, and RPC
-timeouts (see ``Actor.deliver`` / ``Actor._expire``).
+timeouts (see ``Actor.deliver`` / ``Actor._rpc_timeout``).
 
 Two independent concerns share the envelope:
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.dlm import LockManagerActor, LockTable
+from repro.errors import RequestTimeout
 from repro.net import SimCluster
 
 
@@ -141,3 +142,21 @@ def test_unlock_cancels_lease_timer():
     c.sim.run_future(p1.request("dlm", "unlock", {"key": "k"}))
     c.sim.run_until(2.0)
     assert c.actor("dlm").expired == 0
+
+
+def test_rpc_timeout_from_lock_manager_is_not_a_lease_expiry():
+    """The lock manager's lease expiry and the fabric's RPC timeout are
+    different handlers: a timed-out call made by the manager fails its
+    own callback and leaves held leases alone."""
+    c, p1, _p2 = make_dlm(lease=2.0)
+    c.sim.run_future(p1.request("dlm", "lock", {"key": "k", "mode": "w"}))
+    dlm = c.actor("dlm")
+    seen = []
+    dlm.call("ghost", "ping", {}, lambda resp, err: seen.append((resp, err)), timeout=0.5)
+    c.sim.run_until(c.sim.now + 1.0)
+    assert len(seen) == 1
+    resp, err = seen[0]
+    assert resp is None and isinstance(err, RequestTimeout)
+    assert dlm.expired == 0 and dlm.table.holders("k")[0] == "p1"
+    c.sim.run_until(c.sim.now + 2.0)
+    assert dlm.expired == 1  # the lease still runs out on its own timer

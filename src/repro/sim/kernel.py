@@ -340,15 +340,29 @@ class Simulator:
         finally:
             tracer.end_event()
 
+    def _dispatch(self, when: float, seq: int, fn: Optional[Callable[..., None]],
+                  args: Any) -> bool:
+        """Run one popped heap entry: unwrap a timer's handle (``False``
+        if it was cancelled), advance the clock, run the callback (inside
+        the tracer's begin/end when one is attached) and count it."""
+        if fn is None:
+            if args.cancelled:
+                return False
+            fn, args = args.fn, args.args
+        self._now = when
+        if self.tracer is None:
+            fn(*args)
+        else:
+            self._traced(when, seq, fn, args)
+        self.events_processed += 1
+        return True
+
     def stop(self) -> None:
         """Make the current :meth:`run`/:meth:`run_until` return."""
         self._stopped = True
 
-    # step_one and the three run loops share one body, written out in
-    # each so an event costs no call beyond its own callback: pop the
-    # earliest entry, unwrap a timer's handle (skipping it if cancelled),
-    # advance the clock, run the callback (inside the tracer's begin/end
-    # when one is attached) and count it.
+    # run_until and run write _dispatch's body out in their loops, so an
+    # event there costs no call beyond its own callback.
 
     def step_one(self) -> Optional[float]:
         """Execute exactly the earliest pending event (skipping cancelled
@@ -359,18 +373,9 @@ class Simulator:
         deliveries."""
         heap = self._heap
         while heap:
-            when, seq, fn, args = heappop(heap)
-            if fn is None:
-                if args.cancelled:
-                    continue
-                fn, args = args.fn, args.args
-            self._now = when
-            if self.tracer is None:
-                fn(*args)
-            else:
-                self._traced(when, seq, fn, args)
-            self.events_processed += 1
-            return when
+            entry = heappop(heap)
+            if self._dispatch(*entry):
+                return entry[0]
         return None
 
     def armed_events(self) -> list[tuple[float, str]]:
@@ -445,23 +450,15 @@ class Simulator:
         """
         deadline = None if timeout is None else self._now + timeout
         heap = self._heap
-        pop = heappop
         while not fut.done:
             if not heap:
                 raise SimulationError("simulation quiesced before future resolved")
-            entry = pop(heap)
-            when, seq, fn, args = entry
-            if fn is None:
-                if args.cancelled:
+            entry = heappop(heap)
+            if deadline is not None and entry[0] > deadline:
+                fn, args = entry[2], entry[3]
+                if fn is None and args.cancelled:
                     continue
-                fn, args = args.fn, args.args
-            if deadline is not None and when > deadline:
                 heappush(heap, entry)
                 raise SimulationError(f"future unresolved after {timeout}s of sim time")
-            self._now = when
-            if self.tracer is None:
-                fn(*args)
-            else:
-                self._traced(when, seq, fn, args)
-            self.events_processed += 1
+            self._dispatch(*entry)
         return fut.result()

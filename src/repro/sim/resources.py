@@ -75,7 +75,7 @@ class Server:
             raise SimulationError(f"negative service demand: {demand}")
         demand *= self.slowdown
         if self._in_service < self.capacity:
-            # an idle slot: start the job now (the fabric's hot path)
+            # an idle slot: _start written out (the fabric's hot path)
             self._in_service += 1
             self.busy_time += demand
             self.sim.post(demand, self._finish, (fn, args))
@@ -88,12 +88,14 @@ class Server:
         self.completions += 1
         # the next queued job is scheduled before this one's callback runs
         if self._queue and self._in_service < self.capacity:
-            demand, next_fn, next_args = self._queue.popleft()
-            self._in_service += 1
-            self.busy_time += demand
-            self.sim.post(demand, self._finish, (next_fn, next_args))
+            self._start(*self._queue.popleft())
         if fn is not None:
             fn(*args)
+
+    def _start(self, demand: float, fn: Optional[Callable[..., None]], args: tuple) -> None:
+        self._in_service += 1
+        self.busy_time += demand
+        self.sim.post(demand, self._finish, (fn, args))
 
     def drain_stats(self) -> dict:
         """Snapshot and reset counters (used between measurement windows)."""

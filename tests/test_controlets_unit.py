@@ -86,10 +86,10 @@ def test_ms_ec_batches_propagation():
     futs = [port.request("c0", "put", {"key": f"k{i}", "val": "v"}) for i in range(10)]
     cluster.sim.run_future(cluster.sim.gather(futs))
     master = cluster.actor("c0")
-    assert master.propagated == 0  # batch not yet flushed
+    assert master.stats["propagated"] == 0  # batch not yet flushed
     assert len(cluster.actor("d1").engine) == 0
     cluster.sim.run_until(cluster.sim.now + 1.0)
-    assert master.propagated == 10  # single timed flush
+    assert master.stats["propagated"] == 10  # single timed flush
     assert len(cluster.actor("d1").engine) == 10
 
 
@@ -100,7 +100,7 @@ def test_ms_ec_flushes_on_batch_max():
     futs = [port.request("c0", "put", {"key": f"k{i}", "val": "v"}) for i in range(5)]
     cluster.sim.run_future(cluster.sim.gather(futs))
     cluster.sim.run_until(cluster.sim.now + 0.5)  # << batch interval
-    assert cluster.actor("c0").propagated == 5  # size-triggered flush
+    assert cluster.actor("c0").stats["propagated"] == 5  # size-triggered flush
     assert len(cluster.actor("d2").engine) == 5
 
 

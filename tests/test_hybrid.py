@@ -110,8 +110,8 @@ def test_hybrid_slave_repairs_a_lost_frame():
     c.sim.run_until(c.sim.now + 2.0)
     engine = c.actor("ds0").engine
     assert [engine.get(k) for k in "abc"] == ["1", "2", "3"]
-    assert c.actor("sl0").gaps_detected >= 1
-    assert c.actor("m0").resends_served >= 1
+    assert c.actor("sl0").stats["gaps_detected"] >= 1
+    assert c.actor("m0").stats["resends_served"] >= 1
 
 
 def test_hybrid_slaves_keep_their_own_master_after_repair():

@@ -89,10 +89,22 @@ def test_apply_choice_replays_identically():
 # ---------------------------------------------------------------------------
 # exploration verdicts
 # ---------------------------------------------------------------------------
+#: ``(states, transitions)`` of CI's default check-smoke scope (2 nodes,
+#: 3 ops, 1 crash) per combo.  A fingerprint change that moves one must
+#: say, field by field, which states it stops merging.
+SCOPE_COUNTS = {
+    "ms-sc": (277, 301),
+    "ms-ec": (135, 147),
+    "aa-sc": (1592, 2445),
+    "aa-ec": (391, 411),
+}
+
+
 def test_healthy_ms_sc_closes_at_fixpoint(summaries):
     result = explore(CheckScenario(combo="ms-sc", crashes=1),
                      summaries=summaries)
     assert result.ok and result.fixpoint
+    assert (result.states, result.transitions) == SCOPE_COUNTS["ms-sc"]
     assert result.states > 0 and result.oracle_checks > 0
     assert result.passes == 2  # delay-bounded pass + full pass
     assert "PASS" in result.describe()
@@ -102,18 +114,20 @@ def test_healthy_ms_ec_closes_at_fixpoint(summaries):
     result = explore(CheckScenario(combo="ms-ec", crashes=1),
                      summaries=summaries)
     assert result.ok and result.fixpoint
+    assert (result.states, result.transitions) == SCOPE_COUNTS["ms-ec"]
 
 
-@pytest.mark.parametrize("combo", ["ms-sc", "aa-sc"])
+@pytest.mark.parametrize("combo", ["ms-sc", "aa-sc", "aa-ec"])
 def test_strong_combos_explore_view_transitions(combo, summaries):
     """Acceptance: the checker explores bounded view-transition
     interleavings (crash -> failure detection -> failover commit) for
     each STRONG combo without finding a counterexample, and the
-    coordinator's transition log records the epochs it moved through."""
+    coordinator's transition log records the epochs it moved through.
+    AA+EC rides along (0.2 s), so all four CI scopes' counts are pinned."""
     result = explore(CheckScenario(combo=combo, crashes=1),
                      summaries=summaries)
-    assert result.ok, result.describe()
-    assert result.states > 0
+    assert result.ok and result.fixpoint, result.describe()
+    assert (result.states, result.transitions) == SCOPE_COUNTS[combo]
 
     # drive one such interleaving by hand and inspect the view: crash
     # the chain head / an active peer, then run the schedule forward

@@ -74,8 +74,7 @@ def check_registry(ctl):
     for pump in pumps:
         name = names.get(id(pump))
         assert name is not None, f"{ctl.node_id}: unregistered pump {pump.issue}"
-        assert snap[f"{name}_queue"] == len(pump), name
-        assert snap[f"{name}_busy"] == pump.busy, name
+        assert snap["_pumps"][name] == [len(pump), pump.busy], name
         unit = units.get(id(pump))
         if unit is None:
             assert name in UNITLESS, f"{ctl.node_id}: {name} reports no metrics"

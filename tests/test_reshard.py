@@ -401,7 +401,7 @@ def test_early_new_leg_write_survives_its_migrated_copy(topo, cons):
         dep.sim.run_until(dep.sim.now + 0.001)
     new_head = dep.map.shard("s2").head
     assert new_head.host == new_head_host
-    assert dep.cluster.actor(new_head.controlet).snapshot_state()["ring_gen"] == 0
+    assert dep.cluster.actor(new_head.controlet).snapshot_state()["_gate.gen"] == 0
     port = dep.cluster.add_port("early")
     resp = dep.sim.run_future(port.request(
         new_head.controlet, "put", {"key": key, "val": "v1", "gen": 1},

@@ -36,20 +36,20 @@ from repro.datalet.lsm import LSMEngine
 #: (framework pieces, then per-controlet deltas).
 FRAMEWORK_BOUNDS = {
     "controlet template": 475,
-    "replacement recovery": 137,
+    "replacement recovery": 135,
     "reshard participant": 107,
     "MS accept base": 58,
-    "async propagation base": 113,
+    "async propagation base": 109,
 }
 CONTROLET_BOUNDS = {
     "MS+SC (chain replication)": 180,
-    "MS+EC (async propagation)": 151,
+    "MS+EC (async propagation)": 138,
     "AA+SC (DLM locking)": 174,
-    "AA+EC (shared log)": 204,
+    "AA+EC (shared log)": 201,
     "AA-MS hybrid (§IV-E)": 17,
 }
 #: template + its two parts + shared bases + the five deltas.
-CONTROL_PLANE_BOUND = 1616
+CONTROL_PLANE_BOUND = 1594
 
 
 def loc(obj) -> int:

@@ -52,6 +52,7 @@ from repro.analysis.source import (
     const_str,
     is_self,
     kwarg,
+    self_attr,
 )
 
 __all__ = ["ProtocolModel", "check_tree", "check_sources"]
@@ -255,12 +256,13 @@ def check_sources(sources) -> ProtocolModel:
         if call_name(node) is None:
             continue
         calls.append(site)
-        if isinstance(node.func, ast.Attribute) and is_self(node.func.value):
-            if node.func.attr in _SEND_SEEDS:
-                _wire(model, forwarders, site, _SEND_SEEDS[node.func.attr], "sent")
-            elif node.func.attr in _RESPOND_SEEDS:
-                _wire(model, forwarders, site,
-                      _RESPOND_SEEDS[node.func.attr], "responded")
+        func = node.func  # a part's ``self._owner.send`` is its owner's
+        if isinstance(func, ast.Attribute) and (
+                is_self(func.value) or self_attr(func.value) == "_owner"):
+            if func.attr in _SEND_SEEDS:
+                _wire(model, forwarders, site, _SEND_SEEDS[func.attr], "sent")
+            elif func.attr in _RESPOND_SEEDS:
+                _wire(model, forwarders, site, _RESPOND_SEEDS[func.attr], "responded")
     _propagate(model, forwarders, calls)
     return model
 

@@ -325,9 +325,7 @@ class CheckerCluster(SimCluster):
         #: cross-host messages awaiting an explorer decision, send order.
         self.pending: List[Message] = []
         self.coalesce = coalesce
-        self.dropped_dead = 0
         self.coalesced = 0
-        self.local_deliveries = 0
 
     @staticmethod
     def signature(msg: Message) -> Tuple[str, str, str, str, bool]:
@@ -345,14 +343,18 @@ class CheckerCluster(SimCluster):
             msg._chk_sig = sig  # type: ignore[attr-defined]
         return sig
 
+    def _live(self, dst: str) -> Optional[Actor]:
+        """The actor ``dst`` while it and its host are up; None for an
+        unknown or dead destination, whose messages drop silently."""
+        actor = self._actors.get(dst)
+        if actor is None or not actor.alive or self.network.is_dead(self._actor_host[dst]):
+            return None
+        return actor
+
     def route(self, msg: Message) -> None:
-        dst_actor = self._actors.get(msg.dst)
-        if dst_actor is None:
-            return  # unknown destination == dead peer: silent drop
-        dst_host = self._actor_host[msg.dst]
-        if not dst_actor.alive or self.network.is_dead(dst_host):
-            self.dropped_dead += 1
+        if self._live(msg.dst) is None:
             return
+        dst_host = self._actor_host[msg.dst]
         if self.sanitizer is not None:
             self.sanitizer.on_send(msg)
         if not self.controlled:
@@ -362,7 +364,6 @@ class CheckerCluster(SimCluster):
         src_host = self._actor_host.get(msg.src)
         if src_host is not None and src_host == dst_host:
             # colocated pair: a local engine call, not an interleaving
-            self.local_deliveries += 1
             self._deliver_now(msg)
             return
         if self.coalesce and not msg.reply_to:
@@ -374,13 +375,8 @@ class CheckerCluster(SimCluster):
         self.pending.append(msg)
 
     def _deliver_now(self, msg: Message) -> None:
-        dst_actor = self._actors.get(msg.dst)
-        if (
-            dst_actor is None
-            or not dst_actor.alive
-            or self.network.is_dead(self._actor_host[msg.dst])
-        ):
-            self.dropped_dead += 1
+        dst_actor = self._live(msg.dst)
+        if dst_actor is None:
             return
         if self.sanitizer is not None:
             self.sanitizer.on_deliver(msg)
@@ -395,18 +391,7 @@ class CheckerCluster(SimCluster):
         """Crash transition: kill the host, then drop queued messages
         whose destination died with it (they could never be delivered)."""
         self.kill_host(host)
-        kept: List[Message] = []
-        for msg in self.pending:
-            actor = self._actors.get(msg.dst)
-            if (
-                actor is None
-                or not actor.alive
-                or self.network.is_dead(self._actor_host[msg.dst])
-            ):
-                self.dropped_dead += 1
-                continue
-            kept.append(msg)
-        self.pending = kept
+        self.pending = [m for m in self.pending if self._live(m.dst) is not None]
 
 
 # ---------------------------------------------------------------------------

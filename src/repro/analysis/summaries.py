@@ -175,11 +175,14 @@ def _footprint(
     stack: Set[Tuple[str, str]],
     pumps: Dict[str, str],
     part: Optional[str] = None,
+    parts: Set[str] = frozenset(),
 ) -> HandlerFootprint:
     """Transitive footprint of ``method`` resolved against ``cls``.
     ``pumps`` are the class's ``Pump(self.<issue>)`` bindings: driving
     a pump runs its issue callable (synchronously when idle), so the
-    issue's footprint belongs to the driver; a ``part``'s is its owner's."""
+    issue's footprint belongs to the driver; a ``part``'s is its owner's,
+    and so is a method of ``parts`` (the classes ``cls`` builds with a
+    bare ``self``) driven here that touches only its owner."""
     key = (cls, method if part is None else f"{part}.{method}")
     if key in cache:
         return cache[key]
@@ -209,12 +212,15 @@ def _footprint(
             fp.reads.add(DATALET_ATTR)
     # bare self passed as an argument escapes the analysis entirely
     fp.opaque = bool(facts.self_passed_to - _SELF_SAFE_CALLEES)
-    calls = (facts.self_calls - _EMIT_METHODS) | {
-        pumps[attr] for attr, m in facts.drives
-        if attr in pumps and m in _PUMP_DRIVERS}
+    calls = {(m, "") for m in facts.self_calls - _EMIT_METHODS} | {
+        (pumps[attr], "") for attr, m in facts.drives
+        if attr in pumps and m in _PUMP_DRIVERS} | {
+        (m, p) for _attr, m in facts.drives for p in parts if m in index.methods(p)}
     stack.add(key)
-    for callee in sorted(calls):
-        sub = _footprint(index, cls, callee, cache, stack, pumps)
+    for callee, via in sorted(calls):
+        sub = _footprint(index, cls, callee, cache, stack, pumps, via or None, parts)
+        if via and sub.opaque:
+            continue  # it touches the part: the drive's write stands
         fp.reads |= sub.reads
         fp.writes |= sub.writes
         fp.opaque |= sub.opaque
@@ -238,6 +244,9 @@ def build_from_sources(sources) -> SummaryTable:
         if not bindings:
             continue
         pumps = index.pumps(cls)
+        # a part built with our ``self`` registers its handlers on us
+        parts = {p for a in index.ancestry(cls) for fn in index.methods(a).values()
+                 for p in index.facts(fn).self_passed_to}
         summary = ClassSummary(cls=cls)
         for msg_type, method in sorted(bindings.items()):
             if method in ("<lambda>", "<dynamic>"):
@@ -246,15 +255,12 @@ def build_from_sources(sources) -> SummaryTable:
                 )
                 continue
             summary.handlers[msg_type] = _footprint(
-                index, cls, method, cache, set(), pumps
+                index, cls, method, cache, set(), pumps, parts=parts
             )
-        # a part built with our ``self`` registers its handlers on us
-        parts = {p for a in index.ancestry(cls) for fn in index.methods(a).values()
-                 for p in index.facts(fn).self_passed_to}
         for reg in (r for r in index.registrations if r.cls in parts):
             for msg_type in reg.types or ():
                 summary.handlers.setdefault(msg_type, _footprint(
-                    index, cls, reg.handler, cache, set(), pumps, reg.cls))
+                    index, cls, reg.handler, cache, set(), pumps, reg.cls, parts))
         table[cls] = summary
     return SummaryTable(table)
 

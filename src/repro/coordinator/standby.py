@@ -4,8 +4,8 @@ ZooKeeper with a standby process as follower)").
 
 The primary coordinator streams every cluster-map change to its
 follower (``coord_sync``); the follower answers read-only metadata
-queries from its mirrored map, heartbeats the primary, and **promotes
-itself** when the primary goes silent — taking over sweeps, failover
+queries from its mirrored map, watches the ``coord_sync`` stream, and
+**promotes itself** when the primary goes silent — taking over sweeps, failover
 orchestration, transitions and reshards.  Controlets heartbeat *both*
 coordinators (cheap), so the follower owns fresh liveness data the
 moment it promotes.
@@ -51,9 +51,8 @@ class StandbyCoordinator(CoordinatorActor):
     """Follower: serves stale-but-close metadata reads, watches the
     primary, and promotes on silence."""
 
-    def __init__(self, *args, primary: str = "coordinator", **kwargs):
+    def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.primary = primary
         self.promoted = False
         self._primary_seen = 0.0
         self.register("coord_sync", self._on_sync)

@@ -73,12 +73,9 @@ class AAEventualControlet(Controlet):
         self._arm_fetch()
 
     def sync_source(self, puller: str):
-        """We are the recovery source.  Hand out our replay cursor with
-        the snapshot, rewound by one fetch window: an apply_batch we
-        fired just before the snapshot request may still be in flight to
-        our datalet, and replaying from an earlier position is always
-        safe (log order is the authority) while skipping is not."""
-        return {"cursor": max(0, self.cursor - self.config.log_fetch_max)}, None
+        """We are the recovery source: hand out our replay cursor; the
+        snapshot queues behind every replayed batch it counts."""
+        return {"cursor": self.cursor}, None
 
     def _fetch_initial_tail(self) -> None:
         self.call(

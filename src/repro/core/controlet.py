@@ -23,7 +23,8 @@ abandon flag and the catch-up park.  A combo adds only its cursor hooks
 (:meth:`Controlet.sync_source`, :meth:`Controlet.on_sync_state`) and,
 for AA+SC, the :meth:`Controlet.on_caught_up` notice.  The
 one-in-flight replicated-apply pump (``_applies``) that both EC combos
-feed lives here too.
+feed lives here too; every snapshot a peer pulls queues in it, behind
+the applies its cursor counts.
 
 Every :class:`~repro.core.pump.Pump` a controlet drives is registered
 once (:meth:`Controlet._pump`).  The registry alone yields the pumps'
@@ -141,7 +142,9 @@ class Controlet(Actor):
         self._pumps: Dict[str, Pump] = {}
         self._units: Dict[str, List[Pump]] = {}
         #: replicated datalet mutations, as ``(type, payload)``, waiting
-        #: for the datalet in stream/log order (:meth:`_issue_apply`).
+        #: for the datalet in stream/log order (:meth:`_issue_apply`),
+        #: and the snapshots peers pull, as ``("snapshot", {}, reply)``:
+        #: one queued here covers every apply queued ahead of it.
         self._applies = Pump(self._issue_apply)
         self._pump("apply", self._applies)
         #: set once a transition replaced this controlet; all client ops
@@ -281,9 +284,8 @@ class Controlet(Actor):
     # recovery hooks (the handshake is :class:`~repro.core.recovery.Recovery`)
     # ------------------------------------------------------------------
     def sync_source(self, puller: str) -> Tuple[dict, Optional[Callable[[], None]]]:
-        """Hook: arm any relay of later writes to ``puller``; return
-        ``(cursor, undo)`` — the position the snapshot covers, and what
-        disarms the relay."""
+        """Hook: arm any relay of later writes to ``puller``; return the
+        cursor the snapshot covers, and the relay's ``undo`` (or None)."""
         return {}, None
 
     def on_sync_state(self, state: Dict[str, Any]) -> None:
@@ -348,15 +350,16 @@ class Controlet(Actor):
             callback, timeout = watching, self.config.replication_timeout
         self.call(self.datalet, type, payload, callback=callback, timeout=timeout)
 
-    def _issue_apply(self, item: Tuple[str, dict], done: Callable[[], None]) -> None:
-        """One replicated mutation in flight to the datalet: on the
-        multi-slot host CPU a small batch chasing a large one (catch-up
-        backlog or repair resend, then the fresh tail) could finish
-        first and apply out of order, diverging this replica for good."""
-        type, payload = item
+    def _issue_apply(self, item: Tuple[Any, ...], done: Callable[[], None]) -> None:
+        """One replicated mutation, or a peer's snapshot and its reply,
+        in flight to the datalet: on the multi-slot CPU a later batch
+        could finish first and apply out of order, diverging the replica."""
+        type, payload, *reply = item
 
         def applied(resp: Optional[Message], err: Optional[BespoError]) -> None:
             done()
+            for then in reply:
+                then(resp, err)
 
         self.datalet_call(type, payload, callback=applied)
 

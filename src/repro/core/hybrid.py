@@ -90,7 +90,6 @@ class P2PNode(Actor):
         self.members = sorted(members, key=stable_hash)
         self.position = stable_hash(node_id)
         self.fingers = self._build_fingers()
-        self.forwards = 0
         for op in ("put", "get", "del"):
             self.register(op, self._route)
 
@@ -145,7 +144,6 @@ class P2PNode(Actor):
         if owner == self.node_id:
             self._serve(msg)
             return
-        self.forwards += 1
         fwd_payload = dict(msg.payload)
         fwd_payload["hops"] = fwd_payload.get("hops", 0) + 1
         fwd = Message(type=msg.type, payload=fwd_payload, src=msg.src,

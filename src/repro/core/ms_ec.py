@@ -15,9 +15,11 @@ standard companion of asynchronous replication): batches carry dense
 per-master sequence numbers.  A slave that detects a gap — dropped
 batches during a partition, a crashed-and-restarted link — requests a
 resend from the master's retained-ops window; if the gap predates the
-window, the master falls back to a full snapshot sync.  Slaves
-therefore converge after arbitrary message loss, not just in the
-fault-free case.
+window, the master answers as a replacement's recovery source does
+(:meth:`~repro.core.recovery.Recovery._on_sync_pull`): its stream
+cursor, and a snapshot taken behind its apply queue, which the slave
+restores behind its own.  Slaves therefore converge after arbitrary
+message loss, not just in the fault-free case.
 """
 
 from __future__ import annotations
@@ -181,8 +183,9 @@ class AsyncPropagator(Controlet):
         return pump
 
     def _on_resend_request(self, msg: Message) -> None:
-        """A slave detected a gap.  Serve from the retained window, or
-        fall back to a full snapshot if the window has rolled past."""
+        """A slave detected a gap.  Serve from the retained window, or,
+        if the window has rolled past, answer as a ``sync_pull`` source:
+        our cursor, then a snapshot behind our apply queue."""
         from_seq = msg.payload["from_seq"]
         if self._retained and self._retained[0][0] <= from_seq:
             # copies again: the same window entry can be served to
@@ -196,20 +199,14 @@ class AsyncPropagator(Controlet):
                 "ops": ops,
             })
             return
+        self.stats["snapshot_syncs_served"] += 1
+        self._recovery._on_sync_pull(msg)
 
-        def with_snapshot(resp: Optional[Message], err: Optional[BespoError]) -> None:
-            if err is not None or resp is None or resp.type != "snapshot":
-                self.respond(msg, "error", {"error": f"snapshot failed: {err}"})
-                return
-            self.stats["snapshot_syncs_served"] += 1
-            self.respond(msg, "sync_snapshot", {
-                "master": self.node_id,
-                "stream": self._stream_id,
-                "data": resp.payload["data"],
-                "seq": self._seq,
-            })
-
-        self.datalet_call("snapshot", {}, callback=with_snapshot)
+    def sync_source(self, puller: str):
+        """A deep-gap repair's cursor: our stream position on top of
+        the base's (the hybrid's log cursor)."""
+        cursor, undo = super().sync_source(puller)
+        return {**cursor, "master": self._stream_id, "seq": self._seq}, undo
 
 
 class MSEventualControlet(AsyncPropagator, MasterSlaveControlet):
@@ -234,15 +231,10 @@ class MSEventualControlet(AsyncPropagator, MasterSlaveControlet):
             self.recovered = True
             # seq 0 is never assigned/retained: a slave resyncing the
             # new incarnation from 0 misses the retained window and
-            # falls through to the snapshot path — which is what
-            # carries the recovered unpropagated writes back out.
+            # pulls our snapshot (``_on_resend_request``) — which is
+            # what carries the recovered unpropagated writes back out.
             self._seq = 1
         self.register("replicate", self._on_replicate)
-        # NB: "sync_snapshot" is deliberately NOT registered — it only
-        # exists as a *response* to resend_request, consumed by the
-        # _request_repair callback.  A response that misses its pending
-        # callback (late, after timeout) is dropped by Actor.deliver
-        # before handler dispatch, so a registration could never fire.
         # seq_probe stays MS+EC-only: a hybrid slave's view names another
         # master as head, so hybrid masters answering it would flip that
         # slave between two streams.
@@ -327,15 +319,16 @@ class MSEventualControlet(AsyncPropagator, MasterSlaveControlet):
     # hole-free recovery (replacement slave)
     # ------------------------------------------------------------------
     def on_sync_state(self, state) -> None:
-        # Adopt the source's stream cursor, captured *before* its
-        # snapshot: any op missing from the snapshot carries a sequence
-        # number >= this cursor, so the gap-repair path fetches it.
+        # Adopt the source's stream cursor (a replacement's, or a deep
+        # gap's): its snapshot covers every op numbered below it, and
+        # the gap-repair path fetches the rest.
         self._stream = (state.get("master"), int(state.get("seq", 0)))
 
     def sync_source(self, puller: str):
         """We are the recovery source: capture our stream position
-        first, then snapshot.  Re-applying overlap is idempotent; a
-        skipped op would be a lost write."""
+        first; the snapshot queues behind every batch it counts.
+        Re-applying overlap is idempotent; a skipped op would be a lost
+        write."""
         if self.is_head:
             master, seq = self._stream_id, self._seq
         else:
@@ -414,8 +407,15 @@ class MSEventualControlet(AsyncPropagator, MasterSlaveControlet):
                 return  # master gone; failover will rewire the stream
             if resp.type == "replicate":
                 self._on_replicate(resp)
-            elif resp.type == "sync_snapshot":
-                self._on_sync_snapshot(resp)
+            elif resp.type == "sync_state":
+                # The master's window rolled past: adopt its snapshot
+                # wholesale.  The restore resets (a key the master lacks
+                # was deleted there) and queues behind every older
+                # replicated batch, which would otherwise apply *over*
+                # the newer snapshot with the cursor already past them.
+                self.on_sync_state(resp.payload)
+                self._applies.push(
+                    ("restore", {"data": resp.payload["data"], "reset": True}))
 
         self.call(
             master,
@@ -424,24 +424,6 @@ class MSEventualControlet(AsyncPropagator, MasterSlaveControlet):
             callback=on_reply,
             timeout=self.config.replication_timeout * 4,
         )
-
-    def _on_sync_snapshot(self, msg: Message) -> None:
-        """Full-state fallback: adopt the master's snapshot wholesale
-        and fast-forward the stream cursor.  ``reset`` matters: the
-        snapshot is the master's *entire* state, so any local key it
-        lacks was deleted there — keeping it would resurrect deletes.
-
-        The restore queues behind every older replicated batch: sent
-        around the pump it would land first and the stale batches would
-        then apply *over* the newer snapshot, with the cursor already
-        past them — a divergence no later repair would notice."""
-        self._applies.push(
-            ("restore", {"data": msg.payload["data"], "reset": True}))
-        self._stream = (
-            msg.payload.get("stream", msg.payload["master"]),
-            int(msg.payload["seq"]),
-        )
-        self._repair_pending = False
 
     # ------------------------------------------------------------------
     # transition support

@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.routing import RingRouting
+from repro.core.controlet import members
 from repro.core.ms_ec import MSEventualControlet
 from repro.core.types import ClusterMap
 from repro.errors import BespoError
@@ -26,8 +27,15 @@ from repro.net.message import Message
 __all__ = ["RangeQueryControlet"]
 
 
+def map_epoch(cmap: Optional[ClusterMap]) -> Optional[int]:
+    """A polled cluster map as its epoch (``None``: not polled yet)."""
+    return None if cmap is None else cmap.epoch
+
+
 class RangeQueryControlet(MSEventualControlet):
     """MS+EC controlet + cross-shard ``get_range``."""
+
+    fingerprint = (("_cluster_map", map_epoch), ("_routing.ring", members))
 
     #: cluster-map refresh cadence (epoch changes invalidate routing).
     MAP_REFRESH = 1.0
@@ -38,7 +46,7 @@ class RangeQueryControlet(MSEventualControlet):
         #: covering shards of a range, from the polled map's routing
         #: block (kept apart from the epoch-fenced ``_gate``).
         self._routing = RingRouting()
-        self.range_queries = 0
+        self.stats["range_queries"] = 0
         self.register("get_range", self._on_get_range)
 
     def on_start(self) -> None:
@@ -67,7 +75,7 @@ class RangeQueryControlet(MSEventualControlet):
         if self._cluster_map is None:
             self.respond(msg, "error", {"error": "cluster map not yet available"})
             return
-        self.range_queries += 1
+        self.stats["range_queries"] += 1
         start = msg.payload["start"]
         end = msg.payload["end"]
         limit = msg.payload.get("limit")

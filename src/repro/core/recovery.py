@@ -8,11 +8,17 @@ controlet: the controlet builds it as ``_recovery`` and it registers
 
 The replacement sends ``sync_pull`` to its source controlet, which arms
 its relay and names its protocol cursor (the owner's ``sync_source``
-hook) before it snapshots.  Replication messages that reach the
-replacement meanwhile are parked (:meth:`Recovery.park`) and replayed
-once the owner's ``on_sync_state`` hook adopted the cursor; the owner's
-``on_caught_up`` hook then hears that the replay is done.  Those three
-hooks are all a combo adds.
+hook) before it snapshots.  The snapshot queues in the source's apply
+pump, behind every replicated batch the cursor already counts, so the
+catch-up starts exactly where the snapshot ends.  Replication messages
+that reach the replacement meanwhile are parked (:meth:`Recovery.park`)
+and replayed once the owner's ``on_sync_state`` hook adopted the
+cursor; the owner's ``on_caught_up`` hook then hears that the replay is
+done.  Those three hooks are all a combo adds.
+
+This is the only way a controlet copies state from a peer: an async
+propagator whose retained window rolled past a slave's gap answers the
+slave's ``resend_request`` with the same :meth:`Recovery._on_sync_pull`.
 """
 
 from __future__ import annotations
@@ -46,11 +52,6 @@ class Recovery:
         #: once the snapshot is restored.  See :meth:`recover`.
         self.catchup: List[Message] = []
         owner.register("sync_pull", self._on_sync_pull)
-
-    def call(self, *args: Any, **kwargs: Any) -> None:
-        """Call as the owner (``self.call`` is what the protocol
-        conformance pass reads as a sent message type)."""
-        self._owner.call(*args, **kwargs)
 
     # -- replacement side ------------------------------------------------
     def confirm_membership(self, attempt: int = 0) -> None:
@@ -165,8 +166,8 @@ class Recovery:
                 callback=restored,
             )
 
-        self.call(target, pull_type, payload, callback=on_state,
-                  timeout=owner.config.replication_timeout * 10)
+        self._owner.call(target, pull_type, payload, callback=on_state,
+                         timeout=owner.config.replication_timeout * 10)
 
     def _done(self) -> None:
         owner = self._owner
@@ -193,11 +194,13 @@ class Recovery:
 
     # -- source side -----------------------------------------------------
     def _on_sync_pull(self, msg: Message) -> None:
-        """Source side of :meth:`recover`: the relay is armed and the
-        cursor taken (the owner's ``sync_source``) *before* the
-        snapshot, so snapshot ∪ relay covers every write; a failed
+        """Source side of :meth:`recover`, and of an async propagator's
+        deep-gap repair: the relay is armed and the cursor taken (the
+        owner's ``sync_source``) first, and the snapshot then queues in
+        the owner's apply pump behind every replicated batch that cursor
+        counts, so snapshot ∪ relay covers every write; a failed
         snapshot disarms."""
-        cursor, undo = self._owner.sync_source(msg.payload["controlet"])
+        cursor, undo = self._owner.sync_source(msg.src)
 
         def with_snap(resp: Optional[Message], err: Optional[BespoError]) -> None:
             if err is not None or resp is None or resp.type != "snapshot":
@@ -207,4 +210,4 @@ class Recovery:
                 return
             self._owner.respond(msg, "sync_state", {"data": resp.payload["data"], **cursor})
 
-        self._owner.datalet_call("snapshot", {}, callback=with_snap)
+        self._owner._applies.push(("snapshot", {}, with_snap))

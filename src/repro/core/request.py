@@ -5,7 +5,6 @@ bookkeeping through nested closures (``remaining = {"n": ...}`` dicts,
 ``retries`` parameters re-passed down call chains).  A :class:`Request`
 now owns that state explicitly:
 
-* ``retries`` — replication retry budget (chain re-resolution etc.);
 * ``arm``/``settle`` — fan-out join counting with first-error capture;
 * ``ack``/``fail``/``finish`` — exactly-once completion that responds
   to the originating message and commits the request-id dedup tables
@@ -34,7 +33,7 @@ __all__ = ["Request"]
 class Request:
     """One client (or replication) write moving through a controlet."""
 
-    __slots__ = ("ctl", "msg", "op", "rid", "dedup", "retries", "done",
+    __slots__ = ("ctl", "msg", "op", "rid", "dedup", "done",
                  "_remaining", "_error", "_resp", "_then")
 
     def __init__(self, ctl, msg: Message, op: str,
@@ -44,19 +43,11 @@ class Request:
         self.op = op
         self.rid = rid
         self.dedup = dedup
-        #: replication retry budget consumed so far (owned here, not by
-        #: closure arguments threaded through the retry chain)
-        self.retries = 0
         self.done = False
         self._remaining = 0
         self._error: Optional[str] = None
         self._resp = None
         self._then: Optional[Callable[[Optional[str]], None]] = None
-
-    @property
-    def ctx(self):
-        """The request envelope this write arrived under (may be None)."""
-        return self.msg.ctx
 
     # -- completion ------------------------------------------------------
     def ack(self, payload: Optional[Dict] = None) -> None:

@@ -158,7 +158,6 @@ class Deployment:
                 transition_spawner=self._spawn_transition,
                 reshard_spawner=self._spawn_shard,
                 partitioner=spec.partitioner,
-                primary="coordinator",
             )
             self.cluster.add_host("coordinator.standby", cpus=spec.host_cpus)
             self.cluster.add_actor(self.standby, host="coordinator.standby")

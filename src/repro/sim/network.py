@@ -39,7 +39,6 @@ class NetworkParams:
         duplicate_rate: float = 0.0,
         reorder_rate: float = 0.0,
         reorder_delay: float = 20e-3,
-        latency_spike_factor: float = 10.0,
     ):
         for rate_name, rate in (
             ("loss_rate", loss_rate),
@@ -50,10 +49,6 @@ class NetworkParams:
                 raise ValueError(f"{rate_name} must be in [0, 1), got {rate}")
         if reorder_delay <= 0.0:
             raise ValueError(f"reorder_delay must be positive, got {reorder_delay}")
-        if latency_spike_factor < 1.0:
-            raise ValueError(
-                f"latency_spike_factor must be >= 1, got {latency_spike_factor}"
-            )
         self.one_way_latency = one_way_latency
         self.bandwidth = bandwidth
         self.jitter_frac = jitter_frac
@@ -70,9 +65,6 @@ class NetworkParams:
         #: ``reorder_delay`` so they overtake each other in flight.
         self.reorder_rate = reorder_rate
         self.reorder_delay = reorder_delay
-        #: default multiplier a ``latency_spike`` fault applies to a
-        #: link's base latency (must dwarf jitter, stay below timeouts).
-        self.latency_spike_factor = latency_spike_factor
 
 
 class Network:

@@ -157,7 +157,7 @@ def test_new_master_stream_adopted_after_failover():
         assert engine.get("n9") == "9", r.controlet
 
 
-def test_sync_snapshot_queues_behind_older_replicated_batches():
+def test_sync_snapshot_queues_behind_older_replicated_batches(monkeypatch):
     """Regression: the snapshot fallback used to ``send`` its restore
     straight to the datalet, around the apply pump — replicated batches
     still queued there were then applied *over* the newer snapshot with
@@ -181,9 +181,14 @@ def test_sync_snapshot_queues_behind_older_replicated_batches():
             "replicate", start_seq=seq + i,
             ops=[{"op": "put", "key": "x", "val": val}]))
     assert len(slave_ctl._applies) == 1
-    # ...then the master's snapshot, which already holds a newer x
-    slave_ctl._on_sync_snapshot(frame(
-        "sync_snapshot", seq=seq + 3, data={"seed": "s", "x": "new"}))
+    # ...then the master answers a repair with its snapshot, which
+    # already holds a newer x
+    replies = []
+    monkeypatch.setattr(slave_ctl, "call", lambda *a, callback, **kw: replies.append(callback))
+    slave_ctl._request_repair(master, seq)
+    monkeypatch.undo()
+    [on_reply] = replies
+    on_reply(frame("sync_state", seq=seq + 3, data={"seed": "s", "x": "new"}), None)
     dep.sim.run_until(dep.sim.now + 1.0)
     engine = dep.cluster.actor(dep.shard(0).ordered()[1].datalet).engine
     assert slave_ctl._stream == (master, seq + 3)

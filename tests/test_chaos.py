@@ -26,10 +26,8 @@ def test_network_params_validation():
         NetworkParams(reorder_rate=1.5)
     with pytest.raises(ValueError):
         NetworkParams(reorder_delay=0.0)
-    with pytest.raises(ValueError):
-        NetworkParams(latency_spike_factor=0.9)
     p = NetworkParams(duplicate_rate=0.2, reorder_rate=0.1,
-                      reorder_delay=0.05, latency_spike_factor=3.0)
+                      reorder_delay=0.05)
     assert (p.duplicate_rate, p.reorder_rate) == (0.2, 0.1)
 
 

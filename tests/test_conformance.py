@@ -92,8 +92,8 @@ def test_registered_unsent_and_external_pragma():
     # declared external: still listed, but suppressed
     assert "admin_dump" in unsent and unsent["admin_dump"].suppressed
     # respond() is not a send: responses route to pending callbacks, so
-    # registering a handler for a response-only type is dead code (the
-    # ms_ec sync_snapshot case) and stays flagged
+    # registering a handler for a response-only type is dead code and
+    # stays flagged
     assert "pong_ready" in unsent
 
 
@@ -111,6 +111,26 @@ def test_respond_types_tracked():
     m = toy_model()
     assert "pong_ready" in m.responded
     assert "rpc_done" in m.responded
+
+
+def test_a_part_sends_and_responds_as_its_owner():
+    part = textwrap.dedent(
+        """
+        class Part:
+            def pull(self):
+                self._owner.call("peer", "pulled", {}, callback=self._cb)
+                self._fetch("fetched")
+
+            def _fetch(self, kind):
+                self._owner.send("peer", kind, {})
+
+            def _on_pull(self, msg):
+                self._owner.respond(msg, "pulled_state", {})
+        """
+    )
+    m = check_sources([("toy/part.py", part)])
+    assert m.senders("pulled") == m.senders("fetched") == ["Part"]
+    assert "pulled_state" in m.responded
 
 
 def test_real_tree_has_no_unsuppressed_errors():

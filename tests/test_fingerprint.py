@@ -22,6 +22,7 @@ from repro.core.controlet import Controlet, MasterSlaveControlet
 from repro.core.hybrid import AAMSHybridControlet
 from repro.core.ms_ec import AsyncPropagator, MSEventualControlet
 from repro.core.ms_sc import MSStrongControlet
+from repro.core.range_query import RangeQueryControlet
 from repro.core.recovery import Recovery
 from repro.net.actor import declared_state
 
@@ -29,7 +30,7 @@ from tests.test_hybrid import build_hybrid
 
 CONTROLETS = [Controlet, MasterSlaveControlet, AsyncPropagator, MSStrongControlet,
               MSEventualControlet, AAStrongControlet, AAEventualControlet,
-              AAMSHybridControlet]
+              AAMSHybridControlet, RangeQueryControlet]
 
 #: the template's parts, by the attribute that holds each one.
 PARTS = {"_recovery": Recovery, "_gate": ReshardParticipant}

@@ -6,20 +6,22 @@ import pytest
 
 from repro.core.config import ControlConfig
 from repro.core.hybrid import AAMSHybridControlet, P2PNode, chord_distance
+from repro.core import ms_ec
 from repro.core.ms_ec import MSEventualControlet
 from repro.core.types import Consistency, Replica, ShardInfo, Topology
 from repro.datalet import DataletActor, HashTableEngine
 from repro.errors import KeyNotFound
 from repro.net import SimCluster
 from repro.sharedlog import SharedLogActor
+from repro.sim import CostModel
 
 
 # ---------------------------------------------------------------------------
 # AA-MS hybrid
 # ---------------------------------------------------------------------------
-def build_hybrid():
+def build_hybrid(**cluster_kw):
     """2 masters (AA via shared log), each with 1 slave (MS+EC)."""
-    c = SimCluster()
+    c = SimCluster(**cluster_kw)
     c.add_actor(SharedLogActor("log"))
     cfg = ControlConfig()
     shard = ShardInfo(
@@ -112,6 +114,29 @@ def test_hybrid_slave_repairs_a_lost_frame():
     assert [engine.get(k) for k in "abc"] == ["1", "2", "3"]
     assert c.actor("sl0").stats["gaps_detected"] >= 1
     assert c.actor("m0").stats["resends_served"] >= 1
+
+
+def test_hybrid_slave_past_a_busy_masters_window_converges(monkeypatch):
+    """A slave whose gap is older than its master's retained window
+    pulls the master's snapshot while a burst keeps a replay apply of
+    the master's in flight.  The master used to read its sequence
+    counter after the snapshot returned, counting batches the snapshot
+    had overtaken, and the slave never saw their writes."""
+    monkeypatch.setattr(ms_ec, "RETAIN_LIMIT", 16)
+    c, port = build_hybrid(costs=CostModel(cpu_scale=600.0))
+    put(c, port, "m0", "seed", "s")  # establish the stream
+    c.sim.run_until(c.sim.now + 1.0)
+    c.network.cut_oneway("hm0", "hs0")
+    for i in range(40):  # far more writes than the window holds
+        put(c, port, "m0", f"gap{i}", str(i))
+    c.sim.run_until(c.sim.now + 1.0)
+    c.network.heal_oneway("hm0", "hs0")
+    burst = [port.request(f"m{i % 2}", "put", {"key": f"b{i}", "val": str(i)})
+             for i in range(64)]
+    c.sim.run_future(c.sim.gather(burst))
+    c.sim.run_until(c.sim.now + 5.0)
+    assert c.actor("m0").stats["snapshot_syncs_served"] >= 1
+    assert c.actor("ds0").engine.snapshot() == c.actor("dm0").engine.snapshot()
 
 
 def test_hybrid_slaves_keep_their_own_master_after_repair():

@@ -117,7 +117,7 @@ def test_counts_range_queries():
     entry = dep.shard(0).head.controlet
     ask(dep, port, entry, {"start": "a", "end": "e"})
     ask(dep, port, entry, {"start": "a", "end": "e"})
-    assert dep.cluster.actor(entry).range_queries == 2
+    assert dep.cluster.actor(entry).stats["range_queries"] == 2
 
 
 def test_map_not_ready_yields_clean_error():

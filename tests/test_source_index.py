@@ -16,7 +16,7 @@ from repro.analysis.source import Raw, SourceIndex
 #: ``wc -l`` total of ``src/repro/analysis/*.py``, the size measured
 #: when it was last lowered.  Like §VII's controlet ratchet, the bound
 #: may only go down: growth fails here instead of going unseen.
-ANALYSIS_LINES_BOUND = 5448
+ANALYSIS_LINES_BOUND = 5440
 
 
 def test_run_lint_parses_each_module_once(monkeypatch):

@@ -164,6 +164,18 @@ def test_package_summaries_capture_the_protocol_core():
     assert not ec.commutes("put", "get")
 
 
+def test_a_part_method_a_handler_drives_is_the_handlers_own():
+    """MS+EC's deep-gap repair hands ``resend_request`` to its Recovery
+    part: the cursor it reads and the snapshot it queues in the apply
+    pump belong to the handler, so it does not commute with a
+    ``replicate`` that queues an apply."""
+    ec = build_summaries().classes["MSEventualControlet"]
+    fp = ec.footprint("resend_request")
+    assert not fp.opaque and "sync_source" in fp.reads
+    assert {"_applies", DATALET_ATTR} <= fp.writes
+    assert not ec.commutes("resend_request", "replicate")
+
+
 def test_datalet_footprint_vocabulary_matches():
     put = datalet_footprint("put")
     get = datalet_footprint("get")

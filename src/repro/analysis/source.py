@@ -165,6 +165,7 @@ class Facts:
         self.reads: Set[str] = set()        # self.X loads
         self.writes: Set[str] = set()       # self.X stores and dels
         self.self_calls: Set[str] = set()   # self.m(...)
+        self.super_calls: Set[str] = set()  # super().m(...)
         self.calls: Set[str] = set()        # <anything>.m(...)
         self.drives: Dict[Tuple[str, str], int] = {}  # self.X.m(...) -> line
         self.fed: Set[str] = set()          # self.X[...].append(...) & co.
@@ -213,6 +214,8 @@ class Facts:
                 self.sends.append((n.lineno, n.args[1].value))
         elif owner is not None:
             self.drives.setdefault((owner, func.attr), n.lineno)
+        elif isinstance(func.value, ast.Call) and call_name(func.value) == "super":
+            self.super_calls.add(func.attr)
         if func.attr in PUSH_METHODS:
             target = func.value
             while isinstance(target, ast.Subscript):
@@ -479,10 +482,11 @@ class SourceIndex:
         info = self.classes.get(cls)
         return info.methods if info is not None else {}
 
-    def resolve(self, cls: str, method: str):
-        """``(funcdef, defining class)`` along the ancestry, or
-        ``(None, None)``."""
-        for ancestor in self.ancestry(cls):
+    def resolve(self, cls: str, method: str, after: str = ""):
+        """``(funcdef, defining class)`` along the ancestry past class
+        ``after`` (as ``super().method`` there), or ``(None, None)``."""
+        ancestry = self.ancestry(cls)
+        for ancestor in ancestry[ancestry.index(after) + 1 if after else 0:]:
             fn = self.methods(ancestor).get(method)
             if fn is not None:
                 return fn, ancestor

@@ -171,24 +171,23 @@ def _footprint(
     index: SourceIndex,
     cls: str,
     method: str,
-    cache: Dict[Tuple[str, str], HandlerFootprint],
-    stack: Set[Tuple[str, str]],
+    cache: Dict[Tuple[str, str, str], HandlerFootprint],
     pumps: Dict[str, str],
     part: Optional[str] = None,
     parts: Set[str] = frozenset(),
+    after: str = "",
 ) -> HandlerFootprint:
-    """Transitive footprint of ``method`` resolved against ``cls``.
-    ``pumps`` are the class's ``Pump(self.<issue>)`` bindings: driving
-    a pump runs its issue callable (synchronously when idle), so the
-    issue's footprint belongs to the driver; a ``part``'s is its owner's,
-    and so is a method of ``parts`` (the classes ``cls`` builds with a
-    bare ``self``) driven here that touches only its owner."""
-    key = (cls, method if part is None else f"{part}.{method}")
-    if key in cache:
+    """Transitive footprint of ``method`` resolved against ``cls`` (past
+    class ``after``, for ``super().method`` there).  ``pumps`` are the
+    class's ``Pump(self.<issue>)`` bindings: driving a pump runs its
+    issue callable (synchronously when idle), so the issue's footprint
+    belongs to the driver; a ``part``'s is its owner's, and so is a
+    method of ``parts`` (the classes ``cls`` builds with a bare
+    ``self``) driven here that touches only its owner."""
+    key = (cls, method if part is None else f"{part}.{method}", after)
+    if key in cache:  # or on the stack (retry loops): already accounted
         return cache[key]
-    if key in stack:  # recursion (retry loops): already accounted
-        return HandlerFootprint(method=method)
-    node, _owner = index.resolve(part or cls, method)
+    node, owner = index.resolve(part or cls, method, after)
     fp = HandlerFootprint(method=method)
     # the whole body *including* nested callback closures: their
     # accesses happen at later events, and folding them in only widens
@@ -212,19 +211,19 @@ def _footprint(
             fp.reads.add(DATALET_ATTR)
     # bare self passed as an argument escapes the analysis entirely
     fp.opaque = bool(facts.self_passed_to - _SELF_SAFE_CALLEES)
-    calls = {(m, "") for m in facts.self_calls - _EMIT_METHODS} | {
-        (pumps[attr], "") for attr, m in facts.drives
+    calls = {(m, "", "") for m in facts.self_calls - _EMIT_METHODS} | {
+        (pumps[attr], "", "") for attr, m in facts.drives
         if attr in pumps and m in _PUMP_DRIVERS} | {
-        (m, p) for _attr, m in facts.drives for p in parts if m in index.methods(p)}
-    stack.add(key)
-    for callee, via in sorted(calls):
-        sub = _footprint(index, cls, callee, cache, stack, pumps, via or None, parts)
+        (m, p, "") for _attr, m in facts.drives for p in parts if m in index.methods(p)}
+    calls |= {(m, part or "", owner) for m in facts.super_calls}  # past our definition
+    cache[key] = HandlerFootprint(method=method)  # what a recursive call sees
+    for callee, via, past in sorted(calls):
+        sub = _footprint(index, cls, callee, cache, pumps, via or None, parts, past)
         if via and sub.opaque:
             continue  # it touches the part: the drive's write stands
         fp.reads |= sub.reads
         fp.writes |= sub.writes
         fp.opaque |= sub.opaque
-    stack.discard(key)
     cache[key] = fp
     return fp
 
@@ -232,7 +231,7 @@ def _footprint(
 def build_from_sources(sources) -> SummaryTable:
     """Summaries over ``(rel_path, source)`` pairs or a :class:`SourceIndex`."""
     index = SourceIndex.of(sources)
-    cache: Dict[Tuple[str, str], HandlerFootprint] = {}
+    cache: Dict[Tuple[str, str, str], HandlerFootprint] = {}
     table: Dict[str, ClassSummary] = {}
     for cls in sorted(index.classes):
         # a handler registered by a base class but *overridden* in a
@@ -250,17 +249,14 @@ def build_from_sources(sources) -> SummaryTable:
         summary = ClassSummary(cls=cls)
         for msg_type, method in sorted(bindings.items()):
             if method in ("<lambda>", "<dynamic>"):
-                summary.handlers[msg_type] = HandlerFootprint(
-                    method=method, opaque=True
-                )
+                summary.handlers[msg_type] = HandlerFootprint(method=method, opaque=True)
                 continue
-            summary.handlers[msg_type] = _footprint(
-                index, cls, method, cache, set(), pumps, parts=parts
-            )
+            summary.handlers[msg_type] = _footprint(index, cls, method, cache, pumps,
+                                                    parts=parts)
         for reg in (r for r in index.registrations if r.cls in parts):
             for msg_type in reg.types or ():
                 summary.handlers.setdefault(msg_type, _footprint(
-                    index, cls, reg.handler, cache, set(), pumps, reg.cls, parts))
+                    index, cls, reg.handler, cache, pumps, reg.cls, parts))
         table[cls] = summary
     return SummaryTable(table)
 

@@ -10,12 +10,26 @@ on.  It provides:
 * a priority event queue with stable FIFO ordering for simultaneous
   events (ties broken by insertion sequence, never by callback identity,
   which would be nondeterministic);
+* timer *lanes*: cancellable timers armed with the same delay wait in
+  one FIFO lane, and only the lane's head sits in the heap (see
+  :meth:`Simulator.call_later`), so the many RPC timeouts and lock
+  leases that are cancelled before they are due never cost a heap
+  push or pop;
 * lightweight *processes*: plain Python generators that ``yield`` either
   a float (sleep for that many virtual seconds) or a :class:`SimFuture`
   (park until the future resolves).
 
 Design notes
 ------------
+The heap holds posted callbacks and lane heads only.  Within a lane,
+deadlines never fall (``now`` only rises) and sequence numbers rise, so
+a lane is already in firing order and its head is its earliest member.
+When a head pops, fired or cancelled, the kernel drops the cancelled
+handles behind it and pushes the next live one under that handle's own
+``(when, seq)``: the global firing order, :attr:`Simulator.events_processed`
+and :meth:`Simulator.armed_events` are exactly those of one heap holding
+every timer.
+
 Protocol code (controlets, datalets, coordinator) is written in the
 paper's event-handler style and therefore runs as plain callbacks; the
 generator-process facility exists mainly for closed-loop load clients
@@ -29,6 +43,7 @@ one process without cross-talk.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -60,28 +75,40 @@ class TimerHandle:
     returns for it: the kernel runs ``fn(*args)`` at :attr:`when` unless
     :meth:`cancel` was called first.
 
-    The heap stores ``(time, seq, None, handle)`` tuples so ordering is
-    decided by C-level tuple comparison — ``seq`` is unique, so the
-    comparison never falls through to the rest.  (An earlier design gave
-    the event a Python ``__lt__`` and heaped the objects directly; at
-    saturation that one method dominated kernel profiles.)  Carrying
-    ``args`` on the event means scheduling a call allocates no closure.
-    Callbacks that are never cancelled skip the handle altogether: see
-    :meth:`Simulator.post`.
+    A handle waits in its delay's lane (:attr:`lane`); only the lane's
+    head is in the heap, as a ``(time, seq, None, handle)`` tuple, so
+    ordering is decided by C-level tuple comparison — ``seq`` is unique,
+    so the comparison never falls through to the rest.  (An earlier
+    design gave the event a Python ``__lt__`` and heaped the objects
+    directly; at saturation that one method dominated kernel profiles.)
+    Carrying ``args`` on the event means scheduling a call allocates no
+    closure.  Cancelling only sets a flag: the kernel drops the handle
+    when it reaches its lane's front.  Callbacks that are never
+    cancelled skip the handle altogether: see :meth:`Simulator.post`.
     """
 
-    __slots__ = ("when", "seq", "fn", "args", "cancelled")
+    __slots__ = ("when", "seq", "fn", "args", "cancelled", "lane")
 
-    def __init__(self, when: float, seq: int, fn: Callable[..., None], args: tuple):
+    def __init__(self, when: float, seq: int, fn: Callable[..., None], args: tuple,
+                 lane: Optional["_Lane"] = None):
         self.when = when
         self.seq = seq
         self.fn = fn
         self.args = args
         self.cancelled = False
+        #: the lane of this handle's delay (``None`` under
+        #: ``tie_break="lifo"``, where every timer is heaped)
+        self.lane = lane
 
     def cancel(self) -> None:
         """Prevent the timer from firing.  Idempotent."""
         self.cancelled = True
+
+
+class _Lane(deque):
+    """The timers waiting behind one delay's head, in firing order."""
+
+    __slots__ = ("delay",)
 
 
 class SimFuture:
@@ -164,13 +191,16 @@ class Simulator:
             raise SimulationError(f"tie_break must be 'fifo' or 'lifo', got {tie_break!r}")
         self._now = 0.0
         #: ``(when, seq, fn, args)`` for a posted callback, ``(when, seq,
-        #: None, handle)`` for a cancellable ``call_later`` timer
+        #: None, handle)`` for the head of a ``call_later`` lane
         self._heap: list[tuple] = []
         # "lifo" counts the insertion sequence down (-1, -2, ...) so
         # simultaneous events pop in reverse order — a legal-but-different
         # schedule used by the race detector's perturbation re-runs.
         # Event *times* are untouched; only ties flip.
         self._seq = itertools.count(1) if tie_break == "fifo" else itertools.count(-1, -1)
+        #: delay -> the lane whose head is in the heap.  "lifo" has no
+        #: lanes: a later same-delay timer can fire first there.
+        self._lanes: Optional[dict[float, _Lane]] = {} if tie_break == "fifo" else None
         self._stopped = False
         #: number of events executed — useful for kernel regression tests
         self.events_processed = 0
@@ -203,14 +233,40 @@ class Simulator:
             self.tracer = _TracerChain(self.tracer, tracer)
 
     def call_later(self, delay: float, fn: Callable[..., None], *args: Any) -> TimerHandle:
-        """Schedule ``fn(*args)`` after ``delay`` virtual seconds."""
+        """Schedule ``fn(*args)`` after ``delay`` virtual seconds.
+
+        The timer joins the lane of its ``delay``: it goes into the heap
+        only if the lane was empty, else it waits behind the lane's
+        head until every earlier member has popped."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
         when = self._now + delay
         seq = next(self._seq)
-        ev = TimerHandle(when, seq, fn, args)
-        heappush(self._heap, (when, seq, None, ev))
+        lanes = self._lanes
+        if lanes is None:
+            ev = TimerHandle(when, seq, fn, args)
+            heappush(self._heap, (when, seq, None, ev))
+            return ev
+        lane = lanes.get(delay)
+        if lane is None:
+            lane = lanes[delay] = _Lane()
+            lane.delay = delay
+            ev = TimerHandle(when, seq, fn, args, lane)
+            heappush(self._heap, (when, seq, None, ev))
+        else:
+            ev = TimerHandle(when, seq, fn, args, lane)
+            lane.append(ev)
         return ev
+
+    def _advance(self, lane: _Lane) -> None:
+        """A lane's head left the heap: heap its next live member, or
+        drop the lane once only cancelled handles were behind it."""
+        while lane:
+            ev = lane.popleft()
+            if not ev.cancelled:
+                heappush(self._heap, (ev.when, ev.seq, None, ev))
+                return
+        del self._lanes[lane.delay]
 
     def post(self, delay: float, fn: Callable[..., None], args: tuple = ()) -> None:
         """Schedule ``fn(*args)`` after ``delay`` virtual seconds, with no
@@ -342,10 +398,13 @@ class Simulator:
 
     def _dispatch(self, when: float, seq: int, fn: Optional[Callable[..., None]],
                   args: Any) -> bool:
-        """Run one popped heap entry: unwrap a timer's handle (``False``
-        if it was cancelled), advance the clock, run the callback (inside
-        the tracer's begin/end when one is attached) and count it."""
+        """Run one popped heap entry: unwrap a timer's handle and advance
+        its lane (``False`` if it was cancelled), advance the clock, run
+        the callback (inside the tracer's begin/end when one is
+        attached) and count it."""
         if fn is None:
+            if args.lane is not None:
+                self._advance(args.lane)
             if args.cancelled:
                 return False
             fn, args = args.fn, args.args
@@ -379,13 +438,17 @@ class Simulator:
         return None
 
     def armed_events(self) -> list[tuple[float, str]]:
-        """Live heap entries as ``(time, label)`` in firing order —
-        introspection for model-checker state fingerprints.  Each event
-        is labelled by its own callable's ``timer_label`` or
-        ``__qualname__`` (never by its arguments), which is what makes
-        two runs' timer sets comparable."""
+        """Live events, heaped or waiting in a lane, as ``(time, label)``
+        in firing order — introspection for model-checker state
+        fingerprints.  Each event is labelled by its own callable's
+        ``timer_label`` or ``__qualname__`` (never by its arguments),
+        which is what makes two runs' timer sets comparable."""
+        entries = list(self._heap)
+        if self._lanes:
+            for lane in self._lanes.values():
+                entries.extend((ev.when, ev.seq, None, ev) for ev in lane)
         out = []
-        for when, _seq, fn, args in sorted(self._heap):
+        for when, _seq, fn, args in sorted(entries):
             if fn is None:
                 if args.cancelled:
                     continue
@@ -404,12 +467,23 @@ class Simulator:
         """
         self._stopped = False
         heap = self._heap
-        pop = heappop
+        lanes = self._lanes
+        pop, push = heappop, heappush
         while heap and not self._stopped:
             if heap[0][0] > deadline:
                 break
             when, seq, fn, args = pop(heap)
             if fn is None:
+                lane = args.lane
+                if lane is not None:
+                    # _advance, written out
+                    while lane:
+                        ev = lane.popleft()
+                        if not ev.cancelled:
+                            push(heap, (ev.when, ev.seq, None, ev))
+                            break
+                    else:
+                        del lanes[lane.delay]
                 if args.cancelled:
                     continue
                 fn, args = args.fn, args.args
@@ -429,10 +503,21 @@ class Simulator:
             return
         self._stopped = False
         heap = self._heap
-        pop = heappop
+        lanes = self._lanes
+        pop, push = heappop, heappush
         while heap and not self._stopped:
             when, seq, fn, args = pop(heap)
             if fn is None:
+                lane = args.lane
+                if lane is not None:
+                    # _advance, written out
+                    while lane:
+                        ev = lane.popleft()
+                        if not ev.cancelled:
+                            push(heap, (ev.when, ev.seq, None, ev))
+                            break
+                    else:
+                        del lanes[lane.delay]
                 if args.cancelled:
                     continue
                 fn, args = args.fn, args.args
@@ -457,7 +542,10 @@ class Simulator:
             if deadline is not None and entry[0] > deadline:
                 fn, args = entry[2], entry[3]
                 if fn is None and args.cancelled:
+                    if args.lane is not None:
+                        self._advance(args.lane)
                     continue
+                # still its lane's head: the lane is untouched
                 heappush(heap, entry)
                 raise SimulationError(f"future unresolved after {timeout}s of sim time")
             self._dispatch(*entry)

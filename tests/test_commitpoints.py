@@ -93,7 +93,7 @@ def test_contract_matches_runner_consumption():
 def test_tree_has_no_unsuppressed_findings():
     findings = analyze_tree(package_root())
     unsuppressed = [f for f in findings if not f.suppressed]
-    assert unsuppressed == [], "\n".join(f.describe() for f in unsuppressed)
+    assert unsuppressed == [], "\n".join(f.format() for f in unsuppressed)
     # the exact set: the two pragma'd acks (Controlet._ack_receipt and
     # the all-duplicate chain frame), each first found by one class
     assert _pinned(findings) == [
@@ -124,7 +124,7 @@ def test_run_lint_includes_commitpoint_pass():
         for f in findings
     )
     errors = [f for f in findings if not f.suppressed and f.severity == "error"]
-    assert errors == [], "\n".join(f.describe() for f in errors)
+    assert errors == [], "\n".join(f.format() for f in errors)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +149,7 @@ def test_unsynced_ack_injection_is_flagged():
         if not f.suppressed and f.rule == "ack-before-durable"
         and "UnsyncedAckMSStrongControlet" in f.message
     ]
-    assert hits, "\n".join(f.describe() for f in findings)
+    assert hits, "\n".join(f.format() for f in findings)
 
 
 def test_early_ack_injection_is_flagged():
@@ -159,7 +159,7 @@ def test_early_ack_injection_is_flagged():
         if not f.suppressed
         and "EarlyAckMSStrongControlet" in f.message
     ]
-    assert hits, "\n".join(f.describe() for f in findings)
+    assert hits, "\n".join(f.format() for f in findings)
 
 
 def test_healthy_chain_is_not_flagged_by_source_analysis():

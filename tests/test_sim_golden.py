@@ -17,10 +17,12 @@ import hashlib
 
 import pytest
 
-from repro.chaos import run_combo
+from repro.chaos import FaultEvent, FaultSchedule, run_combo
 from repro.core.types import Consistency, Topology
+from repro.dlm.manager import LockManagerActor
 from repro.errors import BespoError, KeyNotFound
 from repro.harness import Deployment, DeploymentSpec
+from repro.net.actor import Actor
 from repro.sim import CostModel
 
 SESSIONS = 4
@@ -157,3 +159,55 @@ def scan_golden_run():
 
 def test_scan_golden_run_pins_the_sim_clock():
     assert scan_golden_run() == SCAN_GOLDEN
+
+
+#: combo -> (digest, RPC timeouts fired, DLM leases expired) of
+#: :func:`fault_golden_run`.  The two soaks above rarely let a timer
+#: fire: every RPC is answered and every lease released, so each
+#: timeout and lease is cancelled before it is due.  This run crashes
+#: hosts under load, so timeouts fire and AA+SC leases expire, and a
+#: kernel or fabric change to how cancelled and live timers share the
+#: schedule shows here.  Recorded once, like :data:`GOLDEN`.
+FAULT_GOLDEN = {
+    ("ms", "strong"): ("f8c6bb598ce0b5d9", 15, 0),
+    ("ms", "eventual"): ("b4f7b42162994c44", 14, 0),
+    ("aa", "strong"): ("e367c52dd4b2d951", 19, 6),
+    ("aa", "eventual"): ("bca69a749d4354e8", 11, 0),
+}
+
+
+def fault_golden_run(topology: str, consistency: str, monkeypatch):
+    """``run_combo`` at seed 1 for 6 sim-seconds: the head of shard s0
+    power-cycles (WAL replay, back inside the detection window) while
+    a replica of s1 stays down long enough to be swept and replaced."""
+    fired = {"timeouts": 0, "expired": 0}
+    rpc_timeout = Actor._rpc_timeout
+    expire = LockManagerActor._expire
+
+    def counted_timeout(self, msg_id, dst, type):
+        if self.alive and msg_id in self._pending:
+            fired["timeouts"] += 1
+        rpc_timeout(self, msg_id, dst, type)
+
+    def counted_expire(self, key, owner):
+        before = self.expired
+        expire(self, key, owner)
+        fired["expired"] += self.expired - before
+
+    monkeypatch.setattr(Actor, "_rpc_timeout", counted_timeout)
+    monkeypatch.setattr(LockManagerActor, "_expire", counted_expire)
+    schedule = FaultSchedule([
+        FaultEvent(at=0.5, kind="crash", target="node0.0"),
+        FaultEvent(at=1.0, kind="restart", target="node0.0", recover=True),
+        FaultEvent(at=1.0, kind="crash", target="node1.1"),
+        FaultEvent(at=6.5, kind="restart", target="node1.1"),
+    ], seed=1)
+    res = run_combo(Topology(topology), Consistency(consistency), seed=1,
+                    duration=6.0, quiesce=2.0, schedule=schedule, durable=True)
+    assert res.ok and res.stats["failovers"] == 1 and res.stats["recoveries"] == 1
+    return res.digest[:16], fired["timeouts"], fired["expired"]
+
+
+@pytest.mark.parametrize("combo", list(FAULT_GOLDEN), ids=lambda c: "-".join(c))
+def test_fault_soak_pins_fired_timers(combo, monkeypatch):
+    assert fault_golden_run(*combo, monkeypatch) == FAULT_GOLDEN[combo]

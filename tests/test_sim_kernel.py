@@ -1,5 +1,9 @@
 """Unit tests for the discrete-event kernel."""
 
+import heapq
+import itertools
+import random
+
 import pytest
 
 from repro.errors import SimulationError
@@ -442,3 +446,212 @@ def test_with_a_tracer_every_hop_schedules_through_call_later(monkeypatch):
     assert scheduled.count("_arrive") == len(routed)
     assert scheduled.count("_finish") == routed.count("ping")
     assert all(entry[2] is None for entry in cluster.sim._heap)
+
+
+# ---------------------------------------------------------------------------
+# timer lanes against a plain-heap reference scheduler
+# ---------------------------------------------------------------------------
+class _RefFuture:
+    def __init__(self):
+        self.done = False
+        self.value = None
+
+    def set_result(self, value=None):
+        self.done = True
+        self.value = value
+
+
+class _RefHandle:
+    def __init__(self, when, seq, fn, args):
+        self.when, self.seq, self.fn, self.args = when, seq, fn, args
+        self.cancelled = False
+
+    def cancel(self):
+        self.cancelled = True
+
+
+class _RefScheduler:
+    """Every event in one heap, cancelled ones skipped when they pop:
+    the schedule the kernel's lanes must reproduce exactly."""
+
+    def __init__(self, tie_break):
+        self.now = 0.0
+        self.events_processed = 0
+        self._heap = []
+        self._seq = itertools.count(1) if tie_break == "fifo" else itertools.count(-1, -1)
+
+    def call_later(self, delay, fn, *args):
+        if delay < 0:
+            raise SimulationError(f"negative delay: {delay}")
+        h = _RefHandle(self.now + delay, next(self._seq), fn, args)
+        heapq.heappush(self._heap, (h.when, h.seq, h))
+        return h
+
+    def post(self, delay, fn, args=()):
+        self.call_later(delay, fn, *args)
+
+    def call_at(self, when, fn, *args):
+        return self.call_later(when - self.now, fn, *args)
+
+    def call_soon(self, fn, *args):
+        return self.call_later(0.0, fn, *args)
+
+    def create_future(self):
+        return _RefFuture()
+
+    def _fire(self, h):
+        self.now = h.when
+        h.fn(*h.args)
+        self.events_processed += 1
+
+    def run_until(self, deadline):
+        while self._heap and self._heap[0][0] <= deadline:
+            h = heapq.heappop(self._heap)[2]
+            if not h.cancelled:
+                self._fire(h)
+        self.now = max(self.now, deadline)
+
+    def run(self):
+        while self._heap:
+            h = heapq.heappop(self._heap)[2]
+            if not h.cancelled:
+                self._fire(h)
+
+    def step_one(self):
+        while self._heap:
+            h = heapq.heappop(self._heap)[2]
+            if not h.cancelled:
+                self._fire(h)
+                return h.when
+        return None
+
+    def run_future(self, fut, timeout):
+        deadline = self.now + timeout
+        while not fut.done:
+            if not self._heap:
+                raise SimulationError("simulation quiesced before future resolved")
+            entry = heapq.heappop(self._heap)
+            h = entry[2]
+            if h.when > deadline:
+                if h.cancelled:
+                    continue
+                heapq.heappush(self._heap, entry)
+                raise SimulationError(f"future unresolved after {timeout}s of sim time")
+            if not h.cancelled:
+                self._fire(h)
+        return fut.value
+
+    def armed_events(self):
+        return [(when, h.fn.timer_label) for when, _seq, h in sorted(self._heap)
+                if not h.cancelled]
+
+
+#: a handful of delays every schedule reuses, so lanes grow long
+_LANE_DELAYS = (0.0, 0.25, 1.0, 2.5)
+
+
+class _Driver:
+    """Drives one scheduler through a seeded schedule; every decision
+    comes from the seed and the firing order, so two schedulers that
+    fire alike are driven alike."""
+
+    def __init__(self, sched, seed):
+        self.sched = sched
+        self.seed = seed
+        self.rng = random.Random(seed)
+        self.fired = []
+        self.checkpoints = []
+        self.handles = []
+        self.labels = itertools.count()
+        self.future = None
+
+    def _event(self, label):
+        def fire():
+            self.fired.append((self.sched.now, label))
+            rng = random.Random(f"{self.seed}:{label}")
+            if self.future is not None and rng.random() < 0.1:
+                self.future.set_result(label)
+                self.future = None
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                self.schedule(rng)
+            if self.handles and rng.random() < 0.4:
+                rng.choice(self.handles).cancel()
+
+        fire.timer_label = label
+        return fire
+
+    def schedule(self, rng):
+        s = self.sched
+        label = f"e{next(self.labels)}"
+        fn = self._event(label)
+        roll = rng.random()
+        if roll < 0.25:
+            s.post(rng.choice(_LANE_DELAYS + (rng.random() * 2,)), fn)
+        elif roll < 0.65:
+            self.handles.append(s.call_later(rng.choice(_LANE_DELAYS), fn))
+        elif roll < 0.8:
+            self.handles.append(s.call_later(rng.random() * 3, fn))
+        elif roll < 0.9:
+            self.handles.append(s.call_soon(fn))
+        else:
+            self.handles.append(s.call_at(s.now + rng.random() * 2, fn))
+
+    def checkpoint(self, outcome):
+        s = self.sched
+        self.checkpoints.append((outcome, s.now, s.events_processed, s.armed_events()))
+
+    def run(self, steps):
+        s, rng = self.sched, self.rng
+        for _ in range(steps):
+            roll = rng.random()
+            if roll < 0.45:
+                self.schedule(rng)
+                outcome = "scheduled"
+            elif roll < 0.55:
+                if self.handles:
+                    rng.choice(self.handles).cancel()
+                outcome = "cancelled"
+            elif roll < 0.7:
+                s.run_until(s.now + rng.random() * 1.5)
+                outcome = "ran"
+            elif roll < 0.85:
+                outcome = s.step_one()
+            else:
+                if self.future is None:
+                    self.future = s.create_future()
+                try:
+                    outcome = s.run_future(self.future, timeout=rng.random() * 2)
+                except SimulationError as e:
+                    outcome = str(e)
+            self.checkpoint(outcome)
+        s.run()
+        self.checkpoint("quiescent")
+        return self
+
+
+@pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
+@pytest.mark.parametrize("seed", range(12))
+def test_lanes_fire_exactly_as_one_heap(tie_break, seed):
+    sim = Simulator(tie_break=tie_break)
+    got = _Driver(sim, seed).run(150)
+    want = _Driver(_RefScheduler(tie_break), seed).run(150)
+    assert got.fired == want.fired
+    assert got.checkpoints == want.checkpoints
+    # each handle carries the sequence number the reference gave it
+    assert [(h.when, h.seq) for h in got.handles] == [(h.when, h.seq) for h in want.handles]
+    assert sim.armed_events() == [] and not sim._heap
+    assert sim._lanes == ({} if tie_break == "fifo" else None)
+
+
+def test_only_lane_heads_are_heaped():
+    sim = Simulator()
+    fired = []
+    handles = [sim.call_later(1.0, fired.append, i) for i in range(5)]
+    sim.call_later(2.0, fired.append, "other")
+    assert len(sim._heap) == 2  # one head per delay
+    for h in handles[:4]:
+        h.cancel()
+    assert [label for _, label in sim.armed_events()] == ["list.append"] * 2
+    sim.run()
+    assert fired == [4, "other"] and sim.events_processed == 2
+    assert sim._lanes == {}

@@ -149,6 +149,53 @@ def test_subclass_override_shadows_base_binding_in_chain_merge():
     assert "_s" in merged.footprint("t").writes
 
 
+def test_super_call_runs_the_next_definition_in_the_mro():
+    """``super().m()`` in a mixin reaches the *sibling* base that follows
+    it in the concrete class's MRO, not the mixin's own base."""
+    table = build(
+        """
+        class Root:
+            def __init__(self):
+                self.register("pull", self._on_pull)
+            def _on_pull(self, msg):
+                self.source()
+            def source(self):
+                self._root = 1
+
+        class Mixin(Root):
+            def source(self):
+                self._stream = 1
+                super().source()
+
+        class Log(Root):
+            def source(self):
+                return self.cursor
+
+        class Hybrid(Mixin, Log):
+            pass
+        """
+    )
+    fp = table.classes["Hybrid"].footprint("pull")
+    assert "cursor" in fp.reads and "_stream" in fp.writes
+    assert "_root" not in fp.writes  # Log.source does not chain on
+    assert "_root" in table.classes["Mixin"].footprint("pull").writes
+
+
+def test_unresolvable_super_call_is_opaque():
+    table = build(
+        """
+        class C:
+            def __init__(self):
+                self.register("t", self._on_t)
+            def _on_t(self, msg):
+                self._x = 1
+                super().missing()
+        """
+    )
+    fp = table.classes["C"].footprint("t")
+    assert fp.opaque and fp.writes == {"_x"}
+
+
 # ---------------------------------------------------------------------------
 # real package
 # ---------------------------------------------------------------------------
@@ -184,3 +231,15 @@ def test_datalet_footprint_vocabulary_matches():
     # synthesized footprints conflict with controlet engine access
     ctl = HandlerFootprint(method="h", writes={DATALET_ATTR})
     assert put.conflicts(ctl) and get.conflicts(ctl)
+
+
+def test_hybrid_sync_pull_reads_the_log_cursor_through_super():
+    """AsyncPropagator.sync_source adds its stream position on top of
+    ``super().sync_source``: on the hybrid that is AA+EC's, which hands
+    out the log cursor, so both summaries read it."""
+    table = build_summaries()
+    for cls in ("AAEventualControlet", "AAMSHybridControlet"):
+        fp = table.classes[cls].footprint("sync_pull")
+        assert not fp.opaque and "cursor" in fp.reads, cls
+    hybrid = table.classes["AAMSHybridControlet"].footprint("sync_pull")
+    assert {"_seq", "_stream_id"} <= hybrid.reads

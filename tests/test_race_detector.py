@@ -5,7 +5,7 @@ import pytest
 from repro.analysis.races import RaceDetector, perturb_ties
 from repro.chaos.runner import run_combo
 from repro.core.types import Consistency, Topology
-from repro.errors import SimulationError
+from repro.errors import RequestTimeout, SimulationError
 from repro.net.actor import Actor
 from repro.net.simnet import SimCluster
 from repro.sim import NetworkParams, Simulator
@@ -30,6 +30,41 @@ def build(sim):
     cluster.add_actor(p2)
     cluster.start()
     return cluster, sink, p1, p2
+
+
+class Accesses:
+    """Kernel tracer that keeps every access the cluster records."""
+
+    def __init__(self):
+        self.seen = []
+
+    def begin_event(self, time, seq):
+        pass
+
+    def end_event(self):
+        pass
+
+    def record_access(self, actor, label):
+        self.seen.append((actor, label))
+
+
+def test_rpc_timeouts_reach_a_detector_attached_after_the_actors():
+    """An RPC timeout skips the node context's set_timer only while no
+    detector is attached; once one is, every actor's timeouts go through
+    it, including actors placed before it attached."""
+    sim = Simulator()
+    cluster, _sink, p1, _p2 = build(sim)
+    accesses = Accesses()
+    cluster.attach_race_detector(accesses)
+    late = cluster.add_actor(Actor("late"))
+    errors = []
+    for actor in (p1, late):  # the sink never answers a ping
+        actor.call("sink", "ping", {"tag": actor.node_id},
+                   callback=lambda resp, err: errors.append(err), timeout=0.5)
+    sim.run()
+    assert [type(e) for e in errors] == [RequestTimeout, RequestTimeout]
+    fired = [a for a in accesses.seen if a[1] == "timer:Actor._rpc_timeout"]
+    assert fired == [("p1", "timer:Actor._rpc_timeout"), ("late", "timer:Actor._rpc_timeout")]
 
 
 # ---------------------------------------------------------------------------

@@ -546,8 +546,7 @@ class FlowWalker:
         introduces it; an override is protocol code, inlined like any
         helper."""
         _fn, owner = self.table.resolve(self.cls, method)
-        return owner is None or not any(
-            method in self.table.methods(a) for a in self.table.ancestry(owner)[1:])
+        return owner is None or self.table.resolve(owner, method, owner)[0] is None
 
     def _do_emit(self, kind: str, call: ast.Call, ctx: _Ctx) -> List[_Ctx]:
         if kind == "datalet_call":

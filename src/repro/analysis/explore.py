@@ -81,9 +81,7 @@ from repro.analysis.commitpoints import ack_durable_for
 from repro.analysis.statespace import (
     CheckScenario,
     CheckerClient,
-    CheckerCluster,
     CheckerRun,
-    EnabledEvent,
 )
 from repro.analysis.summaries import (
     ClassSummary,

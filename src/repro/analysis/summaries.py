@@ -185,7 +185,7 @@ def _footprint(
     method of ``parts`` (the classes ``cls`` builds with a bare
     ``self``) driven here that touches only its owner."""
     key = (cls, method if part is None else f"{part}.{method}", after)
-    if key in cache:  # or on the stack (retry loops): already accounted
+    if key in cache:  # done, or recursion (retry loops): already accounted
         return cache[key]
     node, owner = index.resolve(part or cls, method, after)
     fp = HandlerFootprint(method=method)
@@ -249,10 +249,13 @@ def build_from_sources(sources) -> SummaryTable:
         summary = ClassSummary(cls=cls)
         for msg_type, method in sorted(bindings.items()):
             if method in ("<lambda>", "<dynamic>"):
-                summary.handlers[msg_type] = HandlerFootprint(method=method, opaque=True)
+                summary.handlers[msg_type] = HandlerFootprint(
+                    method=method, opaque=True
+                )
                 continue
-            summary.handlers[msg_type] = _footprint(index, cls, method, cache, pumps,
-                                                    parts=parts)
+            summary.handlers[msg_type] = _footprint(
+                index, cls, method, cache, pumps, parts=parts
+            )
         for reg in (r for r in index.registrations if r.cls in parts):
             for msg_type in reg.types or ():
                 summary.handlers.setdefault(msg_type, _footprint(

@@ -37,10 +37,6 @@ class NodeContext(Protocol):
     """Runtime services a transport provides to an attached actor."""
 
     node_id: str
-    #: the :class:`~repro.sim.Simulator` an RPC timeout may be armed on
-    #: directly, or ``None`` when every timer must go through
-    #: :meth:`set_timer` (a race detector records each one there)
-    kernel: Any
 
     def transmit(self, msg: Message) -> None: ...
 
@@ -205,14 +201,9 @@ class Actor:
                 msg.ctx = ctx.child(span.span_id)
             timer = None
             if timeout is not None:
-                node = self._ctx
-                if node is None:
+                if self._ctx is None:
                     raise BespoError(f"actor {self.node_id} not attached to a transport")
-                kernel = node.kernel
-                if kernel is not None:
-                    timer = kernel.call_later(timeout, self._rpc_timeout, msg.msg_id, dst, type)
-                else:
-                    timer = node.set_timer(timeout, self._rpc_timeout, msg.msg_id, dst, type)
+                timer = self._ctx.set_timer(timeout, self._rpc_timeout, msg.msg_id, dst, type)
             self._pending[msg.msg_id] = _Pending(callback, timer, ctx, span)
         self._transmit(msg)
         return msg
@@ -269,7 +260,7 @@ class Actor:
             pending = self._pending.pop(msg.reply_to, None)
             if pending is not None:
                 if pending.timer is not None:
-                    pending.timer.cancelled = True  # TimerHandle.cancel, inlined
+                    pending.timer.cancel()
                 if pending.span is not None:
                     self._obs.end(pending.span, msg.type)
                 if pending.ctx is not None:

@@ -52,14 +52,11 @@ class _Host:
 class _NodeCtx:
     """Per-actor runtime services bound to one cluster."""
 
-    __slots__ = ("node_id", "_cluster", "transmit", "kernel")
+    __slots__ = ("node_id", "_cluster", "transmit")
 
     def __init__(self, node_id: str, cluster: "SimCluster"):
         self.node_id = node_id
         self._cluster = cluster
-        #: the clock, for RPC timeouts armed past :meth:`set_timer`;
-        #: ``None`` once a race detector must see every timer
-        self.kernel: Optional[Simulator] = cluster.sim if cluster.race_tracer is None else None
         #: the cluster's ``route``, bound once: an actor's send reaches
         #: it with no frame in between (see :meth:`Actor.attach`)
         self.transmit: Callable[[Message], None] = cluster.route
@@ -235,8 +232,6 @@ class SimCluster:
         """
         self.race_tracer = detector
         self.sim.add_tracer(detector)
-        for actor in self._actors.values():
-            actor._ctx.kernel = None  # type: ignore[union-attr]
 
     def attach_sanitizer(self, sanitizer: Optional[Any] = None) -> Any:
         """Enable copy-on-send payload checking on this cluster.

@@ -467,23 +467,14 @@ class Simulator:
         """
         self._stopped = False
         heap = self._heap
-        lanes = self._lanes
-        pop, push = heappop, heappush
+        pop = heappop
         while heap and not self._stopped:
             if heap[0][0] > deadline:
                 break
             when, seq, fn, args = pop(heap)
             if fn is None:
-                lane = args.lane
-                if lane is not None:
-                    # _advance, written out
-                    while lane:
-                        ev = lane.popleft()
-                        if not ev.cancelled:
-                            push(heap, (ev.when, ev.seq, None, ev))
-                            break
-                    else:
-                        del lanes[lane.delay]
+                if args.lane is not None:
+                    self._advance(args.lane)
                 if args.cancelled:
                     continue
                 fn, args = args.fn, args.args
@@ -503,21 +494,12 @@ class Simulator:
             return
         self._stopped = False
         heap = self._heap
-        lanes = self._lanes
-        pop, push = heappop, heappush
+        pop = heappop
         while heap and not self._stopped:
             when, seq, fn, args = pop(heap)
             if fn is None:
-                lane = args.lane
-                if lane is not None:
-                    # _advance, written out
-                    while lane:
-                        ev = lane.popleft()
-                        if not ev.cancelled:
-                            push(heap, (ev.when, ev.seq, None, ev))
-                            break
-                    else:
-                        del lanes[lane.delay]
+                if args.lane is not None:
+                    self._advance(args.lane)
                 if args.cancelled:
                     continue
                 fn, args = args.fn, args.args

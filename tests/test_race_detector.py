@@ -49,9 +49,9 @@ class Accesses:
 
 
 def test_rpc_timeouts_reach_a_detector_attached_after_the_actors():
-    """An RPC timeout skips the node context's set_timer only while no
-    detector is attached; once one is, every actor's timeouts go through
-    it, including actors placed before it attached."""
+    """Every RPC timeout is armed through the node context's set_timer,
+    so a detector attached after some actors were placed still records
+    each timeout firing, for those actors and for later ones."""
     sim = Simulator()
     cluster, _sink, p1, _p2 = build(sim)
     accesses = Accesses()

@@ -350,7 +350,7 @@ class Actor:
             if self.alive:
                 fn()
 
-        # surfaced in race-detector reports (see simnet._NodeCtx.set_timer)
+        # surfaced in race-detector reports (see simnet._NodeCtx._traced_timer)
         guarded.timer_label = getattr(fn, "__qualname__", "timer")  # type: ignore[attr-defined]
         return self._ctx.set_timer(delay, guarded)
 

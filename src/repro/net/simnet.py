@@ -52,7 +52,7 @@ class _Host:
 class _NodeCtx:
     """Per-actor runtime services bound to one cluster."""
 
-    __slots__ = ("node_id", "_cluster", "transmit")
+    __slots__ = ("node_id", "_cluster", "transmit", "set_timer")
 
     def __init__(self, node_id: str, cluster: "SimCluster"):
         self.node_id = node_id
@@ -60,11 +60,18 @@ class _NodeCtx:
         #: the cluster's ``route``, bound once: an actor's send reaches
         #: it with no frame in between (see :meth:`Actor.attach`)
         self.transmit: Callable[[Message], None] = cluster.route
+        self.bind_timers()
 
-    def set_timer(self, delay: float, fn: Callable[..., None], *args: Any) -> Any:
+    def bind_timers(self) -> None:
+        """Bind ``set_timer(delay, fn, *args)``: the kernel's
+        ``call_later`` itself, with no frame in between, or
+        :meth:`_traced_timer` once a race detector must see every timer."""
+        cluster = self._cluster
+        self.set_timer: Callable[..., Any] = (
+            cluster.sim.call_later if cluster.race_tracer is None else self._traced_timer)
+
+    def _traced_timer(self, delay: float, fn: Callable[..., None], *args: Any) -> Any:
         tracer = self._cluster.race_tracer
-        if tracer is None:
-            return self._cluster.sim.call_later(delay, fn, *args)
         node_id = self.node_id
         name = getattr(fn, "timer_label", None) or getattr(fn, "__qualname__", "fn")
         label = f"timer:{name}"
@@ -135,6 +142,7 @@ class SimCluster:
         self.network = Network(self.sim, net_params or NetworkParams(), self.rng)
         self._hosts: Dict[str, _Host] = {}
         self._actors: Dict[str, Actor] = {}
+        self._contexts: Dict[str, _NodeCtx] = {}
         self._actor_host: Dict[str, str] = {}
         self._started = False
         #: optional :class:`repro.analysis.races.RaceDetector`; see
@@ -188,7 +196,8 @@ class SimCluster:
         self._hosts[host].actors.append(actor.node_id)
         self._actors[actor.node_id] = actor
         self._actor_host[actor.node_id] = host
-        actor.attach(_NodeCtx(actor.node_id, self))
+        self._contexts[actor.node_id] = ctx = _NodeCtx(actor.node_id, self)
+        actor.attach(ctx)
         actor._obs = self.obs
         actor._metrics = self.metrics
         # metrics scrape source: an explicit metrics_group() hook wins,
@@ -232,6 +241,8 @@ class SimCluster:
         """
         self.race_tracer = detector
         self.sim.add_tracer(detector)
+        for ctx in self._contexts.values():
+            ctx.bind_timers()
 
     def attach_sanitizer(self, sanitizer: Optional[Any] = None) -> Any:
         """Enable copy-on-send payload checking on this cluster.
@@ -389,6 +400,7 @@ class SimCluster:
         actor = self._actors.pop(node_id, None)
         if actor is None:
             return
+        del self._contexts[node_id]
         if actor.alive:
             actor.alive = False
             actor.on_stop()

@@ -49,9 +49,9 @@ class Accesses:
 
 
 def test_rpc_timeouts_reach_a_detector_attached_after_the_actors():
-    """Every RPC timeout is armed through the node context's set_timer,
-    so a detector attached after some actors were placed still records
-    each timeout firing, for those actors and for later ones."""
+    """A node context binds set_timer straight to the kernel while no
+    detector is attached; attaching one rebinds every placed actor's
+    context, so each RPC timeout is recorded, before and after."""
     sim = Simulator()
     cluster, _sink, p1, _p2 = build(sim)
     accesses = Accesses()

@@ -210,9 +210,8 @@ class ReshardParticipant(ReshardGate):
         if counts is None or counts["moved"] + counts["skipped"] < counts["total"]:
             return
         self._counts = None
-        owner = self._owner
-        self.send(owner.coordinator, "migrate_done",
-                  {"shard": owner.shard.shard_id, **counts})
+        shard = self._owner.shard.shard_id
+        self._owner.send(self._owner.coordinator, "migrate_done", {"shard": shard, **counts})
 
     # -- destination side: dirty-checked idempotent apply ----------------
     def _on_migrate_put(self, msg: Message) -> None:
@@ -226,10 +225,5 @@ class ReshardParticipant(ReshardGate):
     # -- fence: close the old-ring leg before the view flips -------------
     def _on_reshard_fence(self, msg: Message) -> None:
         self.fenced = max(self.fenced, int(msg.payload.get("gen", 0)))
-        owner = self._owner
-        self.send(owner.coordinator, "reshard_fenced", {"controlet": owner.node_id})
-
-    def send(self, dst: str, type: str, payload: Dict[str, Any]) -> None:
-        """Send as the owner (``self.send`` is what the protocol
-        conformance pass reads as a sent message type)."""
-        self._owner.send(dst, type, payload)
+        self._owner.send(self._owner.coordinator, "reshard_fenced",
+                         {"controlet": self._owner.node_id})

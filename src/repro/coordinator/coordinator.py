@@ -278,11 +278,6 @@ class CoordinatorActor(Actor):
         # toward shard strength below.
         self._repairs.pop(dead.controlet, None)
         shard.remove_replica(dead.controlet)
-        # Re-number the chain: if the head died this *is* the leader
-        # election (second node promoted); if a mid/tail died the chain
-        # simply re-links around it.
-        for pos, replica in enumerate(shard.ordered()):
-            replica.chain_pos = pos
         self.view.commit("failover", f"{shard.shard_id}:-{dead.controlet}")
         self._broadcast_config(shard)
         if self._op is None or shard.shard_id not in self._op.pending:
@@ -333,8 +328,7 @@ class CoordinatorActor(Actor):
             # every member of the shard view, so the replacement
             # must appear in the view *before* its state transfer
             # starts — it buffers incoming writes while recovering.
-            new_replica.chain_pos = len(shard.replicas)
-            shard.replicas.append(new_replica)
+            shard.add_replica(new_replica)
             self.view.commit(
                 "replica-join", f"{shard.shard_id}:+{new_replica.controlet}"
             )
@@ -355,8 +349,7 @@ class CoordinatorActor(Actor):
             # Join-first path (AA strong): already a member; recovery
             # completion only clears the pending bookkeeping.
             return
-        replica.chain_pos = len(shard.replicas)
-        shard.replicas.append(replica)
+        shard.add_replica(replica)
         self.view.commit("replica-join", f"{sid}:+{replica.controlet}")
         self._broadcast_config(shard)
 
@@ -524,9 +517,9 @@ class CoordinatorActor(Actor):
             live = {r.datalet for r in shard.replicas}
             if new_shard is None:
                 new_shard = op.pending[sid] = self.transition_spawner(shard, *op.combo)
-            new_shard.replicas = [r for r in new_shard.ordered() if r.datalet in live]
-            for pos, replica in enumerate(new_shard.replicas):
-                replica.chain_pos = pos
+            for r in new_shard.ordered():
+                if r.datalet not in live:
+                    new_shard.remove_replica(r.controlet)
             forward_to = new_shard.head.controlet if new_shard.replicas else ""
             if self._dispatch(op, {c: (c, forward_to) for c in shard.controlets()}):
                 self._flip(op, sid)

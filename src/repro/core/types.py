@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Dict, List, Optional
 
 from repro.errors import ConfigError
@@ -37,8 +36,9 @@ class Consistency(str, enum.Enum):
 class Replica:
     """One controlet-datalet pair within a shard.
 
-    ``chain_pos`` orders the chain for MS (0 = head/master); AA replicas
-    are all position-less peers but keep their index for determinism.
+    ``chain_pos`` is the replica's index in its shard's chain (0 =
+    head/master for MS); AA replicas are peers but keep their index for
+    determinism.
     """
 
     controlet: str
@@ -69,12 +69,14 @@ class Replica:
         )
 
 
-_CHAIN_POS = attrgetter("chain_pos")
-
-
 @dataclass
 class ShardInfo:
-    """Replica group serving one partition of the keyspace."""
+    """Replica group serving one partition of the keyspace.
+
+    ``replicas`` is the chain, head first: sorted once at construction,
+    then edited only by :meth:`add_replica` and :meth:`remove_replica`,
+    which keep each ``chain_pos`` equal to the replica's index.
+    """
 
     shard_id: str
     topology: Topology
@@ -86,31 +88,30 @@ class ShardInfo:
             self.topology = Topology(self.topology)
         if isinstance(self.consistency, str):
             self.consistency = Consistency(self.consistency)
+        self.replicas = sorted(self.replicas, key=lambda r: r.chain_pos)
 
     # -- role helpers ------------------------------------------------------
     def ordered(self) -> List[Replica]:
-        return sorted(self.replicas, key=_CHAIN_POS)
+        """The chain as a copy (safe to iterate while editing the shard)."""
+        return list(self.replicas)
 
     @property
     def head(self) -> Replica:
         """Master (MS) / chain head (MS+SC)."""
         if not self.replicas:
             raise ConfigError(f"shard {self.shard_id} has no replicas")
-        return self.ordered()[0]
+        return self.replicas[0]
 
     @property
     def tail(self) -> Replica:
         if not self.replicas:
             raise ConfigError(f"shard {self.shard_id} has no replicas")
-        return self.ordered()[-1]
+        return self.replicas[-1]
 
     def successor(self, controlet: str) -> Optional[Replica]:
         """Next replica in chain order after ``controlet`` (None at tail)."""
-        chain = self.ordered()
-        for i, r in enumerate(chain):
-            if r.controlet == controlet:
-                return chain[i + 1] if i + 1 < len(chain) else None
-        raise ConfigError(f"controlet {controlet!r} not in shard {self.shard_id}")
+        i = self.replicas.index(self.replica_of(controlet)) + 1
+        return self.replicas[i] if i < len(self.replicas) else None
 
     def replica_of(self, controlet: str) -> Replica:
         for r in self.replicas:
@@ -118,20 +119,29 @@ class ShardInfo:
                 return r
         raise ConfigError(f"controlet {controlet!r} not in shard {self.shard_id}")
 
+    def add_replica(self, replica: Replica) -> None:
+        """Join ``replica`` as the new tail."""
+        replica.chain_pos = len(self.replicas)
+        self.replicas.append(replica)
+
     def remove_replica(self, controlet: str) -> Replica:
+        """Unlink ``controlet``; renumbering re-links the chain (a dead
+        head's successor is promoted: the leader election)."""
         r = self.replica_of(controlet)
         self.replicas.remove(r)
+        for pos, rest in enumerate(self.replicas):
+            rest.chain_pos = pos
         return r
 
     def controlets(self) -> List[str]:
-        return [r.controlet for r in self.ordered()]
+        return [r.controlet for r in self.replicas]
 
     def to_dict(self) -> Dict[str, object]:
         return {
             "shard_id": self.shard_id,
             "topology": self.topology.value,
             "consistency": self.consistency.value,
-            "replicas": [r.to_dict() for r in self.ordered()],
+            "replicas": [r.to_dict() for r in self.replicas],
         }
 
     @classmethod

@@ -6,6 +6,12 @@ combination and a list of datalet kinds, it stands up coordinator, DLM,
 per-shard shared logs, controlet-datalet pairs (one host per pair, the
 paper's 1:1 default), and a pool of standby hosts for failover.
 
+Each thing has one builder: ``_build_shard`` (boot and online shard
+add), ``_place_pair`` (every controlet-datalet pair, failover
+replacements included), ``_sharedlog`` (a shard's sequencer, on first
+need).  Chain order is not decided here: pairs join a shard through
+:meth:`ShardInfo.add_replica`.
+
 Naming scheme (also the host names):
 
 * shard ``s{i}``, replica ``r{j}``
@@ -137,56 +143,42 @@ class Deployment:
         self.map = ClusterMap()
 
         # --- infrastructure actors ------------------------------------
+        # the coordinator's factories, shared by the primary and standby
+        factories = dict(
+            config=spec.control,
+            spawner=self._spawn_replacement,
+            transition_spawner=self._spawn_transition,
+            reshard_spawner=self._spawn_shard,
+            partitioner=spec.partitioner,
+        )
+        coordinator_cls, primary_kwargs = CoordinatorActor, {}
         self.standby: Optional["StandbyCoordinator"] = None
         if spec.coordinator_standby:
             from repro.coordinator.standby import PrimaryCoordinator, StandbyCoordinator
 
-            self.coordinator = PrimaryCoordinator(
-                "coordinator",
-                cluster_map=self.map,
-                config=spec.control,
-                spawner=self._spawn_replacement,
-                transition_spawner=self._spawn_transition,
-                reshard_spawner=self._spawn_shard,
-                partitioner=spec.partitioner,
-                followers=["coordinator.standby"],
-            )
-            self.standby = StandbyCoordinator(
-                "coordinator.standby",
-                config=spec.control,
-                spawner=self._spawn_replacement,
-                transition_spawner=self._spawn_transition,
-                reshard_spawner=self._spawn_shard,
-                partitioner=spec.partitioner,
-            )
+            coordinator_cls = PrimaryCoordinator
+            primary_kwargs = {"followers": ["coordinator.standby"]}
+            self.standby = StandbyCoordinator("coordinator.standby", **factories)
             self.cluster.add_host("coordinator.standby", cpus=spec.host_cpus)
             self.cluster.add_actor(self.standby, host="coordinator.standby")
-        else:
-            self.coordinator = CoordinatorActor(
-                "coordinator",
-                cluster_map=self.map,
-                config=spec.control,
-                spawner=self._spawn_replacement,
-                transition_spawner=self._spawn_transition,
-                reshard_spawner=self._spawn_shard,
-                partitioner=spec.partitioner,
-            )
+        self.coordinator = coordinator_cls(
+            "coordinator", cluster_map=self.map, **primary_kwargs, **factories
+        )
         self.cluster.add_host("coordinator", cpus=spec.host_cpus)
         self.cluster.add_actor(self.coordinator, host="coordinator")
 
         from repro.dlm import LockManagerActor  # local: keep import graph flat
-        from repro.sharedlog import SharedLogActor, log_name
 
         self.dlm = LockManagerActor("dlm", lease=spec.control.lock_lease)
         self.cluster.add_host("dlm", cpus=spec.dlm_cpus)
         self.cluster.add_actor(self.dlm, host="dlm")
 
+        # boot shards get their sequencers up front, whatever the combo
+        # (their place in the actor order is part of every sim-clock
+        # run); a shard added later gets one with its first AA+EC controlet
         self.sharedlogs: Dict[str, str] = {}
         for i in range(spec.shards):
-            log_id = log_name(f"s{i}")
-            self.cluster.add_host(log_id, cpus=spec.host_cpus)
-            self.cluster.add_actor(SharedLogActor(log_id), host=log_id)
-            self.sharedlogs[f"s{i}"] = log_id
+            self._sharedlog(f"s{i}")
 
         # --- dedicated controlet hosts (N:1 mapping, §III) -------------
         self._controlet_hosts: List[str] = []
@@ -200,21 +192,8 @@ class Deployment:
 
         # --- shards -----------------------------------------------------
         for i in range(spec.shards):
-            shard = ShardInfo(f"s{i}", spec.topology, spec.consistency, [])
+            shard = self._build_shard(i, spec.topology, spec.consistency)
             self.map.shards[shard.shard_id] = shard
-            for j in range(spec.replicas):
-                kind = spec.datalet_kinds[j % len(spec.datalet_kinds)]
-                replica = Replica(
-                    controlet=f"c{i}.{j}",
-                    datalet=f"d{i}.{j}",
-                    host=f"node{i}.{j}",
-                    chain_pos=j,
-                    datalet_kind=kind,
-                )
-                shard.replicas.append(replica)
-            # actors need the full shard view, so build them second pass
-            for replica in shard.ordered():
-                self._place_pair(shard, replica)
 
         # --- standby pool -------------------------------------------------
         for _ in range(spec.standbys):
@@ -242,6 +221,19 @@ class Deployment:
             snapshot_every=self.spec.wal_snapshot_every,
         )
 
+    def _sharedlog(self, sid: str) -> str:
+        """Shard ``sid``'s shared-log sequencer (named by ``log_name``,
+        as the coordinator's reshard arming addresses it), started on
+        its own host the first time it is asked for."""
+        log_id = self.sharedlogs.get(sid)
+        if log_id is None:
+            from repro.sharedlog import SharedLogActor, log_name  # local: keep import graph flat
+
+            log_id = self.sharedlogs[sid] = log_name(sid)
+            self.cluster.add_host(log_id, cpus=self.spec.host_cpus)
+            self.cluster.add_actor(SharedLogActor(log_id), host=log_id)
+        return log_id
+
     def _make_controlet(
         self,
         node_id: str,
@@ -261,7 +253,7 @@ class Deployment:
         if issubclass(cls, AAStrongControlet):
             kwargs["dlm"] = "dlm"
         elif issubclass(cls, AAEventualControlet):
-            kwargs["sharedlog"] = self.sharedlogs[shard.shard_id]
+            kwargs["sharedlog"] = self._sharedlog(shard.shard_id)
             kwargs["start_cursor_at_tail"] = start_cursor_at_tail
         active = self.active_coordinator()
         return cls(
@@ -284,7 +276,8 @@ class Deployment:
         recovery_source: Optional[str] = None,
         start_cursor_at_tail: bool = False,
     ) -> None:
-        """Place a controlet-datalet pair.
+        """Place a controlet-datalet pair (``recovery_source``: a
+        replacement that first copies that datalet's state).
 
         Default: colocated on the replica's host (the paper's 1:1
         mapping).  With ``controlet_hosts`` set, the datalet keeps its
@@ -321,42 +314,34 @@ class Deployment:
             host=ctl_host,
         )
 
+    def _build_shard(self, i: int, topology: Topology, consistency: Consistency) -> ShardInfo:
+        """Shard ``s{i}``: ``spec.replicas`` pairs on fresh hosts, engine
+        kinds cycled over ``spec.datalet_kinds`` by chain position."""
+        kinds = self.spec.datalet_kinds
+        shard = ShardInfo(f"s{i}", topology, consistency)
+        for j in range(self.spec.replicas):
+            shard.add_replica(Replica(f"c{i}.{j}", f"d{i}.{j}", f"node{i}.{j}",
+                                      datalet_kind=kinds[j % len(kinds)]))
+        # actors need the full shard view, so build them second pass
+        for replica in shard.ordered():
+            self._place_pair(shard, replica)
+        return shard
+
     # ------------------------------------------------------------------
     # coordinator-injected factories
     # ------------------------------------------------------------------
     def _spawn_replacement(self, shard: ShardInfo, source_datalet: str) -> Optional[Replica]:
-        """Launch a recovery-mode pair on a standby host (failover)."""
+        """Launch a recovery-mode pair on a standby host (failover); the
+        coordinator joins it as the new tail once it has recovered."""
         if not self._standbys:
             return None
         host = self._standbys.pop(0)
         suffix = f"fo{next(self._gen)}"
         kind = shard.tail.datalet_kind if shard.replicas else self.spec.datalet_kinds[0]
-        replica = Replica(
-            controlet=f"c.{shard.shard_id}.{suffix}",
-            datalet=f"d.{shard.shard_id}.{suffix}",
-            host=host,
-            chain_pos=len(shard.replicas),
-            datalet_kind=kind,
-        )
-        self.cluster.add_actor(
-            DataletActor(
-                replica.datalet,
-                self._make_engine(kind),
-                wal=self._make_wal(host, replica.datalet),
-            ),
-            host=host,
-        )
-        self._host_pairs[host] = (shard.shard_id, replica)
-        self.cluster.add_actor(
-            self._make_controlet(
-                replica.controlet,
-                shard,
-                replica.datalet,
-                recovery_source=source_datalet,
-                start_cursor_at_tail=True,
-            ),
-            host=host,
-        )
+        replica = Replica(f"c.{shard.shard_id}.{suffix}", f"d.{shard.shard_id}.{suffix}",
+                          host, datalet_kind=kind)
+        self._place_pair(shard, replica, recovery_source=source_datalet,
+                         start_cursor_at_tail=True)
         # the calling coordinator records the replica it gets back; the
         # standby mirrors it, so whichever coordinator is active when
         # recovery completes finalizes the join
@@ -371,17 +356,10 @@ class Deployment:
         (§V: "Two old and new controlets are mapped to one datalet
         during the transition phase")."""
         gen = next(self._gen)
-        new_shard = ShardInfo(shard.shard_id, topology, consistency, [])
-        for replica in shard.ordered():
-            new_shard.replicas.append(
-                Replica(
-                    controlet=f"{replica.controlet}.g{gen}",
-                    datalet=replica.datalet,
-                    host=replica.host,
-                    chain_pos=replica.chain_pos,
-                    datalet_kind=replica.datalet_kind,
-                )
-            )
+        new_shard = ShardInfo(shard.shard_id, topology, consistency)
+        for r in shard.ordered():
+            new_shard.add_replica(Replica(f"{r.controlet}.g{gen}", r.datalet, r.host,
+                                          datalet_kind=r.datalet_kind))
         for replica in new_shard.ordered():
             self.cluster.add_actor(
                 self._make_controlet(
@@ -395,39 +373,11 @@ class Deployment:
         return new_shard
 
     def _spawn_shard(self, topology: Topology, consistency: Consistency) -> Optional[ShardInfo]:
-        """Launch a whole new shard of the given combo (online shard add).
-
-        Fresh hosts, fresh controlet-datalet pairs — and for AA+EC a
-        fresh shared-log sequencer named by ``log_name``, as the
-        coordinator's reshard arming addresses it.  The new
-        shard is *not* entered into the cluster map here: the
-        coordinator does that when it opens the double-ring window.
-        """
-        spec = self.spec
-        i = next(self._shard_seq)
-        sid = f"s{i}"
-        if topology is Topology.AA and consistency is Consistency.EVENTUAL:
-            from repro.sharedlog import SharedLogActor, log_name  # local: keep import graph flat
-
-            log_id = log_name(sid)
-            self.cluster.add_host(log_id, cpus=spec.host_cpus)
-            self.cluster.add_actor(SharedLogActor(log_id), host=log_id)
-            self.sharedlogs[sid] = log_id
-        shard = ShardInfo(sid, topology, consistency, [])
-        for j in range(spec.replicas):
-            kind = spec.datalet_kinds[j % len(spec.datalet_kinds)]
-            shard.replicas.append(
-                Replica(
-                    controlet=f"c{i}.{j}",
-                    datalet=f"d{i}.{j}",
-                    host=f"node{i}.{j}",
-                    chain_pos=j,
-                    datalet_kind=kind,
-                )
-            )
-        for replica in shard.ordered():
-            self._place_pair(shard, replica)
-        return shard
+        """Launch a whole new shard of the given combo (online shard
+        add) on fresh hosts.  It is *not* entered into the cluster map
+        here: the coordinator does that when it opens the double-ring
+        window."""
+        return self._build_shard(next(self._shard_seq), topology, consistency)
 
     # ------------------------------------------------------------------
     # public surface
@@ -459,9 +409,9 @@ class Deployment:
         return self.map.shard(f"s{index}")
 
     def replica_host(self, shard_index: int, chain_pos: int) -> str:
-        for r in self.shard(shard_index).ordered():
-            if r.chain_pos == chain_pos:
-                return r.host
+        replicas = self.shard(shard_index).replicas
+        if 0 <= chain_pos < len(replicas):
+            return replicas[chain_pos].host
         raise ConfigError(f"no replica at position {chain_pos} in shard s{shard_index}")
 
     def kill_replica(self, shard_index: int, chain_pos: int) -> str:

@@ -91,3 +91,36 @@ def test_colocated_default_unchanged():
     for r in dep.shard(0).ordered():
         assert dep.cluster.host_of(r.controlet) == dep.cluster.host_of(r.datalet)
         assert dep.cluster.actor(r.controlet).datalet_colocated
+
+
+def test_replacement_pair_is_placed_like_a_boot_pair():
+    """A failover replacement goes through the same placement as every
+    boot pair: its datalet takes the standby host, its controlet is
+    packed onto a dedicated controlet host and watches the datalet
+    remotely, and it joins the chain as the new tail."""
+    dep, client = build_split(consistency=Consistency.STRONG)
+    for i in range(10):
+        dep.sim.run_future(client.put(f"k{i}", str(i)))
+    victim = dep.shard(0).tail
+    dep.cluster.kill_host(victim.host)
+
+    def writer():
+        for i in range(60):
+            try:
+                yield client.put(f"w{i}", str(i))
+            except Exception:  # noqa: BLE001
+                pass
+            yield 0.25
+
+    dep.sim.run_future(dep.sim.spawn(writer()))
+    dep.sim.run_until(dep.sim.now + 20.0)
+    shard = dep.shard(0)
+    assert len(shard.replicas) == 3 and victim.controlet not in shard.controlets()
+    new = shard.tail
+    assert new.host.startswith("standby")
+    assert dep.cluster.host_of(new.datalet) == new.host
+    assert dep.cluster.host_of(new.controlet) in {"ctl0", "ctl1"}
+    assert not dep.cluster.actor(new.controlet).datalet_colocated
+    assert [r.chain_pos for r in shard.replicas] == [0, 1, 2]
+    for i in range(10):
+        assert dep.sim.run_future(client.get(f"k{i}")) == str(i)

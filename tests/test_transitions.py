@@ -231,3 +231,24 @@ def test_chained_transitions_return_roundtrip():
     dep.sim.run_until(dep.sim.now + 1.0)
     assert dep.sim.run_future(client2.get("final")) == "state"
     assert dep.sim.run_future(client2.get("k3")) == "3"
+
+
+def test_transition_to_aa_ec_after_a_reshard_add():
+    """A shard added online under MS+SC gets no shared-log sequencer;
+    a later switch to AA+EC must start one for it when its first AA+EC
+    controlet is built, and every preloaded key still reads back."""
+    dep, client = build(Topology.MS, Consistency.STRONG, shards=1)
+    load(dep, client)
+    stats = dep.sim.run_future(dep.request_reshard("add"))
+    assert stats["moved"] + stats["skipped"] == stats["total"]
+    epoch = dep.sim.run_future(dep.request_transition(Topology.AA, Consistency.EVENTUAL))
+    assert epoch == dep.map.epoch
+    assert set(dep.sharedlogs) == {"s0", "s1"}
+    for sid in dep.map.shard_ids():
+        shard = dep.map.shard(sid)
+        assert (shard.topology, shard.consistency) == (Topology.AA, Consistency.EVENTUAL)
+    dep.sim.run_until(dep.sim.now + 2.0)
+    client2 = dep.client("c1")
+    dep.sim.run_future(client2.connect())
+    for i in range(20):
+        assert dep.sim.run_future(client2.get(f"k{i}")) == str(i)
